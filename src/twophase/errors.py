@@ -46,10 +46,6 @@ class DegenerateTube(TwoPhaseError, ValueError):
     """A factor 1 - kappa*delta is nonpositive: the point is past a focal point."""
 
 
-class StencilOutOfTube(TwoPhaseError, ValueError):
-    """A finite-difference stencil left the tubular neighborhood."""
-
-
 class ThresholdNotFound(TwoPhaseError, RuntimeError):
     """No admissible rate threshold was found below the search cap."""
 

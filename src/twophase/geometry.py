@@ -290,6 +290,18 @@ class Helicoid(Surface):
         Z = np.asarray(Z, dtype=float)
         return Z[..., 0] * np.cos(Z[..., 2]) + Z[..., 1] * np.sin(Z[..., 2])
 
+    def chart_metric(self, q, t):
+        """(G^qq, d_q(sqrt(G) G^qq) / sqrt(G)) of the parallel surface.
+
+        G is the metric of {z + t nu_in} in the (rho, screw angle) chart:
+        sqrt(G) = P / sqrt(a) and G^qq = (1/a + t^2 a) a / P^2, with
+        a = 1/(1 + rho^2) and P = 1 - a^2 t^2.
+        """
+        a = 1.0 / (1.0 + q * q)
+        at2 = (a * t) ** 2
+        gqq = (1.0 + at2) / (1.0 - at2) ** 2
+        return gqq, gqq * q * a * (1.0 - 8.0 * at2 / (1.0 - at2 * at2))
+
     def project_batch(self, X):
         X = np.asarray(X, dtype=float)
         x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
@@ -395,6 +407,20 @@ class Catenoid(Surface):
 
     def ray_param(self, Z):
         return np.asarray(Z, dtype=float)[..., 2]
+
+    def chart_metric(self, q, t):
+        """(G^qq, d_q(sqrt(G) G^qq) / sqrt(G)) of the parallel surface.
+
+        G is the metric of {z + t nu_in} in the (height v, rotation angle)
+        chart: sqrt(G) = g sqrt(1 + g'^2) P and
+        G^qq = 1 / ((1 + g'^2) (1 - kappa_mer t)^2), where kappa_mer = -k,
+        k = sech^2(v/c)/c and P = 1 - k^2 t^2.
+        """
+        w2 = np.cosh(q / self.c) ** 2
+        k = 1.0 / (self.c * w2)
+        kt = k * t
+        return (1.0 / (w2 * (1.0 + kt) ** 2),
+                4.0 * k * kt * np.tanh(q / self.c) / ((1.0 + kt) ** 3 * (1.0 - kt)))
 
     def project_batch(self, X):
         X = np.asarray(X, dtype=float)

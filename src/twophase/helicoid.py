@@ -215,7 +215,6 @@ def symmetry_identities_check(n_samples: int = 10 ** 4,
     alphas = gen.uniform(-10.0, 10.0, size=n_samples)
 
     side = omega_indicator(pts)
-    moved = screw(pts, 0.0)
     screw_bad = 0
     witness_a = None
     for i in range(n_samples):

@@ -9,7 +9,6 @@ silent accuracy warnings into hard errors and to keep the truncation policy
 
 from __future__ import annotations
 
-import numpy as np
 from scipy import integrate
 
 from .errors import QuadratureFailure
@@ -39,10 +38,3 @@ def integrate_adaptive(f, a: float, b: float, *, tol: float = DEFAULT_TOL,
         raise QuadratureFailure(
             f"quadrature error estimate {abserr:.3e} exceeds budget on [{a}, {b}]")
     return value
-
-
-def gaussian_window(center: float, t: float, sigma: float,
-                    cutoff: float = GAUSSIAN_CUTOFF_STD) -> tuple[float, float]:
-    """Integration window covering a Gaussian of conductivity sigma at time t."""
-    half = cutoff * np.sqrt(2.0 * t * sigma)
-    return center - half, center + half

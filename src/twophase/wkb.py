@@ -42,11 +42,15 @@ helicoid and catenoid carry a one-parameter symmetry (screw motion,
 rotation), so their coefficient fields reduce to two variables: the
 footpoint parameter q and the signed distance tau; they are tabulated on a
 (q, tau) grid and interpolated with quintic bivariate splines.  Laplacians
-off radial symmetry are formed by central differences over the ray bundle
-through the Cartesian stencil of a point (each stencil point is projected
-onto its own normal ray).  Ray integrals use composite 64-node
-Gauss-Legendre segments.  Tables are immutable once built and rays are
-independent, so everything parallelizes across rays and lambda values.
+are exact for the splines, in the collar chart x = z(q, s) + tau nu(q, s):
+
+    Lap f = f_tautau + Lap(delta) f_tau + G^qq f_qq + d_q(sqrt(G) G^qq)/sqrt(G) f_q,
+
+with G the metric of the parallel surface in the (q, symmetry parameter)
+chart (`chart_metric` of the surface); radial fields keep the first two
+terms.  A table point lies on a known ray, so a build projects nothing,
+and a read projects each point once.  Ray integrals are the antiderivatives
+of the quintic interpolants of their integrands, all rows at once.
 """
 
 from __future__ import annotations
@@ -57,37 +61,28 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import InterpolatedUnivariateSpline, RectBivariateSpline
+from scipy.interpolate import (InterpolatedUnivariateSpline,
+                               RectBivariateSpline, make_interp_spline)
 
-from .errors import (DegenerateTube, InvalidArgument, ThresholdNotFound,
+from .errors import (DegenerateTube, InvalidArgument,
+                     OutsideTubularNeighborhood, ThresholdNotFound,
                      UnsupportedGeometry)
 from .geometry import Surface, elementary_symmetric
 from .medium import TwoPhaseMedium
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-#: default transverse finite-difference step, as a fraction of delta0
+#: default finite-difference step along the ray, as a fraction of delta0
 FD_STEP_FRACTION = 1e-3
 
 
-def _cumulative_gauss_legendre(values: np.ndarray, taus: np.ndarray,
-                               zero_index: int) -> np.ndarray:
-    """Cumulative integral of a sampled integrand from taus[zero_index].
+def _ray_integral(values: np.ndarray, taus: np.ndarray,
+                  zero_index: int) -> np.ndarray:
+    """int_0^tau of the quintic interpolant of each row (tau on the last axis).
 
-    The integrand samples are interpolated by a quintic spline and each
-    grid segment is integrated with a 64-node Gauss-Legendre rule (exact
-    for the spline), then accumulated.
+    Exact for the spline: its antiderivative, read at every grid tau.
     """
-    spline = InterpolatedUnivariateSpline(taus, values, k=5)
-    mid = 0.5 * (taus[1:] + taus[:-1])
-    half = 0.5 * np.diff(taus)
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    segs = spline(pts.ravel()).reshape(pts.shape) @ _GL_WEIGHTS * half
-    out = np.empty_like(taus)
-    out[zero_index] = 0.0
-    out[zero_index + 1:] = np.cumsum(segs[zero_index:])
-    out[:zero_index] = -np.cumsum(segs[:zero_index][::-1])[::-1]
-    return out
+    spline = make_interp_spline(taus, np.moveaxis(values, -1, 0), k=5)
+    cum = spline.antiderivative()(taus)
+    return np.moveaxis(cum - cum[zero_index], 0, -1)
 
 
 class CoefficientEngine:
@@ -98,7 +93,8 @@ class CoefficientEngine:
     nothing here depends on the conductivities or on lambda.  Fields are
     evaluated at arbitrary collar points through the surface projection,
     using the signed distance so that evaluation is smooth across the
-    surface (finite-difference stencils may dip to the other side).
+    surface.  Table reads outside the tabulated (q, tau) box raise
+    OutsideTubularNeighborhood; the tables never extrapolate.
     """
 
     def __init__(self, surface: Surface, side: int, *,
@@ -117,38 +113,30 @@ class CoefficientEngine:
             d0 = 1.0
         self.delta0 = d0
         self.fd_step = FD_STEP_FRACTION * d0
-        # table construction uses a larger stencil: the integrand is splined
-        # and integrated, so roundoff noise (eps/h^2) matters more than the
-        # O(h^2) truncation it trades against
-        self._build_step = 8.0 * self.fd_step
 
-        # padded tau grid, uniform, containing 0 exactly; each table order is
-        # built on a grid trimmed by two cells per level so that no stencil
-        # ever reaches the previous level's end cells (edge stencils and
-        # end-of-spline interpolation would pollute the next table)
+        # padded uniform grids, tau containing 0 exactly; every level takes
+        # two more derivatives of the last, and spline derivatives are least
+        # accurate in the end cells, so the pad grows with the table order
         h = d0 / (n_tau - 1)
         pad = 4 + 2 * self.table_order
-        self._pad = pad
         self._zero_index = pad
         self.taus = h * np.arange(-pad, n_tau + pad)
 
         if surface.is_radial:
             kap = surface.kappas(self._any_surface_point())
             self._kap_const = -kap if side == +1 else kap
-            self._build_radial_tables()
         else:
-            if not hasattr(surface, "point_at"):
+            if not hasattr(surface, "chart_metric"):
                 raise UnsupportedGeometry(
                     "barrier coefficients need a ray parametrization; only "
                     "the catalog surfaces provide one")
             if q_range is None:
                 scale = getattr(surface, "c", 1.0)
                 q_range = (-0.8 * scale, 0.8 * scale)
-            hq = (q_range[1] - q_range[0]) / (n_q - 1)
-            padq = pad * max(hq, 2 * self._build_step)
+            padq = pad * (q_range[1] - q_range[0]) / (n_q - 1)
             self.q_grid = np.linspace(q_range[0] - padq, q_range[1] + padq,
                                       n_q + 2 * pad)
-            self._build_table_fields()
+        self._build_tables()
 
     # ------------------------------------------------------------------
     # curvature helpers (side-adjusted: the collar on this side sees kappa
@@ -160,14 +148,27 @@ class CoefficientEngine:
             z[0] = self.surface.R
         return z
 
-    def _kappas_q(self, q):
+    def _kappas(self, q):
+        if self.surface.is_radial:
+            return self._kap_const
         kap = np.asarray(self.surface.kappas_at(np.asarray(q, dtype=float)))
         return -kap if self.side == +1 else kap
 
     def boundary_mean_term(self, q=None) -> float:
         """Lap(signed distance) at the surface: -sum of side-adjusted kappas."""
-        kap = self._kap_const if self.surface.is_radial else self._kappas_q(q)
-        return float(-np.sum(kap))
+        return float(-np.sum(self._kappas(q)))
+
+    def _lap_delta(self, q, tau):
+        """Lap(signed distance) at chart coordinates (q, tau)."""
+        kap = self._kappas(q)
+        return -np.sum(kap / (1.0 - kap * tau[..., None]), axis=-1)
+
+    def _weight(self, q, tau):
+        """W = prod(1 - kappa tau)^(1/2) = 1 / A_0 at chart coordinates."""
+        factors = 1.0 - self._kappas(q) * tau[..., None]
+        if np.any(factors <= 0.0):
+            raise DegenerateTube("collar reaches a focal point of the surface")
+        return np.sqrt(np.prod(factors, axis=-1))
 
     # ------------------------------------------------------------------
     # signed collar coordinates
@@ -183,12 +184,23 @@ class CoefficientEngine:
             q = self.surface.ray_param(Z)
         return q, tau, Z, delta
 
+    def _table_coords(self, X):
+        """(q, tau) of points, which must lie in the tabulated box."""
+        q, tau, _, _ = self.signed_coords(np.atleast_2d(np.asarray(X, dtype=float)))
+        outside = (tau < self.taus[0]) | (tau > self.taus[-1])
+        if not self.surface.is_radial:
+            outside |= (q < self.q_grid[0]) | (q > self.q_grid[-1])
+        if np.any(outside):
+            i = int(np.argmax(outside))
+            raise OutsideTubularNeighborhood(
+                f"(q, tau) = ({q[i]:.6g}, {tau[i]:.6g}) is outside the "
+                "tabulated collar")
+        return q, tau
+
     def lap_signed_distance(self, X: np.ndarray) -> np.ndarray:
         """Laplacian of the signed distance (positive side = engine side)."""
         q, tau, _, _ = self.signed_coords(np.atleast_2d(np.asarray(X, dtype=float)))
-        kap = (np.broadcast_to(self._kap_const, (len(tau), len(self._kap_const)))
-               if self.surface.is_radial else self._kappas_q(q))
-        return -np.sum(kap / (1.0 - kap * tau[:, None]), axis=1)
+        return self._lap_delta(q, tau)
 
     # ------------------------------------------------------------------
     # ray construction (non-radial surfaces root their rays at point_at(q))
@@ -207,120 +219,60 @@ class CoefficientEngine:
     # ------------------------------------------------------------------
     # table construction
     # ------------------------------------------------------------------
-    def _line_quantities(self, kap, taus):
-        factors = 1.0 - kap[None, :] * taus[:, None]
-        if np.any(factors <= 0.0):
-            raise DegenerateTube("collar reaches a focal point of the surface")
-        w = np.sqrt(np.prod(factors, axis=1))
-        return w, 1.0 / w  # W and A_0 along the line
+    def _build_tables(self):
+        """Tables of A_1 .. A_order and J on the grid (level 0: A_0).
 
-    def _build_radial_tables(self):
-        taus = self.taus
-        kap = self._kap_const
-        w, a0 = self._line_quantities(kap, taus)
-        dd = -np.sum(kap[None, :] / (1.0 - kap[None, :] * taus[:, None]), axis=1)
-        ddp = -np.sum(kap[None, :] ** 2 / (1.0 - kap[None, :] * taus[:, None]) ** 2, axis=1)
-        self._radial_dd = InterpolatedUnivariateSpline(taus, dd, k=5)
-        profiles = []
-        # analytic Laplacian of A_0 seeds the recursion
-        a0p = -0.5 * dd * a0
-        a0pp = -0.5 * (ddp * a0 + dd * a0p)
-        lap_prev = a0pp + dd * a0p
-        for _ in range(self.table_order):
-            integ = 0.5 * lap_prev * w
-            cum = _cumulative_gauss_legendre(integ, taus, self._zero_index)
-            prof = a0 * cum
-            spl = InterpolatedUnivariateSpline(taus, prof, k=5)
-            profiles.append(spl)
-            lap_prev = spl.derivative(2)(taus) + dd * spl.derivative(1)(taus)
-        self._radial_profiles = profiles
-        cum_w = _cumulative_gauss_legendre(w, taus, self._zero_index)
-        self._radial_j = InterpolatedUnivariateSpline(taus, a0 * cum_w, k=5)
+        Level j integrates the chart Laplacian of level j - 1 along every
+        ray at once.  Radial A_0 needs no table: its Laplacian is closed form.
+        """
+        taus, zi = self.taus, self._zero_index
+        if self.surface.is_radial:
+            qs = None
+            w = self._weight(None, taus)
+            self._tables = [None]
 
-    def _trimmed_grids(self, level: int):
-        """Grids for building table `level` (trim two cells per level)."""
-        trim = 2 * (level - 1)
-        sl = slice(trim, len(self.taus) - trim if trim else None)
-        slq = slice(trim, len(self.q_grid) - trim if trim else None)
-        return self.q_grid[slq], self.taus[sl], self._zero_index - trim
+            def fit(values):
+                return InterpolatedUnivariateSpline(taus, values, k=5)
+        else:
+            qs = self.q_grid
+            w = self._weight(qs[:, None], taus[None, :])
 
-    def _build_table_fields(self):
-        self._splines: list[RectBivariateSpline] = []
-        for order in range(1, self.table_order + 1):
-            qs, taus, zi = self._trimmed_grids(order)
-            nq, nt = len(qs), len(taus)
-            kap_q = np.asarray(self._kappas_q(qs), dtype=float)
-            factors = 1.0 - kap_q[:, None, :] * taus[None, :, None]
-            if np.any(factors <= 0.0):
-                raise DegenerateTube("collar reaches a focal point of the surface")
-            w_tab = np.sqrt(np.prod(factors, axis=2))
-            a0_tab = 1.0 / w_tab
-            Z = self.surface.point_at(qs)
-            nu_in = self.surface.inward_normal_at(qs)
-            march = nu_in if self.side == -1 else -nu_in
-            pts = Z[:, None, :] + taus[None, :, None] * march[:, None, :]
-            lap_prev = self.laplacian(order - 1, pts.reshape(-1, 3),
-                                      h=self._build_step).reshape(nq, nt)
-            tab = np.empty((nq, nt))
-            for i in range(nq):
-                integ = 0.5 * lap_prev[i] * w_tab[i]
-                cum = _cumulative_gauss_legendre(integ, taus, zi)
-                tab[i] = a0_tab[i] * cum
-            self._splines.append(RectBivariateSpline(qs, taus, tab, kx=5, ky=5))
-
-        qs, taus, zi = self._trimmed_grids(1)
-        kap_q = np.asarray(self._kappas_q(qs), dtype=float)
-        prod = np.prod(1.0 - kap_q[:, None, :] * taus[None, :, None], axis=2)
-        w_tab = np.sqrt(prod)
-        j_tab = np.empty_like(w_tab)
-        for i in range(len(qs)):
-            cum = _cumulative_gauss_legendre(w_tab[i], taus, zi)
-            j_tab[i] = cum / w_tab[i]
-        self._j_spline = RectBivariateSpline(qs, taus, j_tab, kx=5, ky=5)
+            def fit(values):
+                return RectBivariateSpline(qs, taus, values, kx=5, ky=5)
+            self._tables = [fit(1.0 / w)]
+        for j in range(self.table_order):
+            lap = self._lap_level(j, qs, taus, grid=True)
+            self._tables.append(fit(_ray_integral(0.5 * lap * w, taus, zi) / w))
+        self._j_table = fit(_ray_integral(w, taus, zi) / w)
 
     # ------------------------------------------------------------------
     # field evaluation
     # ------------------------------------------------------------------
     def a0(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        q, tau, _, _ = self.signed_coords(X)
-        kap = (np.broadcast_to(self._kap_const, (len(tau), len(self._kap_const)))
-               if self.surface.is_radial else self._kappas_q(q))
-        factors = 1.0 - kap * tau[:, None]
-        if np.any(factors <= 0.0):
-            raise DegenerateTube("1 - kappa*delta vanished: point past a focal point")
-        return np.prod(factors, axis=1) ** -0.5
+        q, tau, _, _ = self.signed_coords(np.atleast_2d(np.asarray(X, dtype=float)))
+        return 1.0 / self._weight(q, tau)
 
-    def _clamped(self, q, tau, level: int = 1):
-        # spline queries never extrapolate; legitimate queries stay several
-        # cells inside the trimmed grids, so clamping is a pure safeguard
+    def _table(self, j: int):
+        if not 0 <= j <= self.table_order:
+            raise InvalidArgument(f"A_{j} is not tabulated (table order "
+                                  f"{self.table_order})")
+        return self._tables[j]
+
+    def _read(self, table, X) -> np.ndarray:
+        q, tau = self._table_coords(X)
         if self.surface.is_radial:
-            return q, np.clip(tau, self.taus[0], self.taus[-1])
-        qs, taus, _ = self._trimmed_grids(level)
-        return np.clip(q, qs[0], qs[-1]), np.clip(tau, taus[0], taus[-1])
+            return np.asarray(table(tau), dtype=float)
+        return table.ev(q, tau)
 
     def field(self, j: int, X) -> np.ndarray:
         """A_j evaluated at arbitrary collar points (j <= table order)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         if j == 0:
             return self.a0(X)
-        if j > self.table_order:
-            raise InvalidArgument(f"A_{j} is not tabulated (table order "
-                                  f"{self.table_order})")
-        q, tau, _, _ = self.signed_coords(X)
-        q, tau = self._clamped(q, tau, j)
-        if self.surface.is_radial:
-            return np.asarray(self._radial_profiles[j - 1](tau), dtype=float)
-        return self._splines[j - 1].ev(q, tau)
+        return self._read(self._table(j), X)
 
     def j_integral(self, X) -> np.ndarray:
         """The forcing integral J = int_0^delta W, so that A_{n,+-} = A_n +- J."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        q, tau, _, _ = self.signed_coords(X)
-        q, tau = self._clamped(q, tau)
-        if self.surface.is_radial:
-            return np.asarray(self._radial_j(tau), dtype=float)
-        return self._j_spline.ev(q, tau)
+        return self._read(self._j_table, X)
 
     def field_pm(self, n: int, sign: int, X) -> np.ndarray:
         return self.field(n, X) + sign * self.j_integral(X)
@@ -328,50 +280,42 @@ class CoefficientEngine:
     # ------------------------------------------------------------------
     # derivatives
     # ------------------------------------------------------------------
-    def laplacian(self, j: int, X, h: Optional[float] = None) -> np.ndarray:
-        """Lap A_j by the ray-bundle stencil (radial: exact 1d reduction)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+    def _chart_laplacian(self, table, q, tau, grid: bool = False) -> np.ndarray:
+        """Lap of a tabulated field f(q, tau), exact for its spline."""
         if self.surface.is_radial:
-            q, tau, _, _ = self.signed_coords(X)
-            if j == 0:
-                kap = self._kap_const
-                fac = 1.0 - kap[None, :] * tau[:, None]
-                dd = -np.sum(kap[None, :] / fac, axis=1)
-                ddp = -np.sum(kap[None, :] ** 2 / fac ** 2, axis=1)
-                a0 = np.prod(fac, axis=1) ** -0.5
-                a0p = -0.5 * dd * a0
-                a0pp = -0.5 * (ddp * a0 + dd * a0p)
-                return a0pp + dd * a0p
-            _, tau = self._clamped(q, tau)
-            spl = self._radial_profiles[j - 1]
-            dd = self._radial_dd(tau)
-            return spl.derivative(2)(tau) + dd * spl.derivative(1)(tau)
-        return self._laplacian_fd(lambda P: self.field(j, P), X, h)
+            return table(tau, 2) + self._lap_delta(q, tau) * table(tau, 1)
+
+        def d(dq, dt):
+            return table(q, tau, dx=dq, dy=dt, grid=grid)
+        if grid:
+            q, tau = q[:, None], tau[None, :]
+        gqq, drift = self.surface.chart_metric(q, -self.side * tau)
+        return (d(0, 2) + self._lap_delta(q, tau) * d(0, 1)
+                + gqq * d(2, 0) + drift * d(1, 0))
+
+    def _radial_lap_a0(self, tau) -> np.ndarray:
+        """Closed form A_0'' + Lap(delta) A_0' on a radial collar."""
+        kap = self._kap_const
+        dd = self._lap_delta(None, tau)
+        ddp = -np.sum((kap / (1.0 - kap * tau[..., None])) ** 2, axis=-1)
+        a0 = 1.0 / self._weight(None, tau)
+        a0p = -0.5 * dd * a0
+        return -0.5 * (ddp * a0 + dd * a0p) + dd * a0p
+
+    def _lap_level(self, j: int, q, tau, grid: bool = False) -> np.ndarray:
+        """Lap A_j at chart coordinates (q, tau)."""
+        if self.surface.is_radial and j == 0:
+            return self._radial_lap_a0(tau)
+        return self._chart_laplacian(self._table(j), q, tau, grid)
+
+    def laplacian(self, j: int, X) -> np.ndarray:
+        """Lap A_j at collar points (j <= table order)."""
+        return self._lap_level(j, *self._table_coords(X))
 
     def laplacian_pm(self, n: int, sign: int, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.surface.is_radial:
-            q, tau, _, _ = self.signed_coords(X)
-            _, tau = self._clamped(q, tau)
-            spl, jsp = self._radial_profiles[n - 1], self._radial_j
-            dd = self._radial_dd(tau)
-            lap_n = spl.derivative(2)(tau) + dd * spl.derivative(1)(tau)
-            lap_j = jsp.derivative(2)(tau) + dd * jsp.derivative(1)(tau)
-            return lap_n + sign * lap_j
-        return self._laplacian_fd(lambda P: self.field_pm(n, sign, P), X)
-
-    def _laplacian_fd(self, fieldfunc, X, h: Optional[float] = None) -> np.ndarray:
-        h = self.fd_step if h is None else h
-        m, N = X.shape
-        pts = np.empty((m, 2 * N + 1, N))
-        pts[:, 0] = X
-        for i in range(N):
-            e = np.zeros(N)
-            e[i] = h
-            pts[:, 1 + 2 * i] = X + e
-            pts[:, 2 + 2 * i] = X - e
-        vals = fieldfunc(pts.reshape(-1, N)).reshape(m, 2 * N + 1)
-        return (vals[:, 1:].sum(axis=1) - 2 * N * vals[:, 0]) / h ** 2
+        q, tau = self._table_coords(X)
+        return (self._chart_laplacian(self._table(n), q, tau)
+                + sign * self._chart_laplacian(self._j_table, q, tau))
 
     def tau_derivative(self, fieldfunc, X, h: Optional[float] = None) -> np.ndarray:
         """grad(delta) . grad(field) by central differences along the ray."""
@@ -454,8 +398,8 @@ def compute_coefficients(surface: Surface, q, n: int, side: int = -1,
 
     q is the surface parameter of the footpoint (ignored for radial
     surfaces).  n may exceed the engine's table order by one: the top
-    coefficient is then integrated along this single ray from the
-    finite-difference Laplacian of the deepest tabulated field.
+    coefficient is then integrated along this single ray from the chart
+    Laplacian of the deepest tabulated field.
     """
     if n < 1:
         raise InvalidArgument("order n must be >= 1")
@@ -480,19 +424,12 @@ def compute_coefficients(surface: Surface, q, n: int, side: int = -1,
 def _ray_profile_spline(eng: CoefficientEngine, j: int, q
                         ) -> InterpolatedUnivariateSpline:
     """One-off integration of order j along a single ray (j past the tables)."""
-    if eng.surface.is_radial:
-        grid, zi = eng.taus, eng._zero_index
-    else:
-        _, grid, zi = eng._trimmed_grids(j)
-    ray_grid = eng.ray_points(q, grid)
-    # same stencil step as fresh evaluations, so truncation bias cancels in
-    # the ray-derivative identities
-    lap = eng.laplacian(j - 1, ray_grid, h=eng.fd_step)
-    kap = (eng._kap_const if eng.surface.is_radial else
-           np.asarray(eng._kappas_q(q), dtype=float))
-    w, a0 = eng._line_quantities(kap, grid)
-    cum = _cumulative_gauss_legendre(0.5 * lap * w, grid, zi)
-    return InterpolatedUnivariateSpline(grid, a0 * cum, k=5)
+    taus = eng.taus
+    q = np.full_like(taus, q)
+    lap = eng._lap_level(j - 1, q, taus)
+    w = eng._weight(q, taus)
+    return InterpolatedUnivariateSpline(
+        taus, _ray_integral(0.5 * lap * w, taus, eng._zero_index) / w, k=5)
 
 
 def _coeff_on_ray(eng: CoefficientEngine, j: int, q, taus, pts) -> np.ndarray:
@@ -628,13 +565,23 @@ def _side_value(medium: TwoPhaseMedium, side: int) -> float:
     return medium.k if side == -1 else 1.0 - medium.k
 
 
-def _s_sum(eng: CoefficientEngine, X, q: float, n: int, sign: int):
-    """S = A_0 + sum q^j A_j + q^n A_{n,+-} and its pieces at points X."""
-    S = eng.a0(X).copy()
-    for j in range(1, n):
-        S += q ** j * eng.field(j, X)
-    S += q ** n * eng.field_pm(n, sign, X)
+def _s_terms(eng: CoefficientEngine, X, n: int, sign: int) -> list:
+    """The table reads A_0, A_1 .. A_{n-1}, A_{n,+-} at points X."""
+    return ([eng.a0(X)] + [eng.field(j, X) for j in range(1, n)]
+            + [eng.field_pm(n, sign, X)])
+
+
+def _s_sum(terms: list, q: float) -> np.ndarray:
+    """S = A_0 + sum q^j A_j + q^n A_{n,+-} from the table reads."""
+    S = terms[0].copy()
+    for j, a in enumerate(terms[1:], start=1):
+        S += q ** j * a
     return S
+
+
+def _f_value(b: float, mu: float, tau, terms: list) -> float:
+    """f = b e^{-mu tau} S at the first point of the reads."""
+    return float(b * math.exp(-mu * tau[0]) * _s_sum(terms, 1.0 / mu)[0])
 
 
 def barrier_f(surface: Surface, medium: TwoPhaseMedium, x, lam: float, n: int,
@@ -654,9 +601,8 @@ def barrier_f(surface: Surface, medium: TwoPhaseMedium, x, lam: float, n: int,
     mu = math.sqrt(lam / sigma)
     X = np.atleast_2d(np.asarray(x, dtype=float))
     _, tau, _, _ = eng.signed_coords(X)
-    S = _s_sum(eng, X, 1.0 / mu, n, sign)
-    b = _side_value(medium, side)
-    return float(b * math.exp(-mu * tau[0]) * S[0])
+    return _f_value(_side_value(medium, side), mu, tau,
+                    _s_terms(eng, X, n, sign))
 
 
 def elliptic_residual(surface: Surface, medium: TwoPhaseMedium, x, lam: float,
@@ -680,7 +626,7 @@ def elliptic_residual(surface: Surface, medium: TwoPhaseMedium, x, lam: float,
     _, tau, _, _ = eng.signed_coords(X)
     dd = eng.lap_signed_distance(X)[0]
 
-    S = _s_sum(eng, X, q, n, sign)[0]
+    S = _s_sum(_s_terms(eng, X, n, sign), q)[0]
     lap_S = eng.laplacian(0, X)[0]
     for j in range(1, n):
         lap_S += q ** j * eng.laplacian(j, X)[0]
@@ -688,7 +634,8 @@ def elliptic_residual(surface: Surface, medium: TwoPhaseMedium, x, lam: float,
     lap_S += q ** n * lap_pm
 
     if tau[0] >= 2 * eng.fd_step:
-        s_tau = eng.tau_derivative(lambda P: _s_sum(eng, P, q, n, sign), X)[0]
+        s_tau = eng.tau_derivative(
+            lambda P: _s_sum(_s_terms(eng, P, n, sign), q), X)[0]
     else:
         # surface limit of dS/dtau from the ray-derivative identities
         s_tau = -0.5 * dd * S
@@ -735,6 +682,11 @@ def calibrate_thresholds(surface: Surface, medium: TwoPhaseMedium, n: int,
     tau_samples = np.linspace(0.0, eng.delta0, 17)
     sample_pts = [eng.ray_points(q, tau_samples) for q in q_samples]
     wall_pts = [eng.ray_points(q, np.array([eng.delta0])) for q in q_samples]
+    b = _side_value(medium, side)
+    # nothing read from the tables depends on lambda: read them once
+    reads = [(sign, eng.laplacian_pm(n, sign, pts), eng.signed_coords(wall)[1],
+              _s_terms(eng, wall, n, sign))
+             for pts, wall in zip(sample_pts, wall_pts) for sign in (+1, -1)]
 
     def admissible(lam: float) -> bool:
         # the residual equals (positive prefactor) * (-2 sign + q Lap A_{n,+-});
@@ -744,14 +696,13 @@ def calibrate_thresholds(surface: Surface, medium: TwoPhaseMedium, n: int,
         if outer_w is not None and outer_w(lam) > bound:
             return False
         q_rate = math.sqrt(sigma / lam)
-        for pts, wall in zip(sample_pts, wall_pts):
-            for sign in (+1, -1):
-                bracket = -2.0 * sign + q_rate * eng.laplacian_pm(n, sign, pts)
-                if np.any(sign * bracket >= 0.0):
-                    return False
-                if abs(barrier_f(surface, medium, wall[0], lam, n, sign,
-                                 side, engine=eng)) > bound:
-                    return False
+        mu = math.sqrt(lam / sigma)
+        for sign, lap_pm, wall_tau, wall_terms in reads:
+            bracket = -2.0 * sign + q_rate * lap_pm
+            if np.any(sign * bracket >= 0.0):
+                return False
+            if abs(_f_value(b, mu, wall_tau, wall_terms)) > bound:
+                return False
         return True
 
     lo, hi = 1.0, lam_cap
@@ -837,8 +788,7 @@ def near_boundary_law(surface: Surface, q, s: int, p: int, side: int = -1,
     scaled = vals / deltas ** (p - 2 - s)
     coef = float(np.polynomial.polynomial.polyfit(deltas, scaled, 2)[0])
 
-    kap = (eng._kap_const if surface.is_radial
-           else np.asarray(eng._kappas_q(q), dtype=float))
+    kap = eng._kappas(q)
     Hp = float(elementary_symmetric(kap)[p - 1])
     predicted = (-(2.0 ** -(s + 1)) * (-1.0) ** p * math.factorial(s + 2)
                  * math.comb(p, s + 2) * Hp)

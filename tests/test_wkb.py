@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from twophase import geometry as geo, wkb
-from twophase.errors import DegenerateTube, InvalidArgument, ThresholdNotFound
+from twophase import geometry as geo, helicoid as hl, wkb
+from twophase.errors import (DegenerateTube, InvalidArgument,
+                             OutsideTubularNeighborhood, ThresholdNotFound)
 from twophase.medium import TwoPhaseMedium
 
 MED = TwoPhaseMedium(1.0, 4.0)
@@ -139,6 +140,60 @@ def test_gradient_identity_sphere_j0_symbolic():
     assert lhs == pytest.approx((1 - 0.1) ** -2, rel=1e-6)
 
 
+def _fd_laplacian(fieldfunc, X, h):
+    """Cartesian 7-point Laplacian; every stencil point is projected anew."""
+    out = -6.0 * fieldfunc(X)
+    for e in np.eye(3):
+        out += fieldfunc(X + h * e) + fieldfunc(X - h * e)
+    return out / h ** 2
+
+
+@pytest.mark.parametrize("name", ["helicoid", "catenoid"])
+@pytest.mark.parametrize("side", [-1, +1])
+def test_chart_laplacian_matches_cartesian_stencil(name, side):
+    # independent of the chart: finite differences in Cartesian axes at
+    # general collar points (rays moved by a random screw motion or
+    # rotation); Richardson extrapolation over h and h/2 removes the O(h^2)
+    # truncation, which reaches 5e-4 for A_2 near the far wall
+    surface = ALL[name]
+    eng = wkb.coefficient_engine(surface, side)
+    rng = np.random.default_rng([11, side + 1, len(name)])
+    m = 24
+    q = rng.uniform(-0.8, 0.8, m)
+    tau = rng.uniform(0.05, 0.95, m) * eng.delta0
+    X = np.concatenate([eng.ray_points(qi, [ti]) for qi, ti in zip(q, tau)])
+    alpha = rng.uniform(-math.pi, math.pi, m)
+    if name == "helicoid":
+        X = hl.screw_many(X, alpha)
+    else:
+        cos, sin = np.cos(alpha), np.sin(alpha)
+        X = np.stack([X[:, 0] * cos - X[:, 1] * sin,
+                      X[:, 0] * sin + X[:, 1] * cos, X[:, 2]], axis=1)
+    h = 1e-3 * eng.delta0
+    cases = [(lambda P, j=j: eng.field(j, P), eng.laplacian(j, X))
+             for j in range(3)]
+    cases += [(lambda P, sign=sign: eng.field_pm(2, sign, P),
+               eng.laplacian_pm(2, sign, X)) for sign in (+1, -1)]
+    for fieldfunc, exact in cases:
+        coarse = _fd_laplacian(fieldfunc, X, h)
+        fine = _fd_laplacian(fieldfunc, X, 0.5 * h)
+        assert np.max(np.abs((4.0 * fine - coarse) / 3.0 - exact)) < 2e-4
+
+
+def test_table_reads_outside_the_tables_raise():
+    eng = wkb.coefficient_engine(HELICOID, -1)
+    x = eng.ray_points(2.5, np.array([0.2]))
+    with pytest.raises(OutsideTubularNeighborhood):
+        eng.field(1, x)
+    with pytest.raises(OutsideTubularNeighborhood):
+        eng.laplacian(1, x)
+    far = eng.ray_points(0.0, np.array([1.5 * eng.delta0]))
+    with pytest.raises(OutsideTubularNeighborhood):
+        eng.j_integral(far)
+    with pytest.raises(InvalidArgument):
+        eng.laplacian(eng.table_order + 1, eng.ray_points(0.0, [0.2]))
+
+
 def test_boundedness_of_forced_laplacians():
     # |Lap A_{n,+-}| stays bounded over the collar; report the constant
     for name in ("cylinder", "helicoid"):
@@ -240,6 +295,52 @@ def test_threshold_calibration_and_barrier_w():
     with pytest.raises(InvalidArgument):
         wkb.barrier_w(SPHERE, MED, z, 0.5 * th.lam_min, 1, +1, corrector=corr,
                       thresholds=th, engine=eng)
+
+
+def _reference_thresholds(surface, n, side, eng):
+    """calibrate_thresholds' bisection, reading the tables at every step."""
+    sigma = MED.side_conductivity(side)
+    eta = 0.5 * eng.delta0 / math.sqrt(sigma)
+    q_samples = ([0.0] if surface.is_radial else
+                 list(np.linspace(0.7 * eng.q_grid[4], 0.7 * eng.q_grid[-5], 5)))
+    tau_samples = np.linspace(0.0, eng.delta0, 17)
+
+    def admissible(lam):
+        bound = math.exp(-eta * math.sqrt(lam))
+        q_rate = math.sqrt(sigma / lam)
+        for q in q_samples:
+            pts = eng.ray_points(q, tau_samples)
+            wall = eng.ray_points(q, np.array([eng.delta0]))[0]
+            for sign in (+1, -1):
+                bracket = -2.0 * sign + q_rate * eng.laplacian_pm(n, sign, pts)
+                if np.any(sign * bracket >= 0.0):
+                    return False
+                if abs(wkb.barrier_f(surface, MED, wall, lam, n, sign, side,
+                                     engine=eng)) > bound:
+                    return False
+        return True
+
+    lo, hi = 1.0, 1e10
+    assert admissible(hi)
+    if admissible(lo):
+        return wkb.BarrierThresholds(eta=eta, lam_min=lo)
+    for _ in range(48):
+        mid = math.sqrt(lo * hi)
+        if admissible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return wkb.BarrierThresholds(eta=eta, lam_min=hi)
+
+
+@pytest.mark.parametrize("name", ["sphere", "helicoid", "catenoid"])
+@pytest.mark.parametrize("side", [-1, +1])
+def test_calibration_reads_once_without_changing_thresholds(name, side):
+    surface = ALL[name]
+    eng = wkb.coefficient_engine(surface, side)
+    for n in (1, 2):
+        th = wkb.calibrate_thresholds(surface, MED, n, side=side, engine=eng)
+        assert th == _reference_thresholds(surface, n, side, eng)
 
 
 def test_barrier_w_outer_wall_ordering():

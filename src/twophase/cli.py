@@ -3,8 +3,9 @@
 Each run takes a JSON config (defaults are built in and any file values
 are merged over them; unknown keys are rejected), writes CSV for sweeps
 and JSON for scalar reports into the output directory, and always writes a
-manifest echoing the fully resolved configuration plus the tool version.
-Identical config and seed produce byte-identical artifacts.
+manifest echoing the fully resolved configuration plus the tool version,
+with outputs named relative to the output directory.  Identical config and
+seed produce byte-identical artifacts, wherever they are written.
 
 Exit codes: 0 success, 1 numeric failure, 2 invalid configuration.
 """
@@ -88,22 +89,6 @@ def _surface_from(spec: dict) -> geo.Surface:
             return geo.Helicoid(**spec)
         if variant == "catenoid":
             return geo.Catenoid(c=float(spec.pop("c", 1.0)), **spec)
-        if variant == "graph":
-            Q = np.asarray(spec.pop("quadratic"), dtype=float)
-            lin = np.asarray(spec.pop("linear", np.zeros(len(Q))), dtype=float)
-            const = float(spec.pop("constant", 0.0))
-            box = spec.pop("box")
-
-            def phi(y):
-                return 0.5 * float(y @ Q @ y) + float(lin @ y) + const
-
-            def grad(y):
-                return Q @ y + lin
-
-            def hess(y):
-                return Q
-
-            return geo.Graph(phi, box, N=len(Q) + 1, grad=grad, hess=hess)
     except TypeError as exc:
         raise ConfigError(f"bad surface spec: {exc}")
     raise ConfigError(f"unknown surface variant {variant!r}")
@@ -133,7 +118,7 @@ def _manifest(outdir: str, subcommand: str, config: dict, outputs: list) -> None
         "subcommand": subcommand,
         "config": config,
         "invocation": dict(_INVOCATION),
-        "outputs": outputs,
+        "outputs": [os.path.relpath(p, outdir) for p in outputs],
     })
 
 

@@ -78,7 +78,7 @@ class RadialGeometry:
 def _interior_log_derivative(d: int, mu: float, R: float) -> float:
     """phi'(R)/phi(R) for the interior radial solution phi = r^(1-d/2) I_(d/2-1)(mu r)."""
     if d == 1:
-        return mu * math.tanh(mu * R)  # cosh profile (unused by the catalog)
+        return mu  # plane: e^(-mu delta) decays into Omega, away from the wall
     nu = 0.5 * d - 1.0
     return mu * ive(nu + 1, mu * R) / ive(nu, mu * R)
 
@@ -95,15 +95,14 @@ def _exterior_log_derivative(d: int, mu: float, R: float) -> float:
 class RadialSolution:
     """Bounded solution of w'' + (d-1)/r w' = (lambda/sigma) w with w(R) = value.
 
-    `mode` records the boundary setup; profile evaluation is scaled so that
-    mu * R up to ~1e5 is handled without overflow.
+    Profile evaluation is scaled so that mu * R up to ~1e5 is handled
+    without overflow.
     """
 
     geometry: RadialGeometry
     lam: float
     sigma: float
     value: float
-    mode: str = "dirichlet"
 
     @property
     def mu(self) -> float:
@@ -133,10 +132,8 @@ class RadialSolution:
 
         For the plane this is +mu*value (the solution decays into Omega).
         """
-        mu, R, d = self.mu, self.geometry.R, self.geometry.d
-        if self.geometry.kind == "plane":
-            return mu * self.value
-        return self.value * _interior_log_derivative(d, mu, R)
+        return self.value * _interior_log_derivative(self.geometry.d, self.mu,
+                                                     self.geometry.R)
 
     def ode_residual(self, r) -> np.ndarray:
         """Residual of the radial equation by central differences.
@@ -177,10 +174,6 @@ class TransmissionSolution:
     lam: float
     medium: TwoPhaseMedium
     interface_value: float
-
-    def inside(self) -> RadialSolution:
-        return RadialSolution(self.geometry, self.lam, self.medium.sigma_s,
-                              self.interface_value, mode="transmission")
 
     def outside_value(self, r):
         """w(r) for r >= R."""
@@ -454,27 +447,8 @@ def assemble_operator(field: GridField, lam: float, boundary: dict
     A w = lam * source_indicator + boundary terms, matching
     -div(sigma grad w) + lam w = f pointwise.
     """
-    sig = field.sigma
+    sig = np.atleast_2d(field.sigma)  # a 1d field is one row in x
     h2 = field.h ** 2
-    if sig.ndim == 1:
-        n = sig.shape[0]
-        main = np.full(n, lam, dtype=float)
-        lower = np.zeros(n - 1)
-        upper = np.zeros(n - 1)
-        rhs = np.zeros(n)
-        c = _harmonic(sig[:-1], sig[1:]) / h2
-        main[:-1] += c
-        main[1:] += c
-        lower -= c
-        upper -= c
-        for name, idx, s_edge in (("xlo", 0, sig[0]), ("xhi", n - 1, sig[-1])):
-            if name in boundary:
-                ce = 2.0 * s_edge / h2
-                main[idx] += ce
-                rhs[idx] += ce * boundary[name]
-        A = sparse.diags([lower, main, upper], [-1, 0, 1], format="csr")
-        return A, rhs
-
     ny, nx = sig.shape  # row = y index, column = x index
     N = sig.size
     idx = np.arange(N).reshape(ny, nx)

@@ -23,21 +23,18 @@ with kappa_j evaluated at z(x), and the product expansion
 
 Which side is Omega, per variant: Hyperplane {x1 > 0}; Sphere and Cylinder
 the interior; Catenoid the axis-containing region; Helicoid the region
-{x2 cos x3 - x1 sin x3 > 0}; Graph the region above the graph.  Surfaces are
-immutable and projection is a pure function, so batch queries parallelize
-freely.
+{x2 cos x3 - x1 sin x3 > 0}.  Surfaces are immutable and projection is a
+pure function, so batch queries parallelize freely.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
-
 import numpy as np
 
 from .errors import (AmbiguousProjection, InvalidArgument, OnSurface,
-                     OutsideTubularNeighborhood, UnsupportedGeometry)
+                     OutsideTubularNeighborhood)
 
 _ON_SURFACE_TOL = 1e-13
 
@@ -464,158 +461,8 @@ class Catenoid(Surface):
 
 
 # ---------------------------------------------------------------------------
-# graph variant
-# ---------------------------------------------------------------------------
-
-class Graph(Surface):
-    """Surface x_N = phi(y), y in R^{N-1}, bounding Omega = {x_N > phi(y)}.
-
-    phi must be C^6 with bounded derivatives on the declared box; gradient
-    and Hessian callables may be supplied, otherwise central differences
-    with step 1e-5 are used.  Projection runs damped Newton seeded by a
-    coarse grid search on the box and raises AmbiguousProjection when two
-    distinct minimizers tie.
-    """
-
-    def __init__(self, phi: Callable, box, N: int = 3,
-                 grad: Optional[Callable] = None, hess: Optional[Callable] = None,
-                 seed_resolution: int = 41):
-        self.N = int(N)
-        self.phi = phi
-        self._grad = grad
-        self._hess = hess
-        self.box = [(float(lo), float(hi)) for lo, hi in box]
-        if len(self.box) != self.N - 1:
-            raise InvalidArgument("box must have N-1 coordinate ranges")
-        self.seed_resolution = int(seed_resolution)
-        self.delta0 = self._admissible_delta0()
-
-    def _phi(self, y):
-        return float(self.phi(np.asarray(y, dtype=float)))
-
-    def grad_phi(self, y):
-        y = np.asarray(y, dtype=float)
-        if self._grad is not None:
-            return np.asarray(self._grad(y), dtype=float)
-        h = 1e-5
-        g = np.empty(len(y))
-        for i in range(len(y)):
-            e = np.zeros(len(y))
-            e[i] = h
-            g[i] = (self._phi(y + e) - self._phi(y - e)) / (2 * h)
-        return g
-
-    def hess_phi(self, y):
-        y = np.asarray(y, dtype=float)
-        if self._hess is not None:
-            return np.asarray(self._hess(y), dtype=float)
-        h = 1e-4
-        n = len(y)
-        H = np.empty((n, n))
-        f0 = self._phi(y)
-        for i in range(n):
-            ei = np.zeros(n); ei[i] = h
-            H[i, i] = (self._phi(y + ei) - 2 * f0 + self._phi(y - ei)) / h**2
-            for j in range(i + 1, n):
-                ej = np.zeros(n); ej[j] = h
-                H[i, j] = H[j, i] = (
-                    self._phi(y + ei + ej) - self._phi(y + ei - ej)
-                    - self._phi(y - ei + ej) + self._phi(y - ei - ej)) / (4 * h**2)
-        return H
-
-    def _admissible_delta0(self) -> float:
-        grids = [np.linspace(lo, hi, 15) for lo, hi in self.box]
-        mesh = np.meshgrid(*grids, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        kmax = max(float(np.max(np.abs(self.kappas(self._lift(y))))) for y in pts)
-        return 0.45 / kmax if kmax > 0 else math.inf
-
-    def _lift(self, y):
-        return np.concatenate([y, [self._phi(y)]])
-
-    def _seed_grid(self):
-        grids = [np.linspace(lo, hi, self.seed_resolution) for lo, hi in self.box]
-        mesh = np.meshgrid(*grids, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-
-    def _polish(self, x, y0):
-        xp, xn = x[:-1], x[-1]
-        y = np.asarray(y0, dtype=float).copy()
-        for _ in range(80):
-            g = self.grad_phi(y)
-            r = self._phi(y) - xn
-            grad = (y - xp) + r * g
-            H = np.eye(len(y)) + np.outer(g, g) + r * self.hess_phi(y)
-            try:
-                step = np.linalg.solve(H, -grad)
-            except np.linalg.LinAlgError:
-                step = -grad
-            nrm = np.linalg.norm(step)
-            if nrm > 0.25:
-                step *= 0.25 / nrm
-            y = y + step
-            if nrm < 1e-14:
-                break
-        return y
-
-    def project_batch(self, X):
-        X = np.asarray(X, dtype=float)
-        seeds = self._seed_grid()
-        Z = np.empty_like(X)
-        delta = np.empty(len(X))
-        side = np.empty(len(X), dtype=int)
-        for i, x in enumerate(X):
-            d2 = np.sum((seeds - x[:-1]) ** 2, axis=1) + \
-                np.array([(self._phi(y) - x[-1]) ** 2 for y in seeds])
-            order = np.argsort(d2)
-            best_y, best_d = None, math.inf
-            candidates = []
-            for idx in order[:6]:
-                y = self._polish(x, seeds[idx])
-                z = self._lift(y)
-                d = float(np.linalg.norm(x - z))
-                candidates.append((d, y, z))
-                if d < best_d:
-                    best_d, best_y = d, y
-            scale = 1.0 + best_d
-            for d, y, _ in candidates:
-                if abs(d - best_d) < 1e-8 * scale and np.linalg.norm(y - best_y) > 1e-4:
-                    raise AmbiguousProjection(
-                        f"two minimizers at distance {best_d:.6g} for point {x}")
-            z = self._lift(best_y)
-            Z[i] = z
-            delta[i] = best_d
-            gap = x[-1] - self._phi(x[:-1])
-            side[i] = -1 if gap > 0 else (1 if gap < 0 else 0)
-        return Z, delta, side
-
-    def kappas(self, z):
-        z = np.asarray(z, dtype=float)
-        y = z[:-1]
-        g = self.grad_phi(y)
-        H = self.hess_phi(y)
-        w = math.sqrt(1.0 + float(g @ g))
-        metric = np.eye(len(y)) + np.outer(g, g)
-        # generalized symmetric eigenproblem for the shape operator
-        from scipy.linalg import eigh
-        vals = eigh(H / w, metric, eigvals_only=True)
-        return np.sort(vals)[::-1]
-
-    def outward_normal(self, z):
-        z = np.asarray(z, dtype=float)
-        g = self.grad_phi(z[:-1])
-        w = math.sqrt(1.0 + float(g @ g))
-        return np.concatenate([g, [-1.0]]) / w
-
-
-# ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-def project(surface: Surface, x) -> Projection:
-    """Nearest-point projection with the tubular-neighborhood guarantee."""
-    return surface.project(x)
-
 
 def laplacian_of_distance(surface: Surface, x) -> float:
     """Laplacian of the distance function at a tube point off the surface.

@@ -214,13 +214,8 @@ def symmetry_identities_check(n_samples: int = 10 ** 4,
     pts = gen.uniform(-5.0, 5.0, size=(n_samples, 3))
     alphas = gen.uniform(-10.0, 10.0, size=n_samples)
 
-    side = omega_indicator(pts)
-    screw_bad = 0
-    witness_a = None
-    for i in range(n_samples):
-        if omega_indicator(screw(pts[i], alphas[i])[None, :])[0] != side[i]:
-            screw_bad += 1
-            witness_a = pts[i]
+    screw_bad = np.flatnonzero(omega_indicator(screw_many(pts, alphas))
+                               != omega_indicator(pts))
 
     on_h = np.abs(pts[:, 1] * np.cos(pts[:, 2]) - pts[:, 0] * np.sin(pts[:, 2])) < 1e-9
     off = pts[~on_h]
@@ -243,11 +238,11 @@ def symmetry_identities_check(n_samples: int = 10 ** 4,
     return {
         "n_samples": n_samples,
         "seed": rng_seed,
-        "screw_violations": screw_bad,
+        "screw_violations": int(screw_bad.size),
         "flip_violations": flip_bad,
         "surface_coincidence_max": coincide,
         "group_law_max": group_law,
-        "witness": None if witness_a is None else witness_a.tolist(),
+        "witness": pts[screw_bad[-1]].tolist() if screw_bad.size else None,
     }
 
 

@@ -345,30 +345,6 @@ def coefficient_engine(surface: Surface, side: int,
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def compute_a0(surface: Surface, x) -> float:
-    """A_0(x) = prod_j[1 - kappa_j delta]^(-1/2), cross-checked.
-
-    The product is evaluated directly and through the symmetric-function
-    expansion 1 + sum (-1)^i H_i delta^i; disagreement beyond machine level
-    signals a curvature bug.  Curvature signs are adjusted to the side of x.
-    """
-    pr = surface.project(x)
-    kap = surface.kappas(pr.z)
-    if pr.side == +1:
-        kap = -kap
-    fac = 1.0 - kap * pr.delta
-    if np.any(fac <= 0.0):
-        raise DegenerateTube("1 - kappa*delta vanished: point past a focal point")
-    prod = float(np.prod(fac))
-    H = elementary_symmetric(kap)
-    i = np.arange(1, len(H) + 1)
-    expansion = 1.0 + float(np.sum((-1.0) ** i * H * pr.delta ** i))
-    if abs(prod - expansion) > 1e-12 * max(1.0, abs(prod)):
-        raise DegenerateTube(
-            f"product {prod!r} and expansion {expansion!r} disagree")
-    return prod ** -0.5
-
-
 @dataclass(frozen=True)
 class WkbCoefficientTable:
     """Coefficients sampled along one normal ray.
@@ -537,23 +513,6 @@ class RadialCorrector:
             return float(self.side * 2.0 / (self.R * np.log(r_far / self.R)))
         p = 2.0 - self.d
         return float(self.side * 2.0 * p * self.R ** (p - 1) / (r_far ** p - self.R ** p))
-
-
-def harmonic_corrector(geometry: dict, tau):
-    """Evaluate the model-collar corrector psi at distance tau from the surface.
-
-    geometry: {"kind": "slab", "delta0": ...} or
-              {"kind": "radial", "R": ..., "d": ..., "side": -1 | +1,
-               "delta0": ...}.
-    """
-    kind = geometry.get("kind")
-    if kind == "slab":
-        return SlabCorrector(geometry["delta0"]).psi(tau)
-    if kind == "radial":
-        c = RadialCorrector(geometry["R"], geometry["d"], geometry["side"],
-                            geometry["delta0"])
-        return c.psi(tau)
-    raise UnsupportedGeometry(f"no corrector for geometry {kind!r}")
 
 
 # ---------------------------------------------------------------------------

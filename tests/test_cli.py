@@ -71,8 +71,8 @@ def test_helicoid_seeded_runs_are_byte_identical(tmp_path):
                  "--out", str(out1)]) == 0
     assert main(["helicoid", "--config", str(cfg), "--seed", "7",
                  "--out", str(out2)]) == 0
-    assert (out1 / "helicoid.json").read_bytes() == \
-        (out2 / "helicoid.json").read_bytes()
+    for name in ("helicoid.json", "manifest.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     records = json.loads((out1 / "helicoid.json").read_text())
     assert all(set(r) >= {"test", "estimate", "stderr", "n", "seed", "pass"}
                for r in records)
@@ -124,18 +124,6 @@ def test_simulate_and_transform(tmp_path):
     assert main(["transform", "--config", str(cfg2), "--out", str(tmp_path)]) == 0
     _, rows = _read_csv(tmp_path / "transform.csv")
     assert all(float(r["diff"]) < 1e-3 for r in rows)
-
-
-def test_graph_surface_spec_parses_but_is_unsupported_here(tmp_path):
-    # the spec parses (reachable from config) and the run fails numerically:
-    # barrier tables exist for the catalog surfaces only
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "surface": {"variant": "graph", "quadratic": [[1.0, 0.0], [0.0, 1.0]],
-                    "box": [[-1.0, 1.0], [-1.0, 1.0]]},
-        "order": 1, "n_points": 5}))
-    rc = main(["wkb", "--config", str(cfg), "--out", str(tmp_path)])
-    assert rc == 1
 
 
 def test_unknown_surface_variant(tmp_path):

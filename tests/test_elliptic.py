@@ -107,6 +107,14 @@ def test_transmission_flux_match_random():
         assert abs(tr.flux_mismatch()) < 1e-10 * scale
 
 
+def test_plane_transmission_fluxes_match():
+    # k e^(-mu_s delta) inside and 1 - (1-k) e^(-mu_m delta) outside are exact
+    for lam in (1.0, 10.0, 100.0):
+        tr = ell.solve_radial_transmission(PLANE, lam, MED)
+        scale = math.sqrt(lam) * max(MED.sigma_s, MED.sigma_m)
+        assert abs(tr.flux_mismatch()) < 1e-14 * scale
+
+
 def test_transmission_interface_value_tends_to_k_for_many_pairs():
     for pair in [(1.0, 4.0), (4.0, 1.0), (2.0, 3.0), (0.5, 5.0)]:
         med = TwoPhaseMedium(*pair)

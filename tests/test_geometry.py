@@ -255,27 +255,3 @@ def test_delta0_admissibility(name):
     else:
         kmax = float(np.max(np.abs(surface.kappas_at(qs))))
     assert kmax < 1.0 / (2.0 * surface.delta0)
-
-
-# -- graph variant ---------------------------------------------------------------
-
-def _bowl():
-    return geo.Graph(lambda y: 0.5 * float(y @ y), box=[(-1.2, 1.2), (-1.2, 1.2)],
-                     N=3, grad=lambda y: y, hess=lambda y: np.eye(2))
-
-
-def test_graph_projection_and_curvature():
-    g = _bowl()
-    pr = g.project(np.array([0.0, 0.0, 0.3]))
-    assert np.allclose(pr.z, [0.0, 0.0, 0.0], atol=1e-9)
-    assert pr.side == -1  # above the graph is inside
-    kap = g.kappas(np.zeros(3))
-    assert np.allclose(kap, [1.0, 1.0], atol=1e-9)
-
-
-def test_graph_ambiguous_projection():
-    # symmetric double well: the midpoint above sees two nearest points
-    phi = lambda y: (y[0] ** 2 - 1.0) ** 2
-    g = geo.Graph(phi, box=[(-1.6, 1.6)], N=2)
-    with pytest.raises(AmbiguousProjection):
-        g.project(np.array([0.0, 0.6]))

@@ -6,7 +6,8 @@ from scipy.integrate import quad
 
 from twophase import geometry as geo, helicoid as hl, wkb
 from twophase.errors import (DegenerateTube, InvalidArgument,
-                             OutsideTubularNeighborhood, ThresholdNotFound)
+                             OutsideTubularNeighborhood, ThresholdNotFound,
+                             UnsupportedGeometry)
 from twophase.medium import TwoPhaseMedium
 
 MED = TwoPhaseMedium(1.0, 4.0)
@@ -32,18 +33,30 @@ def test_a0_is_one_on_surface():
 
 def test_a0_sphere_example():
     x = np.array([0.0, 0.0, 0.81])  # delta = 0.19 inside
-    assert wkb.compute_a0(SPHERE, x) == pytest.approx(1.0 / 0.81, rel=1e-12)
+    eng = wkb.coefficient_engine(SPHERE, -1)
+    assert eng.a0(x[None, :])[0] == pytest.approx(1.0 / 0.81, rel=1e-12)
 
 
 def test_a0_hyperplane_is_one_everywhere():
     for x1 in (0.2, -0.5, 0.9):
-        assert wkb.compute_a0(PLANE, np.array([x1, 2.0, -1.0])) == 1.0
+        eng = wkb.coefficient_engine(PLANE, -1 if x1 > 0.0 else +1)
+        assert eng.a0(np.array([[x1, 2.0, -1.0]]))[0] == 1.0
 
 
 def test_a0_degenerate_tube():
     # a collar wider than the focal distance 1/kappa cannot be tabulated
     with pytest.raises(DegenerateTube):
         wkb.CoefficientEngine(SPHERE, -1, table_order=1, delta0=1.05)
+
+
+def test_engine_needs_a_chart():
+    # a non-radial surface without chart_metric has no ray parametrization
+    class Chartless(geo.Surface):
+        N = 3
+        delta0 = 0.5
+
+    with pytest.raises(UnsupportedGeometry):
+        wkb.CoefficientEngine(Chartless(), -1)
 
 
 # -- the coefficient recursion ----------------------------------------------------
@@ -393,23 +406,21 @@ def test_near_boundary_law_validates_s():
 # -- harmonic correctors ----------------------------------------------------------
 
 def test_slab_corrector_midpoint():
-    assert wkb.harmonic_corrector({"kind": "slab", "delta0": 0.8}, 0.4) == 1.0
+    assert wkb.SlabCorrector(0.8).psi(0.4) == 1.0
 
 
 def test_radial_corrector_example():
     # inner collar [0.5, 1] in dimension 3: psi(r) = 2 (1/r - 1)
-    geom = {"kind": "radial", "R": 1.0, "d": 3, "side": -1, "delta0": 0.5}
-    val = wkb.harmonic_corrector(geom, 0.25)  # r = 0.75
-    assert val == pytest.approx(2.0 / 3.0, rel=1e-13)
+    corr = wkb.RadialCorrector(R=1.0, d=3, side=-1, delta0=0.5)
+    assert corr.psi(0.25) == pytest.approx(2.0 / 3.0, rel=1e-13)  # r = 0.75
 
 
 def test_corrector_boundary_values_exact():
-    for geom in ({"kind": "slab", "delta0": 0.4},
-                 {"kind": "radial", "R": 1.0, "d": 3, "side": -1, "delta0": 0.4},
-                 {"kind": "radial", "R": 2.0, "d": 2, "side": +1, "delta0": 0.9}):
-        assert wkb.harmonic_corrector(geom, 0.0) == 0.0
-        assert wkb.harmonic_corrector(geom, geom["delta0"]) == pytest.approx(
-            2.0, abs=1e-14)
+    for corr in (wkb.SlabCorrector(0.4),
+                 wkb.RadialCorrector(R=1.0, d=3, side=-1, delta0=0.4),
+                 wkb.RadialCorrector(R=2.0, d=2, side=+1, delta0=0.9)):
+        assert corr.psi(0.0) == 0.0
+        assert corr.psi(corr.delta0) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_radial_corrector_is_harmonic():
@@ -449,4 +460,3 @@ def test_outside_sphere_collar_uses_flipped_curvature():
     eng = wkb.coefficient_engine(SPHERE, +1)
     x = np.array([0.0, 0.0, 1.2])  # delta = 0.2 outside
     assert eng.a0(x[None, :])[0] == pytest.approx((1.0 + 0.2) ** -1.0, rel=1e-12)
-    assert wkb.compute_a0(SPHERE, x) == pytest.approx((1.2) ** -1.0, rel=1e-12)

@@ -166,23 +166,17 @@ def criterion_mean_curvature(scale: float = 1.0) -> CriterionRecord:
     med = _medium14()
     abs_tol = 1e-8 * scale
     rel_tol = 0.01 * scale
-    fits = {
-        "plane": (ell.extract_mean_curvature(ell.RadialGeometry("plane"), med), 0.0),
-        "sphere": (ell.extract_mean_curvature(
-            ell.RadialGeometry("sphere", R=1.0, N=3), med), 2.0),
-        "cylinder": (ell.extract_mean_curvature(
-            ell.RadialGeometry("cylinder", R=2.0, N=3), med), 0.5),
-    }
-    ok = abs(fits["plane"][0].sum_kappa_estimate) < abs_tol
+    fits = {name: ell.extract_mean_curvature(_surface_catalog()[name], med)
+            for name in ("plane", "sphere", "cylinder")}
+    ok = abs(fits["plane"].sum_kappa_estimate) < abs_tol
     rels = {}
-    for name in ("sphere", "cylinder"):
-        fit, target = fits[name]
-        rels[name] = abs(fit.sum_kappa_estimate - target) / target
+    for name, target in (("sphere", 2.0), ("cylinder", 0.5)):
+        rels[name] = abs(fits[name].sum_kappa_estimate - target) / target
         ok = ok and rels[name] < rel_tol
     return CriterionRecord(
         name="mean-curvature-extraction", passed=ok,
         expected="0, 2, 0.5",
-        measured=(f"plane {fits['plane'][0].sum_kappa_estimate:.1e}, "
+        measured=(f"plane {fits['plane'].sum_kappa_estimate:.1e}, "
                   f"sphere rel {rels['sphere']:.2e}, "
                   f"cylinder rel {rels['cylinder']:.2e}"),
         tolerance=f"plane {abs_tol:.0e}; others {rel_tol:.0%}", runtime=0.0)
@@ -194,10 +188,9 @@ def criterion_barrier_sandwich(scale: float = 1.0) -> CriterionRecord:
     lams = [1e3, 1e4, 1e5]
     ok = True
     detail = {}
-    for name, g in (("sphere", ell.RadialGeometry("sphere", R=1.0, N=3)),
-                    ("cylinder", ell.RadialGeometry("cylinder", R=2.0, N=3))):
-        surf = _surface_catalog()[name]
-        rep = ell.radial_barrier_sandwich(surf, g, med, lams, n=1)
+    for name in ("sphere", "cylinder"):
+        rep = ell.radial_barrier_sandwich(_surface_catalog()[name], med, lams,
+                                          n=1)
         k = med.k
         for i, lam in enumerate(rep["lams"]):
             up, lo = rep["upper_margin"][i], rep["lower_margin"][i]
@@ -295,9 +288,9 @@ def criterion_max_principle(scale: float = 1.0) -> CriterionRecord:
 def criterion_rigidity_probe(scale: float = 1.0) -> CriterionRecord:
     """Flat interfaces hold the constant; a sphere interface drifts."""
     med = _medium14()
-    plane = par.interface_constancy_probe("plane", med,
+    plane = par.interface_constancy_probe(_surface_catalog()["plane"], med,
                                           np.geomspace(1e-2, 1.0, 9))
-    sphere = par.interface_constancy_probe("sphere", med,
+    sphere = par.interface_constancy_probe(_surface_catalog()["sphere"], med,
                                            np.geomspace(1e-3, 1.0, 10))
     flat_tol = 1e-6 * scale
     drift_floor = 1e-2 / scale

@@ -5,7 +5,8 @@ are merged over them; unknown keys are rejected), writes CSV for sweeps
 and JSON for scalar reports into the output directory, and always writes a
 manifest echoing the fully resolved configuration plus the tool version,
 with outputs named relative to the output directory.  Identical config and
-seed produce byte-identical artifacts, wherever they are written.
+seed produce byte-identical artifacts, wherever they are written and
+whatever `--jobs` is.
 
 Exit codes: 0 success, 1 numeric failure, 2 invalid configuration.
 """
@@ -94,6 +95,14 @@ def _surface_from(spec: dict) -> geo.Surface:
     raise ConfigError(f"unknown surface variant {variant!r}")
 
 
+def _radial_surface(kind, R, N=3) -> geo.Surface:
+    """The catalog surface named by a `kind`/`R`/`N` config; a plane has no R."""
+    spec = {"variant": kind, "N": N}
+    if kind != "plane":
+        spec["R"] = R
+    return _surface_from(spec)
+
+
 def _write_csv(path: str, header: list, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -165,11 +174,11 @@ def run_simulate(config: dict, outdir: str) -> int:
     med = _medium_from(cfg["medium"])
     t_grid = np.asarray(cfg["t_grid"], dtype=float)
     far = 8.0 * math.sqrt(2.0 * med.M * t_grid.max()) + 2.0
-    grid = par.interface_grid(cfg["kind"], med, R=cfg["R"],
+    grid = par.interface_grid(_radial_surface(cfg["kind"], cfg["R"]), med,
                               h_fine=cfg["h_fine"], far=far)
     times = par.geometric_times(cfg["t_start"], float(t_grid.max()),
                                 include=t_grid)
-    series = par.evolve(grid, times, kind=cfg["kind"], R=cfg["R"])
+    series = par.evolve(grid, times)
     mask = np.isin(series.times, t_grid)
     rows = []
     for pid, x in enumerate(cfg["probes"]):
@@ -196,9 +205,10 @@ def run_transform(config: dict, outdir: str) -> int:
     cfg = _merge_config(defaults, config, "transform")
     med = _medium_from(cfg["medium"])
     k = med.k
-    grid = par.interface_grid("plane", med, h_fine=cfg["h_fine"], far=10.0)
+    grid = par.interface_grid(geo.Hyperplane(), med, h_fine=cfg["h_fine"],
+                              far=10.0)
     times = par.geometric_times(1e-7, cfg["t_end"], ratio=1.05)
-    series = par.evolve(grid, times, kind="plane")
+    series = par.evolve(grid, times)
     rows = []
     worst = 0.0
     for lam in cfg["lambdas"]:
@@ -267,11 +277,11 @@ def run_extract_curvature(config: dict, outdir: str) -> int:
     }
     cfg = _merge_config(defaults, config, "extract-curvature")
     med = _medium_from(cfg["medium"])
-    gspec = dict(cfg["geometry"])
-    geometry = ell.RadialGeometry(gspec.pop("kind"), **gspec)
+    surface = _radial_surface(**_merge_config(
+        defaults["geometry"], cfg["geometry"], "geometry"))
     lo, hi = cfg["lambda_range"]
     grid = ell.default_lambda_grid(lo, hi, cfg["per_decade"])
-    fit = ell.extract_mean_curvature(geometry, med, grid)
+    fit = ell.extract_mean_curvature(surface, med, grid)
     k = med.k
     rows = []
     for lam, det in zip(fit.lambda_grid, fit.detrended):
@@ -283,7 +293,7 @@ def run_extract_curvature(config: dict, outdir: str) -> int:
                       "fit_constant", "sigma_kappa_estimate"], rows)
     _manifest(outdir, "extract-curvature", cfg, [path])
     print(f"extract-curvature: sum kappa = {fit.sum_kappa_estimate:.6f} "
-          f"(target {geometry.sum_kappa})")
+          f"(target {sum(surface.kappas(None))})")
     return 0
 
 
@@ -427,7 +437,7 @@ def main(argv=None) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     _INVOCATION.clear()
-    _INVOCATION.update({"seed": args.seed, "jobs": args.jobs,
+    _INVOCATION.update({"seed": args.seed,
                         "tolerance_scale": args.tolerance_scale})
     runner = _RUNNERS[args.subcommand]
     try:

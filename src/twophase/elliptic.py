@@ -2,10 +2,11 @@
 
 Three layers:
 
-  * closed-form radial solutions of the rate equation on planes, spheres
-    and cylinders (modified Bessel / exponential basis, evaluated through
-    exponentially scaled functions so lambda sweeps can reach 1e8 and
-    beyond),
+  * closed-form radial solutions of the rate equation around the radial
+    catalog surfaces: a `Hyperplane`, `Sphere` or `Cylinder` goes in as is
+    and its `radial_dim` d selects the profile (modified Bessel /
+    exponential basis, evaluated through exponentially scaled functions so
+    lambda sweeps can reach 1e8 and beyond),
   * large-rate asymptotics of the conormal derivative: on the interface
 
         sigma_s dw/dnu|_- = c0 sqrt(lambda) - k sigma_s H_1 / 2 + O(1/sqrt(lambda)),
@@ -39,67 +40,35 @@ from scipy.special import ive, kve
 from . import wkb
 from .errors import (FitUnstable, InvalidArgument, NonConvergence,
                      SandwichTooLoose, UnsupportedGeometry)
-from .geometry import Surface, elementary_symmetric
+from .geometry import Sphere, Surface, elementary_symmetric
 from .medium import TwoPhaseMedium
 
 
-# ---------------------------------------------------------------------------
-# radial geometry descriptor
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RadialGeometry:
-    """Plane, sphere(R, N) or cylinder(R, N); d is the radial dimension."""
-
-    kind: str
-    R: float = 1.0
-    N: int = 3
-
-    def __post_init__(self):
-        if self.kind not in ("plane", "sphere", "cylinder"):
-            raise UnsupportedGeometry(f"unknown radial geometry {self.kind!r}")
-        if self.kind != "plane" and not self.R > 0.0:
-            raise InvalidArgument("radius must be positive")
-
-    @property
-    def d(self) -> int:
-        if self.kind == "plane":
-            return 1
-        return self.N if self.kind == "sphere" else 2
-
-    @property
-    def sum_kappa(self) -> float:
-        """Sum of principal curvatures w.r.t. the inward normal."""
-        if self.kind == "plane":
-            return 0.0
-        return (self.d - 1) / self.R
-
-
-def _interior_log_derivative(d: int, mu: float, R: float) -> float:
+def _interior_log_derivative(surface: Surface, mu: float) -> float:
     """phi'(R)/phi(R) for the interior radial solution phi = r^(1-d/2) I_(d/2-1)(mu r)."""
-    if d == 1:
+    if surface.radial_dim == 1:
         return mu  # plane: e^(-mu delta) decays into Omega, away from the wall
-    nu = 0.5 * d - 1.0
-    return mu * ive(nu + 1, mu * R) / ive(nu, mu * R)
+    nu = 0.5 * surface.radial_dim - 1.0
+    return mu * ive(nu + 1, mu * surface.R) / ive(nu, mu * surface.R)
 
 
-def _exterior_log_derivative(d: int, mu: float, R: float) -> float:
+def _exterior_log_derivative(surface: Surface, mu: float) -> float:
     """psi'(R)/psi(R) for the decaying exterior solution psi = r^(1-d/2) K_(d/2-1)(mu r)."""
-    if d == 1:
+    if surface.radial_dim == 1:
         return -mu
-    nu = 0.5 * d - 1.0
-    return -mu * kve(nu + 1, mu * R) / kve(nu, mu * R)
+    nu = 0.5 * surface.radial_dim - 1.0
+    return -mu * kve(nu + 1, mu * surface.R) / kve(nu, mu * surface.R)
 
 
 @dataclass(frozen=True)
 class RadialSolution:
     """Bounded solution of w'' + (d-1)/r w' = (lambda/sigma) w with w(R) = value.
 
-    Profile evaluation is scaled so that mu * R up to ~1e5 is handled
-    without overflow.
+    d is `surface.radial_dim`.  Profile evaluation is scaled so that
+    mu * R up to ~1e5 is handled without overflow.
     """
 
-    geometry: RadialGeometry
+    surface: Surface
     lam: float
     sigma: float
     value: float
@@ -111,19 +80,19 @@ class RadialSolution:
     def __call__(self, r):
         """Solution value at radius r (plane: r is the distance from the wall)."""
         r = np.asarray(r, dtype=float)
-        mu, R, d = self.mu, self.geometry.R, self.geometry.d
-        if self.geometry.kind == "plane":
+        mu, d = self.mu, self.surface.radial_dim
+        if d == 1:
             return self.value * np.exp(-mu * r)
-        nu = 0.5 * d - 1.0
+        R, nu = self.surface.R, 0.5 * d - 1.0
         ratio = (r ** -nu * ive(nu, mu * r)) / (R ** -nu * ive(nu, mu * R))
         return self.value * ratio * np.exp(-mu * (R - r))
 
     def derivative(self, r):
         r = np.asarray(r, dtype=float)
-        mu, R, d = self.mu, self.geometry.R, self.geometry.d
-        if self.geometry.kind == "plane":
+        mu, d = self.mu, self.surface.radial_dim
+        if d == 1:
             return -mu * self.value * np.exp(-mu * r)
-        nu = 0.5 * d - 1.0
+        R, nu = self.surface.R, 0.5 * d - 1.0
         ratio = (r ** -nu * ive(nu + 1, mu * r)) / (R ** -nu * ive(nu, mu * R))
         return self.value * mu * ratio * np.exp(-mu * (R - r))
 
@@ -132,8 +101,7 @@ class RadialSolution:
 
         For the plane this is +mu*value (the solution decays into Omega).
         """
-        return self.value * _interior_log_derivative(self.geometry.d, self.mu,
-                                                     self.geometry.R)
+        return self.value * _interior_log_derivative(self.surface, self.mu)
 
     def ode_residual(self, r) -> np.ndarray:
         """Residual of the radial equation by central differences.
@@ -145,15 +113,15 @@ class RadialSolution:
         """
         r = np.asarray(r, dtype=float)
         h = (12.0 * np.finfo(float).eps) ** 0.25 / max(self.mu, 1.0)
-        d = self.geometry.d
+        d = self.surface.radial_dim
         wpp = (self(r + h) - 2.0 * self(r) + self(r - h)) / h ** 2
         wp = (self(r + h) - self(r - h)) / (2.0 * h)
-        coef = (d - 1) / r if self.geometry.kind != "plane" else 0.0
+        coef = (d - 1) / r if d > 1 else 0.0
         return (wpp + coef * wp - (self.lam / self.sigma) * self(r)) / max(
             1.0, self.lam / self.sigma)
 
 
-def solve_radial_dirichlet(geometry: RadialGeometry, lam: float, sigma: float,
+def solve_radial_dirichlet(surface: Surface, lam: float, sigma: float,
                            k: float) -> RadialSolution:
     """Bounded solution on the Omega side with w = k on the interface.
 
@@ -163,14 +131,15 @@ def solve_radial_dirichlet(geometry: RadialGeometry, lam: float, sigma: float,
     """
     if not (lam > 0.0 and sigma > 0.0):
         raise InvalidArgument("lambda and sigma must be positive")
-    return RadialSolution(geometry=geometry, lam=lam, sigma=sigma, value=k)
+    surface.radial_dim  # raises UnsupportedGeometry off the radial catalog
+    return RadialSolution(surface=surface, lam=lam, sigma=sigma, value=k)
 
 
 @dataclass(frozen=True)
 class TransmissionSolution:
     """Two-piece radial solution: sigma_s inside, sigma_m outside, w -> 1 far out."""
 
-    geometry: RadialGeometry
+    surface: Surface
     lam: float
     medium: TwoPhaseMedium
     interface_value: float
@@ -179,8 +148,7 @@ class TransmissionSolution:
         """w(r) for r >= R."""
         r = np.asarray(r, dtype=float)
         mu = math.sqrt(self.lam / self.medium.sigma_m)
-        R, d = self.geometry.R, self.geometry.d
-        nu = 0.5 * d - 1.0
+        R, nu = self.surface.R, 0.5 * self.surface.radial_dim - 1.0
         beta = 1.0 - self.interface_value
         ratio = (r ** -nu * kve(nu, mu * r)) / (R ** -nu * kve(nu, mu * R))
         return 1.0 - beta * ratio * np.exp(-mu * (r - R))
@@ -189,15 +157,14 @@ class TransmissionSolution:
         """sigma_s dw/dr|_- minus sigma_m dw/dr|_+ at r = R (should vanish)."""
         mu_s = math.sqrt(self.lam / self.medium.sigma_s)
         mu_m = math.sqrt(self.lam / self.medium.sigma_m)
-        R, d = self.geometry.R, self.geometry.d
-        gin = _interior_log_derivative(d, mu_s, R)
-        gout = _exterior_log_derivative(d, mu_m, R)
+        gin = _interior_log_derivative(self.surface, mu_s)
+        gout = _exterior_log_derivative(self.surface, mu_m)
         inner = self.medium.sigma_s * self.interface_value * gin
         outer = -self.medium.sigma_m * (1.0 - self.interface_value) * gout
         return inner - outer
 
 
-def solve_radial_transmission(geometry: RadialGeometry, lam: float,
+def solve_radial_transmission(surface: Surface, lam: float,
                               medium: TwoPhaseMedium) -> TransmissionSolution:
     """Match the interior and exterior radial solutions across the interface.
 
@@ -205,18 +172,15 @@ def solve_radial_transmission(geometry: RadialGeometry, lam: float,
     value; as lambda grows it tends to the interface constant k, the
     transform-side shadow of the small-time limit.
     """
-    if geometry.kind == "plane":
-        return TransmissionSolution(geometry, lam, medium,
+    if surface.radial_dim == 1:
+        return TransmissionSolution(surface, lam, medium,
                                     interface_value=medium.k)
     if not lam > 0.0:
         raise InvalidArgument("lambda must be positive")
-    mu_s = math.sqrt(lam / medium.sigma_s)
-    mu_m = math.sqrt(lam / medium.sigma_m)
-    d, R = geometry.d, geometry.R
-    gin = _interior_log_derivative(d, mu_s, R)
-    gout = _exterior_log_derivative(d, mu_m, R)
+    gin = _interior_log_derivative(surface, math.sqrt(lam / medium.sigma_s))
+    gout = _exterior_log_derivative(surface, math.sqrt(lam / medium.sigma_m))
     beta = medium.sigma_s * gin / (medium.sigma_s * gin - medium.sigma_m * gout)
-    return TransmissionSolution(geometry, lam, medium,
+    return TransmissionSolution(surface, lam, medium,
                                 interface_value=1.0 - beta)
 
 
@@ -236,7 +200,7 @@ class CurvatureFit:
     sum_kappa_estimate: float
 
 
-def extract_mean_curvature(geometry: RadialGeometry, medium: TwoPhaseMedium,
+def extract_mean_curvature(surface: Surface, medium: TwoPhaseMedium,
                            lambda_grid=None) -> CurvatureFit:
     """Estimate the summed principal curvatures from a lambda sweep.
 
@@ -252,7 +216,7 @@ def extract_mean_curvature(geometry: RadialGeometry, medium: TwoPhaseMedium,
     c0 = k * math.sqrt(medium.sigma_s)
     det = np.array([
         medium.sigma_s
-        * solve_radial_dirichlet(geometry, lv, medium.sigma_s, k).normal_derivative()
+        * solve_radial_dirichlet(surface, lv, medium.sigma_s, k).normal_derivative()
         - c0 * math.sqrt(lv) for lv in lam])
     design = np.column_stack([np.ones_like(lam), lam ** -0.5])
     wts = lam ** 0.25  # sqrt of the weights sqrt(lambda)
@@ -349,25 +313,27 @@ def higher_order_fit(surface: Surface, medium: TwoPhaseMedium, p: int,
     return out
 
 
-def radial_barrier_sandwich(surface: Surface, geometry: RadialGeometry,
-                            medium: TwoPhaseMedium, lam_values, *, n: int = 1,
+def radial_barrier_sandwich(surface: Surface, medium: TwoPhaseMedium,
+                            lam_values, *, n: int = 1,
                             n_points: int = 64) -> dict:
     """Check w_{n,-} <= w_exact <= w_{n,+} on a radial collar grid.
 
-    w_exact is the Dirichlet-k radial solution on the Omega side; the
-    barriers are the order-n pair corrected by the radial harmonic
-    function.  Returns the worst signed margins (positive = ordering holds)
-    and the conormal-derivative bracket at the interface.
+    `surface` is a sphere or cylinder.  w_exact is the Dirichlet-k radial
+    solution on its Omega side; the barriers are the order-n pair corrected
+    by the radial harmonic function.  Returns the worst signed margins
+    (positive = ordering holds) and the conormal-derivative bracket at the
+    interface.
     """
     eng = wkb.coefficient_engine(surface, -1)
     k = medium.k
     d0 = eng.delta0
     taus = np.linspace(0.0, d0, n_points)
-    corr = wkb.RadialCorrector(R=geometry.R, d=geometry.d, side=-1, delta0=d0)
+    R = surface.R
+    corr = wkb.RadialCorrector(R=R, d=surface.radial_dim, side=-1, delta0=d0)
 
     def wall_value(lam):
-        sol = solve_radial_dirichlet(geometry, lam, medium.sigma_s, k)
-        return abs(float(sol(geometry.R - d0)))
+        sol = solve_radial_dirichlet(surface, lam, medium.sigma_s, k)
+        return abs(float(sol(R - d0)))
 
     thresholds = wkb.calibrate_thresholds(surface, medium, n, side=-1,
                                           engine=eng, outer_w=wall_value)
@@ -376,8 +342,8 @@ def radial_barrier_sandwich(surface: Surface, geometry: RadialGeometry,
            "derivative_ordering": []}
     pts = eng.ray_points(0.0, taus)
     for lam in lam_values:
-        exact = solve_radial_dirichlet(geometry, lam, medium.sigma_s, k)
-        wex = exact(geometry.R - taus)
+        exact = solve_radial_dirichlet(surface, lam, medium.sigma_s, k)
+        wex = exact(R - taus)
         wp = np.array([wkb.barrier_w(surface, medium, p, lam, n, +1, -1,
                                      corrector=corr, thresholds=thresholds,
                                      engine=eng) for p in pts])
@@ -528,28 +494,21 @@ def disk_interface_values(field: GridField, n_angles: int = 64, R: float = 1.0
     """Bilinear samples of the solution on the circle r = R."""
     xs = field.centers()[0]
     theta = np.linspace(0.0, 2 * math.pi, n_angles, endpoint=False)
-    pts = np.stack([R * np.cos(theta), R * np.sin(theta)], axis=1)
-    vals = np.empty(n_angles)
+    fx = (R * np.cos(theta) - xs[0]) / field.h
+    fy = (R * np.sin(theta) - xs[0]) / field.h
+    ix = np.clip(np.floor(fx).astype(int), 0, len(xs) - 2)
+    iy = np.clip(np.floor(fy).astype(int), 0, len(xs) - 2)
+    tx, ty = fx - ix, fy - iy
     v = field.values
-    n = len(xs)
-    for i, (px, py) in enumerate(pts):
-        fx = (px - xs[0]) / field.h
-        fy = (py - xs[0]) / field.h
-        ix, iy = int(np.floor(fx)), int(np.floor(fy))
-        ix = min(max(ix, 0), n - 2)
-        iy = min(max(iy, 0), n - 2)
-        tx, ty = fx - ix, fy - iy
-        vals[i] = ((1 - tx) * (1 - ty) * v[iy, ix] + tx * (1 - ty) * v[iy, ix + 1]
-                   + (1 - tx) * ty * v[iy + 1, ix] + tx * ty * v[iy + 1, ix + 1])
-    return vals
+    return ((1 - tx) * (1 - ty) * v[iy, ix] + tx * (1 - ty) * v[iy, ix + 1]
+            + (1 - tx) * ty * v[iy + 1, ix] + tx * ty * v[iy + 1, ix + 1])
 
 
 def disk_convergence_study(medium: TwoPhaseMedium, lam: float,
                            hs=(1 / 32, 1 / 64, 1 / 128), R: float = 1.0,
                            L: float = 3.0) -> dict:
     """Interface-value error of the 2d disk solve against the radial oracle."""
-    oracle = solve_radial_transmission(RadialGeometry("cylinder", R=R, N=2),
-                                       lam, medium)
+    oracle = solve_radial_transmission(Sphere(R=R, N=2), lam, medium)
     errs = []
     for h in hs:
         f = disk_transmission_field(medium, R, L, h)
@@ -620,20 +579,12 @@ def annulus_counterexample(n: int = 200, r_in: float = 1.0, r_out: float = 2.0,
     residual = np.diff(flux)  # interior conservation defect of -div grad w
     # solve the discrete Dirichlet problem with the profile's own trace at the
     # truncation radius and 0 on the true boundary, recovering the profile
-    main = np.zeros(n - 1)
-    low = np.zeros(n - 2)
-    up = np.zeros(n - 2)
-    rhs = np.zeros(n - 1)
     c = faces ** (N - 1) / np.diff(r)
-    for i in range(n - 1):
-        main[i] = c[i] + c[i + 1]
-        if i > 0:
-            low[i - 1] = -c[i]
-        if i < n - 2:
-            up[i] = -c[i + 1]
+    rhs = np.zeros(n - 1)
     rhs[0] += c[0] * w[0]
     rhs[-1] += c[-1] * w[-1]
-    A = sparse.diags([low, main, up], [-1, 0, 1], format="csc")
+    A = sparse.diags([-c[1:-1], c[:-1] + c[1:], -c[1:-1]], [-1, 0, 1],
+                     format="csc")
     sol = spsolve(A, rhs)
     return {
         "boundary_value": float(w[0]),

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AmbiguousProjection, InvalidArgument, OnSurface,
-                     OutsideTubularNeighborhood)
+                     OutsideTubularNeighborhood, UnsupportedGeometry)
 
 _ON_SURFACE_TOL = 1e-13
 
@@ -78,6 +78,14 @@ class Surface:
     @property
     def projection_radius(self) -> float:
         return 1.5 * self.delta0
+
+    @property
+    def radial_dim(self) -> int:
+        """Radial dimension d: Lap w = w'' + (d-1)/r w' for w = w(r).
+
+        Plane 1 (r is the distance from the plane), sphere N, cylinder 2.
+        """
+        raise UnsupportedGeometry(f"{type(self).__name__} has no radial reduction")
 
     # -- batch kernels ----------------------------------------------------
     def project_batch(self, X: np.ndarray):
@@ -126,6 +134,7 @@ class Hyperplane(Surface):
     N: int = 3
     delta0: float = 1.0
     is_radial: bool = True
+    radial_dim = 1
 
     @property
     def projection_radius(self) -> float:
@@ -161,6 +170,10 @@ class Sphere(Surface):
             raise InvalidArgument("Sphere needs R > 0 and N >= 2")
 
     @property
+    def radial_dim(self) -> int:
+        return self.N
+
+    @property
     def delta0(self) -> float:  # max|kappa| = 1/R < 1/(2 delta0)
         return 0.45 * self.R
 
@@ -193,6 +206,7 @@ class Cylinder(Surface):
     R: float = 1.0
     N: int = 3
     is_radial: bool = True
+    radial_dim = 2
 
     def __post_init__(self):
         if not (self.R > 0.0 and self.N >= 3):

@@ -1,12 +1,14 @@
 """Time-domain two-phase diffusion and its Laplace-Stieltjes bridge.
 
 The Cauchy problem u_t = div(sigma grad u) with indicator initial data is
-advanced on one-dimensional finite-volume grids (slab, or radial for
-sphere/cylinder interfaces) with the interface placed exactly on a cell
-face and harmonic two-point fluxes, so the conormal flux is continuous
-across the discrete interface.  The first steps use implicit Euler to damp
-the indicator shock, then Crank-Nicolson; a geometric time grid resolves
-the fast initial transient that the transform integrand needs.
+advanced on one-dimensional finite-volume grids built from a catalog
+surface: a slab for the hyperplane, a radial grid with weight r^(d-1),
+d = `radial_dim`, for a sphere or cylinder.  The interface sits exactly on
+a cell face and the two-point fluxes are harmonic, so the conormal flux is
+continuous across the discrete interface.  The first steps use implicit
+Euler to damp the indicator shock, then Crank-Nicolson; a geometric time
+grid resolves the fast initial transient that the transform integrand
+needs.
 
 The transform w(x, lambda) = lambda int_0^inf e^(-lambda t) u(x, t) dt is
 evaluated by trapezoidal quadrature on the simulated window plus an
@@ -28,7 +30,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import InsufficientHorizon, InvalidArgument, UnsupportedGeometry
+from .errors import InsufficientHorizon, InvalidArgument
+from .geometry import Surface
 from .medium import TwoPhaseMedium
 
 
@@ -88,42 +91,38 @@ def _graded_faces(start: float, stop: float, h_fine: float, fine_width: float,
     return np.asarray(faces)
 
 
-def interface_grid(kind: str, medium: TwoPhaseMedium, *, R: float = 1.0,
+def interface_grid(surface: Surface, medium: TwoPhaseMedium, *,
                    h_fine: float = 2e-3, fine_width: float = 1.5,
                    growth: float = 1.06, h_max: float = 0.05,
                    far: float = 16.0) -> Grid1D:
     """Grid with the conductivity interface exactly on a face.
 
-    kind "plane": slab [-far, far] around the interface at 0, sigma_m on
-    the negative side.  kind "sphere"/"cylinder": radial grid [0, R + far]
-    with sigma_s inside the interface radius R.
+    Plane: slab [-far, far] around the interface at 0, sigma_m on the
+    negative side.  Sphere/cylinder of radius R: radial grid [0, R + far]
+    with weight r^(d-1), d = `surface.radial_dim`, and sigma_s inside R.
     """
-    if kind == "plane":
-        up = _graded_faces(0.0, far, h_fine, fine_width, growth, h_max)
-        dn = _graded_faces(0.0, -far, h_fine, fine_width, growth, h_max)
-        faces = np.concatenate([dn[::-1], up[1:]])
-        interface = len(dn) - 1
-        centers = 0.5 * (faces[1:] + faces[:-1])
-        sigma = np.where(centers < 0.0, medium.sigma_m, medium.sigma_s)
-        return Grid1D(faces=faces, sigma=sigma, d=1, interface_index=interface)
-    if kind in ("sphere", "cylinder"):
-        inner = _graded_faces(R, 0.0, h_fine, fine_width, growth, h_max)
-        outer = _graded_faces(R, R + far, h_fine, fine_width, growth, h_max)
-        faces = np.concatenate([inner[::-1], outer[1:]])
-        interface = len(inner) - 1
-        centers = 0.5 * (faces[1:] + faces[:-1])
-        sigma = np.where(centers < R, medium.sigma_s, medium.sigma_m)
-        d = 3 if kind == "sphere" else 2
-        return Grid1D(faces=faces, sigma=sigma, d=d, interface_index=interface)
-    raise UnsupportedGeometry(f"no 1d reduction for interface kind {kind!r}")
+    d = surface.radial_dim
+    if d == 1:  # slab: the sigma_m side is x < 0
+        R, stop, below, above = 0.0, -far, medium.sigma_m, medium.sigma_s
+    else:       # ball or tube: sigma_s inside r = R, the grid stops at r = 0
+        R, stop, below, above = surface.R, 0.0, medium.sigma_s, medium.sigma_m
+    inner = _graded_faces(R, stop, h_fine, fine_width, growth, h_max)
+    outer = _graded_faces(R, R + far, h_fine, fine_width, growth, h_max)
+    faces = np.concatenate([inner[::-1], outer[1:]])
+    centers = 0.5 * (faces[1:] + faces[:-1])
+    sigma = np.where(centers < R, below, above)
+    return Grid1D(faces=faces, sigma=sigma, d=d, interface_index=len(inner) - 1)
 
 
-def indicator_data(grid: Grid1D, kind: str, R: float = 1.0) -> np.ndarray:
-    """Initial temperature: 1 on the sigma_m side, 0 inside the domain."""
+def indicator_data(grid: Grid1D) -> np.ndarray:
+    """Initial temperature: 1 on the sigma_m side, 0 inside the domain.
+
+    The sigma_m side is the negative half-line of a slab (d = 1) and the
+    exterior of a radial interface.
+    """
     c = grid.centers
-    if kind == "plane":
-        return np.where(c < 0.0, 1.0, 0.0)
-    return np.where(c > R, 1.0, 0.0)
+    x_i = grid.faces[grid.interface_index]
+    return np.where(c < x_i if grid.d == 1 else c > x_i, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -171,21 +170,21 @@ def geometric_times(t_start: float, t_end: float, ratio: float = 1.08,
 
 
 def evolve(grid: Grid1D, times, u0: Optional[np.ndarray] = None, *,
-           kind: str = "plane", R: float = 1.0, be_steps: int = 10,
-           scheme: str = "cn") -> TimeSeries:
+           be_steps: int = 10, scheme: str = "cn") -> TimeSeries:
     """Advance the diffusion equation over the given time grid.
 
     times[0] must be 0.  scheme "cn" uses implicit Euler for the first
     be_steps steps and Crank-Nicolson afterwards; "be" is implicit Euler
     throughout (unconditionally monotone, used for ordering checks).
-    Discrete conservation holds up to boundary flux (zero-flux far walls);
-    values stay in [0, 1] for indicator data.
+    u0 defaults to the indicator data of the grid's interface.  Discrete
+    conservation holds up to boundary flux (zero-flux far walls); values
+    stay in [0, 1] for indicator data.
     """
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0:
         raise InvalidArgument("times must start at 0")
     if u0 is None:
-        u0 = indicator_data(grid, kind, R)
+        u0 = indicator_data(grid)
     n = len(grid.sigma)
     vol = grid.volumes
     cond = grid.conductances()
@@ -261,8 +260,8 @@ def laplace_stieltjes(series: TimeSeries, lam: float, probes,
     return TransformResult(lam=lam, probes=probes, values=vals, tail_bound=tail)
 
 
-def interface_constancy_probe(kind: str, medium: TwoPhaseMedium, t_grid, *,
-                              R: float = 1.0, h_fine: float = 2e-3,
+def interface_constancy_probe(surface: Surface, medium: TwoPhaseMedium,
+                              t_grid, *, h_fine: float = 2e-3,
                               h_max: float = 0.02, fine_width: float = 2.0,
                               refine: float = 2.0, t_start: float = 1e-6,
                               far: Optional[float] = None) -> dict:
@@ -281,16 +280,15 @@ def interface_constancy_probe(kind: str, medium: TwoPhaseMedium, t_grid, *,
     k = medium.k
     devs = []
     for scale in (1.0, refine):
-        grid = interface_grid(kind, medium, R=R, h_fine=h_fine / scale,
+        grid = interface_grid(surface, medium, h_fine=h_fine / scale,
                               h_max=h_max / scale, fine_width=fine_width,
                               far=far)
         times = geometric_times(t_start, t_end, include=t_grid)
-        series = evolve(grid, times, kind=kind, R=R)
+        series = evolve(grid, times)
         mask = np.isin(series.times, t_grid)
         devs.append(np.abs(series.interface_values()[mask] - k))
     dev_coarse, dev_fine = devs
     return {
-        "kind": kind,
         "max_deviation": float(dev_fine.max()),
         "max_deviation_coarse": float(dev_coarse.max()),
         "richardson_gap": float(np.max(np.abs(dev_fine - dev_coarse))),

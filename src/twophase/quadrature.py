@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from scipy import integrate
 
-from .errors import QuadratureFailure
+from .errors import InvalidArgument, QuadratureFailure
 
 #: default absolute tolerance for all adaptive integrations
 DEFAULT_TOL = 1e-12
@@ -24,9 +24,13 @@ def integrate_adaptive(f, a: float, b: float, *, tol: float = DEFAULT_TOL,
                        limit: int = 200) -> float:
     """Integrate f on [a, b] to absolute tolerance tol.
 
-    Raises QuadratureFailure if the adaptive refinement budget is exhausted
-    or the reported error estimate exceeds 100x the requested tolerance.
+    An empty interval (b == a) integrates to 0; a reversed one (b < a)
+    raises InvalidArgument.  Raises QuadratureFailure if the adaptive
+    refinement budget is exhausted or the reported error estimate exceeds
+    100x the requested tolerance.
     """
+    if b < a:
+        raise InvalidArgument(f"reversed interval [{a}, {b}]")
     if not (b > a):
         return 0.0
     out = integrate.quad(f, a, b, epsabs=tol, epsrel=0.0, limit=limit,

@@ -65,12 +65,14 @@ def test_config_root_must_be_object(tmp_path):
 
 def test_helicoid_seeded_runs_are_byte_identical(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n_samples": 20000, "symmetry_samples": 2000}))
+    # more samples than one 2^18 batch, so --jobs 2 runs the thread pool
+    cfg.write_text(json.dumps({"n_samples": 300000, "symmetry_samples": 2000,
+                               "t_values": [1.0], "r_values": [1.0]}))
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["helicoid", "--config", str(cfg), "--seed", "7",
-                 "--out", str(out1)]) == 0
+                 "--jobs", "1", "--out", str(out1)]) == 0
     assert main(["helicoid", "--config", str(cfg), "--seed", "7",
-                 "--out", str(out2)]) == 0
+                 "--jobs", "2", "--out", str(out2)]) == 0
     for name in ("helicoid.json", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     records = json.loads((out1 / "helicoid.json").read_text())
@@ -130,6 +132,16 @@ def test_unknown_surface_variant(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"surface": {"variant": "torus"}}))
     assert main(["wkb", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command, config", [
+    ("simulate", {"kind": "torus"}),
+    ("extract-curvature", {"geometry": {"kind": "torus", "R": 1.0, "N": 3}}),
+])
+def test_unknown_kind_is_a_config_error(tmp_path, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
 def test_all_subcommand_runs_selected_criteria(tmp_path, capsys):

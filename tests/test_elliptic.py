@@ -10,9 +10,9 @@ from twophase.medium import TwoPhaseMedium
 
 MED = TwoPhaseMedium(1.0, 4.0)
 K = MED.k
-SPHERE = ell.RadialGeometry("sphere", R=1.0, N=3)
-CYLINDER = ell.RadialGeometry("cylinder", R=2.0, N=3)
-PLANE = ell.RadialGeometry("plane")
+SPHERE = geo.Sphere(R=1.0, N=3)
+CYLINDER = geo.Cylinder(R=2.0, N=3)
+PLANE = geo.Hyperplane()
 
 
 # -- radial Dirichlet solutions ---------------------------------------------------
@@ -50,9 +50,9 @@ def test_radial_solution_no_overflow_at_huge_rates():
 def test_ode_residual_spot_checks():
     # double-precision finite differences bottom out near 1e-8 relative;
     # the high-precision oracle below pushes to the stated 1e-10
-    for geometry, rs in ((SPHERE, np.linspace(0.55, 0.99, 16)),
+    for surface, rs in ((SPHERE, np.linspace(0.55, 0.99, 16)),
                         (CYLINDER, np.linspace(1.2, 1.98, 16))):
-        sol = ell.solve_radial_dirichlet(geometry, 37.0, 1.3, K)
+        sol = ell.solve_radial_dirichlet(surface, 37.0, 1.3, K)
         assert np.max(np.abs(sol.ode_residual(rs))) < 1e-7
 
 
@@ -60,13 +60,13 @@ def test_ode_residual_high_precision_oracle():
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
     mp.dps = 40
-    for geometry, r_checks in ((SPHERE, np.linspace(0.55, 0.99, 16)),
-                               (CYLINDER, np.linspace(1.2, 1.98, 16))):
+    for surface, r_checks in ((SPHERE, np.linspace(0.55, 0.99, 16)),
+                              (CYLINDER, np.linspace(1.2, 1.98, 16))):
         lam, sigma = 37.0, 1.3
-        sol = ell.solve_radial_dirichlet(geometry, lam, sigma, K)
+        sol = ell.solve_radial_dirichlet(surface, lam, sigma, K)
         mu = mpmath.sqrt(mpmath.mpf(lam) / sigma)
-        nu = mpmath.mpf(geometry.d) / 2 - 1
-        R = mpmath.mpf(geometry.R)
+        nu = mpmath.mpf(surface.radial_dim) / 2 - 1
+        R = mpmath.mpf(surface.R)
 
         def w(r):
             return (K * r ** -nu * mpmath.besseli(nu, mu * r)
@@ -77,7 +77,7 @@ def test_ode_residual_high_precision_oracle():
             r = mpmath.mpf(float(r))
             wpp = (w(r + h) - 2 * w(r) + w(r - h)) / h ** 2
             wp = (w(r + h) - w(r - h)) / (2 * h)
-            resid = wpp + (geometry.d - 1) / r * wp - lam / sigma * w(r)
+            resid = wpp + (surface.radial_dim - 1) / r * wp - lam / sigma * w(r)
             assert abs(float(resid / (lam / sigma))) < 1e-10
             # and the package solution matches the high-precision profile
             assert abs(float(w(r)) - sol(float(r))) < 1e-12
@@ -101,7 +101,7 @@ def test_transmission_flux_match_random():
     for _ in range(6):
         lam = 10.0 ** rng.uniform(0.5, 6.0)
         R = rng.uniform(0.5, 3.0)
-        g = ell.RadialGeometry("sphere", R=R, N=3)
+        g = geo.Sphere(R=R, N=3)
         tr = ell.solve_radial_transmission(g, lam, MED)
         scale = math.sqrt(lam) * max(MED.sigma_s, MED.sigma_m)
         assert abs(tr.flux_mismatch()) < 1e-10 * scale
@@ -252,8 +252,13 @@ def test_annulus_counterexample_needs_three_dimensions():
         ell.annulus_counterexample(N=2)
 
 
-def test_radial_geometry_validation():
-    with pytest.raises(UnsupportedGeometry):
-        ell.RadialGeometry("torus")
-    with pytest.raises(InvalidArgument):
-        ell.RadialGeometry("sphere", R=-1.0)
+def test_radial_solvers_reject_minimal_surfaces():
+    for surface in (geo.Helicoid(), geo.Catenoid(c=1.0)):
+        with pytest.raises(UnsupportedGeometry):
+            surface.radial_dim
+        with pytest.raises(UnsupportedGeometry):
+            ell.solve_radial_dirichlet(surface, 10.0, 1.0, K)
+        with pytest.raises(UnsupportedGeometry):
+            ell.solve_radial_transmission(surface, 10.0, MED)
+        with pytest.raises(UnsupportedGeometry):
+            ell.extract_mean_curvature(surface, MED)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twophase import geometry as geo
+from twophase import helicoid as hl
 from twophase.errors import (AmbiguousProjection, OnSurface,
                              OutsideTubularNeighborhood)
 
@@ -81,6 +82,51 @@ def test_projection_idempotent(name):
         pr = surface.project(_random_tube_point(surface, rng))
         again = surface.project(pr.z)
         assert again.delta < 1e-9
+
+
+def _ray_point(surface, q, angle, tau):
+    """(x, z): x lies at signed depth tau (> 0 into Omega) on the normal at z.
+
+    q and angle place z; the helicoid and catenoid rays start from the
+    profile point at parameter q and are moved by a screw or a rotation
+    through angle, symmetries that map each surface to itself.
+    """
+    c, s = math.cos(angle), math.sin(angle)
+    if isinstance(surface, geo.Hyperplane):
+        z, n_in = np.array([0.0, q, angle]), np.array([1.0, 0.0, 0.0])
+    elif isinstance(surface, geo.Sphere):
+        u = np.array([c * math.cos(q), s * math.cos(q), math.sin(q)])
+        z, n_in = surface.R * u, -u
+    elif isinstance(surface, geo.Cylinder):
+        u = np.array([c, s, 0.0])
+        z, n_in = surface.R * u + np.array([0.0, 0.0, q]), -u
+    else:
+        z0 = surface.point_at(np.asarray(q))
+        x0 = z0 + tau * surface.inward_normal_at(np.asarray(q))
+        if isinstance(surface, geo.Helicoid):
+            return hl.screw(x0, angle), hl.screw(z0, angle)
+        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        return rot @ x0, rot @ z0
+    return z + tau * n_in, z
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+@given(q=st.floats(-1.5, 1.5), angle=st.floats(-10.0, 10.0),
+       frac=st.floats(1e-3, 0.95), sign=st.sampled_from([-1, 1]))
+@settings(max_examples=150, deadline=None)
+def test_projection_recovers_ray_points(name, q, angle, frac, sign):
+    surface = ALL[name]
+    tau = sign * frac * surface.delta0
+    x, z = _ray_point(surface, q, angle, tau)
+    Z, delta, side = surface.project_batch(x[None, :])
+    assert abs(delta[0] - abs(tau)) < 1e-10
+    assert side[0] == -sign
+    assert np.linalg.norm(Z[0] - z) < 1e-10
+
+
+def test_radial_dim_of_the_catalog():
+    assert (PLANE.radial_dim, SPHERE.radial_dim, CYLINDER.radial_dim) == (1, 3, 2)
+    assert geo.Sphere(R=1.0, N=2).radial_dim == 2
 
 
 def test_project_outside_tube_raises():

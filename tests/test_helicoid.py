@@ -132,6 +132,16 @@ def test_distinct_seeds_give_distinct_streams():
     assert not np.allclose(a, b)  # independent Philox keys
 
 
+def test_symmetry_check_has_its_own_stream(monkeypatch):
+    philox, keys = hl._philox, []
+    monkeypatch.setattr(hl, "_philox",
+                        lambda *key: keys.append(key) or philox(*key))
+    hl.symmetry_identities_check(10, rng_seed=5)
+    hl.u_gaussian_mc(np.zeros(3), 1.0, 10, rng_seed=5)
+    sym_key, mc_key = keys  # the MC run has one batch
+    assert philox(*sym_key).random() != philox(*mc_key).random()
+
+
 def test_invalid_arguments():
     with pytest.raises(InvalidArgument):
         hl.u_gaussian_mc(np.zeros(3), 0.0, 10)

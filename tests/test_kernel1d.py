@@ -46,6 +46,12 @@ def test_kernel_mass_at_random_points():
         assert abs(mass - 1.0) < 1e-10
 
 
+def test_integrate_adaptive_interval_orientation():
+    assert integrate_adaptive(lambda y: 1.0, 1.0, 1.0) == 0.0
+    with pytest.raises(InvalidArgument):
+        integrate_adaptive(lambda y: 1.0, 1.0, 0.0)
+
+
 def test_kernel_rejects_nonpositive_time():
     with pytest.raises(InvalidArgument):
         k1.eval_kernel(0.1, 0.2, 0.0, MED)

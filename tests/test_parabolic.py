@@ -3,19 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from twophase import geometry as geo
 from twophase import kernel1d as k1
 from twophase import parabolic as par
-from twophase.errors import InsufficientHorizon, InvalidArgument
+from twophase.errors import (InsufficientHorizon, InvalidArgument,
+                             UnsupportedGeometry)
 from twophase.medium import TwoPhaseMedium
 
 MED = TwoPhaseMedium(1.0, 4.0)
 K = MED.k
+PLANE = geo.Hyperplane()
+SPHERE = geo.Sphere(R=1.0, N=3)
 
 
 def _plane_series(h_fine=2e-3, t_end=1.0, include=(), far=12.0, ratio=1.06):
-    grid = par.interface_grid("plane", MED, h_fine=h_fine, far=far)
+    grid = par.interface_grid(PLANE, MED, h_fine=h_fine, far=far)
     times = par.geometric_times(1e-6, t_end, ratio=ratio, include=include)
-    return par.evolve(grid, times, kind="plane")
+    return par.evolve(grid, times)
 
 
 def test_interface_value_matches_constant():
@@ -27,12 +31,12 @@ def test_interface_value_matches_constant():
 
 
 def test_interface_probe_plane_under_tolerance():
-    rep = par.interface_constancy_probe("plane", MED, np.geomspace(1e-2, 1.0, 9))
+    rep = par.interface_constancy_probe(PLANE, MED, np.geomspace(1e-2, 1.0, 9))
     assert rep["max_deviation"] < 1e-6
 
 
 def test_constant_one_is_stationary():
-    grid = par.interface_grid("plane", MED, h_fine=5e-3, far=6.0)
+    grid = par.interface_grid(PLANE, MED, h_fine=5e-3, far=6.0)
     times = par.geometric_times(1e-5, 1.0)
     series = par.evolve(grid, times, u0=np.ones(len(grid.sigma)))
     assert np.max(np.abs(series.U - 1.0)) < 1e-11
@@ -45,18 +49,18 @@ def test_solution_stays_in_unit_interval():
 
 
 def test_discrete_conservation_with_zero_flux_walls():
-    grid = par.interface_grid("plane", MED, h_fine=5e-3, far=8.0)
+    grid = par.interface_grid(PLANE, MED, h_fine=5e-3, far=8.0)
     times = par.geometric_times(1e-5, 0.5)
-    series = par.evolve(grid, times, kind="plane")
+    series = par.evolve(grid, times)
     mass0 = float(series.U[0] @ grid.volumes)
     mass1 = float(series.U[-1] @ grid.volumes)
     assert mass1 == pytest.approx(mass0, rel=1e-10)
 
 
 def test_ordering_preserved_implicit_euler():
-    grid = par.interface_grid("plane", MED, h_fine=5e-3, far=8.0)
+    grid = par.interface_grid(PLANE, MED, h_fine=5e-3, far=8.0)
     times = par.geometric_times(1e-5, 1.0)
-    u0 = par.indicator_data(grid, "plane")
+    u0 = par.indicator_data(grid)
     u1 = np.minimum(1.0, u0 + 0.2)
     a = par.evolve(grid, times, u0=u0, scheme="be")
     b = par.evolve(grid, times, u0=u1, scheme="be")
@@ -74,17 +78,33 @@ def test_profile_matches_erfc_oracle():
 
 def test_sphere_probe_small_time_limit_and_drift():
     tg = np.geomspace(1e-3, 1.0, 10)
-    rep = par.interface_constancy_probe("sphere", MED, tg)
+    rep = par.interface_constancy_probe(SPHERE, MED, tg)
     # early times approach the interface constant, late times drift away
     assert rep["deviations"][0] < 0.03
     assert rep["max_deviation"] > 1e-2
     assert rep["richardson_gap"] < 0.1 * rep["max_deviation"]
 
 
+def test_evolve_on_sphere_grid_starts_from_indicator():
+    grid = par.interface_grid(SPHERE, MED, h_fine=5e-3, far=4.0)
+    series = par.evolve(grid, par.geometric_times(1e-5, 0.1))
+    r = grid.centers
+    assert np.array_equal(series.U[0], np.where(r > 1.0, 1.0, 0.0))
+    assert 0.5 < series.interface_values()[-1] < 1.0
+
+
+def test_radial_grid_weight_follows_surface_dimension():
+    assert par.interface_grid(PLANE, MED, far=2.0).d == 1
+    assert par.interface_grid(geo.Sphere(R=1.0, N=4), MED, far=2.0).d == 4
+    assert par.interface_grid(geo.Cylinder(R=1.0, N=4), MED, far=2.0).d == 2
+    with pytest.raises(UnsupportedGeometry):
+        par.interface_grid(geo.Helicoid(), MED)
+
+
 def test_cylinder_probe_drifts_less_than_sphere():
     tg = np.geomspace(1e-2, 1.0, 6)
-    sph = par.interface_constancy_probe("sphere", MED, tg)
-    cyl = par.interface_constancy_probe("cylinder", MED, tg)
+    sph = par.interface_constancy_probe(SPHERE, MED, tg)
+    cyl = par.interface_constancy_probe(geo.Cylinder(R=1.0), MED, tg)
     assert 0.0 < cyl["max_deviation"] < sph["max_deviation"]
 
 
@@ -99,7 +119,7 @@ def test_decay_shape_bound_from_fitted_envelope():
 
 
 def test_evolve_requires_zero_start():
-    grid = par.interface_grid("plane", MED, h_fine=5e-3, far=4.0)
+    grid = par.interface_grid(PLANE, MED, h_fine=5e-3, far=4.0)
     with pytest.raises(InvalidArgument):
         par.evolve(grid, [0.1, 0.2])
 
@@ -107,7 +127,7 @@ def test_evolve_requires_zero_start():
 # -- transform ---------------------------------------------------------------------
 
 def test_transform_of_constant_one():
-    grid = par.interface_grid("plane", MED, h_fine=5e-3, far=6.0)
+    grid = par.interface_grid(PLANE, MED, h_fine=5e-3, far=6.0)
     times = par.geometric_times(1e-6, 0.5, ratio=1.05)
     series = par.evolve(grid, times, u0=np.ones(len(grid.sigma)))
     for lam in (30.0, 100.0):

@@ -3,8 +3,7 @@
 Each criterion returns a record with the measured quantity, the target,
 the tolerance it was held to, and a pass flag; `run_all` executes them in
 order and is used both by the command line (`twophase all`) and by the
-test suite.  Tolerances are pinned here; a global scale factor can relax
-or tighten all of them together for exploratory runs.
+test suite.  Tolerances are pinned here.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from . import geometry as geo
 from . import helicoid as hel
 from . import kernel1d as k1
 from . import parabolic as par
-from . import wkb
+from . import quadrature, wkb
 from .medium import TwoPhaseMedium
 
 
@@ -47,9 +46,9 @@ def _medium14() -> TwoPhaseMedium:
 
 # ---------------------------------------------------------------------------
 
-def criterion_interface_constant(scale: float = 1.0) -> CriterionRecord:
+def criterion_interface_constant() -> CriterionRecord:
     """1d exact: u(0, t) equals the interface constant for all t."""
-    tol = 1e-10 * scale
+    tol = 1e-10
     t_values = np.geomspace(1e-3, 1e3, 13)
     worst = 0.0
     for pair in [(1.0, 4.0), (4.0, 1.0), (1.0, 1.0), (2.0, 3.0)]:
@@ -62,9 +61,9 @@ def criterion_interface_constant(scale: float = 1.0) -> CriterionRecord:
         runtime=0.0, details={"pairs": 4, "n_times": len(t_values)})
 
 
-def criterion_kernel_mass(scale: float = 1.0) -> CriterionRecord:
+def criterion_kernel_mass() -> CriterionRecord:
     """Unit kernel mass and quadrature/closed-form agreement."""
-    tol = 1e-10 * scale
+    tol = 1e-10
     med = _medium14()
     rng = np.random.default_rng(2024)
     worst_mass = 0.0
@@ -73,10 +72,10 @@ def criterion_kernel_mass(scale: float = 1.0) -> CriterionRecord:
         t = 10.0 ** rng.uniform(-2, 1)
         lo, hi = -50.0 * math.sqrt(t * med.M) - 5 * abs(x1), \
             50.0 * math.sqrt(t * med.M) + 5 * abs(x1)
-        from .quadrature import integrate_adaptive
-        mass = integrate_adaptive(lambda y: k1.eval_kernel(x1, y, t, med),
-                                  lo, 0.0) + \
-            integrate_adaptive(lambda y: k1.eval_kernel(x1, y, t, med), 0.0, hi)
+        mass = quadrature.integrate_adaptive(
+            lambda y: k1.eval_kernel(x1, y, t, med), lo, 0.0) + \
+            quadrature.integrate_adaptive(
+                lambda y: k1.eval_kernel(x1, y, t, med), 0.0, hi)
         worst_mass = max(worst_mass, abs(mass - 1.0))
     worst_pair = 0.0
     for x1 in np.linspace(-2.0, 2.0, 10):
@@ -107,9 +106,9 @@ def _surface_catalog():
     return _CATALOG
 
 
-def criterion_wkb_identities(scale: float = 1.0) -> CriterionRecord:
+def criterion_wkb_identities() -> CriterionRecord:
     """Ray-table boundary values and the derivative identities for j <= 3."""
-    tol = 1e-4 * scale
+    tol = 1e-4
     rng = np.random.default_rng(7)
     worst = 0.0
     boundary_exact = True
@@ -131,7 +130,7 @@ def criterion_wkb_identities(scale: float = 1.0) -> CriterionRecord:
             p = eng.ray_points(q, np.array([tau]))[0]
             for j in range(4):
                 worst = max(worst, wkb.gradient_identity_residual(
-                    surf, j, p, side=-1, h=1e-3, engine=eng))
+                    surf, j, p, side=-1, engine=eng))
     return CriterionRecord(
         name="wkb-identities", passed=boundary_exact and worst < tol,
         expected="surface row (1,0,...,0); residuals 0",
@@ -139,10 +138,10 @@ def criterion_wkb_identities(scale: float = 1.0) -> CriterionRecord:
         tolerance=f"{tol:.1e} at h=1e-3", runtime=0.0)
 
 
-def criterion_near_boundary_law(scale: float = 1.0) -> CriterionRecord:
+def criterion_near_boundary_law() -> CriterionRecord:
     """Lap A_0 -> -H_2 with the right distance exponent on minimal patches."""
-    coef_tol = 0.02 * scale
-    exp_tol = 0.1 * scale
+    coef_tol = 0.02
+    exp_tol = 0.1
     worst_rel = 0.0
     worst_exp = 0.0
     for name in ("helicoid", "catenoid"):
@@ -161,11 +160,11 @@ def criterion_near_boundary_law(scale: float = 1.0) -> CriterionRecord:
         tolerance=f"{coef_tol:.0%} / {exp_tol}", runtime=0.0)
 
 
-def criterion_mean_curvature(scale: float = 1.0) -> CriterionRecord:
+def criterion_mean_curvature() -> CriterionRecord:
     """Summed-curvature extraction on plane, sphere, cylinder."""
     med = _medium14()
-    abs_tol = 1e-8 * scale
-    rel_tol = 0.01 * scale
+    abs_tol = 1e-8
+    rel_tol = 0.01
     fits = {name: ell.extract_mean_curvature(_surface_catalog()[name], med)
             for name in ("plane", "sphere", "cylinder")}
     ok = abs(fits["plane"].sum_kappa_estimate) < abs_tol
@@ -182,7 +181,7 @@ def criterion_mean_curvature(scale: float = 1.0) -> CriterionRecord:
         tolerance=f"plane {abs_tol:.0e}; others {rel_tol:.0%}", runtime=0.0)
 
 
-def criterion_barrier_sandwich(scale: float = 1.0) -> CriterionRecord:
+def criterion_barrier_sandwich() -> CriterionRecord:
     """Order-1 barriers enclose the exact radial solution pointwise."""
     med = _medium14()
     lams = [1e3, 1e4, 1e5]
@@ -207,10 +206,10 @@ def criterion_barrier_sandwich(scale: float = 1.0) -> CriterionRecord:
         tolerance="strict", runtime=0.0, details=detail)
 
 
-def criterion_higher_order(scale: float = 1.0) -> CriterionRecord:
+def criterion_higher_order() -> CriterionRecord:
     """lambda^(-1/2) coefficient and the phase imbalance on minimal patches."""
     med = _medium14()
-    tol = 0.10 * scale
+    tol = 0.10
     ok = True
     msgs = []
     for name in ("catenoid", "helicoid"):
@@ -231,33 +230,32 @@ def criterion_higher_order(scale: float = 1.0) -> CriterionRecord:
         measured="; ".join(msgs), tolerance=f"{tol:.0%}", runtime=0.0)
 
 
-def criterion_grid_convergence(scale: float = 1.0) -> CriterionRecord:
+def criterion_grid_convergence() -> CriterionRecord:
     """2d disk transmission solve converges to the radial oracle."""
     med = _medium14()
     rep = ell.disk_convergence_study(med, lam=100.0)
-    target = 0.9 / scale
     return CriterionRecord(
-        name="grid-solver-convergence", passed=rep["observed_order"] >= target,
+        name="grid-solver-convergence", passed=rep["observed_order"] >= 0.9,
         expected=">= 0.9", measured=f"order {rep['observed_order']:.3f}, "
         f"errors {np.array2string(rep['errors'], precision=2)}",
         tolerance="order >= 0.9", runtime=0.0,
         details={"errors": rep["errors"].tolist()})
 
 
-def criterion_helicoid_half(scale: float = 1.0, n_mc: int = 10 ** 6,
-                            seed: int = 1234) -> CriterionRecord:
+def criterion_helicoid_half() -> CriterionRecord:
     """Monte-Carlo half-value and half-density identities on the helicoid."""
+    n_mc, seed = 10 ** 6, 1234
     ok = True
     msgs = []
     x0 = np.zeros(3)
     for i, t in enumerate((0.1, 1.0, 10.0)):
         est = hel.u_gaussian_mc(x0, t, n_mc, rng_seed=seed + i)
-        ok = ok and est.within(0.5, sigmas=3.0 * scale)
+        ok = ok and est.within(0.5)
         msgs.append(f"u(t={t}) {est.mean:.4f}")
     for i, r in enumerate((0.5, 1.0, 2.0)):
         cap = hel.sphere_cap_density(x0, r, n_mc, rng_seed=seed + 10 + i)
         ball = hel.ball_density(x0, r, n_mc, rng_seed=seed + 20 + i)
-        ok = ok and cap.within(0.5, 3.0 * scale) and ball.within(0.5, 3.0 * scale)
+        ok = ok and cap.within(0.5) and ball.within(0.5)
         msgs.append(f"cap/ball(r={r}) {cap.mean:.4f}/{ball.mean:.4f}")
     sym = hel.symmetry_identities_check(10 ** 4, rng_seed=seed)
     sym_ok = (sym["screw_violations"] == 0 and sym["flip_violations"] == 0
@@ -270,11 +268,11 @@ def criterion_helicoid_half(scale: float = 1.0, n_mc: int = 10 ** 6,
         measured="; ".join(msgs), tolerance="3 stderr / exact", runtime=0.0)
 
 
-def criterion_max_principle(scale: float = 1.0) -> CriterionRecord:
+def criterion_max_principle() -> CriterionRecord:
     """Inverse positivity for lambda > 0; the annulus failure at lambda = 0."""
     rep = ell.discrete_max_principle_check(lam=10.0, trials=100, rng_seed=99)
     ce = ell.annulus_counterexample()
-    tol = 1e-10 * scale
+    tol = 1e-10
     ok = rep["min_value"] >= -tol and ce["min_interior"] < -0.4
     return CriterionRecord(
         name="maximum-principle", passed=ok,
@@ -285,15 +283,15 @@ def criterion_max_principle(scale: float = 1.0) -> CriterionRecord:
         details={"positivity": rep, "counterexample": ce})
 
 
-def criterion_rigidity_probe(scale: float = 1.0) -> CriterionRecord:
+def criterion_rigidity_probe() -> CriterionRecord:
     """Flat interfaces hold the constant; a sphere interface drifts."""
     med = _medium14()
     plane = par.interface_constancy_probe(_surface_catalog()["plane"], med,
                                           np.geomspace(1e-2, 1.0, 9))
     sphere = par.interface_constancy_probe(_surface_catalog()["sphere"], med,
                                            np.geomspace(1e-3, 1.0, 10))
-    flat_tol = 1e-6 * scale
-    drift_floor = 1e-2 / scale
+    flat_tol = 1e-6
+    drift_floor = 1e-2
     stable = sphere["richardson_gap"] < 0.1 * sphere["max_deviation"]
     ok = (plane["max_deviation"] < flat_tol
           and sphere["max_deviation"] > drift_floor and stable)
@@ -321,16 +319,14 @@ CRITERIA = [
 ]
 
 
-def run_all(names=None, tolerance_scale: float = 1.0,
-            verbose: bool = True) -> list[CriterionRecord]:
+def run_all(names=None) -> list[CriterionRecord]:
     records = []
     for name, fn in CRITERIA:
         if names is not None and name not in names:
             continue
         t0 = time.perf_counter()
-        rec = fn(tolerance_scale)
+        rec = fn()
         rec.runtime = time.perf_counter() - t0
         records.append(rec)
-        if verbose:
-            print(rec.line(), flush=True)
+        print(rec.line(), flush=True)
     return records

@@ -248,14 +248,14 @@ def run_wkb(config: dict, outdir: str) -> int:
     header = (["tau"] + [f"A{j}" for j in range(n)]
               + [f"A{n}_plus", f"A{n}_minus", "residual_max"])
     rows = []
-    h = 1e-3
+    h = wkb.IDENTITY_STEP
     for i, tau in enumerate(taus):
         row = [tau] + [table.A[j][i] for j in range(n)]
         row += [table.An_plus[i], table.An_minus[i]]
         if tau > 2 * h and tau < eng.delta0 - 2 * h:
             p = eng.ray_points(cfg["q"], np.array([tau]))[0]
             res = max(wkb.gradient_identity_residual(surf, j, p, side=side,
-                                                     h=h, engine=eng)
+                                                     engine=eng)
                       for j in range(min(n, eng.table_order) + 1))
             row.append(res)
         else:
@@ -369,7 +369,7 @@ def run_helicoid(config: dict, outdir: str, seed=None, jobs: int = 1) -> int:
     return 0 if n_fail == 0 else 1
 
 
-def run_acceptance(config: dict, outdir: str, tolerance_scale: float = 1.0) -> int:
+def run_acceptance(config: dict, outdir: str) -> int:
     defaults = {"criteria": None}
     cfg = _merge_config(defaults, config, "all")
     if cfg["criteria"] is not None:
@@ -378,8 +378,7 @@ def run_acceptance(config: dict, outdir: str, tolerance_scale: float = 1.0) -> i
         if unknown:
             raise ConfigError(f"unknown criteria {sorted(unknown)} "
                               f"(known: {sorted(known)})")
-    records = acceptance.run_all(names=cfg["criteria"],
-                                 tolerance_scale=tolerance_scale)
+    records = acceptance.run_all(names=cfg["criteria"])
     # runtimes go to stdout only, so the artifact is seed-deterministic
     payload = [{
         "name": r.name, "pass": r.passed, "expected": r.expected,
@@ -416,8 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=os.cpu_count(),
                         help="worker hint for batched computations")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--tolerance-scale", type=float, default=1.0,
-                        help="multiply all acceptance tolerances")
     return parser
 
 
@@ -437,8 +434,7 @@ def main(argv=None) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     _INVOCATION.clear()
-    _INVOCATION.update({"seed": args.seed,
-                        "tolerance_scale": args.tolerance_scale})
+    _INVOCATION.update({"seed": args.seed})
     runner = _RUNNERS[args.subcommand]
     try:
         if args.subcommand == "helicoid":
@@ -446,9 +442,6 @@ def main(argv=None) -> int:
                           jobs=max(1, args.jobs or 1))
         if args.subcommand == "maxprinciple":
             return runner(config, args.out, seed=args.seed)
-        if args.subcommand == "all":
-            return runner(config, args.out,
-                          tolerance_scale=args.tolerance_scale)
         return runner(config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

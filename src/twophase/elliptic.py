@@ -87,15 +87,6 @@ class RadialSolution:
         ratio = (r ** -nu * ive(nu, mu * r)) / (R ** -nu * ive(nu, mu * R))
         return self.value * ratio * np.exp(-mu * (R - r))
 
-    def derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        mu, d = self.mu, self.surface.radial_dim
-        if d == 1:
-            return -mu * self.value * np.exp(-mu * r)
-        R, nu = self.surface.R, 0.5 * d - 1.0
-        ratio = (r ** -nu * ive(nu + 1, mu * r)) / (R ** -nu * ive(nu, mu * R))
-        return self.value * mu * ratio * np.exp(-mu * (R - r))
-
     def normal_derivative(self) -> float:
         """Conormal derivative dw/dnu at the interface (outward from Omega).
 
@@ -314,9 +305,8 @@ def higher_order_fit(surface: Surface, medium: TwoPhaseMedium, p: int,
 
 
 def radial_barrier_sandwich(surface: Surface, medium: TwoPhaseMedium,
-                            lam_values, *, n: int = 1,
-                            n_points: int = 64) -> dict:
-    """Check w_{n,-} <= w_exact <= w_{n,+} on a radial collar grid.
+                            lam_values, *, n: int = 1) -> dict:
+    """Check w_{n,-} <= w_exact <= w_{n,+} on a 64-point radial collar grid.
 
     `surface` is a sphere or cylinder.  w_exact is the Dirichlet-k radial
     solution on its Omega side; the barriers are the order-n pair corrected
@@ -327,7 +317,7 @@ def radial_barrier_sandwich(surface: Surface, medium: TwoPhaseMedium,
     eng = wkb.coefficient_engine(surface, -1)
     k = medium.k
     d0 = eng.delta0
-    taus = np.linspace(0.0, d0, n_points)
+    taus = np.linspace(0.0, d0, 64)
     R = surface.R
     corr = wkb.RadialCorrector(R=R, d=surface.radial_dim, side=-1, delta0=d0)
 
@@ -454,14 +444,14 @@ def assemble_operator(field: GridField, lam: float, boundary: dict
 
 
 def grid_modified_helmholtz(field: GridField, lam: float, source,
-                            boundary: dict, *, rtol: float = 1e-10,
-                            maxiter: int = 40000, method: str = "cg"
+                            boundary: dict, *, method: str = "cg"
                             ) -> GridField:
     """Solve -div(sigma grad w) + lambda w = source with Dirichlet data.
 
     Harmonic-mean face conductivities preserve flux continuity across the
     discrete interface.  Conjugate gradients with Jacobi preconditioning to
-    relative residual `rtol` (the operator is symmetric positive definite).
+    relative residual 1e-10 within 40000 iterations (the operator is
+    symmetric positive definite); method "direct" factorizes instead.
     """
     if not lam >= 0.0:
         raise InvalidArgument("lambda must be nonnegative")
@@ -471,7 +461,7 @@ def grid_modified_helmholtz(field: GridField, lam: float, source,
         sol = spsolve(A.tocsc(), b)
     else:
         M = sparse.diags(1.0 / A.diagonal())
-        sol, info = cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=M)
+        sol, info = cg(A, b, rtol=1e-10, atol=0.0, maxiter=40000, M=M)
         if info != 0:
             raise NonConvergence(f"conjugate gradients stopped with info={info}")
     out = GridField(lo=field.lo, hi=field.hi, h=field.h, sigma=field.sigma,
@@ -489,11 +479,10 @@ def disk_transmission_field(medium: TwoPhaseMedium, R: float, L: float,
     return GridField(lo=(-L, -L), hi=(L, L), h=h, sigma=sig)
 
 
-def disk_interface_values(field: GridField, n_angles: int = 64, R: float = 1.0
-                          ) -> np.ndarray:
-    """Bilinear samples of the solution on the circle r = R."""
+def disk_interface_values(field: GridField, R: float = 1.0) -> np.ndarray:
+    """Bilinear samples of the solution at 64 angles on the circle r = R."""
     xs = field.centers()[0]
-    theta = np.linspace(0.0, 2 * math.pi, n_angles, endpoint=False)
+    theta = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
     fx = (R * np.cos(theta) - xs[0]) / field.h
     fy = (R * np.sin(theta) - xs[0]) / field.h
     ix = np.clip(np.floor(fx).astype(int), 0, len(xs) - 2)

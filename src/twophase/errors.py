@@ -63,7 +63,7 @@ class InsufficientHorizon(TwoPhaseError, ValueError):
 
 
 class NonConvergence(TwoPhaseError, RuntimeError):
-    """An iterative linear solve did not reach its tolerance."""
+    """An iterative solve (linear or Newton) did not reach its tolerance."""
 
 
 class ConfigError(TwoPhaseError, ValueError):

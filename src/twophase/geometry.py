@@ -33,8 +33,9 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import (AmbiguousProjection, InvalidArgument, OnSurface,
-                     OutsideTubularNeighborhood, UnsupportedGeometry)
+from .errors import (AmbiguousProjection, InvalidArgument, NonConvergence,
+                     OnSurface, OutsideTubularNeighborhood,
+                     UnsupportedGeometry)
 
 _ON_SURFACE_TOL = 1e-13
 
@@ -251,17 +252,29 @@ class Cylinder(Surface):
 # minimal variants (parametric Newton projections)
 # ---------------------------------------------------------------------------
 
-def _newton_1d(fprime, fsecond, s0, n_iter=60, clip=0.25):
-    """Damped vector Newton for stationary points of a 1d objective."""
+def _newton_1d(fprime, fsecond, s0, X):
+    """Damped vector Newton for the minima of a 1d objective per point of X.
+
+    At most 60 steps, each clipped to 0.25.  Raises NonConvergence unless
+    every point stops at a strict minimum: |f'| <= 1e-8 (1 + |x|^2) and
+    f'' > 0 where it stops.
+    """
     s = np.asarray(s0, dtype=float).copy()
-    for _ in range(n_iter):
+    for _ in range(60):
         g = fprime(s)
         h = fsecond(s)
         h = np.where(h > 1e-9, h, 1e-9)  # objective is convex near the minimum
-        step = np.clip(-g / h, -clip, clip)
+        step = np.clip(-g / h, -0.25, 0.25)
         s = s + step
         if np.max(np.abs(step)) < 1e-15:
             break
+    g, h = fprime(s), fsecond(s)
+    ok = (np.abs(g) <= 1e-8 * (1.0 + np.sum(X * X, axis=1))) & (h > 0.0)
+    if not np.all(ok):
+        i = int(np.argmin(ok))
+        raise NonConvergence(
+            f"projection Newton stopped at s = {s[i]:.6g} with f' = "
+            f"{g[i]:.3e}, f'' = {h[i]:.3e} for x = {X[i].tolist()}")
     return s
 
 
@@ -340,7 +353,7 @@ class Helicoid(Surface):
         def hess(s):
             return 2.0 * (rho_of(s) ** 2 - bb(s) ** 2) + 2.0
 
-        s = _newton_1d(grad, hess, s)
+        s = _newton_1d(grad, hess, s, X)
         rho = rho_of(s)
         Z = np.stack([rho * np.cos(s), rho * np.sin(s), s], axis=1)
         delta = np.sqrt(np.maximum(dist2(s), 0.0))
@@ -453,7 +466,7 @@ class Catenoid(Surface):
         def hess(v):
             return 2.0 * self._gp(v) ** 2 - 2.0 * self._gpp(v) * (r - self._g(v)) + 2.0
 
-        v = _newton_1d(grad, hess, v)
+        v = _newton_1d(grad, hess, v, X)
         g = self._g(v)
         theta = np.arctan2(X[:, 1], X[:, 0])
         Z = np.stack([g * np.cos(theta), g * np.sin(theta), v], axis=1)

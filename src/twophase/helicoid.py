@@ -86,8 +86,9 @@ class McEstimate:
     n_samples: int
     rng_seed: int
 
-    def within(self, target: float, sigmas: float = 3.0) -> bool:
-        return abs(self.mean - target) <= sigmas * max(self.stderr, 1e-300)
+    def within(self, target: float) -> bool:
+        """The estimate lies within 3 standard errors of target."""
+        return abs(self.mean - target) <= 3.0 * max(self.stderr, 1e-300)
 
 
 def _philox(seed: int, stream: int = 0) -> np.random.Generator:

@@ -76,14 +76,15 @@ class Grid1D:
 
 
 def _graded_faces(start: float, stop: float, h_fine: float, fine_width: float,
-                  growth: float, h_max: float) -> np.ndarray:
-    """Faces from start toward stop: uniform h_fine near start, then geometric."""
+                  h_max: float) -> np.ndarray:
+    """Faces from start toward stop: uniform h_fine near start, then growing
+    by 6% a cell up to h_max."""
     faces = [start]
     h = h_fine
     direction = 1.0 if stop > start else -1.0
     while (stop - faces[-1]) * direction > 1e-12:
         if abs(faces[-1] - start) >= fine_width:
-            h = min(h * growth, h_max)
+            h = min(h * 1.06, h_max)
         nxt = faces[-1] + direction * h
         if (stop - nxt) * direction < 0.25 * h:
             nxt = stop
@@ -93,8 +94,7 @@ def _graded_faces(start: float, stop: float, h_fine: float, fine_width: float,
 
 def interface_grid(surface: Surface, medium: TwoPhaseMedium, *,
                    h_fine: float = 2e-3, fine_width: float = 1.5,
-                   growth: float = 1.06, h_max: float = 0.05,
-                   far: float = 16.0) -> Grid1D:
+                   h_max: float = 0.05, far: float = 16.0) -> Grid1D:
     """Grid with the conductivity interface exactly on a face.
 
     Plane: slab [-far, far] around the interface at 0, sigma_m on the
@@ -106,8 +106,8 @@ def interface_grid(surface: Surface, medium: TwoPhaseMedium, *,
         R, stop, below, above = 0.0, -far, medium.sigma_m, medium.sigma_s
     else:       # ball or tube: sigma_s inside r = R, the grid stops at r = 0
         R, stop, below, above = surface.R, 0.0, medium.sigma_s, medium.sigma_m
-    inner = _graded_faces(R, stop, h_fine, fine_width, growth, h_max)
-    outer = _graded_faces(R, R + far, h_fine, fine_width, growth, h_max)
+    inner = _graded_faces(R, stop, h_fine, fine_width, h_max)
+    outer = _graded_faces(R, R + far, h_fine, fine_width, h_max)
     faces = np.concatenate([inner[::-1], outer[1:]])
     centers = 0.5 * (faces[1:] + faces[:-1])
     sigma = np.where(centers < R, below, above)
@@ -169,16 +169,15 @@ def geometric_times(t_start: float, t_end: float, ratio: float = 1.08,
     return ts
 
 
-def evolve(grid: Grid1D, times, u0: Optional[np.ndarray] = None, *,
-           be_steps: int = 10, scheme: str = "cn") -> TimeSeries:
+def evolve(grid: Grid1D, times, u0: Optional[np.ndarray] = None
+           ) -> TimeSeries:
     """Advance the diffusion equation over the given time grid.
 
-    times[0] must be 0.  scheme "cn" uses implicit Euler for the first
-    be_steps steps and Crank-Nicolson afterwards; "be" is implicit Euler
-    throughout (unconditionally monotone, used for ordering checks).
-    u0 defaults to the indicator data of the grid's interface.  Discrete
-    conservation holds up to boundary flux (zero-flux far walls); values
-    stay in [0, 1] for indicator data.
+    times[0] must be 0.  The first 10 steps are implicit Euler, which damps
+    the indicator shock, and the rest Crank-Nicolson.  u0 defaults to the
+    indicator data of the grid's interface.  Discrete conservation holds up
+    to boundary flux (zero-flux far walls); values stay in [0, 1] for
+    indicator data.
     """
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0:
@@ -204,7 +203,7 @@ def evolve(grid: Grid1D, times, u0: Optional[np.ndarray] = None, *,
 
     for step in range(1, len(times)):
         dt = times[step] - times[step - 1]
-        theta = 1.0 if (scheme == "be" or step <= be_steps) else 0.5
+        theta = 1.0 if step <= 10 else 0.5
         rhs = vol / dt * u
         if theta < 1.0:
             flux = cond * (u[1:] - u[:-1])
@@ -261,29 +260,27 @@ def laplace_stieltjes(series: TimeSeries, lam: float, probes,
 
 
 def interface_constancy_probe(surface: Surface, medium: TwoPhaseMedium,
-                              t_grid, *, h_fine: float = 2e-3,
-                              h_max: float = 0.02, fine_width: float = 2.0,
-                              refine: float = 2.0, t_start: float = 1e-6,
-                              far: Optional[float] = None) -> dict:
+                              t_grid) -> dict:
     """Max deviation of the interface temperature from the constant k.
 
-    Runs the 1d/radial stepper at two resolutions (the whole mesh is
-    refined, not just the core); the reported deviation is grid-converged
-    when the two runs agree (Richardson gap small against the deviation
-    itself).  Flat interfaces stay at k up to discretization; curved ones
-    drift, which is the observable behind the rigidity of planes.
+    Runs the 1d/radial stepper from t = 1e-6 at two resolutions, h_fine =
+    2e-3 and h_max = 0.02 over a fine core of width 2, then both halved
+    (the whole mesh is refined, not just the core), out to
+    far = 8 sqrt(2 M t_end) + 2 from the interface; the reported deviation
+    is grid-converged when the two runs agree (Richardson gap small against
+    the deviation itself).  Flat interfaces stay at k up to discretization;
+    curved ones drift, which is the observable behind the rigidity of
+    planes.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     t_end = float(t_grid.max())
-    if far is None:
-        far = 8.0 * math.sqrt(2.0 * medium.M * t_end) + 2.0
+    far = 8.0 * math.sqrt(2.0 * medium.M * t_end) + 2.0
     k = medium.k
     devs = []
-    for scale in (1.0, refine):
-        grid = interface_grid(surface, medium, h_fine=h_fine / scale,
-                              h_max=h_max / scale, fine_width=fine_width,
-                              far=far)
-        times = geometric_times(t_start, t_end, include=t_grid)
+    for scale in (1.0, 2.0):
+        grid = interface_grid(surface, medium, h_fine=2e-3 / scale,
+                              h_max=0.02 / scale, fine_width=2.0, far=far)
+        times = geometric_times(1e-6, t_end, include=t_grid)
         series = evolve(grid, times)
         mask = np.isin(series.times, t_grid)
         devs.append(np.abs(series.interface_values()[mask] - k))

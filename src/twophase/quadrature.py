@@ -20,9 +20,10 @@ DEFAULT_TOL = 1e-12
 GAUSSIAN_CUTOFF_STD = 40.0
 
 
-def integrate_adaptive(f, a: float, b: float, *, tol: float = DEFAULT_TOL,
-                       limit: int = 200) -> float:
-    """Integrate f on [a, b] to absolute tolerance tol.
+def integrate_adaptive(f, a: float, b: float, *, tol: float = DEFAULT_TOL
+                       ) -> float:
+    """Integrate f on [a, b] to absolute tolerance tol in at most 200
+    subintervals.
 
     An empty interval (b == a) integrates to 0; a reversed one (b < a)
     raises InvalidArgument.  Raises QuadratureFailure if the adaptive
@@ -33,7 +34,7 @@ def integrate_adaptive(f, a: float, b: float, *, tol: float = DEFAULT_TOL,
         raise InvalidArgument(f"reversed interval [{a}, {b}]")
     if not (b > a):
         return 0.0
-    out = integrate.quad(f, a, b, epsabs=tol, epsrel=0.0, limit=limit,
+    out = integrate.quad(f, a, b, epsabs=tol, epsrel=0.0, limit=200,
                          full_output=True)
     value, abserr = out[0], out[1]
     if len(out) > 3:  # explanation string present only on trouble

@@ -73,6 +73,13 @@ from .medium import TwoPhaseMedium
 #: default finite-difference step along the ray, as a fraction of delta0
 FD_STEP_FRACTION = 1e-3
 
+#: absolute central-difference step of `gradient_identity_residual`
+IDENTITY_STEP = 1e-3
+
+#: table samples across the collar in tau and across the footpoint range
+#: |q| <= 0.8 c in q (c = 1 for the helicoid), before padding
+N_TAU, N_Q = 121, 221
+
 
 def _ray_integral(values: np.ndarray, taus: np.ndarray,
                   zero_index: int) -> np.ndarray:
@@ -97,30 +104,22 @@ class CoefficientEngine:
     OutsideTubularNeighborhood; the tables never extrapolate.
     """
 
-    def __init__(self, surface: Surface, side: int, *,
-                 table_order: Optional[int] = None,
-                 delta0: Optional[float] = None, n_tau: int = 121,
-                 n_q: int = 221, q_range: Optional[tuple] = None):
+    def __init__(self, surface: Surface, side: int):
         if side not in (-1, +1):
             raise InvalidArgument("side must be -1 (inside) or +1 (outside)")
         self.surface = surface
         self.side = side
-        if table_order is None:
-            table_order = 4 if surface.is_radial else 2
-        self.table_order = int(table_order)
-        d0 = float(delta0) if delta0 is not None else surface.delta0
-        if not math.isfinite(d0):
-            d0 = 1.0
-        self.delta0 = d0
+        self.table_order = 4 if surface.is_radial else 2
+        self.delta0 = d0 = surface.delta0
         self.fd_step = FD_STEP_FRACTION * d0
 
         # padded uniform grids, tau containing 0 exactly; every level takes
         # two more derivatives of the last, and spline derivatives are least
         # accurate in the end cells, so the pad grows with the table order
-        h = d0 / (n_tau - 1)
+        h = d0 / (N_TAU - 1)
         pad = 4 + 2 * self.table_order
         self._zero_index = pad
-        self.taus = h * np.arange(-pad, n_tau + pad)
+        self.taus = h * np.arange(-pad, N_TAU + pad)
 
         if surface.is_radial:
             kap = surface.kappas(self._any_surface_point())
@@ -130,12 +129,10 @@ class CoefficientEngine:
                 raise UnsupportedGeometry(
                     "barrier coefficients need a ray parametrization; only "
                     "the catalog surfaces provide one")
-            if q_range is None:
-                scale = getattr(surface, "c", 1.0)
-                q_range = (-0.8 * scale, 0.8 * scale)
-            padq = pad * (q_range[1] - q_range[0]) / (n_q - 1)
-            self.q_grid = np.linspace(q_range[0] - padq, q_range[1] + padq,
-                                      n_q + 2 * pad)
+            c = getattr(surface, "c", 1.0)
+            q_lo, q_hi = -0.8 * c, 0.8 * c
+            padq = pad * (q_hi - q_lo) / (N_Q - 1)
+            self.q_grid = np.linspace(q_lo - padq, q_hi + padq, N_Q + 2 * pad)
         self._build_tables()
 
     # ------------------------------------------------------------------
@@ -330,15 +327,9 @@ class CoefficientEngine:
 
 
 @lru_cache(maxsize=None)
-def coefficient_engine(surface: Surface, side: int,
-                       table_order: Optional[int] = None,
-                       delta0: Optional[float] = None, n_tau: int = 121,
-                       n_q: int = 221, q_range: Optional[tuple] = None
-                       ) -> CoefficientEngine:
+def coefficient_engine(surface: Surface, side: int) -> CoefficientEngine:
     """Cached engine factory; tables are expensive and immutable, share them."""
-    return CoefficientEngine(surface, side, table_order=table_order,
-                             delta0=delta0, n_tau=n_tau, n_q=n_q,
-                             q_range=q_range)
+    return CoefficientEngine(surface, side)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +406,7 @@ def _coeff_on_ray(eng: CoefficientEngine, j: int, q, taus, pts) -> np.ndarray:
 
 
 def gradient_identity_residual(surface: Surface, j: int, x, side: int = -1,
-                               h: float = 1e-3, sign: int = 0,
+                               sign: int = 0,
                                n: Optional[int] = None,
                                engine: Optional[CoefficientEngine] = None) -> float:
     """Residual of the ray-derivative identity for A_j (or A_{n,+-}).
@@ -424,7 +415,8 @@ def gradient_identity_residual(surface: Surface, j: int, x, side: int = -1,
     forced top coefficient) at a collar point x.  The left side is a fresh
     central difference along the ray; everything on the right comes from
     the table machinery, so the residual measures the end-to-end
-    consistency of the recursion.  Contract: O(h^2) plus quadrature noise.
+    consistency of the recursion.  Contract: O(h^2) plus quadrature noise,
+    with h = IDENTITY_STEP.
     """
     eng = engine if engine is not None else coefficient_engine(surface, side)
     X = np.atleast_2d(np.asarray(x, dtype=float))
@@ -449,7 +441,7 @@ def gradient_identity_residual(surface: Surface, j: int, x, side: int = -1,
     fieldfunc = base
     lap_prev = eng.laplacian(nn - 1, X)[0] if nn >= 1 else 0.0
     forcing = float(sign)
-    lhs = eng.tau_derivative(fieldfunc, X, h=h)[0]
+    lhs = eng.tau_derivative(fieldfunc, X, h=IDENTITY_STEP)[0]
     dd = eng.lap_signed_distance(X)[0]
     rhs = -0.5 * dd * fieldfunc(X)[0] + 0.5 * lap_prev + forcing
     return abs(lhs - rhs)
@@ -616,10 +608,9 @@ class BarrierThresholds:
 
 
 def calibrate_thresholds(surface: Surface, medium: TwoPhaseMedium, n: int,
-                         side: int = -1, corrector=None,
-                         outer_w=None,
-                         engine: Optional[CoefficientEngine] = None,
-                         lam_cap: float = 1e10) -> BarrierThresholds:
+                         side: int = -1, outer_w=None,
+                         engine: Optional[CoefficientEngine] = None
+                         ) -> BarrierThresholds:
     """Find eta_n and the smallest lambda making the barriers strict.
 
     eta_n is half the exponential rate of f at the far collar wall,
@@ -664,11 +655,11 @@ def calibrate_thresholds(surface: Surface, medium: TwoPhaseMedium, n: int,
                 return False
         return True
 
-    lo, hi = 1.0, lam_cap
+    lo, hi = 1.0, 1e10
     if not admissible(hi):
         raise ThresholdNotFound(
-            f"no admissible lambda below {lam_cap:g}; coefficient tables "
-            "are inconsistent")
+            f"no admissible lambda below {hi:g}; coefficient tables are "
+            "inconsistent or outer_w never falls below the wall bound")
     if admissible(lo):
         return BarrierThresholds(eta=eta, lam_min=lo)
     for _ in range(48):
@@ -724,20 +715,20 @@ class NearBoundaryFit:
 
 
 def near_boundary_law(surface: Surface, q, s: int, p: int, side: int = -1,
-                      window: tuple = (1e-3, 1e-1), n_pts: int = 13,
                       engine: Optional[CoefficientEngine] = None
                       ) -> NearBoundaryFit:
     """Fit Lap A_s ~ c delta^(p-2-s) near the surface and compare with theory.
 
     On a surface whose first p-1 symmetric curvature functions vanish,
     Lap A_s = -2^-(s+1) (-1)^p (s+2)! C(p, s+2) H_p delta^(p-2-s) + O(delta^(p-1-s))
-    for s = 0 .. p-2.  The exponent is fitted on a log-log window and the
-    coefficient by extrapolating Lap A_s / delta^(p-2-s) to delta -> 0.
+    for s = 0 .. p-2.  The exponent is fitted on a log-log window of 13
+    distances from 1e-3 delta0 to 1e-1 delta0 and the coefficient by
+    extrapolating Lap A_s / delta^(p-2-s) to delta -> 0.
     """
     if not (0 <= s <= p - 2):
         raise InvalidArgument("need 0 <= s <= p-2")
     eng = engine if engine is not None else coefficient_engine(surface, side)
-    deltas = np.geomspace(window[0] * eng.delta0, window[1] * eng.delta0, n_pts)
+    deltas = np.geomspace(1e-3 * eng.delta0, 1e-1 * eng.delta0, 13)
     pts = eng.ray_points(q, deltas)
     vals = eng.laplacian(s, pts)
 

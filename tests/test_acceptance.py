@@ -14,7 +14,7 @@ from twophase import acceptance
 def test_criterion(name, fn):
     import time
     t0 = time.perf_counter()
-    record = fn(1.0)
+    record = fn()
     record.runtime = time.perf_counter() - t0
     print(record.line(), flush=True)
     assert record.passed, record.line()

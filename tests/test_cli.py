@@ -1,9 +1,6 @@
 import csv
 import json
-import math
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from twophase.cli import main
@@ -155,3 +152,13 @@ def test_all_subcommand_runs_selected_criteria(tmp_path, capsys):
     report = json.loads((tmp_path / "acceptance.json").read_text())
     assert len(report) == 2
     assert all(r["pass"] for r in report)
+
+
+def test_tolerance_scale_flag_is_gone(tmp_path):
+    # the gate's tolerances are pinned; argparse rejects the old knob
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"criteria": ["interface-constant-1d"]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["all", "--tolerance-scale", "2", "--config", str(cfg),
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from twophase import geometry as geo
 from twophase import helicoid as hl
-from twophase.errors import (AmbiguousProjection, OnSurface,
+from twophase.errors import (AmbiguousProjection, NonConvergence, OnSurface,
                              OutsideTubularNeighborhood)
 
 SPHERE = geo.Sphere(R=1.0, N=3)
@@ -137,6 +137,20 @@ def test_project_outside_tube_raises():
 def test_project_center_ambiguous():
     with pytest.raises(AmbiguousProjection):
         SPHERE.project(np.zeros(3))
+
+
+def test_newton_projection_checks_where_it_stops():
+    X, s0 = np.zeros((3, 3)), np.zeros(3)
+    ones = np.ones_like
+    # (s - 1)^2 / 2: every point reaches the minimum at s = 1
+    s = geo._newton_1d(lambda s: s - 1.0, ones, s0, X)
+    assert np.array_equal(s, np.ones(3))
+    # f' = 1 never vanishes: the steps run out away from any stationary point
+    with pytest.raises(NonConvergence):
+        geo._newton_1d(ones, ones, s0, X)
+    # -s^2 is stationary at s = 0, but that is a maximum
+    with pytest.raises(NonConvergence):
+        geo._newton_1d(lambda s: -2.0 * s, lambda s: -2.0 * ones(s), s0, X)
 
 
 # -- eikonal / distance laplacian ---------------------------------------------

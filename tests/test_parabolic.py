@@ -62,8 +62,8 @@ def test_ordering_preserved_implicit_euler():
     times = par.geometric_times(1e-5, 1.0)
     u0 = par.indicator_data(grid)
     u1 = np.minimum(1.0, u0 + 0.2)
-    a = par.evolve(grid, times, u0=u0, scheme="be")
-    b = par.evolve(grid, times, u0=u1, scheme="be")
+    a = par.evolve(grid, times, u0=u0)
+    b = par.evolve(grid, times, u0=u1)
     assert np.all(b.U - a.U >= -1e-12)
 
 

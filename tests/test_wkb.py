@@ -45,8 +45,13 @@ def test_a0_hyperplane_is_one_everywhere():
 
 def test_a0_degenerate_tube():
     # a collar wider than the focal distance 1/kappa cannot be tabulated
+    class WideCollarSphere(geo.Sphere):
+        @property
+        def delta0(self):
+            return 1.05 * self.R
+
     with pytest.raises(DegenerateTube):
-        wkb.CoefficientEngine(SPHERE, -1, table_order=1, delta0=1.05)
+        wkb.CoefficientEngine(WideCollarSphere(), -1)
 
 
 def test_engine_needs_a_chart():
@@ -131,7 +136,7 @@ def test_gradient_identities_j_up_to_three(name):
         p = eng.ray_points(q, np.array([frac * eng.delta0]))[0]
         for j in range(4):
             res = wkb.gradient_identity_residual(surface, j, p, side=-1,
-                                                 h=1e-3, engine=eng)
+                                                 engine=eng)
             assert res < 1e-4, (name, j, q, frac, res)
 
 
@@ -139,7 +144,7 @@ def test_gradient_identity_forced_variant():
     eng = wkb.coefficient_engine(CYLINDER, -1)
     p = eng.ray_points(0.0, np.array([0.4]))[0]
     for sign in (+1, -1):
-        res = wkb.gradient_identity_residual(CYLINDER, 2, p, side=-1, h=1e-3,
+        res = wkb.gradient_identity_residual(CYLINDER, 2, p, side=-1,
                                              sign=sign, engine=eng)
         assert res < 1e-4
 
@@ -308,6 +313,12 @@ def test_threshold_calibration_and_barrier_w():
     with pytest.raises(InvalidArgument):
         wkb.barrier_w(SPHERE, MED, z, 0.5 * th.lam_min, 1, +1, corrector=corr,
                       thresholds=th, engine=eng)
+
+
+def test_threshold_not_found_when_the_wall_bound_never_holds():
+    # |w| = 1 at the far wall exceeds e^(-eta sqrt(lambda)) at every rate
+    with pytest.raises(ThresholdNotFound):
+        wkb.calibrate_thresholds(SPHERE, MED, 1, outer_w=lambda lam: 1.0)
 
 
 def _reference_thresholds(surface, n, side, eng):

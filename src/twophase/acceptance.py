@@ -239,7 +239,9 @@ def criterion_grid_convergence() -> CriterionRecord:
         expected=">= 0.9", measured=f"order {rep['observed_order']:.3f}, "
         f"errors {np.array2string(rep['errors'], precision=2)}",
         tolerance="order >= 0.9", runtime=0.0,
-        details={"errors": rep["errors"].tolist()})
+        details={"errors": rep["errors"].tolist(),
+                 "cg_iterations": rep["iterations"],
+                 "relative_residuals": rep["residuals"]})
 
 
 def criterion_helicoid_half() -> CriterionRecord:

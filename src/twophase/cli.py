@@ -173,9 +173,9 @@ def run_simulate(config: dict, outdir: str) -> int:
     cfg = _merge_config(defaults, config, "simulate")
     med = _medium_from(cfg["medium"])
     t_grid = np.asarray(cfg["t_grid"], dtype=float)
-    far = 8.0 * math.sqrt(2.0 * med.M * t_grid.max()) + 2.0
     grid = par.interface_grid(_radial_surface(cfg["kind"], cfg["R"]), med,
-                              h_fine=cfg["h_fine"], far=far)
+                              h_fine=cfg["h_fine"],
+                              far=par.far_wall_distance(med, t_grid.max()))
     times = par.geometric_times(cfg["t_start"], float(t_grid.max()),
                                 include=t_grid)
     series = par.evolve(grid, times)

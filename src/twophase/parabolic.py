@@ -92,6 +92,13 @@ def _graded_faces(start: float, stop: float, h_fine: float, fine_width: float,
     return np.asarray(faces)
 
 
+def far_wall_distance(medium: TwoPhaseMedium, t_end: float) -> float:
+    """Distance 8 sqrt(2 M t_end) + 2 from the interface to the zero-flux
+    wall: eight diffusion lengths at the largest conductivity, so the
+    wall's influence does not reach the interface by t_end."""
+    return 8.0 * math.sqrt(2.0 * medium.M * t_end) + 2.0
+
+
 def interface_grid(surface: Surface, medium: TwoPhaseMedium, *,
                    h_fine: float = 2e-3, fine_width: float = 1.5,
                    h_max: float = 0.05, far: float = 16.0) -> Grid1D:
@@ -266,7 +273,7 @@ def interface_constancy_probe(surface: Surface, medium: TwoPhaseMedium,
     Runs the 1d/radial stepper from t = 1e-6 at two resolutions, h_fine =
     2e-3 and h_max = 0.02 over a fine core of width 2, then both halved
     (the whole mesh is refined, not just the core), out to
-    far = 8 sqrt(2 M t_end) + 2 from the interface; the reported deviation
+    `far_wall_distance` from the interface; the reported deviation
     is grid-converged when the two runs agree (Richardson gap small against
     the deviation itself).  Flat interfaces stay at k up to discretization;
     curved ones drift, which is the observable behind the rigidity of
@@ -274,7 +281,7 @@ def interface_constancy_probe(surface: Surface, medium: TwoPhaseMedium,
     """
     t_grid = np.asarray(t_grid, dtype=float)
     t_end = float(t_grid.max())
-    far = 8.0 * math.sqrt(2.0 * medium.M * t_end) + 2.0
+    far = far_wall_distance(medium, t_end)
     k = medium.k
     devs = []
     for scale in (1.0, 2.0):

@@ -5,7 +5,7 @@ import pytest
 
 from twophase import elliptic as ell
 from twophase import geometry as geo
-from twophase.errors import InvalidArgument, UnsupportedGeometry
+from twophase.errors import InvalidArgument, NonConvergence, UnsupportedGeometry
 from twophase.medium import TwoPhaseMedium
 
 MED = TwoPhaseMedium(1.0, 4.0)
@@ -219,6 +219,58 @@ def test_disk_convergence_order():
     rep = ell.disk_convergence_study(MED, lam=100.0, hs=(1 / 16, 1 / 32, 1 / 64))
     assert rep["observed_order"] >= 0.9
     assert rep["errors"][-1] < rep["errors"][0]
+
+
+def test_disk_quadrant_matches_full_square_direct_solve():
+    h, L, lam = 1 / 32, ell.DISK_L, 100.0
+    sol = ell.solve_disk(MED, lam, h)
+    x = -L + (np.arange(int(round(2 * L / h))) + 0.5) * h
+    X, Y = np.meshgrid(x, x)
+    sigma = np.where(X ** 2 + Y ** 2 < ell.DISK_R ** 2, MED.sigma_s, MED.sigma_m)
+    full = ell.GridField(lo=(-L, -L), hi=(L, L), h=h, sigma=sigma)
+    ref = ell.grid_modified_helmholtz(
+        full, lam, lam * (sigma == MED.sigma_m),
+        {k: 1.0 for k in ("xlo", "xhi", "ylo", "yhi")}, method="direct")
+    assert np.array_equal(sol.sigma, sigma)
+    assert np.max(np.abs(sol.values - ref.values)) <= 1e-9
+
+
+@pytest.mark.parametrize("shape", [(33, 33), (97, 97), (1, 257)])
+def test_vcycle_cg_matches_direct_on_random_sigma(shape):
+    rng = np.random.default_rng(sum(shape))
+    ny, nx = shape
+    sigma = rng.uniform(0.5, 4.0, shape)
+    if ny == 1:  # a 1d field is one row in x
+        sigma, boundary = sigma[0], {"xlo": 1.0, "xhi": 0.3}
+    else:        # two Dirichlet faces, zero flux across the other two
+        boundary = {"xlo": rng.uniform(0.0, 1.0, ny),
+                    "yhi": rng.uniform(0.0, 1.0, nx)}
+    field = ell.GridField(lo=(0.0, 0.0), hi=(1.0, ny / nx), h=1.0 / nx,
+                          sigma=sigma)
+    source = rng.uniform(0.0, 1.0, sigma.size)
+    sol = ell.grid_modified_helmholtz(field, 1.0, source, boundary)
+    ref = ell.grid_modified_helmholtz(field, 1.0, source, boundary,
+                                      method="direct")
+    assert 0 < sol.iterations <= 30
+    assert sol.residual <= 1e-10
+    assert ref.iterations == 0
+    err = np.max(np.abs(sol.values - ref.values)) / np.max(np.abs(ref.values))
+    assert err <= 1e-8
+
+
+def test_disk_study_cg_iterations_stay_bounded():
+    rep = ell.disk_convergence_study(MED, lam=100.0)
+    assert len(rep["iterations"]) == len(rep["hs"]) == 3
+    assert max(rep["iterations"]) <= 30
+    assert max(rep["residuals"]) <= 1e-10
+
+
+def test_cg_nonconvergence_names_iterations_and_residual(monkeypatch):
+    monkeypatch.setattr(ell, "cg", lambda A, b, **kw: (np.zeros_like(b), 7))
+    field = ell.GridField(lo=(0.0,), hi=(1.0,), h=1.0 / 16, sigma=np.ones(16))
+    with pytest.raises(NonConvergence, match=r"after 0 iterations at relative "
+                       r"residual 1\.00e\+00"):
+        ell.grid_modified_helmholtz(field, 1.0, np.ones(16), {"xlo": 0.0})
 
 
 # -- maximum principle ------------------------------------------------------------------

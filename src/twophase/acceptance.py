@@ -115,8 +115,7 @@ def criterion_wkb_identities() -> CriterionRecord:
     for name, surf in _surface_catalog().items():
         eng = wkb.coefficient_engine(surf, -1)
         table = wkb.compute_coefficients(surf, 0.0, 3, side=-1,
-                                         taus=np.linspace(0.0, eng.delta0, 17),
-                                         engine=eng)
+                                         taus=np.linspace(0.0, eng.delta0, 17))
         surface_row = table.at_surface()
         if not (surface_row[0] == 1.0 and np.all(surface_row[1:] == 0.0)):
             boundary_exact = False
@@ -130,7 +129,7 @@ def criterion_wkb_identities() -> CriterionRecord:
             p = eng.ray_points(q, np.array([tau]))[0]
             for j in range(4):
                 worst = max(worst, wkb.gradient_identity_residual(
-                    surf, j, p, side=-1, engine=eng))
+                    surf, j, p, side=-1))
     return CriterionRecord(
         name="wkb-identities", passed=boundary_exact and worst < tol,
         expected="surface row (1,0,...,0); residuals 0",
@@ -188,8 +187,7 @@ def criterion_barrier_sandwich() -> CriterionRecord:
     ok = True
     detail = {}
     for name in ("sphere", "cylinder"):
-        rep = ell.radial_barrier_sandwich(_surface_catalog()[name], med, lams,
-                                          n=1)
+        rep = ell.radial_barrier_sandwich(_surface_catalog()[name], med, lams)
         k = med.k
         for i, lam in enumerate(rep["lams"]):
             up, lo = rep["upper_margin"][i], rep["lower_margin"][i]

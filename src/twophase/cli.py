@@ -243,8 +243,7 @@ def run_wkb(config: dict, outdir: str) -> int:
     n = int(cfg["order"])
     eng = wkb.coefficient_engine(surf, side)
     taus = np.linspace(0.0, eng.delta0, int(cfg["n_points"]))
-    table = wkb.compute_coefficients(surf, cfg["q"], n, side=side, taus=taus,
-                                     engine=eng)
+    table = wkb.compute_coefficients(surf, cfg["q"], n, side=side, taus=taus)
     header = (["tau"] + [f"A{j}" for j in range(n)]
               + [f"A{n}_plus", f"A{n}_minus", "residual_max"])
     rows = []
@@ -254,8 +253,7 @@ def run_wkb(config: dict, outdir: str) -> int:
         row += [table.An_plus[i], table.An_minus[i]]
         if tau > 2 * h and tau < eng.delta0 - 2 * h:
             p = eng.ray_points(cfg["q"], np.array([tau]))[0]
-            res = max(wkb.gradient_identity_residual(surf, j, p, side=side,
-                                                     engine=eng)
+            res = max(wkb.gradient_identity_residual(surf, j, p, side=side)
                       for j in range(min(n, eng.table_order) + 1))
             row.append(res)
         else:

@@ -250,38 +250,31 @@ class HigherOrderFit:
     lambda_grid: np.ndarray
 
 
-def higher_order_fit(surface: Surface, medium: TwoPhaseMedium, p: int,
-                     lambda_grid=None, *, q=0.0, n: int = 3,
+def higher_order_fit(surface: Surface, medium: TwoPhaseMedium, p: int, *,
                      sides=(-1, +1)) -> dict:
     """Fit the lambda^(-(p-1)/2) coefficient on both phase sides.
 
     On a minimal-catalog surface the conormal derivative has no closed
-    form, so it is bracketed by the order-n barrier pair; the midpoint of
-    the bracket is polynomial in lambda^(-1/2) with coefficients built from
-    the surface limits of Lap A_j.  The fitted coefficient is compared with
+    form, so it is bracketed by the order-3 barrier pair at the footpoint
+    q = 0; the midpoint of the bracket is polynomial in lambda^(-1/2) with
+    coefficients built from the surface limits of Lap A_j, fitted over 12
+    rates per decade on [1e4, 1e8].  The fitted coefficient is compared with
     c0 p! 2^(-p) sigma^(p/2) H_p (times (-1)^p from inside), and the
     inside/outside pair differs by exactly (sigma_s/sigma_m)^(p/2), the
     imbalance that forces H_p = 0 when the conductivities differ.
     """
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(1e4, 1e8)
-    lam = np.asarray(lambda_grid, dtype=float)
+    n, q = 3, 0.0
+    lam = default_lambda_grid(1e4, 1e8)
     k = medium.k
     c0 = k * math.sqrt(medium.sigma_s)
     out = {}
     for side in sides:
-        eng = wkb.coefficient_engine(surface, side)
         sigma = medium.side_conductivity(side)
         b = k if side == -1 else 1.0 - k
-        lapb = wkb.boundary_laplacians(surface, q, n - 1, side, engine=eng)
-        det = np.empty_like(lam)
-        halfgap = np.empty_like(lam)
-        for i, lv in enumerate(lam):
-            mid = wkb.boundary_normal_derivative(surface, medium, lv, n, 0,
-                                                 q=q, side=side, engine=eng,
-                                                 lap_boundary=lapb)
-            det[i] = sigma * mid - c0 * math.sqrt(lv)
-            halfgap[i] = sigma * b * (sigma / lv) ** (0.5 * n)
+        mid = wkb.boundary_normal_derivative(surface, medium, lam, n, 0,
+                                             q=q, side=side)
+        det = sigma * mid - c0 * np.sqrt(lam)
+        halfgap = sigma * b * (sigma / lam) ** (0.5 * n)
         powers = np.arange(1, n + 1)
         design = lam[:, None] ** (-0.5 * powers[None, :])
         wts = lam ** 0.25
@@ -311,15 +304,16 @@ def higher_order_fit(surface: Surface, medium: TwoPhaseMedium, p: int,
 
 
 def radial_barrier_sandwich(surface: Surface, medium: TwoPhaseMedium,
-                            lam_values, *, n: int = 1) -> dict:
-    """Check w_{n,-} <= w_exact <= w_{n,+} on a 64-point radial collar grid.
+                            lam_values) -> dict:
+    """Check w_{1,-} <= w_exact <= w_{1,+} on a 64-point radial collar grid.
 
     `surface` is a sphere or cylinder.  w_exact is the Dirichlet-k radial
-    solution on its Omega side; the barriers are the order-n pair corrected
+    solution on its Omega side; the barriers are the order-1 pair corrected
     by the radial harmonic function.  Returns the worst signed margins
     (positive = ordering holds) and the conormal-derivative bracket at the
     interface.
     """
+    n = 1
     eng = wkb.coefficient_engine(surface, -1)
     k = medium.k
     d0 = eng.delta0
@@ -332,7 +326,7 @@ def radial_barrier_sandwich(surface: Surface, medium: TwoPhaseMedium,
         return abs(float(sol(R - d0)))
 
     thresholds = wkb.calibrate_thresholds(surface, medium, n, side=-1,
-                                          engine=eng, outer_w=wall_value)
+                                          outer_w=wall_value)
     out = {"thresholds": thresholds, "lams": [], "upper_margin": [],
            "lower_margin": [], "surface_values": [],
            "derivative_ordering": []}
@@ -340,19 +334,13 @@ def radial_barrier_sandwich(surface: Surface, medium: TwoPhaseMedium,
     for lam in lam_values:
         exact = solve_radial_dirichlet(surface, lam, medium.sigma_s, k)
         wex = exact(R - taus)
-        wp = np.array([wkb.barrier_w(surface, medium, p, lam, n, +1, -1,
-                                     corrector=corr, thresholds=thresholds,
-                                     engine=eng) for p in pts])
-        wm = np.array([wkb.barrier_w(surface, medium, p, lam, n, -1, -1,
-                                     corrector=corr, thresholds=thresholds,
-                                     engine=eng) for p in pts])
+        wp, wm = (wkb.barrier_w(surface, medium, pts, lam, n, sign, -1,
+                                corrector=corr, thresholds=thresholds)
+                  for sign in (+1, -1))
         dn_exact = exact.normal_derivative()
-        dn_plus = wkb.boundary_normal_derivative(
-            surface, medium, lam, n, +1, side=-1, corrector=corr,
-            eta=thresholds.eta, engine=eng)
-        dn_minus = wkb.boundary_normal_derivative(
-            surface, medium, lam, n, -1, side=-1, corrector=corr,
-            eta=thresholds.eta, engine=eng)
+        dn_plus, dn_minus = (float(wkb.boundary_normal_derivative(
+            surface, medium, lam, n, sign, side=-1, corrector=corr,
+            eta=thresholds.eta)) for sign in (+1, -1))
         out["lams"].append(lam)
         out["upper_margin"].append(float(np.min((wp - wex)[1:])))
         out["lower_margin"].append(float(np.min((wex - wm)[1:])))

@@ -84,9 +84,9 @@ def halfline_closed_form(x1: float, t: float, medium: TwoPhaseMedium) -> float:
     return 0.5 * float(erfc(xi)) + refl_m * 0.5 * float(erfc(-xi))
 
 
-def halfline_quadrature(x1: float, t: float, medium: TwoPhaseMedium,
-                        tol: float = 1e-12) -> float:
-    """Adaptive quadrature of G(x1, ., t) over y1 <= 0.
+def halfline_quadrature(x1: float, t: float, medium: TwoPhaseMedium) -> float:
+    """Adaptive quadrature of G(x1, ., t) over y1 <= 0, to the absolute
+    tolerance `quadrature.DEFAULT_TOL`.
 
     The integrand is a sum of Gaussians in y1; the lower limit is truncated
     40 standard deviations below the leftmost Gaussian center.
@@ -108,7 +108,7 @@ def halfline_quadrature(x1: float, t: float, medium: TwoPhaseMedium,
     def f(y):
         return eval_kernel(x1, y, t, medium)
 
-    return integrate_adaptive(f, lo, 0.0, tol=tol)
+    return integrate_adaptive(f, lo, 0.0)
 
 
 def halfline_solution(x1: float, t: float, medium: TwoPhaseMedium,

@@ -13,33 +13,32 @@ from scipy import integrate
 
 from .errors import InvalidArgument, QuadratureFailure
 
-#: default absolute tolerance for all adaptive integrations
+#: absolute tolerance of every adaptive integration
 DEFAULT_TOL = 1e-12
 
 #: Gaussian tails are truncated this many standard deviations out
 GAUSSIAN_CUTOFF_STD = 40.0
 
 
-def integrate_adaptive(f, a: float, b: float, *, tol: float = DEFAULT_TOL
-                       ) -> float:
-    """Integrate f on [a, b] to absolute tolerance tol in at most 200
-    subintervals.
+def integrate_adaptive(f, a: float, b: float) -> float:
+    """Integrate f on [a, b] to absolute tolerance DEFAULT_TOL in at most
+    200 subintervals.
 
     An empty interval (b == a) integrates to 0; a reversed one (b < a)
     raises InvalidArgument.  Raises QuadratureFailure if the adaptive
     refinement budget is exhausted or the reported error estimate exceeds
-    100x the requested tolerance.
+    100x DEFAULT_TOL.
     """
     if b < a:
         raise InvalidArgument(f"reversed interval [{a}, {b}]")
     if not (b > a):
         return 0.0
-    out = integrate.quad(f, a, b, epsabs=tol, epsrel=0.0, limit=200,
+    out = integrate.quad(f, a, b, epsabs=DEFAULT_TOL, epsrel=0.0, limit=200,
                          full_output=True)
     value, abserr = out[0], out[1]
     if len(out) > 3:  # explanation string present only on trouble
         raise QuadratureFailure(f"adaptive quadrature failed on [{a}, {b}]: {out[3]}")
-    if abserr > 100.0 * tol * max(1.0, abs(value)):
+    if abserr > 100.0 * DEFAULT_TOL * max(1.0, abs(value)):
         raise QuadratureFailure(
             f"quadrature error estimate {abserr:.3e} exceeds budget on [{a}, {b}]")
     return value

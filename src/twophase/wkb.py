@@ -50,7 +50,11 @@ with G the metric of the parallel surface in the (q, symmetry parameter)
 chart (`chart_metric` of the surface); radial fields keep the first two
 terms.  A table point lies on a known ray, so a build projects nothing,
 and a read projects each point once.  Ray integrals are the antiderivatives
-of the quintic interpolants of their integrands, all rows at once.
+of the quintic interpolants of their integrands, all rows at once; ray
+derivatives d/dtau are the splines' tau-derivatives (A_0: closed form).
+Barrier functions read the cached `coefficient_engine(surface, side)` and
+return one value per point.  Only `gradient_identity_residual`, the check
+independent of the tables, differentiates by central differences.
 """
 
 from __future__ import annotations
@@ -69,9 +73,6 @@ from .errors import (DegenerateTube, InvalidArgument,
                      UnsupportedGeometry)
 from .geometry import Surface, elementary_symmetric
 from .medium import TwoPhaseMedium
-
-#: default finite-difference step along the ray, as a fraction of delta0
-FD_STEP_FRACTION = 1e-3
 
 #: absolute central-difference step of `gradient_identity_residual`
 IDENTITY_STEP = 1e-3
@@ -111,7 +112,6 @@ class CoefficientEngine:
         self.side = side
         self.table_order = 4 if surface.is_radial else 2
         self.delta0 = d0 = surface.delta0
-        self.fd_step = FD_STEP_FRACTION * d0
 
         # padded uniform grids, tau containing 0 exactly; every level takes
         # two more derivatives of the last, and spline derivatives are least
@@ -255,21 +255,22 @@ class CoefficientEngine:
                                   f"{self.table_order})")
         return self._tables[j]
 
-    def _read(self, table, X) -> np.ndarray:
+    def _read(self, table, X, dtau: int) -> np.ndarray:
+        """A table (or its dtau-th tau-derivative) at collar points."""
         q, tau = self._table_coords(X)
         if self.surface.is_radial:
-            return np.asarray(table(tau), dtype=float)
-        return table.ev(q, tau)
+            return np.asarray(table(tau, dtau), dtype=float)
+        return table.ev(q, tau, dy=dtau)
 
     def field(self, j: int, X) -> np.ndarray:
         """A_j evaluated at arbitrary collar points (j <= table order)."""
         if j == 0:
             return self.a0(X)
-        return self._read(self._table(j), X)
+        return self._read(self._table(j), X, 0)
 
     def j_integral(self, X) -> np.ndarray:
         """The forcing integral J = int_0^delta W, so that A_{n,+-} = A_n +- J."""
-        return self._read(self._j_table, X)
+        return self._read(self._j_table, X, 0)
 
     def field_pm(self, n: int, sign: int, X) -> np.ndarray:
         return self.field(n, X) + sign * self.j_integral(X)
@@ -314,16 +315,15 @@ class CoefficientEngine:
         return (self._chart_laplacian(self._table(n), q, tau)
                 + sign * self._chart_laplacian(self._j_table, q, tau))
 
-    def tau_derivative(self, fieldfunc, X, h: Optional[float] = None) -> np.ndarray:
-        """grad(delta) . grad(field) by central differences along the ray."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        h = self.fd_step if h is None else h
-        Z, delta, side_pt = self.surface.project_batch(X)
-        if np.any(delta < 2 * h):
-            raise InvalidArgument("tau derivative needs delta > 2h; use the "
-                                  "boundary formulas at the surface itself")
-        e = (X - Z) / delta[:, None]
-        return (fieldfunc(X + h * e) - fieldfunc(X - h * e)) / (2.0 * h)
+    def ray_derivative(self, j: int, X) -> np.ndarray:
+        """dA_j/dtau = grad(delta) . grad(A_j) at collar points, exact for
+        the tables; A_0 has the closed form -1/2 Lap(delta) A_0."""
+        if j == 0:
+            return -0.5 * self.lap_signed_distance(X) * self.a0(X)
+        return self._read(self._table(j), X, 1)
+
+    def ray_derivative_pm(self, n: int, sign: int, X) -> np.ndarray:
+        return self.ray_derivative(n, X) + sign * self._read(self._j_table, X, 1)
 
 
 @lru_cache(maxsize=None)
@@ -359,8 +359,7 @@ class WkbCoefficientTable:
 
 
 def compute_coefficients(surface: Surface, q, n: int, side: int = -1,
-                         taus=None, engine: Optional[CoefficientEngine] = None
-                         ) -> WkbCoefficientTable:
+                         taus=None) -> WkbCoefficientTable:
     """Fill the ray table (A_0 .. A_{n-1}, A_{n,+-}) through footpoint q.
 
     q is the surface parameter of the footpoint (ignored for radial
@@ -370,7 +369,7 @@ def compute_coefficients(surface: Surface, q, n: int, side: int = -1,
     """
     if n < 1:
         raise InvalidArgument("order n must be >= 1")
-    eng = engine if engine is not None else coefficient_engine(surface, side)
+    eng = coefficient_engine(surface, side)
     if n > eng.table_order + 1:
         raise InvalidArgument(f"order {n} needs table order >= {n - 1}")
     if taus is None:
@@ -406,44 +405,46 @@ def _coeff_on_ray(eng: CoefficientEngine, j: int, q, taus, pts) -> np.ndarray:
 
 
 def gradient_identity_residual(surface: Surface, j: int, x, side: int = -1,
-                               sign: int = 0,
-                               n: Optional[int] = None,
-                               engine: Optional[CoefficientEngine] = None) -> float:
-    """Residual of the ray-derivative identity for A_j (or A_{n,+-}).
+                               sign: int = 0) -> float:
+    """Residual of the ray-derivative identity for A_j (or A_{j,+-}).
 
     Checks d A_j/dtau + 1/2 Lap(delta) A_j - 1/2 Lap A_{j-1} (-+ 1 for the
     forced top coefficient) at a collar point x.  The left side is a fresh
-    central difference along the ray; everything on the right comes from
-    the table machinery, so the residual measures the end-to-end
-    consistency of the recursion.  Contract: O(h^2) plus quadrature noise,
-    with h = IDENTITY_STEP.
+    central difference along the ray, not the tables' own tau-derivative;
+    everything on the right comes from the table machinery, so the residual
+    measures the end-to-end consistency of the recursion.  Contract: O(h^2)
+    plus quadrature noise, with h = IDENTITY_STEP; x must lie at least 2h
+    from the surface.
     """
-    eng = engine if engine is not None else coefficient_engine(surface, side)
+    eng = coefficient_engine(surface, side)
     X = np.atleast_2d(np.asarray(x, dtype=float))
-    nn = j if sign == 0 else (j if n is None else n)
 
-    if nn <= eng.table_order:
-        base = (lambda P: eng.field(nn, P)) if sign == 0 else \
-               (lambda P: eng.field_pm(nn, sign, P))
+    if j <= eng.table_order:
+        def fieldfunc(P):
+            return eng.field(j, P) if sign == 0 else eng.field_pm(j, sign, P)
     else:
         # one order past the tables: the identity only probes points on the
         # ray through x, so a single-ray profile suffices
         qx, _, _, _ = eng.signed_coords(X)
-        ray_spline = _ray_profile_spline(eng, nn, float(qx[0]))
+        ray_spline = _ray_profile_spline(eng, j, float(qx[0]))
 
-        def base(P):
+        def fieldfunc(P):
             _, taup, _, _ = eng.signed_coords(np.atleast_2d(P))
             vals = np.asarray(ray_spline(taup), dtype=float)
             if sign != 0:
                 vals = vals + sign * eng.j_integral(P)
             return vals
 
-    fieldfunc = base
-    lap_prev = eng.laplacian(nn - 1, X)[0] if nn >= 1 else 0.0
-    forcing = float(sign)
-    lhs = eng.tau_derivative(fieldfunc, X, h=IDENTITY_STEP)[0]
+    h = IDENTITY_STEP
+    Z, delta, _ = surface.project_batch(X)
+    if np.any(delta < 2 * h):
+        raise InvalidArgument("the identity check needs delta > 2h; the "
+                              "central difference would cross the surface")
+    e = (X - Z) / delta[:, None]
+    lhs = ((fieldfunc(X + h * e) - fieldfunc(X - h * e)) / (2.0 * h))[0]
+    lap_prev = eng.laplacian(j - 1, X)[0] if j >= 1 else 0.0
     dd = eng.lap_signed_distance(X)[0]
-    rhs = -0.5 * dd * fieldfunc(X)[0] + 0.5 * lap_prev + forcing
+    rhs = -0.5 * dd * fieldfunc(X)[0] + 0.5 * lap_prev + float(sign)
     return abs(lhs - rhs)
 
 
@@ -523,22 +524,22 @@ def _s_terms(eng: CoefficientEngine, X, n: int, sign: int) -> list:
 
 
 def _s_sum(terms: list, q: float) -> np.ndarray:
-    """S = A_0 + sum q^j A_j + q^n A_{n,+-} from the table reads."""
+    """S = A_0 + sum q^j A_j + q^n A_{n,+-} from the table reads (or the
+    same sum of their derivatives or Laplacians)."""
     S = terms[0].copy()
     for j, a in enumerate(terms[1:], start=1):
         S += q ** j * a
     return S
 
 
-def _f_value(b: float, mu: float, tau, terms: list) -> float:
-    """f = b e^{-mu tau} S at the first point of the reads."""
-    return float(b * math.exp(-mu * tau[0]) * _s_sum(terms, 1.0 / mu)[0])
+def _f_values(b: float, mu: float, tau, terms: list) -> np.ndarray:
+    """f = b e^{-mu tau} S at every point of the reads."""
+    return b * np.exp(-mu * tau) * _s_sum(terms, 1.0 / mu)
 
 
 def barrier_f(surface: Surface, medium: TwoPhaseMedium, x, lam: float, n: int,
-              sign: int, side: int = -1,
-              engine: Optional[CoefficientEngine] = None) -> float:
-    """Barrier value f_{n,+-}(x, lambda) on the given side.
+              sign: int, side: int = -1) -> np.ndarray:
+    """Barrier values f_{n,+-}(x, lambda) on the given side, one per point.
 
     On the Omega side this approximates w itself and equals k on the
     surface; on the outer side it approximates 1 - w and equals 1 - k
@@ -547,55 +548,46 @@ def barrier_f(surface: Surface, medium: TwoPhaseMedium, x, lam: float, n: int,
     """
     if not (lam > 0.0):
         raise InvalidArgument(f"lambda must be positive, got {lam!r}")
-    eng = engine if engine is not None else coefficient_engine(surface, side)
-    sigma = medium.side_conductivity(side)
-    mu = math.sqrt(lam / sigma)
+    eng = coefficient_engine(surface, side)
+    mu = math.sqrt(lam / medium.side_conductivity(side))
     X = np.atleast_2d(np.asarray(x, dtype=float))
     _, tau, _, _ = eng.signed_coords(X)
-    return _f_value(_side_value(medium, side), mu, tau,
-                    _s_terms(eng, X, n, sign))
+    return _f_values(_side_value(medium, side), mu, tau,
+                     _s_terms(eng, X, n, sign))
 
 
 def elliptic_residual(surface: Surface, medium: TwoPhaseMedium, x, lam: float,
-                      n: int, sign: int, side: int = -1,
-                      engine: Optional[CoefficientEngine] = None
-                      ) -> tuple[float, float]:
-    """(sigma Lap f - lambda f, predicted right side) at a collar point.
+                      n: int, sign: int, side: int = -1
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma Lap f - lambda f, predicted right side) at collar points.
 
-    The two must agree up to stencil and table error; for lambda past the
-    calibrated threshold the common value is strictly negative for the +
-    barrier and strictly positive for the - barrier.
+    One value per point in each array.  The left side assembles the
+    Laplacian of e^{-mu delta} S from the tables' exact ray derivatives and
+    chart Laplacians, so the two agree to table accuracy, the surface
+    included; for lambda past the calibrated threshold the common value is
+    strictly negative for the + barrier and strictly positive for the -
+    barrier.
     """
     if not (lam > 0.0):
         raise InvalidArgument(f"lambda must be positive, got {lam!r}")
-    eng = engine if engine is not None else coefficient_engine(surface, side)
+    eng = coefficient_engine(surface, side)
     sigma = medium.side_conductivity(side)
     mu = math.sqrt(lam / sigma)
     q = 1.0 / mu
-    b = _side_value(medium, side)
     X = np.atleast_2d(np.asarray(x, dtype=float))
     _, tau, _, _ = eng.signed_coords(X)
-    dd = eng.lap_signed_distance(X)[0]
+    dd = eng.lap_signed_distance(X)
 
-    S = _s_sum(_s_terms(eng, X, n, sign), q)[0]
-    lap_S = eng.laplacian(0, X)[0]
-    for j in range(1, n):
-        lap_S += q ** j * eng.laplacian(j, X)[0]
-    lap_pm = eng.laplacian_pm(n, sign, X)[0]
-    lap_S += q ** n * lap_pm
-
-    if tau[0] >= 2 * eng.fd_step:
-        s_tau = eng.tau_derivative(
-            lambda P: _s_sum(_s_terms(eng, P, n, sign), q), X)[0]
-    else:
-        # surface limit of dS/dtau from the ray-derivative identities
-        s_tau = -0.5 * dd * S
-        s_tau += sum(q ** j * 0.5 * eng.laplacian(j - 1, X)[0] for j in range(1, n))
-        s_tau += q ** n * (0.5 * eng.laplacian(n - 1, X)[0] + sign)
+    S = _s_sum(_s_terms(eng, X, n, sign), q)
+    s_tau = _s_sum([eng.ray_derivative(j, X) for j in range(n)]
+                   + [eng.ray_derivative_pm(n, sign, X)], q)
+    lap_pm = eng.laplacian_pm(n, sign, X)
+    lap_S = _s_sum([eng.laplacian(j, X) for j in range(n)] + [lap_pm], q)
 
     # the mu^2 S term cancels against lambda f exactly; assemble without it
-    lhs = b * sigma * math.exp(-mu * tau[0]) * (-mu * dd * S - 2.0 * mu * s_tau + lap_S)
-    rhs = b * sigma * q ** (n - 1) * math.exp(-mu * tau[0]) * (-2.0 * sign + q * lap_pm)
+    scale = _side_value(medium, side) * sigma * np.exp(-mu * tau)
+    lhs = scale * (-mu * dd * S - 2.0 * mu * s_tau + lap_S)
+    rhs = scale * q ** (n - 1) * (-2.0 * sign + q * lap_pm)
     return lhs, rhs
 
 
@@ -618,7 +610,9 @@ def calibrate_thresholds(surface: Surface, medium: TwoPhaseMedium, n: int,
     as the smallest rate for which (a) the residual sign pattern holds on a
     sample of collar points for both signs and (b) the far-wall bound
     max(|f_+|, |f_-|, outer_w) <= e^{-eta_n sqrt(lambda)} holds.  outer_w,
-    if given, is a callable lambda -> |w| at the far collar wall.
+    if given, is a callable lambda -> |w| at the far collar wall.  engine,
+    if given, must be `coefficient_engine(surface, side)`; no caller in
+    the package passes it.
     """
     eng = engine if engine is not None else coefficient_engine(surface, side)
     sigma = medium.side_conductivity(side)
@@ -651,7 +645,7 @@ def calibrate_thresholds(surface: Surface, medium: TwoPhaseMedium, n: int,
             bracket = -2.0 * sign + q_rate * lap_pm
             if np.any(sign * bracket >= 0.0):
                 return False
-            if abs(_f_value(b, mu, wall_tau, wall_terms)) > bound:
+            if np.any(np.abs(_f_values(b, mu, wall_tau, wall_terms)) > bound):
                 return False
         return True
 
@@ -672,27 +666,24 @@ def calibrate_thresholds(surface: Surface, medium: TwoPhaseMedium, n: int,
 
 
 def barrier_w(surface: Surface, medium: TwoPhaseMedium, x, lam: float, n: int,
-              sign: int, side: int = -1, corrector=None,
-              thresholds: Optional[BarrierThresholds] = None,
-              engine: Optional[CoefficientEngine] = None) -> float:
-    """Corrected barrier w_{n,+-} = f_{n,+-} +- psi e^{-eta_n sqrt(lambda)}.
+              sign: int, side: int = -1, *, corrector,
+              thresholds: BarrierThresholds) -> np.ndarray:
+    """Corrected barrier w_{n,+-} = f_{n,+-} +- psi e^{-eta_n sqrt(lambda)},
+    one value per point.
 
     Equals the interface constant on the surface for both signs; for
     lambda >= lambda_n the pair encloses the exact solution pointwise.
+    `corrector` supplies psi(tau) on this side's collar and `thresholds`
+    comes from `calibrate_thresholds`.
     """
-    eng = engine if engine is not None else coefficient_engine(surface, side)
-    if thresholds is None:
-        thresholds = calibrate_thresholds(surface, medium, n, side, engine=eng)
     if lam < thresholds.lam_min:
         raise InvalidArgument(
             f"lambda = {lam:g} is below the calibrated threshold "
             f"{thresholds.lam_min:g}")
-    if corrector is None:
-        corrector = SlabCorrector(eng.delta0)
     X = np.atleast_2d(np.asarray(x, dtype=float))
-    _, tau, _, _ = eng.signed_coords(X)
-    f = barrier_f(surface, medium, x, lam, n, sign, side, engine=eng)
-    return f + sign * float(corrector.psi(tau[0])) * math.exp(
+    _, tau, _, _ = coefficient_engine(surface, side).signed_coords(X)
+    f = barrier_f(surface, medium, X, lam, n, sign, side)
+    return f + sign * corrector.psi(tau) * math.exp(
         -thresholds.eta * math.sqrt(lam))
 
 
@@ -714,8 +705,7 @@ class NearBoundaryFit:
     values: np.ndarray
 
 
-def near_boundary_law(surface: Surface, q, s: int, p: int, side: int = -1,
-                      engine: Optional[CoefficientEngine] = None
+def near_boundary_law(surface: Surface, q, s: int, p: int, side: int = -1
                       ) -> NearBoundaryFit:
     """Fit Lap A_s ~ c delta^(p-2-s) near the surface and compare with theory.
 
@@ -727,7 +717,7 @@ def near_boundary_law(surface: Surface, q, s: int, p: int, side: int = -1,
     """
     if not (0 <= s <= p - 2):
         raise InvalidArgument("need 0 <= s <= p-2")
-    eng = engine if engine is not None else coefficient_engine(surface, side)
+    eng = coefficient_engine(surface, side)
     deltas = np.geomspace(1e-3 * eng.delta0, 1e-1 * eng.delta0, 13)
     pts = eng.ray_points(q, deltas)
     vals = eng.laplacian(s, pts)
@@ -748,11 +738,10 @@ def near_boundary_law(surface: Surface, q, s: int, p: int, side: int = -1,
                            deltas=deltas, values=vals)
 
 
-def boundary_laplacians(surface: Surface, q, j_max: int, side: int = -1,
-                        engine: Optional[CoefficientEngine] = None
+def boundary_laplacians(surface: Surface, q, j_max: int, side: int = -1
                         ) -> np.ndarray:
     """Surface limits of Lap A_j for j = 0..j_max, by small-delta extrapolation."""
-    eng = engine if engine is not None else coefficient_engine(surface, side)
+    eng = coefficient_engine(surface, side)
     deltas = np.geomspace(1e-3 * eng.delta0, 8e-2 * eng.delta0, 9)
     pts = eng.ray_points(q, deltas)
     out = np.empty(j_max + 1)
@@ -763,12 +752,11 @@ def boundary_laplacians(surface: Surface, q, j_max: int, side: int = -1,
 
 
 def boundary_normal_derivative(surface: Surface, medium: TwoPhaseMedium,
-                               lam: float, n: int, sign: int, q=0.0,
+                               lam, n: int, sign: int, q=0.0,
                                side: int = -1, corrector=None,
-                               eta: Optional[float] = None,
-                               engine: Optional[CoefficientEngine] = None,
-                               lap_boundary: Optional[np.ndarray] = None) -> float:
-    """Conormal derivative of the corrected barrier at the surface.
+                               eta: Optional[float] = None) -> np.ndarray:
+    """Conormal derivative of the corrected barrier at the surface, one
+    value per rate in `lam`.
 
     Returns D such that sigma_side * D equals sigma_s dw/dnu from inside
     (side -1) or sigma_m dw/dnu from outside (side +1).  Explicitly
@@ -776,21 +764,20 @@ def boundary_normal_derivative(surface: Surface, medium: TwoPhaseMedium,
         D = b [ mu + Lap(delta)/2 - 1/2 sum_{j=1}^n q^j Lap A_{j-1} - sign q^n ]
             - sign psi'(0) e^{-eta sqrt(lambda)},
 
-    with b the side's interface value and q = sqrt(sigma/lambda); the +- pair
-    brackets the exact conormal derivative.
+    with b the side's interface value, q = sqrt(sigma/lambda) and the
+    surface limits Lap A_{j-1} from `boundary_laplacians`; the +- pair
+    brackets the exact conormal derivative.  The corrector term enters
+    only when both `corrector` and `eta` are given.
     """
-    eng = engine if engine is not None else coefficient_engine(surface, side)
-    sigma = medium.side_conductivity(side)
-    mu = math.sqrt(lam / sigma)
+    eng = coefficient_engine(surface, side)
+    lam = np.asarray(lam, dtype=float)
+    mu = np.sqrt(lam / medium.side_conductivity(side))
     qq = 1.0 / mu
-    b = _side_value(medium, side)
-    if lap_boundary is None:
-        lap_boundary = boundary_laplacians(surface, q, n - 1, side, engine=eng)
-    dd0 = eng.boundary_mean_term(q)
-    val = mu + 0.5 * dd0
+    lap_boundary = boundary_laplacians(surface, q, n - 1, side)
+    val = mu + 0.5 * eng.boundary_mean_term(q)
     val -= 0.5 * sum(qq ** j * lap_boundary[j - 1] for j in range(1, n + 1))
     val -= sign * qq ** n
-    out = b * val
+    out = _side_value(medium, side) * val
     if corrector is not None and eta is not None:
-        out -= sign * corrector.surface_slope * math.exp(-eta * math.sqrt(lam))
+        out -= sign * corrector.surface_slope * np.exp(-eta * np.sqrt(lam))
     return out

@@ -135,8 +135,7 @@ def test_gradient_identities_j_up_to_three(name):
     for q, frac in samples:
         p = eng.ray_points(q, np.array([frac * eng.delta0]))[0]
         for j in range(4):
-            res = wkb.gradient_identity_residual(surface, j, p, side=-1,
-                                                 engine=eng)
+            res = wkb.gradient_identity_residual(surface, j, p, side=-1)
             assert res < 1e-4, (name, j, q, frac, res)
 
 
@@ -145,7 +144,7 @@ def test_gradient_identity_forced_variant():
     p = eng.ray_points(0.0, np.array([0.4]))[0]
     for sign in (+1, -1):
         res = wkb.gradient_identity_residual(CYLINDER, 2, p, side=-1,
-                                             sign=sign, engine=eng)
+                                             sign=sign)
         assert res < 1e-4
 
 
@@ -154,7 +153,7 @@ def test_gradient_identity_sphere_j0_symbolic():
     # unit sphere from inside
     eng = wkb.coefficient_engine(SPHERE, -1)
     p = eng.ray_points(0.0, np.array([0.1]))[0]
-    lhs = eng.tau_derivative(lambda P: eng.a0(P), p[None, :], h=1e-4)[0]
+    lhs = eng.ray_derivative(0, p[None, :])[0]
     assert lhs == pytest.approx((1 - 0.1) ** -2, rel=1e-6)
 
 
@@ -255,7 +254,7 @@ def test_barrier_large_rate_limit():
     x = np.array([0.0, 0.995, 0.0])
     eng = wkb.coefficient_engine(SPHERE, -1)
     lam = 1e8
-    f = wkb.barrier_f(SPHERE, MED, x, lam, 1, +1, engine=eng)
+    f = wkb.barrier_f(SPHERE, MED, x, lam, 1, +1)
     leading = MED.k * math.exp(-math.sqrt(lam) * 0.005) * eng.a0(x[None, :])[0]
     assert f / leading == pytest.approx(1.0, abs=1e-3)
 
@@ -281,8 +280,7 @@ def test_elliptic_residual_sphere_agreement():
     for tau in (0.1, 0.3):
         p = eng.ray_points(0.0, np.array([tau]))[0]
         for sign in (+1, -1):
-            lhs, rhs = wkb.elliptic_residual(SPHERE, MED, p, 1e4, 1, sign,
-                                             engine=eng)
+            lhs, rhs = wkb.elliptic_residual(SPHERE, MED, p, 1e4, 1, sign)
             assert abs(lhs - rhs) < 1e-4 * abs(rhs)
             assert sign * lhs < 0.0
 
@@ -291,28 +289,64 @@ def test_elliptic_residual_on_surface_reduces():
     z = np.array([1.0, 0.0, 0.0])
     eng = wkb.coefficient_engine(SPHERE, -1)
     for sign in (+1, -1):
-        lhs, rhs = wkb.elliptic_residual(SPHERE, MED, z, 400.0, 1, sign,
-                                         engine=eng)
+        lhs, rhs = wkb.elliptic_residual(SPHERE, MED, z, 400.0, 1, sign)
         lap_pm = eng.laplacian_pm(1, sign, z[None, :])[0]
         expect = MED.k * 1.0 * (-2.0 * sign + lap_pm / 20.0)
         assert rhs == pytest.approx(expect, rel=1e-10)
         assert lhs == pytest.approx(expect, rel=1e-8)
 
 
+@pytest.mark.parametrize("name", ["helicoid", "catenoid", "cylinder"])
+@pytest.mark.parametrize("side", [-1, +1])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_elliptic_residual_identity_closes(name, side, n, sign):
+    # exact ray derivatives: the two sides agree to table accuracy from the
+    # surface itself to deep in the collar, with no step error times 2 mu
+    surface = ALL[name]
+    eng = wkb.coefficient_engine(surface, side)
+    taus = np.array([0.0, 1e-3, 0.2, 0.7]) * eng.delta0
+    qs = [0.0] if surface.is_radial else [-0.4, 0.0, 0.3]
+    X = np.concatenate([eng.ray_points(q, taus) for q in qs])
+    lhs, rhs = wkb.elliptic_residual(surface, MED, X, 1e4, n, sign, side)
+    assert lhs.shape == rhs.shape == (len(X),)
+    assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) <= 1e-6
+
+
+def test_barrier_functions_return_one_value_per_point():
+    eng = wkb.coefficient_engine(SPHERE, -1)
+    th = wkb.calibrate_thresholds(SPHERE, MED, 1)
+    corr = wkb.RadialCorrector(R=1.0, d=3, side=-1, delta0=eng.delta0)
+    X = eng.ray_points(0.0, np.array([0.1, 0.4, 0.8]) * eng.delta0)
+    calls = [
+        lambda P: wkb.barrier_f(SPHERE, MED, P, 1e4, 2, +1),
+        lambda P: wkb.barrier_w(SPHERE, MED, P, 1e4, 1, -1, corrector=corr,
+                                thresholds=th),
+        lambda P: wkb.elliptic_residual(SPHERE, MED, P, 1e4, 2, +1)[0],
+        lambda P: wkb.elliptic_residual(SPHERE, MED, P, 1e4, 2, -1)[1],
+    ]
+    for call in calls:
+        batch = call(X)
+        assert np.shape(batch) == (3,)
+        assert len(set(batch.tolist())) == 3
+        for i in range(3):
+            assert batch[i] == call(X[i])[0]
+
+
 def test_threshold_calibration_and_barrier_w():
     eng = wkb.coefficient_engine(SPHERE, -1)
-    th = wkb.calibrate_thresholds(SPHERE, MED, 1, engine=eng)
+    th = wkb.calibrate_thresholds(SPHERE, MED, 1)
     assert th.eta == pytest.approx(0.5 * eng.delta0, rel=1e-12)
     assert 0.0 < th.lam_min < 1e3
     corr = wkb.RadialCorrector(R=1.0, d=3, side=-1, delta0=eng.delta0)
     z = np.array([1.0, 0.0, 0.0])
     for sign in (+1, -1):
         val = wkb.barrier_w(SPHERE, MED, z, 1e4, 1, sign, corrector=corr,
-                            thresholds=th, engine=eng)
+                            thresholds=th)
         assert val == pytest.approx(MED.k, abs=1e-14)
     with pytest.raises(InvalidArgument):
         wkb.barrier_w(SPHERE, MED, z, 0.5 * th.lam_min, 1, +1, corrector=corr,
-                      thresholds=th, engine=eng)
+                      thresholds=th)
 
 
 def test_threshold_not_found_when_the_wall_bound_never_holds():
@@ -339,8 +373,8 @@ def _reference_thresholds(surface, n, side, eng):
                 bracket = -2.0 * sign + q_rate * eng.laplacian_pm(n, sign, pts)
                 if np.any(sign * bracket >= 0.0):
                     return False
-                if abs(wkb.barrier_f(surface, MED, wall, lam, n, sign, side,
-                                     engine=eng)) > bound:
+                if abs(wkb.barrier_f(surface, MED, wall, lam, n, sign,
+                                     side)[0]) > bound:
                     return False
         return True
 
@@ -363,20 +397,20 @@ def test_calibration_reads_once_without_changing_thresholds(name, side):
     surface = ALL[name]
     eng = wkb.coefficient_engine(surface, side)
     for n in (1, 2):
-        th = wkb.calibrate_thresholds(surface, MED, n, side=side, engine=eng)
+        th = wkb.calibrate_thresholds(surface, MED, n, side=side)
         assert th == _reference_thresholds(surface, n, side, eng)
 
 
 def test_barrier_w_outer_wall_ordering():
     eng = wkb.coefficient_engine(PLANE, -1)
-    th = wkb.calibrate_thresholds(PLANE, MED, 1, engine=eng)
+    th = wkb.calibrate_thresholds(PLANE, MED, 1)
     lam = max(1e4, 2.0 * th.lam_min)
     x = np.array([eng.delta0, 0.0, 0.0])
     corr = wkb.SlabCorrector(eng.delta0)
     wp = wkb.barrier_w(PLANE, MED, x, lam, 1, +1, corrector=corr,
-                       thresholds=th, engine=eng)
+                       thresholds=th)
     wm = wkb.barrier_w(PLANE, MED, x, lam, 1, -1, corrector=corr,
-                       thresholds=th, engine=eng)
+                       thresholds=th)
     bound = math.exp(-th.eta * math.sqrt(lam))
     assert wp >= bound
     assert wm <= -bound + 2e-16

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -144,14 +145,14 @@ def run_kernel1d(config: dict, outdir: str) -> int:
     }
     cfg = _merge_config(defaults, config, "kernel1d")
     med = _medium_from(cfg["medium"])
-    rows = []
-    worst = 0.0
-    for x1 in cfg["x1"]:
-        for t in cfg["t"]:
-            uq = k1.halfline_quadrature(float(x1), float(t), med)
-            uc = k1.halfline_closed_form(float(x1), float(t), med)
-            worst = max(worst, abs(uq - uc))
-            rows.append((x1, t, uq, uc, abs(uq - uc)))
+    X, T = np.meshgrid(np.asarray(cfg["x1"], dtype=float),
+                       np.asarray(cfg["t"], dtype=float), indexing="ij")
+    uq, uc = k1.halfline_quadrature(X, T, med), k1.halfline_closed_form(X, T, med)
+    diff = np.abs(uq - uc)
+    worst = float(diff.max(initial=0.0))
+    rows = [(x1, t, *vals) for (x1, t), *vals in zip(
+        itertools.product(cfg["x1"], cfg["t"]), uq.ravel().tolist(),
+        uc.ravel().tolist(), diff.ravel().tolist())]
     path = os.path.join(outdir, "kernel1d.csv")
     _write_csv(path, ["x1", "t", "u_quadrature", "u_closed_form", "abs_diff"],
                rows)
@@ -253,7 +254,7 @@ def run_wkb(config: dict, outdir: str) -> int:
         row += [table.An_plus[i], table.An_minus[i]]
         if tau > 2 * h and tau < eng.delta0 - 2 * h:
             p = eng.ray_points(cfg["q"], np.array([tau]))[0]
-            res = max(wkb.gradient_identity_residual(surf, j, p, side=side)
+            res = max(wkb.gradient_identity_residual(surf, j, p, side=side)[0]
                       for j in range(min(n, eng.table_order) + 1))
             row.append(res)
         else:

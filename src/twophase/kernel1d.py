@@ -49,82 +49,81 @@ def _amplitudes(medium: TwoPhaseMedium):
     return a, m, refl_m, refl_s, trans_m, trans_s
 
 
-def eval_kernel(x1: float, y1, t: float, medium: TwoPhaseMedium):
-    """Two-phase heat kernel G(x1, y1, t); vectorized over y1.
+def eval_kernel(x1, y1, t, medium: TwoPhaseMedium):
+    """Two-phase heat kernel G(x1, y1, t), broadcast over x1, y1 and t.
 
     Nonnegative, continuous in y1 across y1 = 0, and of unit mass in y1
-    for every x1 and t > 0.
+    for every x1 and t > 0.  Returns a float when every argument is a
+    scalar; raises InvalidArgument unless every t is positive.
     """
-    if not (t > 0.0):
-        raise InvalidArgument(f"t must be positive, got {t!r}")
     a, m, refl_m, refl_s, trans_m, trans_s = _amplitudes(medium)
-    ss, sm = medium.sigma_s, medium.sigma_m
-    y1 = np.asarray(y1, dtype=float)
-
-    if x1 <= 0.0:
-        same = gaussian_kernel(x1 - y1, t, sm) + refl_m * gaussian_kernel(x1 + y1, t, sm)
-        cross = trans_m * gaussian_kernel(x1 - (m / a) * y1, t, sm)
-        val = np.where(y1 <= 0.0, same, cross)
-    else:
-        same = gaussian_kernel(x1 - y1, t, ss) + refl_s * gaussian_kernel(x1 + y1, t, ss)
-        cross = trans_s * gaussian_kernel(x1 - (a / m) * y1, t, ss)
-        val = np.where(y1 > 0.0, same, cross)
+    x1, y1 = np.asarray(x1, dtype=float), np.asarray(y1, dtype=float)
+    warm = x1 <= 0.0  # target on the sigma_m side
+    sigma = np.where(warm, medium.sigma_m, medium.sigma_s)
+    same = gaussian_kernel(x1 - y1, t, sigma) + \
+        np.where(warm, refl_m, refl_s) * gaussian_kernel(x1 + y1, t, sigma)
+    cross = np.where(warm, trans_m, trans_s) * \
+        gaussian_kernel(x1 - np.where(warm, m / a, a / m) * y1, t, sigma)
+    val = np.where((y1 <= 0.0) == warm, same, cross)
     return val if val.ndim else float(val)
 
 
-def halfline_closed_form(x1: float, t: float, medium: TwoPhaseMedium) -> float:
-    """Closed form of integral of G(x1, ., t) over y1 <= 0 via erfc."""
-    if not (t > 0.0):
+def _check_times(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0.0):
         raise InvalidArgument(f"t must be positive, got {t!r}")
-    a, m, refl_m, _, _, _ = _amplitudes(medium)
-    if x1 >= 0.0:
-        k = interface_constant(medium)
-        return k * float(erfc(x1 / (2.0 * math.sqrt(t * medium.sigma_s))))
-    xi = x1 / (2.0 * math.sqrt(t * medium.sigma_m))
-    return 0.5 * float(erfc(xi)) + refl_m * 0.5 * float(erfc(-xi))
+    return t
 
 
-def halfline_quadrature(x1: float, t: float, medium: TwoPhaseMedium) -> float:
-    """Adaptive quadrature of G(x1, ., t) over y1 <= 0, to the absolute
-    tolerance `quadrature.DEFAULT_TOL`.
+def halfline_closed_form(x1, t, medium: TwoPhaseMedium):
+    """Closed form of integral of G(x1, ., t) over y1 <= 0 via erfc,
+    broadcast over x1 and t (a float for scalar arguments)."""
+    x1, t = np.asarray(x1, dtype=float), _check_times(t)
+    refl_m = _amplitudes(medium)[2]
+    cold = interface_constant(medium) * erfc(x1 / (2.0 * np.sqrt(t * medium.sigma_s)))
+    xi = x1 / (2.0 * np.sqrt(t * medium.sigma_m))
+    val = np.where(x1 >= 0.0, cold, 0.5 * erfc(xi) + refl_m * 0.5 * erfc(-xi))
+    return val if val.ndim else float(val)
+
+
+def halfline_quadrature(x1, t, medium: TwoPhaseMedium):
+    """Adaptive quadrature of G(x1, ., t) over y1 <= 0, broadcast over x1
+    and t, to the absolute tolerance `quadrature.DEFAULT_TOL` per point.
 
     The integrand is a sum of Gaussians in y1; the lower limit is truncated
-    40 standard deviations below the leftmost Gaussian center.
+    40 standard deviations below the leftmost Gaussian center.  The whole
+    grid is one `integrate_adaptive` batch, so it raises QuadratureFailure
+    if any point does; a float for scalar arguments.
     """
-    if not (t > 0.0):
-        raise InvalidArgument(f"t must be positive, got {t!r}")
+    x1, t = np.asarray(x1, dtype=float), _check_times(t)
     a, m, *_ = _amplitudes(medium)
-    if x1 <= 0.0:
-        # centers of the direct and image Gaussians in the y1 variable
-        centers = (x1, -x1)
-        width = math.sqrt(2.0 * t * medium.sigma_m)
-    else:
-        # stretched Gaussian: center where x1 - (a/m) y1 = 0
-        centers = ((m / a) * x1,)
-        width = (m / a) * math.sqrt(2.0 * t * medium.sigma_s)
-    lo = min(centers) - GAUSSIAN_CUTOFF_STD * width
-    lo = min(lo, -GAUSSIAN_CUTOFF_STD * width)
-
-    def f(y):
-        return eval_kernel(x1, y, t, medium)
-
-    return integrate_adaptive(f, lo, 0.0)
+    warm = x1 <= 0.0
+    # leftmost center: of the direct and image Gaussians (x1, -x1) on the
+    # sigma_m side, of the stretched one (x1 - (a/m) y1 = 0) on the other
+    center = np.where(warm, -np.abs(x1), (m / a) * x1)
+    width = np.where(warm, np.sqrt(2.0 * t * medium.sigma_m),
+                     (m / a) * np.sqrt(2.0 * t * medium.sigma_s))
+    lo = np.minimum(center - GAUSSIAN_CUTOFF_STD * width,
+                    -GAUSSIAN_CUTOFF_STD * width)
+    return integrate_adaptive(lambda y, x, s: eval_kernel(x, y, s, medium),
+                              lo, 0.0, x1, t)
 
 
-def halfline_solution(x1: float, t: float, medium: TwoPhaseMedium,
-                      tol: float = TWO_WAY_TOL) -> float:
+def halfline_solution(x1, t, medium: TwoPhaseMedium, tol: float = TWO_WAY_TOL):
     """Temperature of the half-line Cauchy solution, checked two ways.
 
-    Computes the closed form and the adaptive quadrature and raises
-    ConsistencyError if they disagree by more than tol; returns the
-    closed-form value.
+    Computes the closed form and the adaptive quadrature, broadcast over x1
+    and t, and raises ConsistencyError if they disagree by more than tol at
+    any point; returns the closed-form values (a float for scalars).
     """
     exact = halfline_closed_form(x1, t, medium)
-    quad = halfline_quadrature(x1, t, medium)
-    if abs(exact - quad) > tol:
+    diff = np.abs(exact - halfline_quadrature(x1, t, medium))
+    if np.any(diff > tol):
+        x1, t = np.broadcast_arrays(x1, t)
+        i = np.unravel_index(np.argmax(diff), np.shape(diff))
         raise ConsistencyError(
-            f"closed form {exact!r} and quadrature {quad!r} disagree at "
-            f"(x1={x1}, t={t}) by {abs(exact - quad):.3e}")
+            f"closed form and quadrature disagree at (x1={x1[i]}, t={t[i]}) "
+            f"by {np.max(diff):.3e}")
     return exact
 
 
@@ -152,20 +151,15 @@ def fit_decay_envelope(points, t_grid, medium: TwoPhaseMedium) -> DecayEstimate:
     envelope and are dropped; if everything underflows the fit is
     degenerate.
     """
-    ts, logs = [], []
     for x1, rho in points:
         if not (rho > 0.0 and abs(x1) >= rho * (1.0 - 1e-12)):
             raise InvalidArgument(f"point {x1!r} is closer than rho={rho!r} to the interface")
-        for t in t_grid:
-            u = halfline_closed_form(x1, t, medium)
-            v = u if x1 > 0.0 else 1.0 - u
-            if v > 0.0:
-                ts.append(t)
-                logs.append(math.log(v))
-    if len(ts) < 2:
+    X, T = np.meshgrid([x1 for x1, _ in points], t_grid, indexing="ij")
+    u = halfline_closed_form(X, T, medium)
+    v = np.where(X > 0.0, u, 1.0 - u)
+    if np.count_nonzero(v > 0.0) < 2:
         raise DegenerateFit("all sampled values underflowed; nothing to fit")
-    inv_t = 1.0 / np.asarray(ts)
-    logs = np.asarray(logs)
+    inv_t, logs = 1.0 / T[v > 0.0], np.log(v[v > 0.0])
     # least squares for log v = alpha - b / t
     design = np.column_stack([np.ones_like(inv_t), -inv_t])
     (alpha, b), *_ = np.linalg.lstsq(design, logs, rcond=None)

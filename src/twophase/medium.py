@@ -83,17 +83,17 @@ def interface_constant(medium: TwoPhaseMedium) -> float:
     return rm / (rs + rm)
 
 
-def gaussian_kernel(z, t: float, sigma: float):
+def gaussian_kernel(z, t, sigma):
     """One-phase heat kernel (4 pi t sigma)^(-1/2) exp(-z^2/(4 t sigma)).
 
     Even in z, unit mass in z for every t > 0, and obeys the scaling
     kernel(z, t, sigma) = kernel(z / sqrt(sigma), t, 1) / sqrt(sigma).
-    Accepts scalar or array z.
+    Broadcasts over z, t and sigma.
     """
-    if not (t > 0.0):
+    if not (np.asarray(t) > 0.0).all():
         raise InvalidArgument(f"t must be positive, got {t!r}")
-    if not (sigma > 0.0):
+    if not (np.asarray(sigma) > 0.0).all():
         raise InvalidArgument(f"sigma must be positive, got {sigma!r}")
     z = np.asarray(z, dtype=float)
-    val = np.exp(-(z * z) / (4.0 * t * sigma)) / math.sqrt(4.0 * math.pi * t * sigma)
+    val = np.exp(-(z * z) / (4.0 * t * sigma)) / np.sqrt(4.0 * math.pi * t * sigma)
     return val if val.ndim else float(val)

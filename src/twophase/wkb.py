@@ -405,16 +405,16 @@ def _coeff_on_ray(eng: CoefficientEngine, j: int, q, taus, pts) -> np.ndarray:
 
 
 def gradient_identity_residual(surface: Surface, j: int, x, side: int = -1,
-                               sign: int = 0) -> float:
+                               sign: int = 0) -> np.ndarray:
     """Residual of the ray-derivative identity for A_j (or A_{j,+-}).
 
     Checks d A_j/dtau + 1/2 Lap(delta) A_j - 1/2 Lap A_{j-1} (-+ 1 for the
-    forced top coefficient) at a collar point x.  The left side is a fresh
-    central difference along the ray, not the tables' own tau-derivative;
-    everything on the right comes from the table machinery, so the residual
-    measures the end-to-end consistency of the recursion.  Contract: O(h^2)
-    plus quadrature noise, with h = IDENTITY_STEP; x must lie at least 2h
-    from the surface.
+    forced top coefficient) at collar points x, one value per point.  The
+    left side is a fresh central difference along the ray, not the tables'
+    own tau-derivative; everything on the right comes from the table
+    machinery, so the residual measures the end-to-end consistency of the
+    recursion.  Contract: O(h^2) plus quadrature noise, with h =
+    IDENTITY_STEP; x must lie at least 2h from the surface.
     """
     eng = coefficient_engine(surface, side)
     X = np.atleast_2d(np.asarray(x, dtype=float))
@@ -424,13 +424,14 @@ def gradient_identity_residual(surface: Surface, j: int, x, side: int = -1,
             return eng.field(j, P) if sign == 0 else eng.field_pm(j, sign, P)
     else:
         # one order past the tables: the identity only probes points on the
-        # ray through x, so a single-ray profile suffices
+        # ray through each x, so one single-ray profile per point suffices
         qx, _, _, _ = eng.signed_coords(X)
-        ray_spline = _ray_profile_spline(eng, j, float(qx[0]))
+        ray_splines = [_ray_profile_spline(eng, j, float(q)) for q in qx]
 
         def fieldfunc(P):
-            _, taup, _, _ = eng.signed_coords(np.atleast_2d(P))
-            vals = np.asarray(ray_spline(taup), dtype=float)
+            _, taup, _, _ = eng.signed_coords(P)
+            vals = np.array([float(spline(tp))
+                             for spline, tp in zip(ray_splines, taup)])
             if sign != 0:
                 vals = vals + sign * eng.j_integral(P)
             return vals
@@ -441,11 +442,11 @@ def gradient_identity_residual(surface: Surface, j: int, x, side: int = -1,
         raise InvalidArgument("the identity check needs delta > 2h; the "
                               "central difference would cross the surface")
     e = (X - Z) / delta[:, None]
-    lhs = ((fieldfunc(X + h * e) - fieldfunc(X - h * e)) / (2.0 * h))[0]
-    lap_prev = eng.laplacian(j - 1, X)[0] if j >= 1 else 0.0
-    dd = eng.lap_signed_distance(X)[0]
-    rhs = -0.5 * dd * fieldfunc(X)[0] + 0.5 * lap_prev + float(sign)
-    return abs(lhs - rhs)
+    lhs = (fieldfunc(X + h * e) - fieldfunc(X - h * e)) / (2.0 * h)
+    lap_prev = eng.laplacian(j - 1, X) if j >= 1 else 0.0
+    dd = eng.lap_signed_distance(X)
+    rhs = -0.5 * dd * fieldfunc(X) + 0.5 * lap_prev + float(sign)
+    return np.abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import erfc
 
 from twophase import kernel1d as k1
@@ -140,3 +141,66 @@ def test_envelope_degenerate_when_everything_underflows():
 def test_envelope_rejects_inconsistent_distance():
     with pytest.raises(InvalidArgument):
         k1.fit_decay_envelope([(0.1, 0.5)], [0.1], MED)
+
+
+# -- the batched quadrature against the reference -------------------------------
+
+def _grid_30x30():
+    rng = np.random.default_rng(31)
+    x1 = np.sort(rng.uniform(-2.0, 2.0, 30))
+    t = np.sort(10.0 ** rng.uniform(-2.0, 1.0, 30))
+    return np.meshgrid(x1, t, indexing="ij")
+
+
+def test_batched_quadrature_matches_scipy_quad_and_closed_form():
+    X, T = _grid_30x30()
+    batch = k1.halfline_quadrature(X, T, MED)
+    assert batch.shape == (30, 30)
+    a, m = math.sqrt(MED.sigma_s), math.sqrt(MED.sigma_m)
+    worst = 0.0
+    for x1, t, value in zip(X.ravel(), T.ravel(), batch.ravel()):
+        # the documented lower limit: 40 widths below the leftmost center
+        if x1 <= 0.0:
+            width = math.sqrt(2.0 * t * MED.sigma_m)
+            lo = -abs(x1) - 40.0 * width
+        else:
+            lo = -40.0 * (m / a) * math.sqrt(2.0 * t * MED.sigma_s)
+        ref = quad(lambda y: k1.eval_kernel(x1, y, t, MED), lo, 0.0,
+                   epsabs=1e-12, epsrel=0.0, limit=200)[0]
+        worst = max(worst, abs(value - ref))
+    assert worst <= 1e-14
+    assert np.max(np.abs(batch - k1.halfline_closed_form(X, T, MED))) <= 1e-10
+
+
+def test_batched_quadrature_bitwise_equals_single_calls():
+    X, T = _grid_30x30()
+    batch = k1.halfline_quadrature(X, T, MED)
+    single = [k1.halfline_quadrature(x1, t, MED)
+              for x1, t in zip(X.ravel().tolist(), T.ravel().tolist())]
+    assert batch.ravel().tolist() == single
+
+
+def test_eval_kernel_arrays_equal_scalar_calls():
+    x1 = np.array([-0.7, 0.0, 0.4])[:, None, None]
+    y1 = np.array([-0.5, -1e-13, 0.0, 1e-13, 0.6])[None, :, None]
+    t = np.array([0.05, 1.0])[None, None, :]
+    grid = k1.eval_kernel(x1, y1, t, MED)
+    assert grid.shape == (3, 5, 2)
+    for i, j, k in np.ndindex(grid.shape):
+        single = k1.eval_kernel(float(x1[i, 0, 0]), float(y1[0, j, 0]),
+                                float(t[0, 0, k]), MED)
+        assert isinstance(single, float)
+        assert grid[i, j, k] == single
+    times = k1.eval_kernel(0.4, -1e-13, t.ravel(), MED)
+    assert times.tolist() == [k1.eval_kernel(0.4, -1e-13, s, MED) for s in t.ravel()]
+
+
+def test_halfline_functions_broadcast_and_reject_bad_times():
+    t = np.geomspace(1e-3, 1e3, 13)
+    np.testing.assert_array_equal(k1.halfline_solution(0.0, t, MED),
+                                  [k1.halfline_closed_form(0.0, s, MED) for s in t])
+    with pytest.raises(ConsistencyError):
+        k1.halfline_solution(np.array([0.0, 0.3]), 0.5, MED, tol=0.0)
+    for func in (k1.halfline_closed_form, k1.halfline_quadrature):
+        with pytest.raises(InvalidArgument):
+            func(np.zeros(2), np.array([1.0, 0.0]), MED)

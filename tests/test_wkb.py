@@ -148,6 +148,25 @@ def test_gradient_identity_forced_variant():
         assert res < 1e-4
 
 
+def test_gradient_identity_returns_one_value_per_point():
+    # a cylinder batch on and one past the tables (order 4), and a helicoid
+    # batch past its tables (order 2) on rays of different q, where each
+    # point needs its own ray profile
+    eng = wkb.coefficient_engine(CYLINDER, -1)
+    X = eng.ray_points(0.0, np.array([0.2, 0.5, 0.7]) * eng.delta0)
+    hel = wkb.coefficient_engine(HELICOID, -1)
+    Y = np.vstack([hel.ray_points(q, np.array([0.4 * hel.delta0]))
+                   for q in (-0.3, 0.1)])
+    for surface, j, sign, P in [(CYLINDER, 2, 0, X), (CYLINDER, 2, +1, X),
+                                (CYLINDER, 5, 0, X), (HELICOID, 3, 0, Y)]:
+        batch = wkb.gradient_identity_residual(surface, j, P, sign=sign)
+        assert np.shape(batch) == (len(P),)
+        assert len(set(batch.tolist())) == len(P)
+        for i in range(len(P)):
+            assert batch[i] == wkb.gradient_identity_residual(
+                surface, j, P[i], sign=sign)[0]
+
+
 def test_gradient_identity_sphere_j0_symbolic():
     # grad(delta) . grad(A_0) = -Lap(delta) A_0 / 2 = (1 - delta)^(-2) on the
     # unit sphere from inside

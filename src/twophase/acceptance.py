@@ -119,12 +119,12 @@ def criterion_wkb_identities() -> CriterionRecord:
         else:
             samples = [(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 0.3))
                        for _ in range(6)]
-        for q, tau in samples:
-            tau = tau * eng.delta0 / 0.4  # keep the fraction of the collar
-            p = eng.ray_points(q, np.array([tau]))[0]
-            for j in range(4):
-                worst = max(worst, wkb.gradient_identity_residual(
-                    surf, j, p, side=-1)[0])
+        # tau * delta0 / 0.4 keeps the fraction of the collar
+        pts = np.array([eng.ray_points(q, np.array([tau * eng.delta0 / 0.4]))[0]
+                        for q, tau in samples])
+        for j in range(4):
+            worst = max(worst, float(np.max(wkb.gradient_identity_residual(
+                surf, j, pts, side=-1))))
     return CriterionRecord(
         name="wkb-identities", passed=boundary_exact and worst < tol,
         expected="surface row (1,0,...,0); residuals 0",

@@ -247,18 +247,18 @@ def run_wkb(config: dict, outdir: str) -> int:
     table = wkb.compute_coefficients(surf, cfg["q"], n, side=side, taus=taus)
     header = (["tau"] + [f"A{j}" for j in range(n)]
               + [f"A{n}_plus", f"A{n}_minus", "residual_max"])
-    rows = []
+    # the identity residuals of every interior ray point, one call per j
     h = wkb.IDENTITY_STEP
+    inner = (taus > 2 * h) & (taus < eng.delta0 - 2 * h)
+    pts = eng.ray_points(cfg["q"], taus[inner])
+    residual = np.full(len(taus), float("nan"))
+    residual[inner] = np.max(
+        [wkb.gradient_identity_residual(surf, j, pts, side=side)
+         for j in range(min(n, eng.table_order) + 1)], axis=0)
+    rows = []
     for i, tau in enumerate(taus):
         row = [tau] + [table.A[j][i] for j in range(n)]
-        row += [table.An_plus[i], table.An_minus[i]]
-        if tau > 2 * h and tau < eng.delta0 - 2 * h:
-            p = eng.ray_points(cfg["q"], np.array([tau]))[0]
-            res = max(wkb.gradient_identity_residual(surf, j, p, side=side)[0]
-                      for j in range(min(n, eng.table_order) + 1))
-            row.append(res)
-        else:
-            row.append(float("nan"))
+        row += [table.An_plus[i], table.An_minus[i], residual[i]]
         rows.append(row)
     path = os.path.join(outdir, "wkb.csv")
     _write_csv(path, header, rows)

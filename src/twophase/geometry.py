@@ -252,23 +252,26 @@ class Cylinder(Surface):
 # minimal variants (parametric Newton projections)
 # ---------------------------------------------------------------------------
 
-def _newton_1d(fprime, fsecond, s0, X):
+def _newton_1d(gh, s0, X):
     """Damped vector Newton for the minima of a 1d objective per point of X.
 
-    At most 60 steps, each clipped to 0.25.  Raises NonConvergence unless
-    every point stops at a strict minimum: |f'| <= 1e-8 (1 + |x|^2) and
-    f'' > 0 where it stops.
+    gh(s) returns (f', f'') at every point.  At most 60 steps, each clipped
+    to 0.25.  A point stops moving once its own step is below 1e-15, so
+    where it stops depends on that point alone, not on the rest of the
+    batch.  Raises NonConvergence unless every point stops at a strict
+    minimum: |f'| <= 1e-8 (1 + |x|^2) and f'' > 0 where it stops.
     """
     s = np.asarray(s0, dtype=float).copy()
+    moving = np.ones(s.shape, dtype=bool)
     for _ in range(60):
-        g = fprime(s)
-        h = fsecond(s)
+        g, h = gh(s)
         h = np.where(h > 1e-9, h, 1e-9)  # objective is convex near the minimum
         step = np.clip(-g / h, -0.25, 0.25)
-        s = s + step
-        if np.max(np.abs(step)) < 1e-15:
+        s = np.where(moving, s + step, s)
+        moving &= ~(np.abs(step) < 1e-15)
+        if not np.any(moving):
             break
-    g, h = fprime(s), fsecond(s)
+    g, h = gh(s)
     ok = (np.abs(g) <= 1e-8 * (1.0 + np.sum(X * X, axis=1))) & (h > 0.0)
     if not np.all(ok):
         i = int(np.argmin(ok))
@@ -329,36 +332,31 @@ class Helicoid(Surface):
     def project_batch(self, X):
         X = np.asarray(X, dtype=float)
         x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
+        r2 = x1 * x1 + x2 * x2
 
-        def rho_of(s):
-            return x1 * np.cos(s) + x2 * np.sin(s)
-
-        def bb(s):
-            return -x1 * np.sin(s) + x2 * np.cos(s)
-
-        def dist2(s):
-            return x1 * x1 + x2 * x2 - rho_of(s) ** 2 + (x3 - s) ** 2
-
-        # the minimizer satisfies |s - x3| <= delta(x)
+        # the minimizer satisfies |s - x3| <= delta(x); scan 25 offsets o
+        # with x1 cos(x3 + o) + x2 sin(x3 + o) = A cos o + B sin o
         window = self.projection_radius + 0.05
         offsets = np.linspace(-window, window, 25)
+        c3, s3 = np.cos(x3), np.sin(x3)
+        A, B = x1 * c3 + x2 * s3, x2 * c3 - x1 * s3
         S = x3[:, None] + offsets[None, :]
-        rr = x1[:, None] * np.cos(S) + x2[:, None] * np.sin(S)
-        vals = (x1 * x1 + x2 * x2)[:, None] - rr ** 2 + (x3[:, None] - S) ** 2
+        rr = A[:, None] * np.cos(offsets) + B[:, None] * np.sin(offsets)
+        vals = r2[:, None] - rr ** 2 + (x3[:, None] - S) ** 2
         s = S[np.arange(len(X)), np.argmin(vals, axis=1)]
 
-        def grad(s):
-            return -2.0 * rho_of(s) * bb(s) - 2.0 * (x3 - s)
+        def gh(s):
+            cs, sn = np.cos(s), np.sin(s)
+            rho, b = x1 * cs + x2 * sn, -x1 * sn + x2 * cs
+            return (-2.0 * rho * b - 2.0 * (x3 - s),
+                    2.0 * (rho ** 2 - b ** 2) + 2.0)
 
-        def hess(s):
-            return 2.0 * (rho_of(s) ** 2 - bb(s) ** 2) + 2.0
-
-        s = _newton_1d(grad, hess, s, X)
-        rho = rho_of(s)
-        Z = np.stack([rho * np.cos(s), rho * np.sin(s), s], axis=1)
-        delta = np.sqrt(np.maximum(dist2(s), 0.0))
-        f = x2 * np.cos(x3) - x1 * np.sin(x3)
-        side = np.where(f > 0.0, -1, np.where(f < 0.0, 1, 0))
+        s = _newton_1d(gh, s, X)
+        cs, sn = np.cos(s), np.sin(s)
+        rho = x1 * cs + x2 * sn
+        Z = np.stack([rho * cs, rho * sn, s], axis=1)
+        delta = np.sqrt(np.maximum(r2 - rho ** 2 + (x3 - s) ** 2, 0.0))
+        side = np.where(B > 0.0, -1, np.where(B < 0.0, 1, 0))
         return Z, delta, side
 
     def kappas(self, z):
@@ -450,28 +448,27 @@ class Catenoid(Surface):
         X = np.asarray(X, dtype=float)
         r = np.hypot(X[:, 0], X[:, 1])
         zeta = X[:, 2]
+        c = self.c
 
-        def dist2(v):
-            return (r - self._g(v)) ** 2 + (zeta - v) ** 2
-
-        window = self.projection_radius + 0.05 * self.c
+        window = self.projection_radius + 0.05 * c
         offsets = np.linspace(-window, window, 25)
         V = zeta[:, None] + offsets[None, :]
         vals = (r[:, None] - self._g(V)) ** 2 + (zeta[:, None] - V) ** 2
         v = V[np.arange(len(X)), np.argmin(vals, axis=1)]
 
-        def grad(v):
-            return -2.0 * self._gp(v) * (r - self._g(v)) - 2.0 * (zeta - v)
+        def gh(v):
+            ch, sh = np.cosh(v / c), np.sinh(v / c)
+            dr = r - c * ch
+            return (-2.0 * sh * dr - 2.0 * (zeta - v),
+                    2.0 * sh ** 2 - 2.0 * (ch / c) * dr + 2.0)
 
-        def hess(v):
-            return 2.0 * self._gp(v) ** 2 - 2.0 * self._gpp(v) * (r - self._g(v)) + 2.0
-
-        v = _newton_1d(grad, hess, v, X)
+        v = _newton_1d(gh, v, X)
         g = self._g(v)
         theta = np.arctan2(X[:, 1], X[:, 0])
         Z = np.stack([g * np.cos(theta), g * np.sin(theta), v], axis=1)
-        delta = np.sqrt(np.maximum(dist2(v), 0.0))
-        side = np.where(r < self._g(zeta), -1, np.where(r > self._g(zeta), 1, 0))
+        delta = np.sqrt(np.maximum((r - g) ** 2 + (zeta - v) ** 2, 0.0))
+        g_zeta = self._g(zeta)
+        side = np.where(r < g_zeta, -1, np.where(r > g_zeta, 1, 0))
         return Z, delta, side
 
     def kappas(self, z):

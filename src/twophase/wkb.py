@@ -48,10 +48,14 @@ are exact for the splines, in the collar chart x = z(q, s) + tau nu(q, s):
 
 with G the metric of the parallel surface in the (q, symmetry parameter)
 chart (`chart_metric` of the surface); radial fields keep the first two
-terms.  A table point lies on a known ray, so a build projects nothing,
-and a read projects each point once.  Ray integrals are the antiderivatives
-of the quintic interpolants of their integrands, all rows at once; ray
-derivatives d/dtau are the splines' tau-derivatives (A_0: closed form).
+terms.  A table point lies on a known ray, so a build projects nothing.
+Reads project through `_project`, which keeps the last batch it solved in
+one slot for the whole module: the many reads that a barrier call or an
+identity check makes at the same points cost one projection, and a read
+at any other points projects them again.  Ray integrals are the
+antiderivatives of the quintic interpolants of their integrands, all rows
+at once; ray derivatives d/dtau are the splines' tau-derivatives (A_0:
+closed form).
 Barrier functions read the cached `coefficient_engine(surface, side)` and
 return one value per point.  Only `gradient_identity_residual`, the check
 independent of the tables, differentiates by central differences.
@@ -80,6 +84,32 @@ IDENTITY_STEP = 1e-3
 #: table samples across the collar in tau and across the footpoint range
 #: |q| <= 0.8 c in q (c = 1 for the helicoid), before padding
 N_TAU, N_Q = 121, 221
+
+
+#: the last batch `_project` solved, as (surface, copy of X, (Z, delta, side))
+_last_projection = None
+
+
+def _project(surface: Surface, X: np.ndarray):
+    """surface.project_batch(X), reusing the last batch solved in this module.
+
+    One slot for the whole module, not one per engine: a barrier call reads
+    many fields at the same points, and both sides' engines share their
+    surface's projection.  The key is the surface and X's shape, dtype and
+    exact bytes (values alone would equate -0.0 with 0.0, which arctan2
+    tells apart); X is copied, so a caller that mutates its array misses.
+    The returned arrays are read-only, since every later hit shares them.
+    """
+    global _last_projection
+    last = _last_projection
+    if (last is not None and last[0] == surface and last[1].shape == X.shape
+            and last[1].dtype == X.dtype and last[1].tobytes() == X.tobytes()):
+        return last[2]
+    out = surface.project_batch(X)
+    for a in out:
+        a.flags.writeable = False
+    _last_projection = (surface, X.copy(), out)
+    return out
 
 
 def _ray_integral(values: np.ndarray, taus: np.ndarray,
@@ -172,7 +202,7 @@ class CoefficientEngine:
     # ------------------------------------------------------------------
     def signed_coords(self, X: np.ndarray):
         """(q, tau) for a batch of points; tau > 0 on this engine's side."""
-        Z, delta, side_pt = self.surface.project_batch(X)
+        Z, delta, side_pt = _project(self.surface, X)
         tau = np.where(side_pt == self.side, delta, -delta)
         tau = np.where(side_pt == 0, 0.0, tau)
         if self.surface.is_radial:
@@ -436,16 +466,17 @@ def gradient_identity_residual(surface: Surface, j: int, x, side: int = -1,
                 vals = vals + sign * eng.j_integral(P)
             return vals
 
+    # every read at X first, then the two shifted batches: one projection each
     h = IDENTITY_STEP
-    Z, delta, _ = surface.project_batch(X)
+    Z, delta, _ = _project(surface, X)
     if np.any(delta < 2 * h):
         raise InvalidArgument("the identity check needs delta > 2h; the "
                               "central difference would cross the surface")
-    e = (X - Z) / delta[:, None]
-    lhs = (fieldfunc(X + h * e) - fieldfunc(X - h * e)) / (2.0 * h)
     lap_prev = eng.laplacian(j - 1, X) if j >= 1 else 0.0
     dd = eng.lap_signed_distance(X)
     rhs = -0.5 * dd * fieldfunc(X) + 0.5 * lap_prev + float(sign)
+    e = (X - Z) / delta[:, None]
+    lhs = (fieldfunc(X + h * e) - fieldfunc(X - h * e)) / (2.0 * h)
     return np.abs(lhs - rhs)
 
 

@@ -1,8 +1,11 @@
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
 
+from twophase import geometry as geo, wkb
 from twophase.cli import main
 
 
@@ -108,6 +111,26 @@ def test_wkb_ray_table(tmp_path):
     assert header[:2] == ["tau", "A0"]
     assert float(rows[0]["A0"]) == 1.0
     assert float(rows[0]["A1_plus"]) == 0.0
+
+
+def test_wkb_residual_column_equals_the_per_point_calls(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"surface": {"variant": "catenoid", "c": 1.0},
+                               "side": 1, "q": 0.27}))
+    assert main(["wkb", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    _, rows = _read_csv(tmp_path / "wkb.csv")
+    surf = geo.Catenoid(c=1.0)
+    eng = wkb.coefficient_engine(surf, 1)
+    checked = 0
+    for row in rows:
+        res = float(row["residual_max"])
+        if math.isnan(res):
+            continue
+        p = eng.ray_points(0.27, np.array([float(row["tau"])]))[0]
+        assert res == max(wkb.gradient_identity_residual(surf, j, p, side=1)[0]
+                          for j in range(3))
+        checked += 1
+    assert checked == 31
 
 
 def test_simulate_and_transform(tmp_path):

@@ -124,6 +124,22 @@ def test_projection_recovers_ray_points(name, q, angle, frac, sign):
     assert np.linalg.norm(Z[0] - z) < 1e-10
 
 
+@pytest.mark.parametrize("name", ["helicoid", "catenoid"])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_projection_of_a_point_does_not_depend_on_its_batch(name, sign):
+    # the 33-point rays of `twophase wkb` at three footpoints
+    surface = ALL[name]
+    taus = sign * np.linspace(0.0, surface.delta0, 33)
+    for q in (0.0, 0.27, -0.41):
+        X = (surface.point_at(np.asarray(q))
+             + taus[:, None] * surface.inward_normal_at(np.asarray(q)))
+        batch = surface.project_batch(X)
+        for i in range(len(X)):
+            alone = surface.project_batch(X[i:i + 1])
+            for got, want in zip(batch, alone):
+                assert got[i:i + 1].tobytes() == want.tobytes(), (q, i)
+
+
 def test_radial_dim_of_the_catalog():
     assert (PLANE.radial_dim, SPHERE.radial_dim, CYLINDER.radial_dim) == (1, 3, 2)
     assert geo.Sphere(R=1.0, N=2).radial_dim == 2
@@ -143,14 +159,30 @@ def test_newton_projection_checks_where_it_stops():
     X, s0 = np.zeros((3, 3)), np.zeros(3)
     ones = np.ones_like
     # (s - 1)^2 / 2: every point reaches the minimum at s = 1
-    s = geo._newton_1d(lambda s: s - 1.0, ones, s0, X)
+    s = geo._newton_1d(lambda s: (s - 1.0, ones(s)), s0, X)
     assert np.array_equal(s, np.ones(3))
     # f' = 1 never vanishes: the steps run out away from any stationary point
     with pytest.raises(NonConvergence):
-        geo._newton_1d(ones, ones, s0, X)
+        geo._newton_1d(lambda s: (ones(s), ones(s)), s0, X)
     # -s^2 is stationary at s = 0, but that is a maximum
     with pytest.raises(NonConvergence):
-        geo._newton_1d(lambda s: -2.0 * s, lambda s: -2.0 * ones(s), s0, X)
+        geo._newton_1d(lambda s: (-2.0 * s, -2.0 * ones(s)), s0, X)
+
+
+def test_newton_stops_each_point_on_its_own_step():
+    # f' = 2.9 s - 0.1 lands in one step, then rounds back and forth by
+    # 4.8e-18 forever; f' = s - 3 needs 12 clipped steps.  The fast point
+    # stops at its first sub-1e-15 step, as it does alone.
+    def fast(s):
+        return 2.9 * s - 0.1, np.full_like(s, 2.9)
+
+    def both(s):
+        return np.array([2.9 * s[0] - 0.1, s[1] - 3.0]), np.array([2.9, 1.0])
+
+    alone = geo._newton_1d(fast, np.zeros(1), np.zeros((1, 3)))
+    s = geo._newton_1d(both, np.zeros(2), np.zeros((2, 3)))
+    assert s[0] == alone[0]
+    assert s[1] == 3.0
 
 
 # -- eikonal / distance laplacian ---------------------------------------------

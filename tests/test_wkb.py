@@ -352,6 +352,40 @@ def test_barrier_functions_return_one_value_per_point():
             assert batch[i] == call(X[i])[0]
 
 
+def test_each_batch_is_projected_once(monkeypatch):
+    eng = wkb.coefficient_engine(HELICOID, -1)
+    counted = []
+    project = geo.Helicoid.project_batch
+
+    def counting(self, X):
+        counted.append(len(X))
+        return project(self, X)
+    monkeypatch.setattr(geo.Helicoid, "project_batch", counting)
+    monkeypatch.setattr(wkb, "_last_projection", None)
+    taus = np.linspace(0.05, 0.3, 5) * eng.delta0
+    X = eng.ray_points(0.0, taus)
+    wkb.elliptic_residual(HELICOID, MED, X, 1e4, 2, +1)
+    assert counted == [5]
+    th = wkb.BarrierThresholds(eta=0.5 * eng.delta0, lam_min=1.0)
+    wkb.barrier_w(HELICOID, MED, eng.ray_points(0.2, taus), 1e4, 2, +1,
+                  corrector=wkb.SlabCorrector(eng.delta0), thresholds=th)
+    assert counted == [5, 5]
+    # a caller that mutates its array in place reads its new points
+    X[0, 2] += 1e-3
+    first = eng.field(1, X)
+    assert len(counted) == 3
+    assert np.array_equal(eng.field(1, X), first) and len(counted) == 3
+    # -0.0 equals 0.0 as a value but not as bytes: it misses the slot
+    assert np.all(X[:, 0] == 0.0)
+    Y = X.copy()
+    Y[:, 0] = -0.0
+    eng.field(1, Y)
+    assert len(counted) == 4
+    for cached in wkb._project(HELICOID, Y):
+        assert not cached.flags.writeable
+    assert len(counted) == 4
+
+
 def test_threshold_calibration_and_barrier_w():
     eng = wkb.coefficient_engine(SPHERE, -1)
     th = wkb.calibrate_thresholds(SPHERE, MED, 1)

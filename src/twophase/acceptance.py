@@ -1,9 +1,11 @@
 """Desk-scale acceptance suite: one check per headline property.
 
-Each criterion returns a record with the measured quantity, the target,
-the tolerance it was held to, and a pass flag; `run_all` executes them in
-order and is used both by the command line (`twophase all`) and by the
-test suite.  Tolerances are pinned here.
+Each criterion takes the worker count `jobs` (the criteria with nothing
+to farm out ignore it) and returns a record with the measured quantity,
+the target, the tolerance it was held to, and a pass flag; `run_all`
+executes them in order and is used both by the command line (`twophase
+all`) and by the test suite.  Tolerances are pinned here, and no record
+depends on `jobs`.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def _medium14() -> TwoPhaseMedium:
 
 # ---------------------------------------------------------------------------
 
-def criterion_interface_constant() -> CriterionRecord:
+def criterion_interface_constant(jobs: int) -> CriterionRecord:
     """1d exact: u(0, t) equals the interface constant for all t."""
     tol = 1e-10
     t_values = np.geomspace(1e-3, 1e3, 13)
@@ -59,7 +61,7 @@ def criterion_interface_constant() -> CriterionRecord:
         runtime=0.0, details={"pairs": 4, "n_times": len(t_values)})
 
 
-def criterion_kernel_mass() -> CriterionRecord:
+def criterion_kernel_mass(jobs: int) -> CriterionRecord:
     """Unit kernel mass and quadrature/closed-form agreement."""
     tol = 1e-10
     med = _medium14()
@@ -101,7 +103,7 @@ def _surface_catalog():
     return _CATALOG
 
 
-def criterion_wkb_identities() -> CriterionRecord:
+def criterion_wkb_identities(jobs: int) -> CriterionRecord:
     """Ray-table boundary values and the derivative identities for j <= 3."""
     tol = 1e-4
     rng = np.random.default_rng(7)
@@ -132,7 +134,7 @@ def criterion_wkb_identities() -> CriterionRecord:
         tolerance=f"{tol:.1e} at h=1e-3", runtime=0.0)
 
 
-def criterion_near_boundary_law() -> CriterionRecord:
+def criterion_near_boundary_law(jobs: int) -> CriterionRecord:
     """Lap A_0 -> -H_2 with the right distance exponent on minimal patches."""
     coef_tol = 0.02
     exp_tol = 0.1
@@ -154,7 +156,7 @@ def criterion_near_boundary_law() -> CriterionRecord:
         tolerance=f"{coef_tol:.0%} / {exp_tol}", runtime=0.0)
 
 
-def criterion_mean_curvature() -> CriterionRecord:
+def criterion_mean_curvature(jobs: int) -> CriterionRecord:
     """Summed-curvature extraction on plane, sphere, cylinder."""
     med = _medium14()
     abs_tol = 1e-8
@@ -175,7 +177,7 @@ def criterion_mean_curvature() -> CriterionRecord:
         tolerance=f"plane {abs_tol:.0e}; others {rel_tol:.0%}", runtime=0.0)
 
 
-def criterion_barrier_sandwich() -> CriterionRecord:
+def criterion_barrier_sandwich(jobs: int) -> CriterionRecord:
     """Order-1 barriers enclose the exact radial solution pointwise."""
     med = _medium14()
     lams = [1e3, 1e4, 1e5]
@@ -199,7 +201,7 @@ def criterion_barrier_sandwich() -> CriterionRecord:
         tolerance="strict", runtime=0.0, details=detail)
 
 
-def criterion_higher_order() -> CriterionRecord:
+def criterion_higher_order(jobs: int) -> CriterionRecord:
     """lambda^(-1/2) coefficient and the phase imbalance on minimal patches."""
     med = _medium14()
     tol = 0.10
@@ -223,7 +225,7 @@ def criterion_higher_order() -> CriterionRecord:
         measured="; ".join(msgs), tolerance=f"{tol:.0%}", runtime=0.0)
 
 
-def criterion_grid_convergence() -> CriterionRecord:
+def criterion_grid_convergence(jobs: int) -> CriterionRecord:
     """2d disk transmission solve converges to the radial oracle."""
     med = _medium14()
     rep = ell.disk_convergence_study(med, lam=100.0)
@@ -237,35 +239,27 @@ def criterion_grid_convergence() -> CriterionRecord:
                  "relative_residuals": rep["residuals"]})
 
 
-def criterion_helicoid_half() -> CriterionRecord:
+def criterion_helicoid_half(jobs: int) -> CriterionRecord:
     """Monte-Carlo half-value and half-density identities on the helicoid."""
-    n_mc, seed = 10 ** 6, 1234
-    ok = True
-    msgs = []
-    x0 = np.zeros(3)
-    for i, t in enumerate((0.1, 1.0, 10.0)):
-        est = hel.u_gaussian_mc(x0, t, n_mc, rng_seed=seed + i)
-        ok = ok and est.within(0.5)
-        msgs.append(f"u(t={t}) {est.mean:.4f}")
-    for i, r in enumerate((0.5, 1.0, 2.0)):
-        cap = hel.sphere_cap_density(x0, r, n_mc, rng_seed=seed + 10 + i)
-        ball = hel.ball_density(x0, r, n_mc, rng_seed=seed + 20 + i)
-        ok = ok and cap.within(0.5) and ball.within(0.5)
-        msgs.append(f"cap/ball(r={r}) {cap.mean:.4f}/{ball.mean:.4f}")
-    sym = hel.symmetry_identities_check(10 ** 4, rng_seed=seed)
-    sym_ok = (sym["screw_violations"] == 0 and sym["flip_violations"] == 0
-              and sym["surface_coincidence_max"] < 1e-12)
-    ok = ok and sym_ok
-    msgs.append(f"symmetry violations {sym['screw_violations']}+{sym['flip_violations']}")
+    t_values, r_values = (0.1, 1.0, 10.0), (0.5, 1.0, 2.0)
+    records, sym = hel.half_value_checks(10 ** 6, 1234, t_values, r_values,
+                                         10 ** 4, jobs)
+    means = iter(rec["estimate"] for rec in records)
+    msgs = [f"u(t={t}) {next(means):.4f}" for t in t_values]
+    msgs += [f"cap/ball(r={r}) {next(means):.4f}/{next(means):.4f}"
+             for r in r_values]
+    msgs.append(f"symmetry violations {sym['screw_violations']}"
+                f"+{sym['flip_violations']}")
     return CriterionRecord(
-        name="helicoid-half-value", passed=ok,
+        name="helicoid-half-value", passed=all(rec["pass"] for rec in records),
         expected="all 0.5 within 3 stderr; zero violations",
         measured="; ".join(msgs), tolerance="3 stderr / exact", runtime=0.0)
 
 
-def criterion_max_principle() -> CriterionRecord:
+def criterion_max_principle(jobs: int) -> CriterionRecord:
     """Inverse positivity for lambda > 0; the annulus failure at lambda = 0."""
-    rep = ell.discrete_max_principle_check(lam=10.0, trials=100, rng_seed=99)
+    rep = ell.discrete_max_principle_check(lam=10.0, trials=100, rng_seed=99,
+                                           jobs=jobs)
     ce = ell.annulus_counterexample()
     tol = 1e-10
     ok = rep["min_value"] >= -tol and ce["min_interior"] < -0.4
@@ -278,7 +272,7 @@ def criterion_max_principle() -> CriterionRecord:
         details={"positivity": rep, "counterexample": ce})
 
 
-def criterion_rigidity_probe() -> CriterionRecord:
+def criterion_rigidity_probe(jobs: int) -> CriterionRecord:
     """Flat interfaces hold the constant; a sphere interface drifts."""
     med = _medium14()
     plane = par.interface_constancy_probe(_surface_catalog()["plane"], med,
@@ -314,13 +308,14 @@ CRITERIA = [
 ]
 
 
-def run_all(names=None) -> list[CriterionRecord]:
+def run_all(jobs: int, names=None) -> list[CriterionRecord]:
+    """The criteria in order (those in `names`, if given) on `jobs` workers."""
     records = []
     for name, fn in CRITERIA:
         if names is not None and name not in names:
             continue
         t0 = time.perf_counter()
-        rec = fn()
+        rec = fn(jobs)
         rec.runtime = time.perf_counter() - t0
         records.append(rec)
         print(rec.line(), flush=True)

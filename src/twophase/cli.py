@@ -4,9 +4,11 @@ Each run takes a JSON config (defaults are built in and any file values
 are merged over them; unknown keys are rejected), writes CSV for sweeps
 and JSON for scalar reports into the output directory, and always writes a
 manifest echoing the fully resolved configuration plus the tool version,
-with outputs named relative to the output directory.  Identical config and
-seed produce byte-identical artifacts, wherever they are written and
-whatever `--jobs` is.
+with outputs named relative to the output directory.  `--jobs` sets the
+worker threads of the Monte-Carlo batches (`helicoid`, and `all` through
+its helicoid criterion) and of the max-principle trials (`maxprinciple`,
+and `all`).  Identical config and seed produce byte-identical artifacts,
+wherever they are written and whatever `--jobs` is.
 
 Exit codes: 0 success, 1 numeric failure, 2 invalid configuration.
 """
@@ -296,7 +298,8 @@ def run_extract_curvature(config: dict, outdir: str) -> int:
     return 0
 
 
-def run_maxprinciple(config: dict, outdir: str, seed=None) -> int:
+def run_maxprinciple(config: dict, outdir: str, seed=None, *,
+                     jobs: int) -> int:
     defaults = {
         "lam": 10.0,
         "trials": 100,
@@ -310,7 +313,8 @@ def run_maxprinciple(config: dict, outdir: str, seed=None) -> int:
         cfg["seed"] = seed
     rep = ell.discrete_max_principle_check(cfg["lam"], cfg["trials"],
                                            cfg["seed"], n=cfg["n"],
-                                           sigma_range=tuple(cfg["sigma_range"]))
+                                           sigma_range=tuple(cfg["sigma_range"]),
+                                           jobs=jobs)
     payload = dict(rep)
     if cfg["counterexample"]:
         payload["lambda0_counterexample"] = ell.annulus_counterexample()
@@ -322,7 +326,7 @@ def run_maxprinciple(config: dict, outdir: str, seed=None) -> int:
     return 0 if rep["min_value"] >= -1e-10 else 1
 
 
-def run_helicoid(config: dict, outdir: str, seed=None, jobs: int = 1) -> int:
+def run_helicoid(config: dict, outdir: str, seed=None, *, jobs: int) -> int:
     defaults = {
         "n_samples": 10 ** 6,
         "seed": 1234,
@@ -333,33 +337,9 @@ def run_helicoid(config: dict, outdir: str, seed=None, jobs: int = 1) -> int:
     cfg = _merge_config(defaults, config, "helicoid")
     if seed is not None:
         cfg["seed"] = seed
-    x0 = np.zeros(3)
-    records = []
-    n, s0 = int(cfg["n_samples"]), int(cfg["seed"])
-    for i, t in enumerate(cfg["t_values"]):
-        est = hl.u_gaussian_mc(x0, float(t), n, rng_seed=s0 + i, n_jobs=jobs)
-        records.append({"test": f"u_on_surface_t_{t}", "estimate": est.mean,
-                        "stderr": est.stderr, "n": est.n_samples,
-                        "seed": est.rng_seed, "pass": est.within(0.5)})
-    for i, r in enumerate(cfg["r_values"]):
-        cap = hl.sphere_cap_density(x0, float(r), n, rng_seed=s0 + 10 + i,
-                                    n_jobs=jobs)
-        ball = hl.ball_density(x0, float(r), n, rng_seed=s0 + 20 + i,
-                               n_jobs=jobs)
-        records.append({"test": f"cap_density_r_{r}", "estimate": cap.mean,
-                        "stderr": cap.stderr, "n": n, "seed": cap.rng_seed,
-                        "pass": cap.within(0.5)})
-        records.append({"test": f"ball_density_r_{r}", "estimate": ball.mean,
-                        "stderr": ball.stderr, "n": n, "seed": ball.rng_seed,
-                        "pass": ball.within(0.5)})
-    sym = hl.symmetry_identities_check(int(cfg["symmetry_samples"]),
-                                       rng_seed=s0)
-    records.append({"test": "symmetry_identities",
-                    "estimate": sym["surface_coincidence_max"],
-                    "stderr": 0.0, "n": sym["n_samples"], "seed": sym["seed"],
-                    "pass": sym["screw_violations"] == 0
-                    and sym["flip_violations"] == 0
-                    and sym["surface_coincidence_max"] < 1e-12})
+    records, _ = hl.half_value_checks(
+        int(cfg["n_samples"]), int(cfg["seed"]), cfg["t_values"],
+        cfg["r_values"], int(cfg["symmetry_samples"]), jobs)
     path = os.path.join(outdir, "helicoid.json")
     _write_json(path, records)
     _manifest(outdir, "helicoid", cfg, [path])
@@ -368,7 +348,7 @@ def run_helicoid(config: dict, outdir: str, seed=None, jobs: int = 1) -> int:
     return 0 if n_fail == 0 else 1
 
 
-def run_acceptance(config: dict, outdir: str) -> int:
+def run_acceptance(config: dict, outdir: str, *, jobs: int) -> int:
     defaults = {"criteria": None}
     cfg = _merge_config(defaults, config, "all")
     if cfg["criteria"] is not None:
@@ -377,7 +357,7 @@ def run_acceptance(config: dict, outdir: str) -> int:
         if unknown:
             raise ConfigError(f"unknown criteria {sorted(unknown)} "
                               f"(known: {sorted(known)})")
-    records = acceptance.run_all(names=cfg["criteria"])
+    records = acceptance.run_all(jobs, names=cfg["criteria"])
     # runtimes go to stdout only, so the artifact is seed-deterministic
     payload = [{
         "name": r.name, "pass": r.passed, "expected": r.expected,
@@ -412,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config RNG seed")
     parser.add_argument("--jobs", type=int, default=os.cpu_count(),
-                        help="worker hint for batched computations")
+                        help="worker threads for helicoid, maxprinciple "
+                        "and all")
     parser.add_argument("--out", default="out", help="output directory")
     return parser
 
@@ -436,11 +417,11 @@ def main(argv=None) -> int:
     _INVOCATION.update({"seed": args.seed})
     runner = _RUNNERS[args.subcommand]
     try:
-        if args.subcommand == "helicoid":
-            return runner(config, args.out, seed=args.seed,
-                          jobs=max(1, args.jobs or 1))
-        if args.subcommand == "maxprinciple":
-            return runner(config, args.out, seed=args.seed)
+        jobs = max(1, args.jobs or 1)
+        if args.subcommand in ("helicoid", "maxprinciple"):
+            return runner(config, args.out, seed=args.seed, jobs=jobs)
+        if args.subcommand == "all":
+            return runner(config, args.out, jobs=jobs)
         return runner(config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

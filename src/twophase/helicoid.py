@@ -15,16 +15,23 @@ half-density identities: spheres and balls centered on H carry exactly half
 their measure in the complement.
 
 All of this is checked by seeded Monte Carlo with a counter-based
-generator (Philox), split into fixed-order batches so estimates are
-bit-for-bit reproducible for a given (seed, n_samples) and safe to farm
-out to parallel workers.  Dimensions N >= 4 add flat factors R^(N-3); by
-separation of variables the extra coordinates decouple, so they are not
-simulated separately.
+generator (Philox), split into fixed-order batches of _BATCH points, each
+drawn from its own stream, so estimates are bit-for-bit reproducible for a
+given (seed, n_samples) and safe to farm out to a thread pool.  A batch is
+drawn into a buffer owned by the calling thread, then moved into place and
+tested in cache-sized chunks of _CHUNK points; only its count of points
+outside Omega leaves the batch.  `half_value_checks` is the one report of
+the half-value identities, shared by `twophase helicoid` and the acceptance
+gate.  Dimensions N >= 4 add flat factors R^(N-3); by separation of
+variables the extra coordinates decouple, so they are not simulated
+separately.
 """
 
 from __future__ import annotations
 
 import math
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +40,7 @@ from scipy.special import erfc
 from .errors import InvalidArgument
 
 _BATCH = 1 << 18
+_CHUNK = 1 << 14
 
 
 def in_omega(x) -> bool:
@@ -95,38 +103,65 @@ def _philox(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(stream))
 
 
-def _mc_fraction(indicator, sampler, n_samples: int, rng_seed: int,
-                 n_jobs: int = 1) -> McEstimate:
-    """Batched Bernoulli mean of indicator(sampler(generator, m)).
+def _mc_fraction(count, n_samples: int, rng_seed: int,
+                 n_jobs: int) -> McEstimate:
+    """Bernoulli mean over n_samples points from batch counts.
 
-    Each batch draws from its own jumped Philox stream (keyed by the batch
-    index) and the per-batch counts are reduced in batch order, so the
-    estimate is bit-for-bit reproducible for a given (seed, n_samples)
-    whether the batches run sequentially or on a thread pool.
+    Batch b (of _BATCH points, the last one partial) draws its (m, 3)
+    standard normals from the Philox stream (rng_seed, b) into a buffer
+    and `count(gen, z)` returns how many of its points lie outside Omega,
+    transforming z in place and drawing any further variates from gen.
+    Counts are summed in batch order, so the estimate is bit-for-bit
+    reproducible for a given (seed, n_samples) whether the batches run
+    sequentially or on a pool of n_jobs threads.  The buffers belong to
+    the calling thread, one per worker, so worker threads allocate nothing
+    of batch size.
     """
-    sizes = []
-    done = 0
-    while done < n_samples:
-        sizes.append(min(_BATCH, n_samples - done))
-        done += sizes[-1]
+    work = [(stream, min(_BATCH, n_samples - start))
+            for stream, start in enumerate(range(0, n_samples, _BATCH))]
+    n_workers = min(n_jobs, len(work))
+    buffers = queue.SimpleQueue()
+    for _ in range(n_workers):
+        buffers.put(np.empty((work[0][1], 3)))
 
     def one(stream_and_size):
         stream, m = stream_and_size
+        buf = buffers.get()
         gen = _philox(rng_seed, stream)
-        return int(np.count_nonzero(indicator(sampler(gen, m))))
+        outside = count(gen, gen.standard_normal(out=buf[:m]))
+        buffers.put(buf)
+        return outside
 
-    work = list(enumerate(sizes))
-    if n_jobs > 1 and len(work) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            counts = list(pool.map(one, work))
+    if n_workers > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            hits = sum(pool.map(one, work))
     else:
-        counts = [one(w) for w in work]
-    hits = sum(counts)
+        hits = sum(map(one, work))
     p = hits / n_samples
     sd = math.sqrt(n_samples / (n_samples - 1) * p * (1.0 - p)) if n_samples > 1 else 0.0
     return McEstimate(mean=p, stderr=sd / math.sqrt(n_samples),
                       n_samples=n_samples, rng_seed=rng_seed)
+
+
+def _normalize_rows(c: np.ndarray) -> None:
+    """c /= |row|, summing the squares in np.linalg.norm's order."""
+    norm = c[:, 0] * c[:, 0]
+    norm += c[:, 1] * c[:, 1]
+    norm += c[:, 2] * c[:, 2]
+    c /= np.sqrt(norm, out=norm)[:, None]
+
+
+def _outside_count(x: np.ndarray, z: np.ndarray, move) -> int:
+    """Count of the points x + move(c) outside Omega, over row blocks c of
+    _CHUNK points of z, each moved in place by move(c) and then by x."""
+    inside = 0
+    for lo in range(0, len(z), _CHUNK):
+        c = z[lo:lo + _CHUNK]
+        move(c)
+        c += x
+        inside += int(np.count_nonzero(c[:, 1] * np.cos(c[:, 2])
+                                       - c[:, 0] * np.sin(c[:, 2]) > 0.0))
+    return len(z) - inside
 
 
 def u_gaussian_mc(x, t: float, n_samples: int = 10 ** 6,
@@ -142,11 +177,10 @@ def u_gaussian_mc(x, t: float, n_samples: int = 10 ** 6,
     x = np.asarray(x, dtype=float)
     scale = math.sqrt(2.0 * t)
 
-    def sampler(gen, m):
-        return x[None, :] + scale * gen.standard_normal((m, 3))
+    def count(gen, z):
+        return _outside_count(x, z, lambda c: np.multiply(c, scale, out=c))
 
-    return _mc_fraction(lambda P: ~omega_indicator(P), sampler,
-                        n_samples, rng_seed, n_jobs)
+    return _mc_fraction(count, n_samples, rng_seed, n_jobs)
 
 
 def sphere_cap_density(x, r: float, n_samples: int = 10 ** 6,
@@ -159,12 +193,11 @@ def sphere_cap_density(x, r: float, n_samples: int = 10 ** 6,
         raise InvalidArgument(f"r must be positive, got {r!r}")
     x = np.asarray(x, dtype=float)
 
-    def sampler(gen, m):
-        z = gen.standard_normal((m, 3))
-        z /= np.linalg.norm(z, axis=1)[:, None]
-        return x[None, :] + r * z
+    def move(c):
+        _normalize_rows(c)
+        c *= r
 
-    return _mc_fraction(lambda P: ~omega_indicator(P), sampler,
+    return _mc_fraction(lambda gen, z: _outside_count(x, z, move),
                         n_samples, rng_seed, n_jobs)
 
 
@@ -175,14 +208,16 @@ def ball_density(x, r: float, n_samples: int = 10 ** 6,
         raise InvalidArgument(f"r must be positive, got {r!r}")
     x = np.asarray(x, dtype=float)
 
-    def sampler(gen, m):
-        z = gen.standard_normal((m, 3))
-        z /= np.linalg.norm(z, axis=1)[:, None]
-        radii = r * gen.random(m) ** (1.0 / 3.0)
-        return x[None, :] + radii[:, None] * z
+    def count(gen, z):
+        # the radii's uniforms follow all of the batch's normals in its
+        # stream; drawn chunk by chunk they are the sequence of one draw
+        def move(c):
+            _normalize_rows(c)
+            c *= (r * gen.random(len(c)) ** (1.0 / 3.0))[:, None]
 
-    return _mc_fraction(lambda P: ~omega_indicator(P), sampler,
-                        n_samples, rng_seed, n_jobs)
+        return _outside_count(x, z, move)
+
+    return _mc_fraction(count, n_samples, rng_seed, n_jobs)
 
 
 def plane_halfspace_mc(x1: float, t: float, n_samples: int = 10 ** 6,
@@ -192,14 +227,54 @@ def plane_halfspace_mc(x1: float, t: float, n_samples: int = 10 ** 6,
         raise InvalidArgument(f"t must be positive, got {t!r}")
     scale = math.sqrt(2.0 * t)
 
-    def sampler(gen, m):
-        return x1 + scale * gen.standard_normal(m)
+    def count(gen, z):
+        # one normal per point: the batch's first m draws, in stream order
+        v = z.reshape(-1)[:len(z)]
+        v *= scale
+        v += x1
+        return int(np.count_nonzero(v <= 0.0))
 
-    return _mc_fraction(lambda v: v <= 0.0, sampler, n_samples, rng_seed)
+    return _mc_fraction(count, n_samples, rng_seed, 1)
 
 
 def plane_halfspace_exact(x1: float, t: float) -> float:
     return 0.5 * float(erfc(x1 / (2.0 * math.sqrt(t))))
+
+
+def half_value_checks(n_samples: int, seed: int, t_values, r_values,
+                      symmetry_samples: int, jobs: int) -> tuple:
+    """The half-value report at the origin, a point of the helicoid.
+
+    u(0, t) for each t (seeds seed + i), the sphere-cap and ball densities
+    for each r (seeds seed + 10 + i and seed + 20 + i), each held to 1/2
+    within 3 standard errors, then the symmetry identities at seed.
+    Returns (records, symmetry report): one record per check, in that
+    order, named with the values as given.
+    """
+    x0 = np.zeros(3)
+    records = []
+
+    def record(test, est):
+        records.append({"test": test, "estimate": est.mean,
+                        "stderr": est.stderr, "n": est.n_samples,
+                        "seed": est.rng_seed, "pass": est.within(0.5)})
+
+    for i, t in enumerate(t_values):
+        record(f"u_on_surface_t_{t}", u_gaussian_mc(
+            x0, float(t), n_samples, rng_seed=seed + i, n_jobs=jobs))
+    for i, r in enumerate(r_values):
+        record(f"cap_density_r_{r}", sphere_cap_density(
+            x0, float(r), n_samples, rng_seed=seed + 10 + i, n_jobs=jobs))
+        record(f"ball_density_r_{r}", ball_density(
+            x0, float(r), n_samples, rng_seed=seed + 20 + i, n_jobs=jobs))
+    sym = symmetry_identities_check(symmetry_samples, rng_seed=seed)
+    records.append({"test": "symmetry_identities",
+                    "estimate": sym["surface_coincidence_max"],
+                    "stderr": 0.0, "n": sym["n_samples"], "seed": sym["seed"],
+                    "pass": sym["screw_violations"] == 0
+                    and sym["flip_violations"] == 0
+                    and sym["surface_coincidence_max"] < 1e-12})
+    return records, sym
 
 
 def symmetry_identities_check(n_samples: int = 10 ** 4,

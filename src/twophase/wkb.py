@@ -659,10 +659,14 @@ def calibrate_thresholds(surface: Surface, medium: TwoPhaseMedium, n: int,
     sample_pts = [eng.ray_points(q, tau_samples) for q in q_samples]
     wall_pts = [eng.ray_points(q, np.array([eng.delta0])) for q in q_samples]
     b = _side_value(medium, side)
-    # nothing read from the tables depends on lambda: read them once
-    reads = [(sign, eng.laplacian_pm(n, sign, pts), eng.signed_coords(wall)[1],
-              _s_terms(eng, wall, n, sign))
-             for pts, wall in zip(sample_pts, wall_pts) for sign in (+1, -1)]
+    # nothing read from the tables depends on lambda: read them once, both
+    # signs on a ray before its wall point, so each batch projects once
+    reads = []
+    for pts, wall in zip(sample_pts, wall_pts):
+        laps = {sign: eng.laplacian_pm(n, sign, pts) for sign in (+1, -1)}
+        wall_tau = eng.signed_coords(wall)[1]
+        reads += [(sign, laps[sign], wall_tau, _s_terms(eng, wall, n, sign))
+                  for sign in (+1, -1)]
 
     def admissible(lam: float) -> bool:
         # the residual equals (positive prefactor) * (-2 sign + q Lap A_{n,+-});

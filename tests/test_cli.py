@@ -80,6 +80,23 @@ def test_helicoid_seeded_runs_are_byte_identical(tmp_path):
                for r in records)
 
 
+def test_all_is_byte_identical_across_jobs(tmp_path):
+    # the two criteria that farm out work: MC batches and max-principle trials
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"criteria": ["helicoid-half-value",
+                                            "maximum-principle"]}))
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["all", "--config", str(cfg), "--jobs", "1",
+                 "--out", str(out1)]) == 0
+    assert main(["all", "--config", str(cfg), "--jobs", "2",
+                 "--out", str(out2)]) == 0
+    for name in ("acceptance.json", "manifest.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    records = json.loads((out1 / "acceptance.json").read_text())
+    assert [r["name"] for r in records] == ["helicoid-half-value",
+                                            "maximum-principle"]
+
+
 def test_extract_curvature_sphere(tmp_path):
     rc = main(["extract-curvature", "--out", str(tmp_path)])
     assert rc == 0

@@ -277,18 +277,30 @@ def test_cg_nonconvergence_names_iterations_and_residual(monkeypatch):
 
 def test_max_principle_uniform_sigma():
     rep = ell.discrete_max_principle_check(lam=1.0, trials=20, rng_seed=1,
-                                           sigma_range=(1.0, 1.0))
+                                           sigma_range=(1.0, 1.0), jobs=1)
     assert rep["min_value"] >= -1e-12
 
 
 def test_max_principle_random_sigma():
-    rep = ell.discrete_max_principle_check(lam=10.0, trials=30, rng_seed=2)
+    rep = ell.discrete_max_principle_check(lam=10.0, trials=30, rng_seed=2,
+                                           jobs=1)
     assert rep["min_value"] >= -1e-10
+
+
+def test_max_principle_same_on_a_thread_pool():
+    # every trial's data is drawn before any solve, so the pool sees the
+    # sequential run's trials and the minimum is the same float
+    one = ell.discrete_max_principle_check(lam=10.0, trials=12, rng_seed=5,
+                                           n=16, jobs=1)
+    two = ell.discrete_max_principle_check(lam=10.0, trials=12, rng_seed=5,
+                                           n=16, jobs=2)
+    assert one == two
+    assert one["trials"] == 12
 
 
 def test_max_principle_rejects_lambda_zero():
     with pytest.raises(InvalidArgument):
-        ell.discrete_max_principle_check(lam=0.0, trials=1, rng_seed=0)
+        ell.discrete_max_principle_check(lam=0.0, trials=1, rng_seed=0, jobs=1)
 
 
 def test_annulus_counterexample_reproduces_failure():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -149,3 +150,104 @@ def test_invalid_arguments():
         hl.sphere_cap_density(np.zeros(3), -1.0, 10)
     with pytest.raises(InvalidArgument):
         hl.ball_density(np.zeros(3), 0.0, 10)
+
+
+# -- the batch kernels against the straightforward samplers ------------------
+
+N_REF = 300_001  # one partial 2^18 batch, ending in a partial 2^14 chunk
+
+
+def _reference(indicator, sampler, n_samples, rng_seed):
+    """Whole-batch sampling: each batch's points, then the indicator."""
+    hits = 0
+    for stream, start in enumerate(range(0, n_samples, hl._BATCH)):
+        m = min(hl._BATCH, n_samples - start)
+        hits += int(np.count_nonzero(indicator(sampler(hl._philox(rng_seed, stream), m))))
+    p = hits / n_samples
+    sd = math.sqrt(n_samples / (n_samples - 1) * p * (1.0 - p))
+    return hl.McEstimate(mean=p, stderr=sd / math.sqrt(n_samples),
+                         n_samples=n_samples, rng_seed=rng_seed)
+
+
+def _outside(P):
+    return ~(P[:, 1] * np.cos(P[:, 2]) - P[:, 0] * np.sin(P[:, 2]) > 0.0)
+
+
+def _unit_normals(gen, m):
+    z = gen.standard_normal((m, 3))
+    return z / np.linalg.norm(z, axis=1)[:, None]
+
+
+X_REF = np.array([0.4, -0.3, 0.9])
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_gaussian_kernel_matches_reference(n_jobs):
+    scale = math.sqrt(2.0 * 0.7)
+    ref = _reference(_outside, lambda gen, m: X_REF + scale * gen.standard_normal((m, 3)),
+                     N_REF, 31)
+    assert hl.u_gaussian_mc(X_REF, 0.7, N_REF, rng_seed=31, n_jobs=n_jobs) == ref
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_cap_kernel_matches_reference(n_jobs):
+    ref = _reference(_outside, lambda gen, m: X_REF + 1.3 * _unit_normals(gen, m),
+                     N_REF, 32)
+    assert hl.sphere_cap_density(X_REF, 1.3, N_REF, rng_seed=32, n_jobs=n_jobs) == ref
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_ball_kernel_matches_reference(n_jobs):
+    def sampler(gen, m):
+        z = _unit_normals(gen, m)
+        radii = 1.3 * gen.random(m) ** (1.0 / 3.0)
+        return X_REF + radii[:, None] * z
+
+    ref = _reference(_outside, sampler, N_REF, 33)
+    assert hl.ball_density(X_REF, 1.3, N_REF, rng_seed=33, n_jobs=n_jobs) == ref
+
+
+def test_plane_kernel_matches_reference():
+    scale = math.sqrt(2.0 * 0.3)
+    ref = _reference(lambda v: v <= 0.0,
+                     lambda gen, m: 0.2 + scale * gen.standard_normal(m), N_REF, 34)
+    assert hl.plane_halfspace_mc(0.2, 0.3, N_REF, rng_seed=34) == ref
+
+
+def test_batch_buffers_survive_more_workers_than_cores(monkeypatch):
+    # many small batches on 4 threads with a short switch interval: a
+    # buffer handed to two workers at once would change some batch's count
+    monkeypatch.setattr(hl, "_BATCH", 1000)
+    monkeypatch.setattr(hl, "_CHUNK", 256)
+    serial = hl.ball_density(X_REF, 1.3, 40_001, rng_seed=35, n_jobs=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = [hl.ball_density(X_REF, 1.3, 40_001, rng_seed=35, n_jobs=4)
+                  for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled == [serial] * 3
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_row_normalizer_is_bitwise_linalg_norm(seed):
+    # a count comparison would not see a changed summation order; the bits do
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((hl._CHUNK + 3, 3))
+    z *= 10.0 ** rng.uniform(-3.0, 3.0, len(z))[:, None]
+    expected = z / np.linalg.norm(z, axis=1)[:, None]
+    hl._normalize_rows(z)
+    assert z.tobytes() == expected.tobytes()
+
+
+def test_half_value_checks_records():
+    records, sym = hl.half_value_checks(5000, 3, [1.0], [0.5, 2], 100, 1)
+    assert [r["test"] for r in records] == [
+        "u_on_surface_t_1.0", "cap_density_r_0.5", "ball_density_r_0.5",
+        "cap_density_r_2", "ball_density_r_2", "symmetry_identities"]
+    assert [r["seed"] for r in records] == [3, 13, 23, 14, 24, 3]
+    assert records[1]["estimate"] == hl.sphere_cap_density(
+        np.zeros(3), 0.5, 5000, rng_seed=13).mean
+    assert records[-1]["estimate"] == sym["surface_coincidence_max"]
+    assert all(r["pass"] for r in records)

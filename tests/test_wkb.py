@@ -454,6 +454,18 @@ def test_calibration_reads_once_without_changing_thresholds(name, side):
         assert th == _reference_thresholds(surface, n, side, eng)
 
 
+@pytest.mark.parametrize("name", ["helicoid", "catenoid"])
+def test_calibration_projects_each_ray_and_wall_point_once(name, monkeypatch):
+    # 5 q samples, each a 17-point ray and its wall point, both signs read
+    surface = ALL[name]
+    wkb.coefficient_engine(surface, -1)
+    project, points = type(surface).project_batch, []
+    monkeypatch.setattr(type(surface), "project_batch",
+                        lambda self, X: points.append(len(X)) or project(self, X))
+    wkb.calibrate_thresholds(surface, MED, 2, side=-1)
+    assert points == [17, 1] * 5
+
+
 def test_barrier_w_outer_wall_ordering():
     eng = wkb.coefficient_engine(PLANE, -1)
     th = wkb.calibrate_thresholds(PLANE, MED, 1)

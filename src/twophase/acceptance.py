@@ -1,10 +1,10 @@
 """Desk-scale acceptance suite: one check per headline property.
 
-Each criterion takes the worker count `jobs` (the criteria with nothing
-to farm out ignore it) and returns a record with the measured quantity,
-the target, the tolerance it was held to, and a pass flag; `run_all`
-executes them in order and is used both by the command line (`twophase
-all`) and by the test suite.  Tolerances are pinned here, and no record
+Each criterion takes the worker count `jobs` (only `helicoid-half-value`
+uses it; the others ignore it) and returns a record with the measured
+quantity, the target, the tolerance it was held to, and a pass flag;
+`run_all` executes them in order and is used both by the command line
+(`twophase all`) and by the test suite.  Tolerances are pinned here, and no record
 depends on `jobs`.
 """
 
@@ -258,8 +258,7 @@ def criterion_helicoid_half(jobs: int) -> CriterionRecord:
 
 def criterion_max_principle(jobs: int) -> CriterionRecord:
     """Inverse positivity for lambda > 0; the annulus failure at lambda = 0."""
-    rep = ell.discrete_max_principle_check(lam=10.0, trials=100, rng_seed=99,
-                                           jobs=jobs)
+    rep = ell.discrete_max_principle_check(lam=10.0, trials=100, rng_seed=99)
     ce = ell.annulus_counterexample()
     tol = 1e-10
     ok = rep["min_value"] >= -tol and ce["min_interior"] < -0.4

@@ -6,9 +6,9 @@ and JSON for scalar reports into the output directory, and always writes a
 manifest echoing the fully resolved configuration plus the tool version,
 with outputs named relative to the output directory.  `--jobs` sets the
 worker threads of the Monte-Carlo batches (`helicoid`, and `all` through
-its helicoid criterion) and of the max-principle trials (`maxprinciple`,
-and `all`).  Identical config and seed produce byte-identical artifacts,
-wherever they are written and whatever `--jobs` is.
+its helicoid criterion); `maxprinciple` accepts it and ignores it.
+Identical config and seed produce byte-identical artifacts, wherever they
+are written and whatever `--jobs` is.
 
 Exit codes: 0 success, 1 numeric failure, 2 invalid configuration.
 """
@@ -298,8 +298,7 @@ def run_extract_curvature(config: dict, outdir: str) -> int:
     return 0
 
 
-def run_maxprinciple(config: dict, outdir: str, seed=None, *,
-                     jobs: int) -> int:
+def run_maxprinciple(config: dict, outdir: str, seed=None) -> int:
     defaults = {
         "lam": 10.0,
         "trials": 100,
@@ -313,8 +312,7 @@ def run_maxprinciple(config: dict, outdir: str, seed=None, *,
         cfg["seed"] = seed
     rep = ell.discrete_max_principle_check(cfg["lam"], cfg["trials"],
                                            cfg["seed"], n=cfg["n"],
-                                           sigma_range=tuple(cfg["sigma_range"]),
-                                           jobs=jobs)
+                                           sigma_range=tuple(cfg["sigma_range"]))
     payload = dict(rep)
     if cfg["counterexample"]:
         payload["lambda0_counterexample"] = ell.annulus_counterexample()
@@ -392,8 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config RNG seed")
     parser.add_argument("--jobs", type=int, default=os.cpu_count(),
-                        help="worker threads for helicoid, maxprinciple "
-                        "and all")
+                        help="worker threads for the Monte-Carlo batches of "
+                        "helicoid and all (maxprinciple accepts and ignores "
+                        "it)")
     parser.add_argument("--out", default="out", help="output directory")
     return parser
 
@@ -418,8 +417,10 @@ def main(argv=None) -> int:
     runner = _RUNNERS[args.subcommand]
     try:
         jobs = max(1, args.jobs or 1)
-        if args.subcommand in ("helicoid", "maxprinciple"):
+        if args.subcommand == "helicoid":
             return runner(config, args.out, seed=args.seed, jobs=jobs)
+        if args.subcommand == "maxprinciple":
+            return runner(config, args.out, seed=args.seed)
         if args.subcommand == "all":
             return runner(config, args.out, jobs=jobs)
         return runner(config, args.out)

@@ -22,11 +22,11 @@ Three layers:
     gradients preconditioned with a cell-centred multigrid V-cycle (2x2
     agglomeration, Galerkin coarse operators, damped-Jacobi smoothing;
     Alcouffe, Brandt, Dendy & Painter 1981 treat the discontinuous
-    coefficients), or by a sparse factorization; the disk convergence
-    study solves one quadrant and mirrors it, since the disk problem is
-    even in x and y; plus inverse-positivity checks of the discrete
-    operator (and the classical failure of the maximum principle at
-    lambda = 0 on an exterior-like annulus).
+    coefficients), or by a banded Cholesky factorization; the disk
+    convergence study solves one quadrant and mirrors it, since the disk
+    problem is even in x and y; plus inverse-positivity checks of the
+    discrete operator (and the classical failure of the maximum principle
+    at lambda = 0 on an exterior-like annulus).
 
 Lambda-sweep points are independent and parallelize freely; each linear
 solve owns its grid exclusively.
@@ -35,12 +35,13 @@ solve owns its grid exclusively.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dpbsv
 from scipy.sparse.linalg import LinearOperator, cg, splu, spsolve
 from scipy.special import ive, kve
 
@@ -100,23 +101,6 @@ class RadialSolution:
         For the plane this is +mu*value (the solution decays into Omega).
         """
         return self.value * _interior_log_derivative(self.surface, self.mu)
-
-    def ode_residual(self, r) -> np.ndarray:
-        """Residual of the radial equation by central differences.
-
-        An independent check of the closed form; the step balances
-        truncation against roundoff, which floors the attainable residual
-        near sqrt(eps) relative.  (The test suite also verifies the profile
-        against a high-precision oracle.)
-        """
-        r = np.asarray(r, dtype=float)
-        h = (12.0 * np.finfo(float).eps) ** 0.25 / max(self.mu, 1.0)
-        d = self.surface.radial_dim
-        wpp = (self(r + h) - 2.0 * self(r) + self(r - h)) / h ** 2
-        wp = (self(r + h) - self(r - h)) / (2.0 * h)
-        coef = (d - 1) / r if d > 1 else 0.0
-        return (wpp + coef * wp - (self.lam / self.sigma) * self(r)) / max(
-            1.0, self.lam / self.sigma)
 
 
 def solve_radial_dirichlet(surface: Surface, lam: float, sigma: float,
@@ -391,61 +375,60 @@ def _harmonic(a, b):
     return 2.0 * a * b / (a + b)
 
 
-def assemble_operator(field: GridField, lam: float, boundary: dict
-                      ) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Matrix and boundary contribution for -div(sigma grad w) + lambda w.
-
-    `boundary` maps face names ("xlo", "xhi", "ylo", "yhi") to Dirichlet
-    values (scalars or arrays on the face).  The returned rhs holds the
-    boundary fluxes so that A w = rhs + source * h^ndim ... in the scaled
-    form used here every equation is divided by the cell volume, so
-    A w = lam * source_indicator + boundary terms, matching
-    -div(sigma grad w) + lam w = f pointwise.
+def _stencil(field: GridField, lam: float, boundary: dict) -> tuple:
+    """(main, cx, cy, rhs) of -div(sigma grad w) + lambda w on the (ny, nx)
+    cell layout (a 1d field is one row in x): the main diagonal, the x- and
+    y-couplings (harmonic-mean faces, negated in the matrix) and the
+    Dirichlet terms of the right-hand side.  `boundary` maps face names
+    ("xlo", "xhi", "ylo", "yhi") to values (scalars or arrays on the face).
     """
-    sig = np.atleast_2d(field.sigma)  # a 1d field is one row in x
+    sig = np.atleast_2d(field.sigma)
     h2 = field.h ** 2
-    ny, nx = sig.shape  # row = y index, column = x index
-    N = sig.size
-    idx = np.arange(N).reshape(ny, nx)
-    rows, cols, vals = [], [], []
-    main = np.full((ny, nx), lam, dtype=float)
-    rhs = np.zeros((ny, nx))
-
+    main = np.full(sig.shape, lam, dtype=float)
+    rhs = np.zeros(sig.shape)
     cx = _harmonic(sig[:, :-1], sig[:, 1:]) / h2
     main[:, :-1] += cx
     main[:, 1:] += cx
-    rows.append(idx[:, :-1].ravel()); cols.append(idx[:, 1:].ravel()); vals.append(-cx.ravel())
-    rows.append(idx[:, 1:].ravel()); cols.append(idx[:, :-1].ravel()); vals.append(-cx.ravel())
-
     cy = _harmonic(sig[:-1, :], sig[1:, :]) / h2
     main[:-1, :] += cy
     main[1:, :] += cy
-    rows.append(idx[:-1, :].ravel()); cols.append(idx[1:, :].ravel()); vals.append(-cy.ravel())
-    rows.append(idx[1:, :].ravel()); cols.append(idx[:-1, :].ravel()); vals.append(-cy.ravel())
-
-    faces = {
-        "xlo": (np.s_[:, 0], sig[:, 0]),
-        "xhi": (np.s_[:, -1], sig[:, -1]),
-        "ylo": (np.s_[0, :], sig[0, :]),
-        "yhi": (np.s_[-1, :], sig[-1, :]),
-    }
-    for name, (sl, s_edge) in faces.items():
+    faces = {"xlo": np.s_[:, 0], "xhi": np.s_[:, -1],
+             "ylo": np.s_[0, :], "yhi": np.s_[-1, :]}
+    if not boundary.keys() <= faces.keys():
+        raise InvalidArgument(f"unknown boundary faces "
+                              f"{sorted(boundary.keys() - faces.keys())}")
+    for name, sl in faces.items():
         if name in boundary:
-            ce = 2.0 * s_edge / h2
+            ce = 2.0 * sig[sl] / h2
             main[sl] += ce
             rhs[sl] += ce * np.asarray(boundary[name])
+    return main, cx, cy, rhs
 
-    rows.append(idx.ravel()); cols.append(idx.ravel()); vals.append(main.ravel())
-    A = sparse.csr_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(N, N))
+
+def assemble_operator(field: GridField, lam: float, boundary: dict
+                      ) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """CSR matrix A and Dirichlet terms rhs of `_stencil`: every equation is
+    divided by the cell volume, so A w = rhs + source matches
+    -div(sigma grad w) + lambda w = f pointwise."""
+    main, cx, cy, rhs = _stencil(field, lam, boundary)
+    idx = np.arange(main.size).reshape(main.shape)
+    rows = [idx[:, :-1], idx[:, 1:], idx[:-1, :], idx[1:, :], idx]
+    cols = [idx[:, 1:], idx[:, :-1], idx[1:, :], idx[:-1, :], idx]
+    vals = [-cx, -cx, -cy, -cy, main]
+    A = sparse.csr_matrix((np.concatenate([v.ravel() for v in vals]),
+                           (np.concatenate([r.ravel() for r in rows]),
+                            np.concatenate([c.ravel() for c in cols]))),
+                          shape=(main.size, main.size))
     return A, rhs.ravel()
 
 
 # multigrid V-cycle: damped-Jacobi weight, sweeps before and after the
 # coarse correction, its over-correction (the Galerkin operator of
 # piecewise-constant agglomeration is about twice too stiff), and the size
-# at which a level is factorized instead of coarsened further
+# at which a level is factorized instead of coarsened further.  Measured
+# for conductivity contrasts up to 100: random sigma in [1, 100] on 97x97
+# takes 18 iterations, and the disk study at (100, 1) and (1, 100) takes
+# 13-27 iterations at h = 1/32 and 1/64 (17-20 for sigma in [0.5, 4])
 MG_OMEGA = 0.8
 MG_SWEEPS = 2
 MG_COARSE_SCALE = 1.8
@@ -507,18 +490,40 @@ def grid_modified_helmholtz(field: GridField, lam: float, source,
     gradients solve it to relative residual 1e-10 within 40000 iterations,
     preconditioned by one multigrid V-cycle per iteration (`_vcycle`): the
     iteration count then stays near 20 as h shrinks, where a diagonal
-    preconditioner needs O(1/h).  Method "direct" factorizes instead and
-    builds no hierarchy.  The result carries the CG iteration count (0 for
-    "direct") and the final relative residual |b - A w| / |b|.
+    preconditioner needs O(1/h).  Method "direct" instead factorizes the
+    stencil's band form (bandwidth nx) by banded Cholesky.  The result
+    carries the CG iteration count (0 for "direct") and the final relative
+    residual |b - A w| / |b|.  An unknown face name, or a singular
+    (lambda = 0, no Dirichlet face) or indefinite operator, raises
+    InvalidArgument.
     """
     if not lam >= 0.0:
         raise InvalidArgument("lambda must be nonnegative")
-    A, rhs = assemble_operator(field, lam, boundary)
-    b = rhs + np.asarray(source, dtype=float).ravel()
+    if lam == 0.0 and not boundary:
+        raise InvalidArgument("lambda = 0 with no Dirichlet face makes the "
+                              "operator singular")
+    source = np.asarray(source, dtype=float).ravel()
     iterations, info = 0, 0
     if method == "direct":
-        sol = spsolve(A.tocsc(), b)
+        # LAPACK upper band form, bandwidth u = nx (1 for a one-row field):
+        # row u holds the main diagonal, u - 1 the x- and 0 the y-couplings
+        main, cx, cy, rhs = _stencil(field, lam, boundary)
+        ny, nx = main.shape
+        u = nx if ny > 1 else 1
+        ab = np.zeros((u + 1, main.size))
+        ab[u] = main.ravel()
+        ab[u - 1].reshape(ny, nx)[:, 1:] = -cx
+        ab[0].reshape(ny, nx)[1:, :] = -cy
+        b = rhs.ravel() + source
+        _, sol, info = dpbsv(ab, b)
+        if info != 0:
+            raise InvalidArgument(f"the operator is not positive definite "
+                                  f"(dpbsv info={info})")
+        Aw = dsbmv(u, 1.0, ab, sol)
     else:
+        A, rhs = assemble_operator(field, lam, boundary)
+        b = rhs + source
+
         def count(xk):
             nonlocal iterations
             iterations += 1
@@ -526,8 +531,9 @@ def grid_modified_helmholtz(field: GridField, lam: float, source,
         sol, info = cg(A, b, rtol=1e-10, atol=0.0, maxiter=40000,
                        M=_vcycle(A, np.atleast_2d(field.sigma).shape),
                        callback=count)
+        Aw = A @ sol
     b_norm = np.linalg.norm(b)
-    residual = float(np.linalg.norm(b - A @ sol) / b_norm) if b_norm else 0.0
+    residual = float(np.linalg.norm(b - Aw) / b_norm) if b_norm else 0.0
     if info != 0:
         raise NonConvergence(
             f"conjugate gradients stopped after {iterations} iterations at "
@@ -606,42 +612,31 @@ def disk_convergence_study(medium: TwoPhaseMedium, lam: float,
 # ---------------------------------------------------------------------------
 
 def discrete_max_principle_check(lam: float, trials: int, rng_seed: int,
-                                 n: int = 32, sigma_range=(0.5, 4.0), *,
-                                 jobs: int) -> dict:
+                                 n: int = 32, sigma_range=(0.5, 4.0)) -> dict:
     """Inverse positivity of the discrete operator under random data.
 
     For each trial: a random bounded conductivity field, nonnegative random
-    Dirichlet data and a nonnegative random source.  The minimum solution
-    value over all trials is reported; for lambda > 0 the operator is an
-    M-matrix, so the minimum should not dip below solver roundoff.  A
-    negative minimum is reported, not raised.  Every trial's data is drawn
-    first, in trial order, and the trials are solved on `jobs` threads; the
-    minimum does not depend on the order they finish in.
+    Dirichlet data and a nonnegative random source, solved by the banded
+    direct path.  The minimum solution value over all trials is reported;
+    for lambda > 0 the operator is an M-matrix, so the minimum should not
+    dip below solver roundoff.  A negative minimum is reported, not raised.
     """
     if not lam > 0.0:
         raise InvalidArgument("the check applies to lambda > 0; see the "
                               "annulus counterexample for lambda = 0")
     rng = np.random.default_rng(rng_seed)
-    problems = []
-    for _ in range(trials):
+
+    def trial_min(_) -> float:
         sig = rng.uniform(sigma_range[0], sigma_range[1], size=(n, n))
         boundary = {name: rng.uniform(0.0, 1.0, size=n)
                     for name in ("xlo", "xhi", "ylo", "yhi")}
         source = rng.uniform(0.0, 1.0, size=(n, n)) * lam
-        problems.append((sig, boundary, source))
-
-    def solution_min(problem) -> float:
-        sig, boundary, source = problem
         field = GridField(lo=(0.0, 0.0), hi=(1.0, 1.0), h=1.0 / n, sigma=sig)
-        sol = grid_modified_helmholtz(field, lam, source.ravel(), boundary,
+        sol = grid_modified_helmholtz(field, lam, source, boundary,
                                       method="direct")
         return float(sol.values.min())
 
-    if jobs > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            mins = list(pool.map(solution_min, problems))
-    else:
-        mins = list(map(solution_min, problems))
+    mins = map(trial_min, range(trials))
     return {"trials": trials, "min_value": min([math.inf, *mins]),
             "seed": rng_seed}
 

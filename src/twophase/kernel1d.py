@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import ConsistencyError, DegenerateFit, InvalidArgument
-from .medium import TwoPhaseMedium, gaussian_kernel, interface_constant
+from .medium import TwoPhaseMedium, interface_constant
 from .quadrature import GAUSSIAN_CUTOFF_STD, integrate_adaptive
 
 TWO_WAY_TOL = 1e-10
@@ -58,19 +58,25 @@ def eval_kernel(x1, y1, t, medium: TwoPhaseMedium):
     """
     a, m, refl_m, refl_s, trans_m, trans_s = _amplitudes(medium)
     x1, y1 = np.asarray(x1, dtype=float), np.asarray(y1, dtype=float)
+    t = _check_times(t)  # sigma > 0 holds for every TwoPhaseMedium
     warm = x1 <= 0.0  # target on the sigma_m side
-    sigma = np.where(warm, medium.sigma_m, medium.sigma_s)
-    same = gaussian_kernel(x1 - y1, t, sigma) + \
-        np.where(warm, refl_m, refl_s) * gaussian_kernel(x1 + y1, t, sigma)
-    cross = np.where(warm, trans_m, trans_s) * \
-        gaussian_kernel(x1 - np.where(warm, m / a, a / m) * y1, t, sigma)
+    # per target side: conductivity, image and transmission amplitudes, stretch
+    sigma, refl, trans, stretch = np.array(
+        [[medium.sigma_s, medium.sigma_m], [refl_s, refl_m],
+         [trans_s, trans_m], [a / m, m / a]])[:, warm.astype(int)]
+    spread, scale = 4.0 * t * sigma, np.sqrt(4.0 * math.pi * t * sigma)
+
+    def gaussian(z):  # `gaussian_kernel`, operation for operation, unchecked
+        return np.exp(-(z * z) / spread) / scale
+    same = gaussian(x1 - y1) + refl * gaussian(x1 + y1)
+    cross = trans * gaussian(x1 - stretch * y1)
     val = np.where((y1 <= 0.0) == warm, same, cross)
     return val if val.ndim else float(val)
 
 
 def _check_times(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    if not np.all(t > 0.0):
+    if not (t > 0.0).all():
         raise InvalidArgument(f"t must be positive, got {t!r}")
     return t
 

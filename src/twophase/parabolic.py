@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dptsv
 
 from .errors import InsufficientHorizon, InvalidArgument
 from .geometry import Surface
@@ -181,9 +181,11 @@ def evolve(grid: Grid1D, times, u0: Optional[np.ndarray] = None
     """Advance the diffusion equation over the given time grid.
 
     times[0] must be 0.  The first 10 steps are implicit Euler, which damps
-    the indicator shock, and the rest Crank-Nicolson.  u0 defaults to the
-    indicator data of the grid's interface.  Discrete conservation holds up
-    to boundary flux (zero-flux far walls); values stay in [0, 1] for
+    the indicator shock, and the rest Crank-Nicolson; each step factorizes
+    its SPD tridiagonal matrix vol/dt + theta L as LDL^T (LAPACK dptsv) and
+    raises InvalidArgument if it is not positive definite.  u0 defaults to
+    the indicator data of the grid's interface.  Discrete conservation holds
+    up to boundary flux (zero-flux far walls); values stay in [0, 1] for
     indicator data.
     """
     times = np.asarray(times, dtype=float)
@@ -191,23 +193,14 @@ def evolve(grid: Grid1D, times, u0: Optional[np.ndarray] = None
         raise InvalidArgument("times must start at 0")
     if u0 is None:
         u0 = indicator_data(grid)
-    n = len(grid.sigma)
     vol = grid.volumes
     cond = grid.conductances()
-    U = np.empty((len(times), n))
+    summed = np.zeros_like(vol)  # the diagonal of L: each cell's conductances
+    summed[:-1] += cond
+    summed[1:] += cond
+    U = np.empty((len(times), len(vol)))
     U[0] = u0
     u = np.asarray(u0, dtype=float).copy()
-
-    def banded(theta, dt):
-        ab = np.zeros((3, n))
-        diag = vol / dt
-        ab[1] = diag
-        ab[1, :-1] += theta * cond
-        ab[1, 1:] += theta * cond
-        ab[0, 1:] = -theta * cond
-        ab[2, :-1] = -theta * cond
-        return ab
-
     for step in range(1, len(times)):
         dt = times[step] - times[step - 1]
         theta = 1.0 if step <= 10 else 0.5
@@ -216,7 +209,10 @@ def evolve(grid: Grid1D, times, u0: Optional[np.ndarray] = None
             flux = cond * (u[1:] - u[:-1])
             rhs[:-1] += (1.0 - theta) * flux
             rhs[1:] -= (1.0 - theta) * flux
-        u = solve_banded((1, 1), banded(theta, dt), rhs)
+        *_, u, info = dptsv(vol / dt + theta * summed, -theta * cond, rhs)
+        if info != 0:
+            raise InvalidArgument(f"step {step}: the step matrix is not "
+                                  f"positive definite (dptsv info={info})")
         U[step] = u
     return TimeSeries(times=times, U=U, grid=grid)
 

@@ -118,6 +118,18 @@ def test_maxprinciple_json_report(tmp_path):
     assert rep["lambda0_counterexample"]["min_interior"] < -0.4
 
 
+def test_maxprinciple_accepts_and_ignores_jobs(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 4, "n": 8}))
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert main(["maxprinciple", "--config", str(cfg), "--jobs", jobs,
+                     "--out", str(out)]) == 0
+        reports.append((out / "maxprinciple.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_wkb_ray_table(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"surface": {"variant": "cylinder", "R": 2.0},

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from twophase import elliptic as ell
 from twophase import geometry as geo
@@ -47,13 +48,30 @@ def test_radial_solution_no_overflow_at_huge_rates():
     assert sol(0.99) == pytest.approx(K * math.exp(-1e5 * 0.01), rel=1e-2)
 
 
+def _ode_residual(sol, r) -> np.ndarray:
+    """Residual of the radial equation by central differences.
+
+    An independent check of the closed form; the step balances truncation
+    against roundoff, which floors the attainable residual near sqrt(eps)
+    relative.  (The high-precision oracle below verifies the profile too.)
+    """
+    r = np.asarray(r, dtype=float)
+    h = (12.0 * np.finfo(float).eps) ** 0.25 / max(sol.mu, 1.0)
+    d = sol.surface.radial_dim
+    wpp = (sol(r + h) - 2.0 * sol(r) + sol(r - h)) / h ** 2
+    wp = (sol(r + h) - sol(r - h)) / (2.0 * h)
+    coef = (d - 1) / r if d > 1 else 0.0
+    return (wpp + coef * wp - (sol.lam / sol.sigma) * sol(r)) / max(
+        1.0, sol.lam / sol.sigma)
+
+
 def test_ode_residual_spot_checks():
     # double-precision finite differences bottom out near 1e-8 relative;
     # the high-precision oracle below pushes to the stated 1e-10
     for surface, rs in ((SPHERE, np.linspace(0.55, 0.99, 16)),
                         (CYLINDER, np.linspace(1.2, 1.98, 16))):
         sol = ell.solve_radial_dirichlet(surface, 37.0, 1.3, K)
-        assert np.max(np.abs(sol.ode_residual(rs))) < 1e-7
+        assert np.max(np.abs(_ode_residual(sol, rs))) < 1e-7
 
 
 def test_ode_residual_high_precision_oracle():
@@ -273,34 +291,103 @@ def test_cg_nonconvergence_names_iterations_and_residual(monkeypatch):
         ell.grid_modified_helmholtz(field, 1.0, np.ones(16), {"xlo": 0.0})
 
 
+@pytest.mark.parametrize("method", ["cg", "direct"])
+def test_singular_operator_is_rejected(method):
+    # lambda = 0 and no Dirichlet face: constants span the null space
+    n = 8
+    field = ell.GridField(lo=(0.0, 0.0), hi=(1.0, 1.0), h=1.0 / n,
+                          sigma=np.ones((n, n)))
+    with pytest.raises(InvalidArgument, match="singular"):
+        ell.grid_modified_helmholtz(field, 0.0, np.ones(n * n), {},
+                                    method=method)
+
+
+@pytest.mark.parametrize("method", ["cg", "direct"])
+def test_unknown_boundary_face_is_rejected(method):
+    # a misspelled face used to become a zero-flux face, silently
+    n = 8
+    field = ell.GridField(lo=(0.0, 0.0), hi=(1.0, 1.0), h=1.0 / n,
+                          sigma=np.ones((n, n)))
+    with pytest.raises(InvalidArgument, match="unknown boundary faces"):
+        ell.grid_modified_helmholtz(field, 0.0, np.ones(n * n),
+                                    {"xlow": 1.0}, method=method)
+
+
+def test_direct_solve_rejects_an_indefinite_operator():
+    n = 8
+    field = ell.GridField(lo=(0.0, 0.0), hi=(1.0, 1.0), h=1.0 / n,
+                          sigma=-np.ones((n, n)))
+    with pytest.raises(InvalidArgument, match="not positive definite"):
+        ell.grid_modified_helmholtz(field, 1.0, np.ones(n * n), {"xlo": 0.0},
+                                    method="direct")
+
+
+def test_vcycle_cg_at_conductivity_contrast_100():
+    rng = np.random.default_rng(100)
+    n = 97
+    sigma = rng.uniform(1.0, 100.0, (n, n))
+    field = ell.GridField(lo=(0.0, 0.0), hi=(1.0, 1.0), h=1.0 / n,
+                          sigma=sigma)
+    boundary = {"xlo": rng.uniform(0.0, 1.0, n), "yhi": rng.uniform(0.0, 1.0, n)}
+    source = rng.uniform(0.0, 1.0, n * n)
+    sol = ell.grid_modified_helmholtz(field, 1.0, source, boundary)
+    ref = ell.grid_modified_helmholtz(field, 1.0, source, boundary,
+                                      method="direct")
+    assert 0 < sol.iterations <= 30
+    err = np.max(np.abs(sol.values - ref.values)) / np.max(np.abs(ref.values))
+    assert err <= 1e-8
+
+
+@pytest.mark.parametrize("sigmas", [(100.0, 1.0), (1.0, 100.0)])
+def test_disk_study_cg_at_conductivity_contrast_100(sigmas):
+    rep = ell.disk_convergence_study(TwoPhaseMedium(*sigmas), lam=100.0,
+                                     hs=(1 / 32, 1 / 64))
+    assert max(rep["iterations"]) <= 30
+    assert max(rep["residuals"]) <= 1e-10
+
+
 # -- maximum principle ------------------------------------------------------------------
 
 def test_max_principle_uniform_sigma():
     rep = ell.discrete_max_principle_check(lam=1.0, trials=20, rng_seed=1,
-                                           sigma_range=(1.0, 1.0), jobs=1)
+                                           sigma_range=(1.0, 1.0))
     assert rep["min_value"] >= -1e-12
 
 
 def test_max_principle_random_sigma():
-    rep = ell.discrete_max_principle_check(lam=10.0, trials=30, rng_seed=2,
-                                           jobs=1)
+    rep = ell.discrete_max_principle_check(lam=10.0, trials=30, rng_seed=2)
     assert rep["min_value"] >= -1e-10
 
 
-def test_max_principle_same_on_a_thread_pool():
-    # every trial's data is drawn before any solve, so the pool sees the
-    # sequential run's trials and the minimum is the same float
-    one = ell.discrete_max_principle_check(lam=10.0, trials=12, rng_seed=5,
-                                           n=16, jobs=1)
-    two = ell.discrete_max_principle_check(lam=10.0, trials=12, rng_seed=5,
-                                           n=16, jobs=2)
-    assert one == two
-    assert one["trials"] == 12
+def test_max_principle_trials_match_sparse_reference():
+    # each trial redrawn in the check's order and solved by SuperLU on the
+    # assembled CSR operator, against the banded Cholesky path
+    lam, n, trials, seed = 10.0, 16, 12, 5
+    rep = ell.discrete_max_principle_check(lam=lam, trials=trials,
+                                           rng_seed=seed, n=n)
+    rng = np.random.default_rng(seed)
+    mins = []
+    for _ in range(trials):
+        sig = rng.uniform(0.5, 4.0, size=(n, n))
+        boundary = {name: rng.uniform(0.0, 1.0, size=n)
+                    for name in ("xlo", "xhi", "ylo", "yhi")}
+        source = rng.uniform(0.0, 1.0, size=(n, n)) * lam
+        field = ell.GridField(lo=(0.0, 0.0), hi=(1.0, 1.0), h=1.0 / n,
+                              sigma=sig)
+        A, rhs = ell.assemble_operator(field, lam, boundary)
+        ref = spsolve(A.tocsc(), rhs + source.ravel())
+        sol = ell.grid_modified_helmholtz(field, lam, source, boundary,
+                                          method="direct")
+        err = np.max(np.abs(sol.values.ravel() - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-14
+        mins.append(float(ref.min()))
+    assert rep["trials"] == trials
+    assert abs(rep["min_value"] - min(mins)) <= 1e-15
 
 
 def test_max_principle_rejects_lambda_zero():
     with pytest.raises(InvalidArgument):
-        ell.discrete_max_principle_check(lam=0.0, trials=1, rng_seed=0, jobs=1)
+        ell.discrete_max_principle_check(lam=0.0, trials=1, rng_seed=0)
 
 
 def test_annulus_counterexample_reproduces_failure():

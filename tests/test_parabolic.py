@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from twophase import geometry as geo
 from twophase import kernel1d as k1
@@ -122,6 +123,40 @@ def test_evolve_requires_zero_start():
     grid = par.interface_grid(PLANE, MED, h_fine=5e-3, far=4.0)
     with pytest.raises(InvalidArgument):
         par.evolve(grid, [0.1, 0.2])
+
+
+def _banded_step(grid, u, dt, theta):
+    """One theta step by a general (1, 1) band solve, as a reference."""
+    vol, cond = grid.volumes, grid.conductances()
+    ab = np.zeros((3, len(vol)))
+    ab[1] = vol / dt
+    ab[1, :-1] += theta * cond
+    ab[1, 1:] += theta * cond
+    ab[0, 1:] = -theta * cond
+    ab[2, :-1] = -theta * cond
+    rhs = vol / dt * u
+    flux = cond * (u[1:] - u[:-1])
+    rhs[:-1] += (1.0 - theta) * flux
+    rhs[1:] -= (1.0 - theta) * flux
+    return solve_banded((1, 1), ab, rhs)
+
+
+def test_evolve_steps_match_a_general_band_solve():
+    # step 1 is implicit Euler, step 11 the first Crank-Nicolson step
+    grid = par.interface_grid(SPHERE, MED, h_fine=5e-3, far=4.0)
+    u0 = np.random.default_rng(7).uniform(0.0, 1.0, len(grid.sigma))
+    series = par.evolve(grid, par.geometric_times(1e-4, 1e-3), u0=u0)
+    t, U = series.times, series.U
+    for step, theta in ((1, 1.0), (11, 0.5)):
+        ref = _banded_step(grid, U[step - 1], t[step] - t[step - 1], theta)
+        assert np.max(np.abs(U[step] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_evolve_rejects_a_step_matrix_that_is_not_positive_definite():
+    faces = np.linspace(0.0, 1.0, 11)
+    grid = par.Grid1D(faces=faces, sigma=-np.ones(10), d=1, interface_index=5)
+    with pytest.raises(InvalidArgument, match="not positive definite"):
+        par.evolve(grid, [0.0, 1.0])
 
 
 # -- transform ---------------------------------------------------------------------

@@ -126,25 +126,6 @@ class TransmissionSolution:
     medium: TwoPhaseMedium
     interface_value: float
 
-    def outside_value(self, r):
-        """w(r) for r >= R."""
-        r = np.asarray(r, dtype=float)
-        mu = math.sqrt(self.lam / self.medium.sigma_m)
-        R, nu = self.surface.R, 0.5 * self.surface.radial_dim - 1.0
-        beta = 1.0 - self.interface_value
-        ratio = (r ** -nu * kve(nu, mu * r)) / (R ** -nu * kve(nu, mu * R))
-        return 1.0 - beta * ratio * np.exp(-mu * (r - R))
-
-    def flux_mismatch(self) -> float:
-        """sigma_s dw/dr|_- minus sigma_m dw/dr|_+ at r = R (should vanish)."""
-        mu_s = math.sqrt(self.lam / self.medium.sigma_s)
-        mu_m = math.sqrt(self.lam / self.medium.sigma_m)
-        gin = _interior_log_derivative(self.surface, mu_s)
-        gout = _exterior_log_derivative(self.surface, mu_m)
-        inner = self.medium.sigma_s * self.interface_value * gin
-        outer = -self.medium.sigma_m * (1.0 - self.interface_value) * gout
-        return inner - outer
-
 
 def solve_radial_transmission(surface: Surface, lam: float,
                               medium: TwoPhaseMedium) -> TransmissionSolution:
@@ -493,10 +474,13 @@ def grid_modified_helmholtz(field: GridField, lam: float, source,
     preconditioner needs O(1/h).  Method "direct" instead factorizes the
     stencil's band form (bandwidth nx) by banded Cholesky.  The result
     carries the CG iteration count (0 for "direct") and the final relative
-    residual |b - A w| / |b|.  An unknown face name, or a singular
-    (lambda = 0, no Dirichlet face) or indefinite operator, raises
-    InvalidArgument.
+    residual |b - A w| / |b|.  A method other than "cg" or "direct", an
+    unknown face name, or a singular (lambda = 0, no Dirichlet face) or
+    indefinite operator raises InvalidArgument.
     """
+    if method not in ("cg", "direct"):
+        raise InvalidArgument(f"unknown method {method!r}; expected 'cg' or "
+                              "'direct'")
     if not lam >= 0.0:
         raise InvalidArgument("lambda must be nonnegative")
     if lam == 0.0 and not boundary:

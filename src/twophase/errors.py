@@ -22,10 +22,6 @@ class ConsistencyError(TwoPhaseError, RuntimeError):
     """Two independent evaluation routes disagree beyond tolerance."""
 
 
-class DegenerateFit(TwoPhaseError, RuntimeError):
-    """All samples underflowed; no envelope can be fitted."""
-
-
 class FitUnstable(TwoPhaseError, RuntimeError):
     """A regression's residual is too large relative to the fitted term."""
 
@@ -36,10 +32,6 @@ class OutsideTubularNeighborhood(TwoPhaseError, ValueError):
 
 class AmbiguousProjection(TwoPhaseError, RuntimeError):
     """Two distinct nearest surface points were detected."""
-
-
-class OnSurface(TwoPhaseError, ValueError):
-    """The requested quantity is only defined off the surface (side limits exist)."""
 
 
 class DegenerateTube(TwoPhaseError, ValueError):

@@ -34,30 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AmbiguousProjection, InvalidArgument, NonConvergence,
-                     OnSurface, OutsideTubularNeighborhood,
                      UnsupportedGeometry)
-
-_ON_SURFACE_TOL = 1e-13
-
-
-@dataclass(frozen=True)
-class Projection:
-    """Nearest-point data: z on the surface, distance, outward normal, side.
-
-    side is -1 inside Omega, +1 outside, 0 on the surface.  The query point
-    is reconstructed as x = z + delta * (side-dependent direction); in terms
-    of the distance gradient, z = x - delta * grad(delta)(x).
-    """
-
-    z: np.ndarray
-    delta: float
-    nu: np.ndarray          # outward unit normal to Omega at z
-    side: int
-
-    @property
-    def grad_delta(self) -> np.ndarray:
-        """Unit gradient of the distance at the query point (away from surface)."""
-        return -self.nu if self.side < 0 else self.nu
 
 
 class Surface:
@@ -69,7 +46,8 @@ class Surface:
     where the nearest surface point is guaranteed unique, which for the
     closed-form radial variants is much larger than the collar (a ball
     interior has a unique nearest boundary point everywhere but the
-    center).  `project` raises once `projection_radius` is exceeded.
+    center).  The helicoid and catenoid search for the nearest point within
+    `projection_radius` of the query's own surface parameter.
     """
 
     N: int
@@ -92,8 +70,9 @@ class Surface:
     def project_batch(self, X: np.ndarray):
         """Return (Z, delta, side) for an (m, N) array of query points.
 
-        No tube check is applied; callers that need the guarantee use
-        `project`.
+        No tube check is applied: past `projection_radius` the nearest
+        point may not be unique, and callers bound their own region (the
+        coefficient tables raise OutsideTubularNeighborhood past theirs).
         """
         raise NotImplementedError
 
@@ -103,25 +82,6 @@ class Surface:
 
     def outward_normal(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    # -- scalar convenience ------------------------------------------------
-    def project(self, x) -> Projection:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.N,):
-            raise InvalidArgument(f"expected a point in R^{self.N}, got shape {x.shape}")
-        Z, delta, side = self.project_batch(x[None, :])
-        d = float(delta[0])
-        if d >= self.projection_radius:
-            raise OutsideTubularNeighborhood(
-                f"delta(x) = {d:.6g} >= projection radius = "
-                f"{self.projection_radius:.6g}")
-        z = Z[0]
-        s = int(side[0]) if d > _ON_SURFACE_TOL else 0
-        return Projection(z=z, delta=d, nu=self.outward_normal(z), side=s)
-
-    def h_funcs(self, z) -> np.ndarray:
-        """Elementary symmetric functions H_1..H_{N-1} at a surface point."""
-        return elementary_symmetric(self.kappas(np.asarray(z, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -488,22 +448,6 @@ class Catenoid(Surface):
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def laplacian_of_distance(surface: Surface, x) -> float:
-    """Laplacian of the distance function at a tube point off the surface.
-
-    Inside Omega this is -sum kappa_j / (1 - kappa_j delta); outside the
-    sign of both the sum and the delta term flips.  On the surface only the
-    side limits exist, so a query at delta = 0 raises OnSurface.
-    """
-    pr = surface.project(x)
-    if pr.side == 0:
-        raise OnSurface("Lap(delta) on the surface is defined only as a side limit")
-    kap = surface.kappas(pr.z)
-    if pr.side < 0:
-        return float(-np.sum(kap / (1.0 - kap * pr.delta)))
-    return float(np.sum(kap / (1.0 + kap * pr.delta)))
-
-
 def elementary_symmetric(kappas) -> np.ndarray:
     """Elementary symmetric polynomials H_1..H_n of the given curvatures.
 
@@ -517,37 +461,3 @@ def elementary_symmetric(kappas) -> np.ndarray:
         upper = j + 1
         e[1:upper + 1] = e[1:upper + 1] + kap * e[0:upper]
     return e[1:]
-
-
-def curvature_product_expansion(surface: Surface, x) -> tuple[float, float]:
-    """Evaluate both sides of prod(1 - kappa_j delta) = 1 + sum (-1)^i H_i delta^i."""
-    pr = surface.project(x)
-    kap = surface.kappas(pr.z)
-    lhs = float(np.prod(1.0 - kap * pr.delta))
-    H = elementary_symmetric(kap)
-    i = np.arange(1, len(H) + 1)
-    rhs = 1.0 + float(np.sum((-1.0) ** i * H * pr.delta ** i))
-    return lhs, rhs
-
-
-def tangential_gradient_check(surface: Surface, x, i: int, h: float = 1e-4) -> float:
-    """|grad(delta) . grad(H_i o z)| by central differences; zero in exact arithmetic.
-
-    The composite field H_i(z(x)) is constant along normal rays, so its
-    gradient is tangential and orthogonal to grad(delta).  The returned
-    residual is O(h^2) for smooth variants.
-    """
-    x = np.asarray(x, dtype=float)
-    pr = surface.project(x)
-    e = pr.grad_delta
-
-    def field(p):
-        Z, _, _ = surface.project_batch(p[None, :])
-        return surface.h_funcs(Z[0])[i - 1]
-
-    grad = np.empty(surface.N)
-    for axis in range(surface.N):
-        step = np.zeros(surface.N)
-        step[axis] = h
-        grad[axis] = (field(x + step) - field(x - step)) / (2.0 * h)
-    return abs(float(e @ grad))

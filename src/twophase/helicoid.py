@@ -35,7 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import InvalidArgument
 
@@ -43,42 +42,20 @@ _BATCH = 1 << 18
 _CHUNK = 1 << 14
 
 
-def in_omega(x) -> bool:
-    """Side test x2 cos x3 - x1 sin x3 > 0 (False on the surface itself)."""
-    x = np.asarray(x, dtype=float)
-    return bool(x[1] * math.cos(x[2]) - x[0] * math.sin(x[2]) > 0.0)
+def _defining(X: np.ndarray) -> np.ndarray:
+    """x2 cos x3 - x1 sin x3 per point: positive in Omega, zero on H."""
+    return X[:, 1] * np.cos(X[:, 2]) - X[:, 0] * np.sin(X[:, 2])
 
 
 def omega_indicator(X: np.ndarray) -> np.ndarray:
     """Vectorized indicator of Omega for an (m, 3) array of points."""
-    return (X[:, 1] * np.cos(X[:, 2]) - X[:, 0] * np.sin(X[:, 2]) > 0.0)
-
-
-def on_surface_value(x) -> float:
-    """The defining function x2 cos x3 - x1 sin x3 (zero exactly on H)."""
-    x = np.asarray(x, dtype=float)
-    return float(x[1] * math.cos(x[2]) - x[0] * math.sin(x[2]))
-
-
-def screw(x, alpha: float) -> np.ndarray:
-    """Screw motion: rotation by alpha in the x1-x2 plane plus lift alpha."""
-    x = np.asarray(x, dtype=float)
-    c, s = math.cos(alpha), math.sin(alpha)
-    if x.ndim == 1:
-        return np.array([x[0] * c - x[1] * s, x[0] * s + x[1] * c, x[2] + alpha])
-    return np.stack([x[..., 0] * c - x[..., 1] * s,
-                     x[..., 0] * s + x[..., 1] * c,
-                     x[..., 2] + alpha], axis=-1)
+    return _defining(X) > 0.0
 
 
 def flip(x) -> np.ndarray:
     """The involution g(x) = (x1, -x2, -x3), an isometry swapping the sides."""
     x = np.asarray(x, dtype=float)
     return x * np.array([1.0, -1.0, -1.0])
-
-
-def helicoid_point(rho: float, s: float) -> np.ndarray:
-    return np.array([rho * math.cos(s), rho * math.sin(s), s])
 
 
 @dataclass(frozen=True)
@@ -159,8 +136,7 @@ def _outside_count(x: np.ndarray, z: np.ndarray, move) -> int:
         c = z[lo:lo + _CHUNK]
         move(c)
         c += x
-        inside += int(np.count_nonzero(c[:, 1] * np.cos(c[:, 2])
-                                       - c[:, 0] * np.sin(c[:, 2]) > 0.0))
+        inside += int(np.count_nonzero(omega_indicator(c)))
     return len(z) - inside
 
 
@@ -220,27 +196,6 @@ def ball_density(x, r: float, n_samples: int = 10 ** 6,
     return _mc_fraction(count, n_samples, rng_seed, n_jobs)
 
 
-def plane_halfspace_mc(x1: float, t: float, n_samples: int = 10 ** 6,
-                       rng_seed: int = 0) -> McEstimate:
-    """Oracle case: Omega = {x1 > 0}; exact answer is erfc(x1/(2 sqrt(t)))/2."""
-    if not t > 0.0:
-        raise InvalidArgument(f"t must be positive, got {t!r}")
-    scale = math.sqrt(2.0 * t)
-
-    def count(gen, z):
-        # one normal per point: the batch's first m draws, in stream order
-        v = z.reshape(-1)[:len(z)]
-        v *= scale
-        v += x1
-        return int(np.count_nonzero(v <= 0.0))
-
-    return _mc_fraction(count, n_samples, rng_seed, 1)
-
-
-def plane_halfspace_exact(x1: float, t: float) -> float:
-    return 0.5 * float(erfc(x1 / (2.0 * math.sqrt(t))))
-
-
 def half_value_checks(n_samples: int, seed: int, t_values, r_values,
                       symmetry_samples: int, jobs: int) -> tuple:
     """The half-value report at the origin, a point of the helicoid.
@@ -295,17 +250,15 @@ def symmetry_identities_check(n_samples: int = 10 ** 4,
     screw_bad = np.flatnonzero(omega_indicator(screw_many(pts, alphas))
                                != omega_indicator(pts))
 
-    on_h = np.abs(pts[:, 1] * np.cos(pts[:, 2]) - pts[:, 0] * np.sin(pts[:, 2])) < 1e-9
+    on_h = np.abs(_defining(pts)) < 1e-9
     off = pts[~on_h]
-    flipped = off * np.array([1.0, -1.0, -1.0])
-    flip_bad = int(np.count_nonzero(omega_indicator(flipped) == omega_indicator(off)))
+    flip_bad = int(np.count_nonzero(omega_indicator(flip(off)) == omega_indicator(off)))
 
     rhos = gen.uniform(-5.0, 5.0, size=n_samples)
     ss = gen.uniform(-10.0, 10.0, size=n_samples)
     surf = np.stack([rhos * np.cos(ss), rhos * np.sin(ss), ss], axis=1)
-    gx = surf * np.array([1.0, -1.0, -1.0])
     kx = screw_many(surf, -2.0 * surf[:, 2])
-    coincide = float(np.max(np.linalg.norm(gx - kx, axis=1)))
+    coincide = float(np.max(np.linalg.norm(flip(surf) - kx, axis=1)))
 
     a, b = gen.uniform(-10.0, 10.0, size=n_samples), gen.uniform(-10.0, 10.0, size=n_samples)
     comp = screw_many(screw_many(pts, a), b)

@@ -27,12 +27,11 @@ parallel with no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
 
-from .errors import ConsistencyError, DegenerateFit, InvalidArgument
+from .errors import ConsistencyError, InvalidArgument
 from .medium import TwoPhaseMedium, interface_constant
 from .quadrature import GAUSSIAN_CUTOFF_STD, integrate_adaptive
 
@@ -131,44 +130,3 @@ def halfline_solution(x1, t, medium: TwoPhaseMedium, tol: float = TWO_WAY_TOL):
             f"closed form and quadrature disagree at (x1={x1[i]}, t={t[i]}) "
             f"by {np.max(diff):.3e}")
     return exact
-
-
-@dataclass(frozen=True)
-class DecayEstimate:
-    """Envelope u <= B exp(-b/t) fitted on a sample window.
-
-    By construction the log-residuals on the fitted window are <= 0: the
-    least-squares amplitude is inflated until the bound actually holds.
-    """
-
-    B: float
-    b: float
-
-    def bound(self, t):
-        return self.B * np.exp(-self.b / np.asarray(t, dtype=float))
-
-
-def fit_decay_envelope(points, t_grid, medium: TwoPhaseMedium) -> DecayEstimate:
-    """Fit an envelope B exp(-b/t) over points at distance >= rho from 0.
-
-    `points` is a list of (x1, rho) pairs with rho > 0.  On the sigma_s side
-    the solution u itself decays; on the sigma_m side 1 - u does, and the
-    fit switches accordingly.  Underflowed samples (value 0) satisfy any
-    envelope and are dropped; if everything underflows the fit is
-    degenerate.
-    """
-    for x1, rho in points:
-        if not (rho > 0.0 and abs(x1) >= rho * (1.0 - 1e-12)):
-            raise InvalidArgument(f"point {x1!r} is closer than rho={rho!r} to the interface")
-    X, T = np.meshgrid([x1 for x1, _ in points], t_grid, indexing="ij")
-    u = halfline_closed_form(X, T, medium)
-    v = np.where(X > 0.0, u, 1.0 - u)
-    if np.count_nonzero(v > 0.0) < 2:
-        raise DegenerateFit("all sampled values underflowed; nothing to fit")
-    inv_t, logs = 1.0 / T[v > 0.0], np.log(v[v > 0.0])
-    # least squares for log v = alpha - b / t
-    design = np.column_stack([np.ones_like(inv_t), -inv_t])
-    (alpha, b), *_ = np.linalg.lstsq(design, logs, rcond=None)
-    resid = logs - (alpha - b * inv_t)
-    alpha += max(0.0, float(resid.max())) + 1e-12  # restore the envelope property
-    return DecayEstimate(B=math.exp(alpha), b=float(b))

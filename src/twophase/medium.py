@@ -26,9 +26,8 @@ from .errors import InvalidArgument
 class TwoPhaseMedium:
     """Conductivity pair (sigma_s inside, sigma_m outside).
 
-    Equal conductivities are permitted everywhere except operations that
-    explicitly require distinct phases; those check `phases_distinct`,
-    which is derived with exact comparison.
+    Equal conductivities are permitted; the interface constant is then
+    exactly 1/2.
     """
 
     sigma_s: float
@@ -51,16 +50,9 @@ class TwoPhaseMedium:
         return max(self.sigma_s, self.sigma_m)
 
     @property
-    def phases_distinct(self) -> bool:
-        return self.sigma_s != self.sigma_m
-
-    @property
     def k(self) -> float:
         """Interface constant sqrt(sigma_m) / (sqrt(sigma_s) + sqrt(sigma_m))."""
         return interface_constant(self)
-
-    def swapped(self) -> "TwoPhaseMedium":
-        return TwoPhaseMedium(self.sigma_m, self.sigma_s)
 
     def side_conductivity(self, side: int) -> float:
         """Conductivity of one side of the interface: -1 inside, +1 outside."""

@@ -54,8 +54,7 @@ one slot for the whole module: the many reads that a barrier call or an
 identity check makes at the same points cost one projection, and a read
 at any other points projects them again.  Ray integrals are the
 antiderivatives of the quintic interpolants of their integrands, all rows
-at once; ray derivatives d/dtau are the splines' tau-derivatives (A_0:
-closed form).
+at once.
 Barrier functions read the cached `coefficient_engine(surface, side)` and
 return one value per point.  Only `gradient_identity_residual`, the check
 independent of the tables, differentiates by central differences.
@@ -345,16 +344,6 @@ class CoefficientEngine:
         return (self._chart_laplacian(self._table(n), q, tau)
                 + sign * self._chart_laplacian(self._j_table, q, tau))
 
-    def ray_derivative(self, j: int, X) -> np.ndarray:
-        """dA_j/dtau = grad(delta) . grad(A_j) at collar points, exact for
-        the tables; A_0 has the closed form -1/2 Lap(delta) A_0."""
-        if j == 0:
-            return -0.5 * self.lap_signed_distance(X) * self.a0(X)
-        return self._read(self._table(j), X, 1)
-
-    def ray_derivative_pm(self, n: int, sign: int, X) -> np.ndarray:
-        return self.ray_derivative(n, X) + sign * self._read(self._j_table, X, 1)
-
 
 @lru_cache(maxsize=None)
 def coefficient_engine(surface: Surface, side: int) -> CoefficientEngine:
@@ -485,20 +474,6 @@ def gradient_identity_residual(surface: Surface, j: int, x, side: int = -1,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SlabCorrector:
-    """psi = 2 delta / delta0: harmonic, 0 on the surface, 2 on the far wall."""
-
-    delta0: float
-
-    def psi(self, tau):
-        return 2.0 * np.asarray(tau, dtype=float) / self.delta0
-
-    @property
-    def surface_slope(self) -> float:
-        return 2.0 / self.delta0
-
-
-@dataclass(frozen=True)
 class RadialCorrector:
     """Harmonic corrector on a radial annulus collar.
 
@@ -526,9 +501,6 @@ class RadialCorrector:
 
     def psi(self, tau):
         return self._profile(self._r(tau))
-
-    def psi_at_radius(self, r):
-        return self._profile(np.asarray(r, dtype=float))
 
     @property
     def surface_slope(self) -> float:
@@ -586,41 +558,6 @@ def barrier_f(surface: Surface, medium: TwoPhaseMedium, x, lam: float, n: int,
     _, tau, _, _ = eng.signed_coords(X)
     return _f_values(_side_value(medium, side), mu, tau,
                      _s_terms(eng, X, n, sign))
-
-
-def elliptic_residual(surface: Surface, medium: TwoPhaseMedium, x, lam: float,
-                      n: int, sign: int, side: int = -1
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma Lap f - lambda f, predicted right side) at collar points.
-
-    One value per point in each array.  The left side assembles the
-    Laplacian of e^{-mu delta} S from the tables' exact ray derivatives and
-    chart Laplacians, so the two agree to table accuracy, the surface
-    included; for lambda past the calibrated threshold the common value is
-    strictly negative for the + barrier and strictly positive for the -
-    barrier.
-    """
-    if not (lam > 0.0):
-        raise InvalidArgument(f"lambda must be positive, got {lam!r}")
-    eng = coefficient_engine(surface, side)
-    sigma = medium.side_conductivity(side)
-    mu = math.sqrt(lam / sigma)
-    q = 1.0 / mu
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    _, tau, _, _ = eng.signed_coords(X)
-    dd = eng.lap_signed_distance(X)
-
-    S = _s_sum(_s_terms(eng, X, n, sign), q)
-    s_tau = _s_sum([eng.ray_derivative(j, X) for j in range(n)]
-                   + [eng.ray_derivative_pm(n, sign, X)], q)
-    lap_pm = eng.laplacian_pm(n, sign, X)
-    lap_S = _s_sum([eng.laplacian(j, X) for j in range(n)] + [lap_pm], q)
-
-    # the mu^2 S term cancels against lambda f exactly; assemble without it
-    scale = _side_value(medium, side) * sigma * np.exp(-mu * tau)
-    lhs = scale * (-mu * dd * S - 2.0 * mu * s_tau + lap_S)
-    rhs = scale * q ** (n - 1) * (-2.0 * sign + q * lap_pm)
-    return lhs, rhs
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ from twophase import geometry as geo
 from twophase.errors import InvalidArgument, NonConvergence, UnsupportedGeometry
 from twophase.medium import TwoPhaseMedium
 
+from oracles import flux_mismatch, outside_value
+
 MED = TwoPhaseMedium(1.0, 4.0)
 K = MED.k
 SPHERE = geo.Sphere(R=1.0, N=3)
@@ -122,7 +124,7 @@ def test_transmission_flux_match_random():
         g = geo.Sphere(R=R, N=3)
         tr = ell.solve_radial_transmission(g, lam, MED)
         scale = math.sqrt(lam) * max(MED.sigma_s, MED.sigma_m)
-        assert abs(tr.flux_mismatch()) < 1e-10 * scale
+        assert abs(flux_mismatch(tr)) < 1e-10 * scale
 
 
 def test_plane_transmission_fluxes_match():
@@ -130,7 +132,7 @@ def test_plane_transmission_fluxes_match():
     for lam in (1.0, 10.0, 100.0):
         tr = ell.solve_radial_transmission(PLANE, lam, MED)
         scale = math.sqrt(lam) * max(MED.sigma_s, MED.sigma_m)
-        assert abs(tr.flux_mismatch()) < 1e-14 * scale
+        assert abs(flux_mismatch(tr)) < 1e-14 * scale
 
 
 def test_transmission_interface_value_tends_to_k_for_many_pairs():
@@ -145,8 +147,8 @@ def test_transmission_interface_value_tends_to_k_for_many_pairs():
 
 def test_transmission_outside_value_continuous():
     tr = ell.solve_radial_transmission(SPHERE, 100.0, MED)
-    assert tr.outside_value(1.0) == pytest.approx(tr.interface_value, rel=1e-12)
-    assert tr.outside_value(50.0) == pytest.approx(1.0, abs=1e-10)
+    assert outside_value(tr, 1.0) == pytest.approx(tr.interface_value, rel=1e-12)
+    assert outside_value(tr, 50.0) == pytest.approx(1.0, abs=1e-10)
 
 
 # -- curvature extraction -----------------------------------------------------------
@@ -311,6 +313,17 @@ def test_unknown_boundary_face_is_rejected(method):
     with pytest.raises(InvalidArgument, match="unknown boundary faces"):
         ell.grid_modified_helmholtz(field, 0.0, np.ones(n * n),
                                     {"xlow": 1.0}, method=method)
+
+
+def test_unknown_method_is_rejected():
+    # any method but "direct" used to run CG, silently
+    n = 16
+    field = ell.GridField(lo=(0.0, 0.0), hi=(1.0, 1.0), h=1.0 / n,
+                          sigma=np.ones((n, n)))
+    for method in ("Direct", "CG", "lu", ""):
+        with pytest.raises(InvalidArgument, match="unknown method"):
+            ell.grid_modified_helmholtz(field, 1.0, np.ones(n * n),
+                                        {"xlo": 0.0}, method=method)
 
 
 def test_direct_solve_rejects_an_indefinite_operator():

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twophase import geometry as geo
-from twophase import helicoid as hl
-from twophase.errors import (AmbiguousProjection, NonConvergence, OnSurface,
+from twophase.errors import (AmbiguousProjection, NonConvergence,
                              OutsideTubularNeighborhood)
+
+from oracles import (OnSurface, curvature_product_expansion,
+                     laplacian_of_distance, project, screw,
+                     tangential_gradient_check)
 
 SPHERE = geo.Sphere(R=1.0, N=3)
 CYLINDER = geo.Cylinder(R=2.0, N=3)
@@ -43,14 +46,14 @@ def _random_tube_point(surface, rng, frac=0.8):
 # -- projection ---------------------------------------------------------------
 
 def test_project_hyperplane_example():
-    pr = PLANE.project(np.array([0.3, 5.0, -2.0]))
+    pr = project(PLANE, np.array([0.3, 5.0, -2.0]))
     assert np.allclose(pr.z, [0.0, 5.0, -2.0])
     assert pr.delta == pytest.approx(0.3)
     assert pr.side == -1  # x1 > 0 is the inside
 
 
 def test_project_sphere_radial_oracle():
-    pr = SPHERE.project(np.array([0.0, 0.0, 0.4]))
+    pr = project(SPHERE, np.array([0.0, 0.0, 0.4]))
     assert np.allclose(pr.z, [0.0, 0.0, 1.0], atol=1e-14)
     assert pr.delta == pytest.approx(0.6, abs=1e-14)
     assert pr.side == -1
@@ -58,7 +61,7 @@ def test_project_sphere_radial_oracle():
 
 def test_project_helicoid_fixed_point():
     x = HELICOID.point_at(np.asarray(2.0))
-    x = geo.Helicoid().project(np.array([2 * math.cos(1.3), 2 * math.sin(1.3), 1.3]))
+    x = project(geo.Helicoid(), np.array([2 * math.cos(1.3), 2 * math.sin(1.3), 1.3]))
     assert x.delta == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(x.z, [2 * math.cos(1.3), 2 * math.sin(1.3), 1.3], atol=1e-9)
 
@@ -69,7 +72,7 @@ def test_reconstruction_identity(name):
     rng = np.random.default_rng(11)
     for _ in range(8):
         x = _random_tube_point(surface, rng)
-        pr = surface.project(x)
+        pr = project(surface, x)
         assert np.linalg.norm(pr.z + pr.delta * pr.grad_delta - x) < 1e-10
         assert abs(np.linalg.norm(pr.nu) - 1.0) < 1e-12
 
@@ -79,8 +82,8 @@ def test_projection_idempotent(name):
     surface = ALL[name]
     rng = np.random.default_rng(3)
     for _ in range(5):
-        pr = surface.project(_random_tube_point(surface, rng))
-        again = surface.project(pr.z)
+        pr = project(surface, _random_tube_point(surface, rng))
+        again = project(surface, pr.z)
         assert again.delta < 1e-9
 
 
@@ -104,7 +107,7 @@ def _ray_point(surface, q, angle, tau):
         z0 = surface.point_at(np.asarray(q))
         x0 = z0 + tau * surface.inward_normal_at(np.asarray(q))
         if isinstance(surface, geo.Helicoid):
-            return hl.screw(x0, angle), hl.screw(z0, angle)
+            return screw(x0, angle), screw(z0, angle)
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         return rot @ x0, rot @ z0
     return z + tau * n_in, z
@@ -147,12 +150,12 @@ def test_radial_dim_of_the_catalog():
 
 def test_project_outside_tube_raises():
     with pytest.raises(OutsideTubularNeighborhood):
-        HELICOID.project(np.array([0.0, 5.0, 0.0]))
+        project(HELICOID, np.array([0.0, 5.0, 0.0]))
 
 
 def test_project_center_ambiguous():
     with pytest.raises(AmbiguousProjection):
-        SPHERE.project(np.zeros(3))
+        project(SPHERE, np.zeros(3))
 
 
 def test_newton_projection_checks_where_it_stops():
@@ -194,7 +197,7 @@ def test_eikonal_unit_gradient(name):
     h = 1e-4
     for _ in range(5):
         x = _random_tube_point(surface, rng)
-        if surface.project(x).delta < 3 * h:
+        if project(surface, x).delta < 3 * h:
             continue
         grad = np.empty(3)
         for axis in range(3):
@@ -207,18 +210,18 @@ def test_eikonal_unit_gradient(name):
 
 
 def test_laplacian_of_distance_hyperplane_zero():
-    assert geo.laplacian_of_distance(PLANE, np.array([0.4, 3.0, 1.0])) == 0.0
+    assert laplacian_of_distance(PLANE, np.array([0.4, 3.0, 1.0])) == 0.0
 
 
 def test_laplacian_of_distance_sphere_example():
     x = np.array([0.0, 0.0, 0.75])  # delta = 0.25 inside
-    got = geo.laplacian_of_distance(SPHERE, x)
+    got = laplacian_of_distance(SPHERE, x)
     assert got == pytest.approx(-8.0 / 3.0, rel=1e-12)
 
 
 def test_laplacian_of_distance_on_surface_raises():
     with pytest.raises(OnSurface):
-        geo.laplacian_of_distance(SPHERE, np.array([1.0, 0.0, 0.0]))
+        laplacian_of_distance(SPHERE, np.array([1.0, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("name", sorted(ALL))
@@ -229,7 +232,7 @@ def test_laplacian_of_distance_matches_finite_differences(name):
     checked = 0
     while checked < 20:
         x = _random_tube_point(surface, rng)
-        if surface.project(x).delta < 5 * h:
+        if project(surface, x).delta < 5 * h:
             continue
         fd = 0.0
         for axis in range(3):
@@ -239,7 +242,7 @@ def test_laplacian_of_distance_matches_finite_differences(name):
             d0 = surface.project_batch(x[None, :])[1][0]
             dm = surface.project_batch((x - e)[None, :])[1][0]
             fd += (dp - 2 * d0 + dm) / h ** 2
-        assert abs(fd - geo.laplacian_of_distance(surface, x)) < 1e-5
+        assert abs(fd - laplacian_of_distance(surface, x)) < 1e-5
         checked += 1
 
 
@@ -277,12 +280,12 @@ def test_elementary_symmetric_matches_bruteforce(kappas):
 # -- product expansion ----------------------------------------------------------
 
 def test_product_expansion_on_surface_is_one():
-    lhs, rhs = geo.curvature_product_expansion(SPHERE, np.array([1.0, 0.0, 0.0]))
+    lhs, rhs = curvature_product_expansion(SPHERE, np.array([1.0, 0.0, 0.0]))
     assert lhs == 1.0 and rhs == 1.0
 
 
 def test_product_expansion_sphere_value():
-    lhs, rhs = geo.curvature_product_expansion(SPHERE, np.array([0.7, 0.0, 0.0]))
+    lhs, rhs = curvature_product_expansion(SPHERE, np.array([0.7, 0.0, 0.0]))
     assert lhs == pytest.approx(0.49, abs=1e-12)
     assert rhs == pytest.approx(lhs, abs=1e-14)
 
@@ -291,7 +294,7 @@ def test_product_expansion_catenoid_waist():
     # kappa = (-1, +1) at the waist of the unit catenoid: both sides
     # (1 - 0.2)(1 + 0.2) = 1 + H2 * 0.04 = 0.96
     x = np.array([0.8, 0.0, 0.0])
-    lhs, rhs = geo.curvature_product_expansion(CATENOID, x)
+    lhs, rhs = curvature_product_expansion(CATENOID, x)
     assert lhs == pytest.approx(0.96, abs=1e-12)
     assert rhs == pytest.approx(lhs, abs=1e-14)
 
@@ -301,7 +304,7 @@ def test_product_expansion_agrees_everywhere(name):
     surface = ALL[name]
     rng = np.random.default_rng(23)
     for _ in range(10):
-        lhs, rhs = geo.curvature_product_expansion(
+        lhs, rhs = curvature_product_expansion(
             surface, _random_tube_point(surface, rng))
         assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
@@ -309,21 +312,21 @@ def test_product_expansion_agrees_everywhere(name):
 # -- tangential gradients and minimality ----------------------------------------
 
 def test_tangential_gradient_hyperplane_exact_zero():
-    assert geo.tangential_gradient_check(PLANE, np.array([0.3, 1.0, 2.0]), 1) == 0.0
+    assert tangential_gradient_check(PLANE, np.array([0.3, 1.0, 2.0]), 1) == 0.0
 
 
 def test_tangential_gradient_sphere_constant_field():
     x = np.array([0.0, 0.8, 0.0])
-    assert geo.tangential_gradient_check(SPHERE, x, 1) < 1e-6
+    assert tangential_gradient_check(SPHERE, x, 1) < 1e-6
 
 
 def test_tangential_gradient_helicoid_random_rays():
     rng = np.random.default_rng(29)
     for _ in range(10):
         x = _random_tube_point(HELICOID, rng, frac=0.7)
-        if HELICOID.project(x).delta < 1e-3:
+        if project(HELICOID, x).delta < 1e-3:
             continue
-        assert geo.tangential_gradient_check(HELICOID, x, 2, h=1e-4) < 1e-5
+        assert tangential_gradient_check(HELICOID, x, 2, h=1e-4) < 1e-5
 
 
 @pytest.mark.parametrize("surface", [HELICOID, CATENOID])

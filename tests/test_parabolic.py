@@ -11,6 +11,8 @@ from twophase.errors import (InsufficientHorizon, InvalidArgument,
                              UnsupportedGeometry)
 from twophase.medium import TwoPhaseMedium
 
+from oracles import fit_decay_envelope
+
 MED = TwoPhaseMedium(1.0, 4.0)
 K = MED.k
 PLANE = geo.Hyperplane()
@@ -111,7 +113,7 @@ def test_cylinder_probe_drifts_less_than_sphere():
 
 def test_decay_shape_bound_from_fitted_envelope():
     t_grid = np.geomspace(1e-3, 1.0, 21)
-    est = k1.fit_decay_envelope([(0.75, 0.75)], t_grid, MED)
+    est = fit_decay_envelope([(0.75, 0.75)], t_grid, MED)
     series = _plane_series(h_fine=2e-3, include=t_grid, far=26.0)
     mask = np.isin(series.times, t_grid)
     u = series.probe(0.75)[mask]

@@ -10,6 +10,9 @@ from twophase.errors import (DegenerateTube, InvalidArgument,
                              UnsupportedGeometry)
 from twophase.medium import TwoPhaseMedium
 
+from oracles import (SlabCorrector, elliptic_residual, psi_at_radius,
+                     ray_derivative)
+
 MED = TwoPhaseMedium(1.0, 4.0)
 PLANE = geo.Hyperplane(N=3)
 SPHERE = geo.Sphere(R=1.0, N=3)
@@ -172,7 +175,7 @@ def test_gradient_identity_sphere_j0_symbolic():
     # unit sphere from inside
     eng = wkb.coefficient_engine(SPHERE, -1)
     p = eng.ray_points(0.0, np.array([0.1]))[0]
-    lhs = eng.ray_derivative(0, p[None, :])[0]
+    lhs = ray_derivative(eng, 0, p[None, :])[0]
     assert lhs == pytest.approx((1 - 0.1) ** -2, rel=1e-6)
 
 
@@ -287,7 +290,7 @@ def test_elliptic_residual_plane_sign_strict_all_rates():
     x = np.array([0.4, 0.0, 0.0])
     for lam in (1.0, 10.0, 1e4):
         for sign in (+1, -1):
-            lhs, rhs = wkb.elliptic_residual(PLANE, MED, x, lam, 1, sign)
+            lhs, rhs = elliptic_residual(PLANE, MED, x, lam, 1, sign)
             expect = -2.0 * sign * MED.k * math.exp(-math.sqrt(lam) * 0.4)
             assert lhs == pytest.approx(expect, rel=1e-10)
             assert rhs == pytest.approx(expect, rel=1e-10)
@@ -299,7 +302,7 @@ def test_elliptic_residual_sphere_agreement():
     for tau in (0.1, 0.3):
         p = eng.ray_points(0.0, np.array([tau]))[0]
         for sign in (+1, -1):
-            lhs, rhs = wkb.elliptic_residual(SPHERE, MED, p, 1e4, 1, sign)
+            lhs, rhs = elliptic_residual(SPHERE, MED, p, 1e4, 1, sign)
             assert abs(lhs - rhs) < 1e-4 * abs(rhs)
             assert sign * lhs < 0.0
 
@@ -308,7 +311,7 @@ def test_elliptic_residual_on_surface_reduces():
     z = np.array([1.0, 0.0, 0.0])
     eng = wkb.coefficient_engine(SPHERE, -1)
     for sign in (+1, -1):
-        lhs, rhs = wkb.elliptic_residual(SPHERE, MED, z, 400.0, 1, sign)
+        lhs, rhs = elliptic_residual(SPHERE, MED, z, 400.0, 1, sign)
         lap_pm = eng.laplacian_pm(1, sign, z[None, :])[0]
         expect = MED.k * 1.0 * (-2.0 * sign + lap_pm / 20.0)
         assert rhs == pytest.approx(expect, rel=1e-10)
@@ -327,7 +330,7 @@ def test_elliptic_residual_identity_closes(name, side, n, sign):
     taus = np.array([0.0, 1e-3, 0.2, 0.7]) * eng.delta0
     qs = [0.0] if surface.is_radial else [-0.4, 0.0, 0.3]
     X = np.concatenate([eng.ray_points(q, taus) for q in qs])
-    lhs, rhs = wkb.elliptic_residual(surface, MED, X, 1e4, n, sign, side)
+    lhs, rhs = elliptic_residual(surface, MED, X, 1e4, n, sign, side)
     assert lhs.shape == rhs.shape == (len(X),)
     assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) <= 1e-6
 
@@ -341,8 +344,8 @@ def test_barrier_functions_return_one_value_per_point():
         lambda P: wkb.barrier_f(SPHERE, MED, P, 1e4, 2, +1),
         lambda P: wkb.barrier_w(SPHERE, MED, P, 1e4, 1, -1, corrector=corr,
                                 thresholds=th),
-        lambda P: wkb.elliptic_residual(SPHERE, MED, P, 1e4, 2, +1)[0],
-        lambda P: wkb.elliptic_residual(SPHERE, MED, P, 1e4, 2, -1)[1],
+        lambda P: elliptic_residual(SPHERE, MED, P, 1e4, 2, +1)[0],
+        lambda P: elliptic_residual(SPHERE, MED, P, 1e4, 2, -1)[1],
     ]
     for call in calls:
         batch = call(X)
@@ -364,11 +367,11 @@ def test_each_batch_is_projected_once(monkeypatch):
     monkeypatch.setattr(wkb, "_last_projection", None)
     taus = np.linspace(0.05, 0.3, 5) * eng.delta0
     X = eng.ray_points(0.0, taus)
-    wkb.elliptic_residual(HELICOID, MED, X, 1e4, 2, +1)
+    elliptic_residual(HELICOID, MED, X, 1e4, 2, +1)
     assert counted == [5]
     th = wkb.BarrierThresholds(eta=0.5 * eng.delta0, lam_min=1.0)
     wkb.barrier_w(HELICOID, MED, eng.ray_points(0.2, taus), 1e4, 2, +1,
-                  corrector=wkb.SlabCorrector(eng.delta0), thresholds=th)
+                  corrector=SlabCorrector(eng.delta0), thresholds=th)
     assert counted == [5, 5]
     # a caller that mutates its array in place reads its new points
     X[0, 2] += 1e-3
@@ -471,7 +474,7 @@ def test_barrier_w_outer_wall_ordering():
     th = wkb.calibrate_thresholds(PLANE, MED, 1)
     lam = max(1e4, 2.0 * th.lam_min)
     x = np.array([eng.delta0, 0.0, 0.0])
-    corr = wkb.SlabCorrector(eng.delta0)
+    corr = SlabCorrector(eng.delta0)
     wp = wkb.barrier_w(PLANE, MED, x, lam, 1, +1, corrector=corr,
                        thresholds=th)
     wm = wkb.barrier_w(PLANE, MED, x, lam, 1, -1, corrector=corr,
@@ -516,7 +519,7 @@ def test_near_boundary_law_validates_s():
 # -- harmonic correctors ----------------------------------------------------------
 
 def test_slab_corrector_midpoint():
-    assert wkb.SlabCorrector(0.8).psi(0.4) == 1.0
+    assert SlabCorrector(0.8).psi(0.4) == 1.0
 
 
 def test_radial_corrector_example():
@@ -526,7 +529,7 @@ def test_radial_corrector_example():
 
 
 def test_corrector_boundary_values_exact():
-    for corr in (wkb.SlabCorrector(0.4),
+    for corr in (SlabCorrector(0.4),
                  wkb.RadialCorrector(R=1.0, d=3, side=-1, delta0=0.4),
                  wkb.RadialCorrector(R=2.0, d=2, side=+1, delta0=0.9)):
         assert corr.psi(0.0) == 0.0
@@ -538,10 +541,10 @@ def test_radial_corrector_is_harmonic():
     rs = np.linspace(0.58, 0.97, 9)
     h = 1e-5
     for r in rs:
-        lap = ((corr.psi_at_radius(r + h) - 2 * corr.psi_at_radius(r)
-                + corr.psi_at_radius(r - h)) / h ** 2
-               + (2.0 / r) * (corr.psi_at_radius(r + h)
-                              - corr.psi_at_radius(r - h)) / (2 * h))
+        lap = ((psi_at_radius(corr, r + h) - 2 * psi_at_radius(corr, r)
+                + psi_at_radius(corr, r - h)) / h ** 2
+               + (2.0 / r) * (psi_at_radius(corr, r + h)
+                              - psi_at_radius(corr, r - h)) / (2 * h))
         assert abs(lap) < 1e-4
 
 

@@ -40,14 +40,13 @@ from .errors import (AmbiguousProjection, InvalidArgument, NonConvergence,
 class Surface:
     """Common interface; concrete variants implement the batch kernels.
 
-    Two radii are declared per variant.  `delta0` is the barrier collar
-    half-width and always satisfies max|kappa_j| < 1/(2 delta0); it is what
-    the asymptotic machinery uses.  `projection_radius` bounds the region
-    where the nearest surface point is guaranteed unique, which for the
-    closed-form radial variants is much larger than the collar (a ball
-    interior has a unique nearest boundary point everywhere but the
-    center).  The helicoid and catenoid search for the nearest point within
-    `projection_radius` of the query's own surface parameter.
+    `delta0` is the barrier collar half-width and always satisfies
+    max|kappa_j| < 1/(2 delta0); it is what the asymptotic machinery uses.
+    The helicoid and catenoid search for the nearest point within
+    `projection_radius` = 1.5 delta0 of the query's own surface parameter,
+    where it is guaranteed unique.  The closed-form radial variants need no
+    radius: their nearest point is unique everywhere but the center (sphere)
+    or the axis (cylinder), where projecting raises.
     """
 
     N: int
@@ -70,8 +69,9 @@ class Surface:
     def project_batch(self, X: np.ndarray):
         """Return (Z, delta, side) for an (m, N) array of query points.
 
-        No tube check is applied: past `projection_radius` the nearest
-        point may not be unique, and callers bound their own region (the
+        No tube check is applied: past the helicoid's or catenoid's
+        `projection_radius` the nearest point may not be unique, and
+        callers bound their own region (the
         coefficient tables raise OutsideTubularNeighborhood past theirs).
         """
         raise NotImplementedError
@@ -96,10 +96,6 @@ class Hyperplane(Surface):
     delta0: float = 1.0
     is_radial: bool = True
     radial_dim = 1
-
-    @property
-    def projection_radius(self) -> float:
-        return math.inf
 
     def project_batch(self, X):
         X = np.asarray(X, dtype=float)
@@ -138,10 +134,6 @@ class Sphere(Surface):
     def delta0(self) -> float:  # max|kappa| = 1/R < 1/(2 delta0)
         return 0.45 * self.R
 
-    @property
-    def projection_radius(self) -> float:
-        return math.inf  # unique everywhere but the exact center
-
     def project_batch(self, X):
         X = np.asarray(X, dtype=float)
         r = np.linalg.norm(X, axis=1)
@@ -176,10 +168,6 @@ class Cylinder(Surface):
     @property
     def delta0(self) -> float:
         return 0.45 * self.R
-
-    @property
-    def projection_radius(self) -> float:
-        return math.inf  # unique everywhere but the axis
 
     def project_batch(self, X):
         X = np.asarray(X, dtype=float)

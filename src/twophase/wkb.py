@@ -36,28 +36,46 @@ with mu = sqrt(lambda/sigma) and q = 1/mu; for lambda beyond a calibrated
 threshold the right side has a strict sign, which is what makes
 w_{n,+-} = f_{n,+-} +- psi e^{-eta_n sqrt(lambda)} genuine super/subsolutions.
 
-Implementation notes.  On radial surfaces every coefficient is a function
-of the distance alone and is tabulated as a 1d quintic spline.  The
-helicoid and catenoid carry a one-parameter symmetry (screw motion,
-rotation), so their coefficient fields reduce to two variables: the
-footpoint parameter q and the signed distance tau; they are tabulated on a
-(q, tau) grid and interpolated with quintic bivariate splines.  Laplacians
-are exact for the splines, in the collar chart x = z(q, s) + tau nu(q, s):
+Implementation notes.  Every table is the coefficient array of a tensor
+Chebyshev series on N_CHEB Chebyshev-Lobatto nodes per axis (Trefethen,
+Spectral Methods in MATLAB, SIAM 2000).  On radial surfaces every
+coefficient is a function of the distance alone and the series is in tau
+only.  The helicoid and catenoid carry a one-parameter symmetry (screw
+motion, rotation), so their coefficient fields reduce to two variables:
+the footpoint parameter q and the signed distance tau.  The build works on
+the nodes.  The chart Laplacian of a level, in the collar chart
+x = z(q, s) + tau nu(q, s),
 
     Lap f = f_tautau + Lap(delta) f_tau + G^qq f_qq + d_q(sqrt(G) G^qq)/sqrt(G) f_q,
 
-with G the metric of the parallel surface in the (q, symmetry parameter)
-chart (`chart_metric` of the surface); radial fields keep the first two
-terms.  A table point lies on a known ray, so a build projects nothing.
-Reads project through `_project`, which keeps the last batch it solved in
-one slot for the whole module: the many reads that a barrier call or an
-identity check makes at the same points cost one projection, and a read
-at any other points projects them again.  Ray integrals are the
-antiderivatives of the quintic interpolants of their integrands, all rows
-at once.
-Barrier functions read the cached `coefficient_engine(surface, side)` and
-return one value per point.  Only `gradient_identity_residual`, the check
-independent of the tables, differentiates by central differences.
+takes its derivatives from the series (`chebder`), with G the metric of
+the parallel surface in the (q, symmetry parameter) chart (`chart_metric`
+of the surface); radial fields keep the first two terms and take Lap A_0
+in closed form.  The ray integral from tau = 0 is the antiderivative of the
+series (`chebint`, the `cumsum` of the Chebfun Guide), all rows at once.
+Levels A_0 .. A_{order+1}, Lap A_0 .. Lap A_order, J and Lap J are all
+tabulated when the engine is built, so every read is one interpolation,
+the top coefficient one order past the Laplacian tables included.  A node
+lies on a known ray, so a build projects nothing.
+
+The tables cover the collar with a margin of p = 4 + 2 order steps:
+tau in [-p h, delta0 + p h] with h = delta0/120 and, on the minimal
+surfaces, |q| <= 0.8 c + p 1.6 c/220 (c = 1 for the helicoid).  Reads
+outside this box raise OutsideTubularNeighborhood.
+
+Reads go point by point: each point's value is its q basis row times the
+coefficient array (one vector-matrix product per point, stacked), summed
+against its C-contiguous tau basis row.  A single matrix product over the
+batch would group its sums by the batch size, so a point's value would
+depend on the batch it is read in.  Reads project through `_project`,
+which keeps the last batch it solved in one slot for the whole module,
+with each engine's basis rows at those points: the many reads that a
+barrier call or an identity check makes at the same points cost one
+projection and one basis, and a read at any other points projects them
+again.  Barrier functions read the cached `coefficient_engine(surface,
+side)` and return one value per point.  Only `gradient_identity_residual`,
+the check independent of the tables' own derivatives, differentiates by
+central differences.
 """
 
 from __future__ import annotations
@@ -68,8 +86,7 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import (InterpolatedUnivariateSpline,
-                               RectBivariateSpline, make_interp_spline)
+from numpy.polynomial.chebyshev import chebder, chebint, chebpts2, chebvander
 
 from .errors import (DegenerateTube, InvalidArgument,
                      OutsideTubularNeighborhood, ThresholdNotFound,
@@ -80,12 +97,18 @@ from .medium import TwoPhaseMedium
 #: absolute central-difference step of `gradient_identity_residual`
 IDENTITY_STEP = 1e-3
 
-#: table samples across the collar in tau and across the footpoint range
-#: |q| <= 0.8 c in q (c = 1 for the helicoid), before padding
-N_TAU, N_Q = 121, 221
+#: Chebyshev-Lobatto nodes per table axis.  On the minimal surfaces the top
+#: Laplacian moves by <= 4.8e-5 from 32 to 40 nodes and by <= 1.0e-6 from 40
+#: to 48; past that the round-off of repeated differentiation grows (6.5e-6
+#: from 40 to 64)
+N_CHEB = 40
+
+#: the calibration footpoints span |q| <= CALIBRATION_Q c on the minimal surfaces
+CALIBRATION_Q = 0.7 * (0.8 + 4 * 1.6 / 220)
 
 
-#: the last batch `_project` solved, as (surface, copy of X, (Z, delta, side))
+#: the last batch `_project` solved, as (surface, copy of X, (Z, delta, side),
+#: {engine: its basis rows at those points})
 _last_projection = None
 
 
@@ -98,6 +121,8 @@ def _project(surface: Surface, X: np.ndarray):
     exact bytes (values alone would equate -0.0 with 0.0, which arctan2
     tells apart); X is copied, so a caller that mutates its array misses.
     The returned arrays are read-only, since every later hit shares them.
+    The slot also holds each engine's basis rows at these points
+    (`CoefficientEngine._bases`), so they go with the projection.
     """
     global _last_projection
     last = _last_projection
@@ -107,19 +132,16 @@ def _project(surface: Surface, X: np.ndarray):
     out = surface.project_batch(X)
     for a in out:
         a.flags.writeable = False
-    _last_projection = (surface, X.copy(), out)
+    _last_projection = (surface, X.copy(), out, {})
     return out
 
 
-def _ray_integral(values: np.ndarray, taus: np.ndarray,
-                  zero_index: int) -> np.ndarray:
-    """int_0^tau of the quintic interpolant of each row (tau on the last axis).
-
-    Exact for the spline: its antiderivative, read at every grid tau.
-    """
-    spline = make_interp_spline(taus, np.moveaxis(values, -1, 0), k=5)
-    cum = spline.antiderivative()(taus)
-    return np.moveaxis(cum - cum[zero_index], 0, -1)
+def _basis(v: np.ndarray, box: tuple) -> np.ndarray:
+    """Chebyshev basis rows T_0 .. T_{N_CHEB-1} at v mapped from box onto
+    [-1, 1], one C-contiguous row per point."""
+    lo, hi = box
+    return np.ascontiguousarray(chebvander((2.0 * v - (lo + hi)) / (hi - lo),
+                                           N_CHEB - 1))
 
 
 class CoefficientEngine:
@@ -142,17 +164,14 @@ class CoefficientEngine:
         self.table_order = 4 if surface.is_radial else 2
         self.delta0 = d0 = surface.delta0
 
-        # padded uniform grids, tau containing 0 exactly; every level takes
-        # two more derivatives of the last, and spline derivatives are least
-        # accurate in the end cells, so the pad grows with the table order
-        h = d0 / (N_TAU - 1)
+        # the box of the module notes; tau = 0 lies inside it
+        h = d0 / 120
         pad = 4 + 2 * self.table_order
-        self._zero_index = pad
-        self.taus = h * np.arange(-pad, N_TAU + pad)
-
+        self._tau_box = (-pad * h, (120 + pad) * h)
         if surface.is_radial:
             kap = surface.kappas(self._any_surface_point())
             self._kap_const = -kap if side == +1 else kap
+            self._q_box = None
         else:
             if not hasattr(surface, "chart_metric"):
                 raise UnsupportedGeometry(
@@ -160,8 +179,8 @@ class CoefficientEngine:
                     "the catalog surfaces provide one")
             c = getattr(surface, "c", 1.0)
             q_lo, q_hi = -0.8 * c, 0.8 * c
-            padq = pad * (q_hi - q_lo) / (N_Q - 1)
-            self.q_grid = np.linspace(q_lo - padq, q_hi + padq, N_Q + 2 * pad)
+            padq = pad * (q_hi - q_lo) / 220
+            self._q_box = (q_lo - padq, q_hi + padq)
         self._build_tables()
 
     # ------------------------------------------------------------------
@@ -213,9 +232,9 @@ class CoefficientEngine:
     def _table_coords(self, X):
         """(q, tau) of points, which must lie in the tabulated box."""
         q, tau, _, _ = self.signed_coords(np.atleast_2d(np.asarray(X, dtype=float)))
-        outside = (tau < self.taus[0]) | (tau > self.taus[-1])
-        if not self.surface.is_radial:
-            outside |= (q < self.q_grid[0]) | (q > self.q_grid[-1])
+        outside = (tau < self._tau_box[0]) | (tau > self._tau_box[1])
+        if self._q_box is not None:
+            outside |= (q < self._q_box[0]) | (q > self._q_box[1])
         if np.any(outside):
             i = int(np.argmax(outside))
             raise OutsideTubularNeighborhood(
@@ -246,79 +265,66 @@ class CoefficientEngine:
     # table construction
     # ------------------------------------------------------------------
     def _build_tables(self):
-        """Tables of A_1 .. A_order and J on the grid (level 0: A_0).
+        """Coefficient arrays of A_1 .. A_{order+1}, Lap A_0 .. Lap A_order,
+        J and Lap J (rows q, columns tau; one row on radial surfaces).
 
-        Level j integrates the chart Laplacian of level j - 1 along every
-        ray at once.  Radial A_0 needs no table: its Laplacian is closed form.
+        Level j + 1 integrates 1/2 Lap A_j W along every ray at once, from
+        the node values of Lap A_j.  Derivatives and the ray integral act on
+        a level's series coefficients, through matrices built once from
+        `chebder` and `chebint`, and return values at the nodes.
         """
-        taus, zi = self.taus, self._zero_index
-        if self.surface.is_radial:
-            qs = None
-            w = self._weight(None, taus)
-            self._tables = [None]
+        x = chebpts2(N_CHEB)
+        eye = np.eye(N_CHEB)
+        to_coef = np.linalg.inv(chebvander(x, N_CHEB - 1))
 
-            def fit(values):
-                return InterpolatedUnivariateSpline(taus, values, k=5)
+        def axis(box):
+            """Nodes of box, and the matrices that take a series' coefficients
+            to its values and its first and second derivatives there."""
+            lo, hi = box
+            scl = 2.0 / (hi - lo)
+            return (0.5 * (lo + hi) + 0.5 * (hi - lo) * x,
+                    *(chebvander(x, N_CHEB - 1 - m) @ chebder(eye, m, scl)
+                      for m in (0, 1, 2)))
+
+        lo, hi = self._tau_box
+        tau, et0, et1, et2 = axis(self._tau_box)
+        tau = tau[None, :]
+        from_surface = chebvander(x, N_CHEB) @ chebint(
+            eye, lbnd=-(lo + hi) / (hi - lo), scl=0.5 * (hi - lo))
+        if self._q_box is None:
+            q, eq0, to_coef_q = None, np.ones((1, 1)), np.ones((1, 1))
         else:
-            qs = self.q_grid
-            w = self._weight(qs[:, None], taus[None, :])
+            q, eq0, eq1, eq2 = axis(self._q_box)
+            q, to_coef_q = q[:, None], to_coef
+            gqq, drift = self.surface.chart_metric(q, -self.side * tau)
+        w = self._weight(q, tau)
+        lap_delta = self._lap_delta(q, tau)
 
-            def fit(values):
-                return RectBivariateSpline(qs, taus, values, kx=5, ky=5)
-            self._tables = [fit(1.0 / w)]
-        for j in range(self.table_order):
-            lap = self._lap_level(j, qs, taus, grid=True)
-            self._tables.append(fit(_ray_integral(0.5 * lap * w, taus, zi) / w))
-        self._j_table = fit(_ray_integral(w, taus, zi) / w)
+        def fit(values):
+            return to_coef_q @ values @ to_coef.T
 
-    # ------------------------------------------------------------------
-    # field evaluation
-    # ------------------------------------------------------------------
-    def a0(self, X) -> np.ndarray:
-        q, tau, _, _ = self.signed_coords(np.atleast_2d(np.asarray(X, dtype=float)))
-        return 1.0 / self._weight(q, tau)
+        def chart_laplacian(coef):
+            rows = eq0 @ coef          # a series in tau at each q node
+            lap = rows @ et2.T + lap_delta * (rows @ et1.T)
+            if q is not None:
+                cols = coef @ et0.T    # a series in q at each tau node
+                lap += gqq * (eq2 @ cols) + drift * (eq1 @ cols)
+            return lap
 
-    def _table(self, j: int):
-        if not 0 <= j <= self.table_order:
-            raise InvalidArgument(f"A_{j} is not tabulated (table order "
-                                  f"{self.table_order})")
-        return self._tables[j]
+        def ray_integral(values):
+            """int_0^tau of each row's series, at the nodes."""
+            return values @ to_coef.T @ from_surface.T
 
-    def _read(self, table, X, dtau: int) -> np.ndarray:
-        """A table (or its dtau-th tau-derivative) at collar points."""
-        q, tau = self._table_coords(X)
-        if self.surface.is_radial:
-            return np.asarray(table(tau, dtau), dtype=float)
-        return table.ev(q, tau, dy=dtau)
-
-    def field(self, j: int, X) -> np.ndarray:
-        """A_j evaluated at arbitrary collar points (j <= table order)."""
-        if j == 0:
-            return self.a0(X)
-        return self._read(self._table(j), X, 0)
-
-    def j_integral(self, X) -> np.ndarray:
-        """The forcing integral J = int_0^delta W, so that A_{n,+-} = A_n +- J."""
-        return self._read(self._j_table, X, 0)
-
-    def field_pm(self, n: int, sign: int, X) -> np.ndarray:
-        return self.field(n, X) + sign * self.j_integral(X)
-
-    # ------------------------------------------------------------------
-    # derivatives
-    # ------------------------------------------------------------------
-    def _chart_laplacian(self, table, q, tau, grid: bool = False) -> np.ndarray:
-        """Lap of a tabulated field f(q, tau), exact for its spline."""
-        if self.surface.is_radial:
-            return table(tau, 2) + self._lap_delta(q, tau) * table(tau, 1)
-
-        def d(dq, dt):
-            return table(q, tau, dx=dq, dy=dt, grid=grid)
-        if grid:
-            q, tau = q[:, None], tau[None, :]
-        gqq, drift = self.surface.chart_metric(q, -self.side * tau)
-        return (d(0, 2) + self._lap_delta(q, tau) * d(0, 1)
-                + gqq * d(2, 0) + drift * d(1, 0))
+        a = 1.0 / w
+        self._fields, self._laps = [None], []
+        for j in range(self.table_order + 1):
+            lap = (self._radial_lap_a0(tau) if q is None and j == 0
+                   else chart_laplacian(fit(a)))
+            self._laps.append(fit(lap))
+            a = ray_integral(0.5 * lap * w) / w
+            self._fields.append(fit(a))
+        self._j_table = fit(ray_integral(w) / w)
+        self._lap_j_table = fit(chart_laplacian(self._j_table))
 
     def _radial_lap_a0(self, tau) -> np.ndarray:
         """Closed form A_0'' + Lap(delta) A_0' on a radial collar."""
@@ -329,20 +335,55 @@ class CoefficientEngine:
         a0p = -0.5 * dd * a0
         return -0.5 * (ddp * a0 + dd * a0p) + dd * a0p
 
-    def _lap_level(self, j: int, q, tau, grid: bool = False) -> np.ndarray:
-        """Lap A_j at chart coordinates (q, tau)."""
-        if self.surface.is_radial and j == 0:
-            return self._radial_lap_a0(tau)
-        return self._chart_laplacian(self._table(j), q, tau, grid)
+    # ------------------------------------------------------------------
+    # field evaluation
+    # ------------------------------------------------------------------
+    def a0(self, X) -> np.ndarray:
+        q, tau, _, _ = self.signed_coords(np.atleast_2d(np.asarray(X, dtype=float)))
+        return 1.0 / self._weight(q, tau)
+
+    def _table(self, tables: list, j: int) -> np.ndarray:
+        if not 0 <= j < len(tables):
+            raise InvalidArgument(f"level {j} is not tabulated (table order "
+                                  f"{self.table_order})")
+        return tables[j]
+
+    def _bases(self, X):
+        """(q rows, or None on radial surfaces; tau rows) of the Chebyshev
+        basis at points in the box, kept in the projection slot: the reads
+        of every level at the same points build them once."""
+        q, tau = self._table_coords(X)
+        bases = _last_projection[3]
+        if self not in bases:
+            bq = None if self._q_box is None else _basis(q, self._q_box)
+            bases[self] = (bq, _basis(tau, self._tau_box))
+        return bases[self]
+
+    def _interpolate(self, coef: np.ndarray, X) -> np.ndarray:
+        """A coefficient array's series at collar points, point by point."""
+        bq, bt = self._bases(X)
+        rows = coef[0] if bq is None else np.matmul(bq[:, None, :], coef)[:, 0, :]
+        return np.sum(rows * bt[:, :coef.shape[1]], axis=1)
+
+    def field(self, j: int, X) -> np.ndarray:
+        """A_j at arbitrary collar points (j <= table order + 1)."""
+        if j == 0:
+            return self.a0(X)
+        return self._interpolate(self._table(self._fields, j), X)
+
+    def j_integral(self, X) -> np.ndarray:
+        """The forcing integral J = int_0^delta W, so that A_{n,+-} = A_n +- J."""
+        return self._interpolate(self._j_table, X)
+
+    def field_pm(self, n: int, sign: int, X) -> np.ndarray:
+        return self.field(n, X) + sign * self.j_integral(X)
 
     def laplacian(self, j: int, X) -> np.ndarray:
         """Lap A_j at collar points (j <= table order)."""
-        return self._lap_level(j, *self._table_coords(X))
+        return self._interpolate(self._table(self._laps, j), X)
 
     def laplacian_pm(self, n: int, sign: int, X) -> np.ndarray:
-        q, tau = self._table_coords(X)
-        return (self._chart_laplacian(self._table(n), q, tau)
-                + sign * self._chart_laplacian(self._j_table, q, tau))
+        return self.laplacian(n, X) + sign * self._interpolate(self._lap_j_table, X)
 
 
 @lru_cache(maxsize=None)
@@ -382,45 +423,25 @@ def compute_coefficients(surface: Surface, q, n: int, side: int = -1,
     """Fill the ray table (A_0 .. A_{n-1}, A_{n,+-}) through footpoint q.
 
     q is the surface parameter of the footpoint (ignored for radial
-    surfaces).  n may exceed the engine's table order by one: the top
-    coefficient is then integrated along this single ray from the chart
-    Laplacian of the deepest tabulated field.
+    surfaces).  Every coefficient is read from the engine's tables, which
+    reach A_{order+1}, so n may exceed the table order by one; the values
+    at tau = 0 are set to their exact (1, 0, ..., 0).
     """
     if n < 1:
         raise InvalidArgument("order n must be >= 1")
     eng = coefficient_engine(surface, side)
-    if n > eng.table_order + 1:
-        raise InvalidArgument(f"order {n} needs table order >= {n - 1}")
     if taus is None:
         taus = np.linspace(0.0, eng.delta0, 65)
     taus = np.asarray(taus, dtype=float)
     pts = eng.ray_points(q, taus)
-    A = [np.where(taus == 0.0, 1.0, eng.a0(pts))]
-    for j in range(1, n):
-        A.append(np.where(taus == 0.0, 0.0, _coeff_on_ray(eng, j, q, taus, pts)))
-    top = _coeff_on_ray(eng, n, q, taus, pts)
-    jint = np.where(taus == 0.0, 0.0, eng.j_integral(pts))
-    top = np.where(taus == 0.0, 0.0, top)
+    on_surface = taus == 0.0
+    A = [np.where(on_surface, 1.0, eng.a0(pts))]
+    A += [np.where(on_surface, 0.0, eng.field(j, pts)) for j in range(1, n)]
+    top = np.where(on_surface, 0.0, eng.field(n, pts))
+    jint = np.where(on_surface, 0.0, eng.j_integral(pts))
     z = eng.ray_points(q, np.zeros(1))[0]
     return WkbCoefficientTable(order=n, side=side, z=z, taus=taus, A=tuple(A),
                                An_plus=top + jint, An_minus=top - jint)
-
-
-def _ray_profile_spline(eng: CoefficientEngine, j: int, q
-                        ) -> InterpolatedUnivariateSpline:
-    """One-off integration of order j along a single ray (j past the tables)."""
-    taus = eng.taus
-    q = np.full_like(taus, q)
-    lap = eng._lap_level(j - 1, q, taus)
-    w = eng._weight(q, taus)
-    return InterpolatedUnivariateSpline(
-        taus, _ray_integral(0.5 * lap * w, taus, eng._zero_index) / w, k=5)
-
-
-def _coeff_on_ray(eng: CoefficientEngine, j: int, q, taus, pts) -> np.ndarray:
-    if j <= eng.table_order:
-        return eng.field(j, pts)
-    return np.asarray(_ray_profile_spline(eng, j, q)(taus), dtype=float)
 
 
 def gradient_identity_residual(surface: Surface, j: int, x, side: int = -1,
@@ -432,28 +453,14 @@ def gradient_identity_residual(surface: Surface, j: int, x, side: int = -1,
     left side is a fresh central difference along the ray, not the tables'
     own tau-derivative; everything on the right comes from the table
     machinery, so the residual measures the end-to-end consistency of the
-    recursion.  Contract: O(h^2) plus quadrature noise, with h =
+    recursion.  Contract: O(h^2) plus interpolation noise, with h =
     IDENTITY_STEP; x must lie at least 2h from the surface.
     """
     eng = coefficient_engine(surface, side)
     X = np.atleast_2d(np.asarray(x, dtype=float))
 
-    if j <= eng.table_order:
-        def fieldfunc(P):
-            return eng.field(j, P) if sign == 0 else eng.field_pm(j, sign, P)
-    else:
-        # one order past the tables: the identity only probes points on the
-        # ray through each x, so one single-ray profile per point suffices
-        qx, _, _, _ = eng.signed_coords(X)
-        ray_splines = [_ray_profile_spline(eng, j, float(q)) for q in qx]
-
-        def fieldfunc(P):
-            _, taup, _, _ = eng.signed_coords(P)
-            vals = np.array([float(spline(tp))
-                             for spline, tp in zip(ray_splines, taup)])
-            if sign != 0:
-                vals = vals + sign * eng.j_integral(P)
-            return vals
+    def fieldfunc(P):
+        return eng.field(j, P) if sign == 0 else eng.field_pm(j, sign, P)
 
     # every read at X first, then the two shifted batches: one projection each
     h = IDENTITY_STEP
@@ -590,8 +597,8 @@ def calibrate_thresholds(surface: Surface, medium: TwoPhaseMedium, n: int,
     if eng.surface.is_radial:
         q_samples = [0.0]
     else:
-        lo, hi = eng.q_grid[4], eng.q_grid[-5]
-        q_samples = list(np.linspace(0.7 * lo, 0.7 * hi, 5))
+        edge = CALIBRATION_Q * getattr(eng.surface, "c", 1.0)
+        q_samples = list(np.linspace(-edge, edge, 5))
     tau_samples = np.linspace(0.0, eng.delta0, 17)
     sample_pts = [eng.ray_points(q, tau_samples) for q in q_samples]
     wall_pts = [eng.ray_points(q, np.array([eng.delta0])) for q in q_samples]

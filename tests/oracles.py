@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder
 from scipy.special import erfc, kve
 
 from twophase.elliptic import (TransmissionSolution,
@@ -64,16 +65,18 @@ class Projection:
 
 
 def project(surface: Surface, x) -> Projection:
-    """Projection of one point; raises once `projection_radius` is exceeded."""
+    """Projection of one point; on the helicoid and catenoid, raises once
+    `projection_radius` is exceeded."""
     x = np.asarray(x, dtype=float)
     if x.shape != (surface.N,):
         raise InvalidArgument(f"expected a point in R^{surface.N}, got shape {x.shape}")
     Z, delta, side = surface.project_batch(x[None, :])
     d = float(delta[0])
-    if d >= surface.projection_radius:
+    # the closed-form radial projections are unique everywhere they are defined
+    radius = math.inf if surface.is_radial else surface.projection_radius
+    if d >= radius:
         raise OutsideTubularNeighborhood(
-            f"delta(x) = {d:.6g} >= projection radius = "
-            f"{surface.projection_radius:.6g}")
+            f"delta(x) = {d:.6g} >= projection radius = {radius:.6g}")
     z = Z[0]
     s = int(side[0]) if d > _ON_SURFACE_TOL else 0
     return Projection(z=z, delta=d, nu=surface.outward_normal(z), side=s)
@@ -138,16 +141,24 @@ def tangential_gradient_check(surface: Surface, x, i: int, h: float = 1e-4) -> f
 # wkb: exact ray derivatives, the barrier residual identity, correctors
 # ---------------------------------------------------------------------------
 
+def _tau_derivative(eng: CoefficientEngine, coef: np.ndarray, X) -> np.ndarray:
+    """d/dtau of a table's series at collar points: `chebder` of its
+    coefficient array along the tau axis, read like the table itself."""
+    lo, hi = eng._tau_box
+    return eng._interpolate(chebder(coef, 1, 2.0 / (hi - lo), axis=1), X)
+
+
 def ray_derivative(eng: CoefficientEngine, j: int, X) -> np.ndarray:
     """dA_j/dtau = grad(delta) . grad(A_j) at collar points, exact for
     the tables; A_0 has the closed form -1/2 Lap(delta) A_0."""
     if j == 0:
         return -0.5 * eng.lap_signed_distance(X) * eng.a0(X)
-    return eng._read(eng._table(j), X, 1)
+    return _tau_derivative(eng, eng._table(eng._fields, j), X)
 
 
 def ray_derivative_pm(eng: CoefficientEngine, n: int, sign: int, X) -> np.ndarray:
-    return ray_derivative(eng, n, X) + sign * eng._read(eng._j_table, X, 1)
+    return (ray_derivative(eng, n, X)
+            + sign * _tau_derivative(eng, eng._j_table, X))
 
 
 def elliptic_residual(surface: Surface, medium: TwoPhaseMedium, x, lam: float,

@@ -1,12 +1,16 @@
 """Source hygiene: every name a module imports is used in that module, the
-package's count of defaulted parameters does not creep back up, and the
-package holds no code that only the tests run.
+package's count of defaulted parameters does not creep back up, the
+package holds no code that only the tests run, and starting the CLI loads
+no scipy module it does not need.
 
 `twophase/__init__.py` is skipped by the import check: its imports are the
 package's re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,7 +22,7 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 #: defaulted parameters over src/twophase/*.py; lower it when a change pins more
-MAX_DEFAULTED_PARAMETERS = 52
+MAX_DEFAULTED_PARAMETERS = 50
 
 #: exempt from the test-only check: the console script pyproject.toml declares
 ENTRY_POINTS = {"cli.main"}
@@ -165,3 +169,16 @@ def test_no_test_only_definitions():
     found = [q for q in definitions_only_tests_use(package, users)
              if q not in ENTRY_POINTS]
     assert found == [], "move these into tests/oracles.py"
+
+
+def test_cli_start_loads_no_interpolate_or_optimize():
+    # scipy.interpolate pulls in scipy.optimize, a quarter second of every
+    # CLI start, and nothing in the package needs either
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, twophase.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'interpolate'], "
+            "['scipy', 'optimize'])))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

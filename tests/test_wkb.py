@@ -187,6 +187,20 @@ def _fd_laplacian(fieldfunc, X, h):
     return out / h ** 2
 
 
+def _general_collar_points(name, eng, rng, m, q_max, depth):
+    """m collar points on rays through |q| < q_max at tau in depth * delta0,
+    moved by a random screw motion (helicoid) or rotation (catenoid)."""
+    q = rng.uniform(-q_max, q_max, m)
+    tau = rng.uniform(*depth, m) * eng.delta0
+    X = np.concatenate([eng.ray_points(qi, [ti]) for qi, ti in zip(q, tau)])
+    alpha = rng.uniform(-math.pi, math.pi, m)
+    if name == "helicoid":
+        return hl.screw_many(X, alpha)
+    cos, sin = np.cos(alpha), np.sin(alpha)
+    return np.stack([X[:, 0] * cos - X[:, 1] * sin,
+                     X[:, 0] * sin + X[:, 1] * cos, X[:, 2]], axis=1)
+
+
 @pytest.mark.parametrize("name", ["helicoid", "catenoid"])
 @pytest.mark.parametrize("side", [-1, +1])
 def test_chart_laplacian_matches_cartesian_stencil(name, side):
@@ -194,20 +208,10 @@ def test_chart_laplacian_matches_cartesian_stencil(name, side):
     # general collar points (rays moved by a random screw motion or
     # rotation); Richardson extrapolation over h and h/2 removes the O(h^2)
     # truncation, which reaches 5e-4 for A_2 near the far wall
-    surface = ALL[name]
-    eng = wkb.coefficient_engine(surface, side)
-    rng = np.random.default_rng([11, side + 1, len(name)])
-    m = 24
-    q = rng.uniform(-0.8, 0.8, m)
-    tau = rng.uniform(0.05, 0.95, m) * eng.delta0
-    X = np.concatenate([eng.ray_points(qi, [ti]) for qi, ti in zip(q, tau)])
-    alpha = rng.uniform(-math.pi, math.pi, m)
-    if name == "helicoid":
-        X = hl.screw_many(X, alpha)
-    else:
-        cos, sin = np.cos(alpha), np.sin(alpha)
-        X = np.stack([X[:, 0] * cos - X[:, 1] * sin,
-                      X[:, 0] * sin + X[:, 1] * cos, X[:, 2]], axis=1)
+    eng = wkb.coefficient_engine(ALL[name], side)
+    X = _general_collar_points(name, eng,
+                               np.random.default_rng([11, side + 1, len(name)]),
+                               24, 0.8, (0.05, 0.95))
     h = 1e-3 * eng.delta0
     cases = [(lambda P, j=j: eng.field(j, P), eng.laplacian(j, X))
              for j in range(3)]
@@ -217,6 +221,25 @@ def test_chart_laplacian_matches_cartesian_stencil(name, side):
         coarse = _fd_laplacian(fieldfunc, X, h)
         fine = _fd_laplacian(fieldfunc, X, 0.5 * h)
         assert np.max(np.abs((4.0 * fine - coarse) / 3.0 - exact)) < 2e-4
+
+
+@pytest.mark.parametrize("name", ["helicoid", "catenoid"])
+@pytest.mark.parametrize("side", [-1, +1])
+def test_top_laplacian_matches_a_coarse_richardson_stencil(name, side):
+    # the 7-point Laplacian of the A_2 table at h = 0.04, 0.02 and 0.01 with
+    # two Richardson steps (O(h^2), then O(h^4)): steps this coarse keep the
+    # tables' round-off, divided by h^2, far below the bound, so the check
+    # sees the error of the tabulated Lap A_2 itself
+    eng = wkb.coefficient_engine(ALL[name], side)
+    X = _general_collar_points(name, eng,
+                               np.random.default_rng([13, side + 1, len(name)]),
+                               16, 0.6, (0.15, 0.85))
+    stencils = [_fd_laplacian(lambda P: eng.field(2, P), X, h)
+                for h in (0.04, 0.02, 0.01)]
+    once = [(4.0 * fine - coarse) / 3.0
+            for coarse, fine in zip(stencils, stencils[1:])]
+    twice = (16.0 * once[1] - once[0]) / 15.0
+    assert np.max(np.abs(twice - eng.laplacian(2, X))) <= 1e-5
 
 
 def test_table_reads_outside_the_tables_raise():
@@ -415,8 +438,8 @@ def _reference_thresholds(surface, n, side, eng):
     """calibrate_thresholds' bisection, reading the tables at every step."""
     sigma = MED.side_conductivity(side)
     eta = 0.5 * eng.delta0 / math.sqrt(sigma)
-    q_samples = ([0.0] if surface.is_radial else
-                 list(np.linspace(0.7 * eng.q_grid[4], 0.7 * eng.q_grid[-5], 5)))
+    edge = 0.7 * (0.8 + 4 * 1.6 / 220) * getattr(surface, "c", 1.0)
+    q_samples = [0.0] if surface.is_radial else list(np.linspace(-edge, edge, 5))
     tau_samples = np.linspace(0.0, eng.delta0, 17)
 
     def admissible(lam):

@@ -6,12 +6,18 @@ quantity, the target, the tolerance it was held to, and a pass flag;
 `run_all` executes them in order and is used both by the command line
 (`twophase all`) and by the test suite.  Tolerances are pinned here, and no record
 depends on `jobs`.
+
+The settings that a criterion shares with a subcommand's default config
+are pinned here too, once each, as the read-only mappings MEDIUM,
+MAX_PRINCIPLE, HALF_VALUE and CURVATURE_SWEEP: `twophase maxprinciple`,
+`helicoid` and `extract-curvature` with no config run what the gate checks.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,8 +47,28 @@ class CriterionRecord:
                 f"{self.runtime:.1f}s)")
 
 
+#: the conductivity pair of the gate and of every default config
+MEDIUM = MappingProxyType({"sigma_s": 1.0, "sigma_m": 4.0})
+
+#: `maximum-principle`: rate, trials, seed, cells per side and the range of
+#: the random conductivities
+MAX_PRINCIPLE = MappingProxyType({"lam": 10.0, "trials": 100, "seed": 99,
+                                  "n": 32, "sigma_range": (0.5, 4.0)})
+
+#: `helicoid-half-value`: samples per estimate, base seed, times, radii and
+#: samples of the symmetry identities
+HALF_VALUE = MappingProxyType({"n_samples": 10 ** 6, "seed": 1234,
+                               "t_values": (0.1, 1.0, 10.0),
+                               "r_values": (0.5, 1.0, 2.0),
+                               "symmetry_samples": 10 ** 4})
+
+#: `mean-curvature-extraction`: the rate sweep, log-spaced
+CURVATURE_SWEEP = MappingProxyType({"lambda_range": (1e2, 1e6),
+                                    "per_decade": 12})
+
+
 def _medium14() -> TwoPhaseMedium:
-    return TwoPhaseMedium(1.0, 4.0)
+    return TwoPhaseMedium(**MEDIUM)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +187,9 @@ def criterion_mean_curvature(jobs: int) -> CriterionRecord:
     med = _medium14()
     abs_tol = 1e-8
     rel_tol = 0.01
-    fits = {name: ell.extract_mean_curvature(_surface_catalog()[name], med)
+    grid = ell.default_lambda_grid(*CURVATURE_SWEEP["lambda_range"],
+                                   CURVATURE_SWEEP["per_decade"])
+    fits = {name: ell.extract_mean_curvature(_surface_catalog()[name], med, grid)
             for name in ("plane", "sphere", "cylinder")}
     ok = abs(fits["plane"].sum_kappa_estimate) < abs_tol
     rels = {}
@@ -174,7 +202,8 @@ def criterion_mean_curvature(jobs: int) -> CriterionRecord:
         measured=(f"plane {fits['plane'].sum_kappa_estimate:.1e}, "
                   f"sphere rel {rels['sphere']:.2e}, "
                   f"cylinder rel {rels['cylinder']:.2e}"),
-        tolerance=f"plane {abs_tol:.0e}; others {rel_tol:.0%}", runtime=0.0)
+        tolerance=f"plane {abs_tol:.0e}; others {rel_tol:.0%}", runtime=0.0,
+        details={name: fit.sum_kappa_estimate for name, fit in fits.items()})
 
 
 def criterion_barrier_sandwich(jobs: int) -> CriterionRecord:
@@ -241,24 +270,25 @@ def criterion_grid_convergence(jobs: int) -> CriterionRecord:
 
 def criterion_helicoid_half(jobs: int) -> CriterionRecord:
     """Monte-Carlo half-value and half-density identities on the helicoid."""
-    t_values, r_values = (0.1, 1.0, 10.0), (0.5, 1.0, 2.0)
-    records, sym = hel.half_value_checks(10 ** 6, 1234, t_values, r_values,
-                                         10 ** 4, jobs)
+    records, sym = hel.half_value_checks(**HALF_VALUE, jobs=jobs)
     means = iter(rec["estimate"] for rec in records)
-    msgs = [f"u(t={t}) {next(means):.4f}" for t in t_values]
+    msgs = [f"u(t={t}) {next(means):.4f}" for t in HALF_VALUE["t_values"]]
     msgs += [f"cap/ball(r={r}) {next(means):.4f}/{next(means):.4f}"
-             for r in r_values]
+             for r in HALF_VALUE["r_values"]]
     msgs.append(f"symmetry violations {sym['screw_violations']}"
                 f"+{sym['flip_violations']}")
     return CriterionRecord(
         name="helicoid-half-value", passed=all(rec["pass"] for rec in records),
         expected="all 0.5 within 3 stderr; zero violations",
-        measured="; ".join(msgs), tolerance="3 stderr / exact", runtime=0.0)
+        measured="; ".join(msgs), tolerance="3 stderr / exact", runtime=0.0,
+        details={"records": records})
 
 
 def criterion_max_principle(jobs: int) -> CriterionRecord:
     """Inverse positivity for lambda > 0; the annulus failure at lambda = 0."""
-    rep = ell.discrete_max_principle_check(lam=10.0, trials=100, rng_seed=99)
+    mp = MAX_PRINCIPLE
+    rep = ell.discrete_max_principle_check(mp["lam"], mp["trials"], mp["seed"],
+                                           mp["n"], mp["sigma_range"])
     ce = ell.annulus_counterexample()
     tol = 1e-10
     ok = rep["min_value"] >= -tol and ce["min_interior"] < -0.4

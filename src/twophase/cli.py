@@ -3,12 +3,16 @@
 Each run takes a JSON config (defaults are built in and any file values
 are merged over them; unknown keys are rejected), writes CSV for sweeps
 and JSON for scalar reports into the output directory, and always writes a
-manifest echoing the fully resolved configuration plus the tool version,
-with outputs named relative to the output directory.  `--jobs` sets the
-worker threads of the Monte-Carlo batches (`helicoid`, and `all` through
-its helicoid criterion); `maxprinciple` accepts it and ignores it.
-Identical config and seed produce byte-identical artifacts, wherever they
-are written and whatever `--jobs` is.
+manifest holding the tool, its version, the subcommand, the fully
+resolved configuration and the outputs named relative to the output
+directory.  `--seed N` is the config value `seed`, so only `helicoid` and
+`maxprinciple` accept it.  `--jobs` sets the worker threads of the
+Monte-Carlo batches (`helicoid`, and `all` through its helicoid
+criterion); the other subcommands accept it and ignore it.  Identical
+config and seed produce byte-identical artifacts, wherever they are
+written and whatever `--jobs` is.  The default configs of `maxprinciple`,
+`helicoid` and `extract-curvature` read the settings pinned in
+`acceptance`, so each runs what its criterion checks.
 
 Exit codes: 0 success, 1 numeric failure, 2 invalid configuration.
 """
@@ -22,6 +26,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Mapping
 from importlib import metadata
 
 import numpy as np
@@ -61,12 +66,12 @@ def _merge_config(defaults: dict, override: dict, context: str) -> dict:
 
 
 def _medium_from(spec) -> TwoPhaseMedium:
-    spec = _merge_config({"sigma_s": 1.0, "sigma_m": 4.0}, dict(spec), "medium")
+    spec = _merge_config(acceptance.MEDIUM, dict(spec), "medium")
     return TwoPhaseMedium(float(spec["sigma_s"]), float(spec["sigma_m"]))
 
 
 def _jsonable(obj):
-    if isinstance(obj, dict):
+    if isinstance(obj, Mapping):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
@@ -120,16 +125,12 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-_INVOCATION = {}
-
-
 def _manifest(outdir: str, subcommand: str, config: dict, outputs: list) -> None:
     _write_json(os.path.join(outdir, "manifest.json"), {
         "tool": "twophase",
         "version": _version(),
         "subcommand": subcommand,
         "config": config,
-        "invocation": dict(_INVOCATION),
         "outputs": [os.path.relpath(p, outdir) for p in outputs],
     })
 
@@ -140,7 +141,7 @@ def _manifest(outdir: str, subcommand: str, config: dict, outputs: list) -> None
 
 def run_kernel1d(config: dict, outdir: str) -> int:
     defaults = {
-        "medium": {"sigma_s": 1.0, "sigma_m": 4.0},
+        "medium": acceptance.MEDIUM,
         "x1": [0.0],
         "t": list(np.geomspace(1e-3, 1e3, 13)),
         "tolerance": 1e-10,
@@ -165,7 +166,7 @@ def run_kernel1d(config: dict, outdir: str) -> int:
 
 def run_simulate(config: dict, outdir: str) -> int:
     defaults = {
-        "medium": {"sigma_s": 1.0, "sigma_m": 4.0},
+        "medium": acceptance.MEDIUM,
         "kind": "plane",
         "R": 1.0,
         "t_grid": list(np.geomspace(1e-2, 1.0, 9)),
@@ -198,7 +199,7 @@ def run_simulate(config: dict, outdir: str) -> int:
 
 def run_transform(config: dict, outdir: str) -> int:
     defaults = {
-        "medium": {"sigma_s": 1.0, "sigma_m": 4.0},
+        "medium": acceptance.MEDIUM,
         "lambdas": [25.0, 50.0, 100.0, 200.0],
         "probes": [-0.4, -0.1, 0.0, 0.05, 0.3],
         "t_end": 0.8,
@@ -249,14 +250,15 @@ def run_wkb(config: dict, outdir: str) -> int:
     table = wkb.compute_coefficients(surf, cfg["q"], n, side=side, taus=taus)
     header = (["tau"] + [f"A{j}" for j in range(n)]
               + [f"A{n}_plus", f"A{n}_minus", "residual_max"])
-    # the identity residuals of every interior ray point, one call per j
+    # the identity residuals of every interior ray point, one call per
+    # tabulated j <= n
     h = wkb.IDENTITY_STEP
     inner = (taus > 2 * h) & (taus < eng.delta0 - 2 * h)
     pts = eng.ray_points(cfg["q"], taus[inner])
     residual = np.full(len(taus), float("nan"))
     residual[inner] = np.max(
         [wkb.gradient_identity_residual(surf, j, pts, side=side)
-         for j in range(min(n, eng.table_order) + 1)], axis=0)
+         for j in range(min(n, eng.table_order + 1) + 1)], axis=0)
     rows = []
     for i, tau in enumerate(taus):
         row = [tau] + [table.A[j][i] for j in range(n)]
@@ -271,10 +273,9 @@ def run_wkb(config: dict, outdir: str) -> int:
 
 def run_extract_curvature(config: dict, outdir: str) -> int:
     defaults = {
-        "medium": {"sigma_s": 1.0, "sigma_m": 4.0},
+        "medium": acceptance.MEDIUM,
         "geometry": {"kind": "sphere", "R": 1.0, "N": 3},
-        "lambda_range": [1e2, 1e6],
-        "per_decade": 12,
+        **acceptance.CURVATURE_SWEEP,
     }
     cfg = _merge_config(defaults, config, "extract-curvature")
     med = _medium_from(cfg["medium"])
@@ -298,21 +299,12 @@ def run_extract_curvature(config: dict, outdir: str) -> int:
     return 0
 
 
-def run_maxprinciple(config: dict, outdir: str, seed=None) -> int:
-    defaults = {
-        "lam": 10.0,
-        "trials": 100,
-        "seed": 99,
-        "n": 32,
-        "sigma_range": [0.5, 4.0],
-        "counterexample": True,
-    }
+def run_maxprinciple(config: dict, outdir: str) -> int:
+    defaults = {**acceptance.MAX_PRINCIPLE, "counterexample": True}
     cfg = _merge_config(defaults, config, "maxprinciple")
-    if seed is not None:
-        cfg["seed"] = seed
     rep = ell.discrete_max_principle_check(cfg["lam"], cfg["trials"],
-                                           cfg["seed"], n=cfg["n"],
-                                           sigma_range=tuple(cfg["sigma_range"]))
+                                           cfg["seed"], cfg["n"],
+                                           cfg["sigma_range"])
     payload = dict(rep)
     if cfg["counterexample"]:
         payload["lambda0_counterexample"] = ell.annulus_counterexample()
@@ -324,17 +316,8 @@ def run_maxprinciple(config: dict, outdir: str, seed=None) -> int:
     return 0 if rep["min_value"] >= -1e-10 else 1
 
 
-def run_helicoid(config: dict, outdir: str, seed=None, *, jobs: int) -> int:
-    defaults = {
-        "n_samples": 10 ** 6,
-        "seed": 1234,
-        "t_values": [0.1, 1.0, 10.0],
-        "r_values": [0.5, 1.0, 2.0],
-        "symmetry_samples": 10 ** 4,
-    }
-    cfg = _merge_config(defaults, config, "helicoid")
-    if seed is not None:
-        cfg["seed"] = seed
+def run_helicoid(config: dict, outdir: str, *, jobs: int) -> int:
+    cfg = _merge_config(acceptance.HALF_VALUE, config, "helicoid")
     records, _ = hl.half_value_checks(
         int(cfg["n_samples"]), int(cfg["seed"]), cfg["t_values"],
         cfg["r_values"], int(cfg["symmetry_samples"]), jobs)
@@ -388,11 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("subcommand", choices=sorted(_RUNNERS))
     parser.add_argument("--config", help="JSON config file", default=None)
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the config RNG seed")
+                        help="the config's RNG seed (helicoid and "
+                        "maxprinciple; a config error elsewhere)")
     parser.add_argument("--jobs", type=int, default=os.cpu_count(),
                         help="worker threads for the Monte-Carlo batches of "
-                        "helicoid and all (maxprinciple accepts and ignores "
-                        "it)")
+                        "helicoid and all (the others accept and ignore it)")
     parser.add_argument("--out", default="out", help="output directory")
     return parser
 
@@ -407,22 +390,17 @@ def main(argv=None) -> int:
                 raise ConfigError("config root must be a JSON object")
         else:
             config = {}
+        if args.seed is not None:
+            config["seed"] = args.seed
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     os.makedirs(args.out, exist_ok=True)
-    _INVOCATION.clear()
-    _INVOCATION.update({"seed": args.seed})
     runner = _RUNNERS[args.subcommand]
     try:
-        jobs = max(1, args.jobs or 1)
-        if args.subcommand == "helicoid":
-            return runner(config, args.out, seed=args.seed, jobs=jobs)
-        if args.subcommand == "maxprinciple":
-            return runner(config, args.out, seed=args.seed)
-        if args.subcommand == "all":
-            return runner(config, args.out, jobs=jobs)
+        if args.subcommand in ("helicoid", "all"):
+            return runner(config, args.out, jobs=max(1, args.jobs or 1))
         return runner(config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -164,7 +164,7 @@ class CurvatureFit:
 
 
 def extract_mean_curvature(surface: Surface, medium: TwoPhaseMedium,
-                           lambda_grid=None) -> CurvatureFit:
+                           lambda_grid) -> CurvatureFit:
     """Estimate the summed principal curvatures from a lambda sweep.
 
     Samples sigma_s dw/dnu|_- - c0 sqrt(lambda) for the Dirichlet-k radial
@@ -172,8 +172,6 @@ def extract_mean_curvature(surface: Surface, medium: TwoPhaseMedium,
     the constant term equals -k sigma_s (sum kappa)/2, so the estimate is
     -2 constant / (k sigma_s).
     """
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(1e2, 1e6)
     lam = np.asarray(lambda_grid, dtype=float)
     k = medium.k
     c0 = k * math.sqrt(medium.sigma_s)
@@ -197,7 +195,7 @@ def extract_mean_curvature(surface: Surface, medium: TwoPhaseMedium,
                         sum_kappa_estimate=-2.0 * constant / scale)
 
 
-def default_lambda_grid(lo: float, hi: float, per_decade: int = 12) -> np.ndarray:
+def default_lambda_grid(lo: float, hi: float, per_decade: int) -> np.ndarray:
     """Log-spaced rate grid, `per_decade` points per decade."""
     decades = math.log10(hi / lo)
     n = int(round(decades * per_decade)) + 1
@@ -230,7 +228,7 @@ def higher_order_fit(surface: Surface, medium: TwoPhaseMedium, p: int, *,
     imbalance that forces H_p = 0 when the conductivities differ.
     """
     n, q = 3, 0.0
-    lam = default_lambda_grid(1e4, 1e8)
+    lam = default_lambda_grid(1e4, 1e8, 12)
     k = medium.k
     c0 = k * math.sqrt(medium.sigma_s)
     out = {}
@@ -304,9 +302,11 @@ def radial_barrier_sandwich(surface: Surface, medium: TwoPhaseMedium,
                                 corrector=corr, thresholds=thresholds)
                   for sign in (+1, -1))
         dn_exact = exact.normal_derivative()
-        dn_plus, dn_minus = (float(wkb.boundary_normal_derivative(
-            surface, medium, lam, n, sign, side=-1, corrector=corr,
-            eta=thresholds.eta)) for sign in (+1, -1))
+        dn_plus, dn_minus = (float(
+            wkb.boundary_normal_derivative(surface, medium, lam, n, sign,
+                                           side=-1)
+            - sign * corr.surface_slope * np.exp(-thresholds.eta * np.sqrt(lam)))
+            for sign in (+1, -1))
         out["lams"].append(lam)
         out["upper_margin"].append(float(np.min((wp - wex)[1:])))
         out["lower_margin"].append(float(np.min((wex - wm)[1:])))
@@ -596,14 +596,15 @@ def disk_convergence_study(medium: TwoPhaseMedium, lam: float,
 # ---------------------------------------------------------------------------
 
 def discrete_max_principle_check(lam: float, trials: int, rng_seed: int,
-                                 n: int = 32, sigma_range=(0.5, 4.0)) -> dict:
+                                 n: int, sigma_range) -> dict:
     """Inverse positivity of the discrete operator under random data.
 
-    For each trial: a random bounded conductivity field, nonnegative random
-    Dirichlet data and a nonnegative random source, solved by the banded
-    direct path.  The minimum solution value over all trials is reported;
-    for lambda > 0 the operator is an M-matrix, so the minimum should not
-    dip below solver roundoff.  A negative minimum is reported, not raised.
+    For each trial on an n x n grid of the unit square: a conductivity field
+    uniform in sigma_range, nonnegative random Dirichlet data and a
+    nonnegative random source, solved by the banded direct path.  The
+    minimum solution value over all trials is reported; for lambda > 0 the
+    operator is an M-matrix, so the minimum should not dip below solver
+    roundoff.  A negative minimum is reported, not raised.
     """
     if not lam > 0.0:
         raise InvalidArgument("the check applies to lambda > 0; see the "

@@ -81,6 +81,7 @@ class Surface:
         raise NotImplementedError
 
     def outward_normal(self, z: np.ndarray) -> np.ndarray:
+        """Outward unit normal at a surface point (the radial variants)."""
         raise NotImplementedError
 
 
@@ -312,13 +313,6 @@ class Helicoid(Surface):
         a = 1.0 / (1.0 + rho * rho)
         return np.array([a, -a])
 
-    def outward_normal(self, z):
-        z = np.asarray(z, dtype=float)
-        s = z[2]
-        rho = self.ray_param(z)
-        n_in = np.array([-math.sin(s), math.cos(s), -rho]) / math.sqrt(1.0 + rho * rho)
-        return -n_in
-
 
 @dataclass(frozen=True)
 class Catenoid(Surface):
@@ -421,15 +415,6 @@ class Catenoid(Surface):
 
     def kappas(self, z):
         return np.asarray(self.kappas_at(float(np.asarray(z)[2])), dtype=float)
-
-    def outward_normal(self, z):
-        z = np.asarray(z, dtype=float)
-        v = z[2]
-        gp = float(self._gp(v))
-        den = math.sqrt(1.0 + gp * gp)
-        theta = math.atan2(z[1], z[0])
-        # inward is (-1, gp)/den in the (radial, vertical) plane
-        return np.array([math.cos(theta) / den, math.sin(theta) / den, -gp / den])
 
 
 # ---------------------------------------------------------------------------

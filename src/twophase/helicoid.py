@@ -140,7 +140,7 @@ def _outside_count(x: np.ndarray, z: np.ndarray, move) -> int:
     return len(z) - inside
 
 
-def u_gaussian_mc(x, t: float, n_samples: int = 10 ** 6,
+def u_gaussian_mc(x, t: float, n_samples: int,
                   rng_seed: int = 0, n_jobs: int = 1) -> McEstimate:
     """One-phase solution u(x, t) as the Gaussian mass of the complement.
 
@@ -159,7 +159,7 @@ def u_gaussian_mc(x, t: float, n_samples: int = 10 ** 6,
     return _mc_fraction(count, n_samples, rng_seed, n_jobs)
 
 
-def sphere_cap_density(x, r: float, n_samples: int = 10 ** 6,
+def sphere_cap_density(x, r: float, n_samples: int,
                        rng_seed: int = 0, n_jobs: int = 1) -> McEstimate:
     """Fraction of the sphere of radius r about x lying outside Omega.
 
@@ -177,7 +177,7 @@ def sphere_cap_density(x, r: float, n_samples: int = 10 ** 6,
                         n_samples, rng_seed, n_jobs)
 
 
-def ball_density(x, r: float, n_samples: int = 10 ** 6,
+def ball_density(x, r: float, n_samples: int,
                  rng_seed: int = 0, n_jobs: int = 1) -> McEstimate:
     """Fraction of the ball of radius r about x lying outside Omega."""
     if not r > 0.0:
@@ -232,8 +232,7 @@ def half_value_checks(n_samples: int, seed: int, t_values, r_values,
     return records, sym
 
 
-def symmetry_identities_check(n_samples: int = 10 ** 4,
-                              rng_seed: int = 0) -> dict:
+def symmetry_identities_check(n_samples: int, rng_seed: int) -> dict:
     """Randomized verification of the screw/flip identities.
 
     (a) screw motions preserve the side of Omega; (b) the flip swaps the

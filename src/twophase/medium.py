@@ -40,11 +40,6 @@ class TwoPhaseMedium:
                 raise InvalidArgument(f"{name} must be a positive real, got {value!r}")
 
     @property
-    def mu(self) -> float:
-        """Lower conductivity bound min(sigma_s, sigma_m)."""
-        return min(self.sigma_s, self.sigma_m)
-
-    @property
     def M(self) -> float:
         """Upper conductivity bound max(sigma_s, sigma_m)."""
         return max(self.sigma_s, self.sigma_m)

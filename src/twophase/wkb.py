@@ -199,7 +199,7 @@ class CoefficientEngine:
         kap = np.asarray(self.surface.kappas_at(np.asarray(q, dtype=float)))
         return -kap if self.side == +1 else kap
 
-    def boundary_mean_term(self, q=None) -> float:
+    def boundary_mean_term(self, q) -> float:
         """Lap(signed distance) at the surface: -sum of side-adjusted kappas."""
         return float(-np.sum(self._kappas(q)))
 
@@ -720,34 +720,28 @@ def near_boundary_law(surface: Surface, q, s: int, p: int, side: int = -1
 
 def boundary_laplacians(surface: Surface, q, j_max: int, side: int = -1
                         ) -> np.ndarray:
-    """Surface limits of Lap A_j for j = 0..j_max, by small-delta extrapolation."""
+    """Surface values of Lap A_j for j = 0..j_max, read from the tables at
+    tau = 0 (which they contain)."""
     eng = coefficient_engine(surface, side)
-    deltas = np.geomspace(1e-3 * eng.delta0, 8e-2 * eng.delta0, 9)
-    pts = eng.ray_points(q, deltas)
-    out = np.empty(j_max + 1)
-    for j in range(j_max + 1):
-        vals = eng.laplacian(j, pts)
-        out[j] = float(np.polynomial.polynomial.polyfit(deltas, vals, 2)[0])
-    return out
+    pt = eng.ray_points(q, [0.0])
+    return np.array([eng.laplacian(j, pt)[0] for j in range(j_max + 1)])
 
 
 def boundary_normal_derivative(surface: Surface, medium: TwoPhaseMedium,
                                lam, n: int, sign: int, q=0.0,
-                               side: int = -1, corrector=None,
-                               eta: Optional[float] = None) -> np.ndarray:
-    """Conormal derivative of the corrected barrier at the surface, one
+                               side: int = -1) -> np.ndarray:
+    """Conormal derivative of the barrier f_{n,sign} at the surface, one
     value per rate in `lam`.
 
-    Returns D such that sigma_side * D equals sigma_s dw/dnu from inside
-    (side -1) or sigma_m dw/dnu from outside (side +1).  Explicitly
+    Returns D such that sigma_side * D equals sigma_s df/dnu from inside
+    (side -1) or sigma_m df/dnu from outside (side +1).  Explicitly
 
-        D = b [ mu + Lap(delta)/2 - 1/2 sum_{j=1}^n q^j Lap A_{j-1} - sign q^n ]
-            - sign psi'(0) e^{-eta sqrt(lambda)},
+        D = b [ mu + Lap(delta)/2 - 1/2 sum_{j=1}^n q^j Lap A_{j-1} - sign q^n ],
 
     with b the side's interface value, q = sqrt(sigma/lambda) and the
-    surface limits Lap A_{j-1} from `boundary_laplacians`; the +- pair
-    brackets the exact conormal derivative.  The corrector term enters
-    only when both `corrector` and `eta` are given.
+    surface values Lap A_{j-1} from `boundary_laplacians`.  The corrected
+    barrier w_{n,sign} adds - sign psi'(0) e^{-eta sqrt(lambda)}; that pair
+    brackets the exact conormal derivative.
     """
     eng = coefficient_engine(surface, side)
     lam = np.asarray(lam, dtype=float)
@@ -757,7 +751,4 @@ def boundary_normal_derivative(surface: Surface, medium: TwoPhaseMedium,
     val = mu + 0.5 * eng.boundary_mean_term(q)
     val -= 0.5 * sum(qq ** j * lap_boundary[j - 1] for j in range(1, n + 1))
     val -= sign * qq ** n
-    out = _side_value(medium, side) * val
-    if corrector is not None and eta is not None:
-        out -= sign * corrector.surface_slope * np.exp(-eta * np.sqrt(lam))
-    return out
+    return _side_value(medium, side) * val

@@ -21,7 +21,8 @@ from twophase.elliptic import (TransmissionSolution,
                                _interior_log_derivative)
 from twophase.errors import (InvalidArgument, OutsideTubularNeighborhood,
                              TwoPhaseError)
-from twophase.geometry import Surface, elementary_symmetric
+from twophase.geometry import (Catenoid, Helicoid, Surface,
+                               elementary_symmetric)
 from twophase.helicoid import McEstimate, _mc_fraction
 from twophase.kernel1d import halfline_closed_form
 from twophase.medium import TwoPhaseMedium
@@ -79,7 +80,34 @@ def project(surface: Surface, x) -> Projection:
             f"delta(x) = {d:.6g} >= projection radius = {radius:.6g}")
     z = Z[0]
     s = int(side[0]) if d > _ON_SURFACE_TOL else 0
-    return Projection(z=z, delta=d, nu=surface.outward_normal(z), side=s)
+    return Projection(z=z, delta=d, nu=outward_normal(surface, z), side=s)
+
+
+def outward_normal(surface: Surface, z) -> np.ndarray:
+    """Outward unit normal at a surface point of any catalog surface."""
+    if isinstance(surface, Helicoid):
+        return helicoid_outward_normal(surface, z)
+    if isinstance(surface, Catenoid):
+        return catenoid_outward_normal(surface, z)
+    return surface.outward_normal(z)
+
+
+def helicoid_outward_normal(surface: Helicoid, z) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    s = z[2]
+    rho = surface.ray_param(z)
+    n_in = np.array([-math.sin(s), math.cos(s), -rho]) / math.sqrt(1.0 + rho * rho)
+    return -n_in
+
+
+def catenoid_outward_normal(surface: Catenoid, z) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    v = z[2]
+    gp = float(surface._gp(v))
+    den = math.sqrt(1.0 + gp * gp)
+    theta = math.atan2(z[1], z[0])
+    # inward is (-1, gp)/den in the (radial, vertical) plane
+    return np.array([math.cos(theta) / den, math.sin(theta) / den, -gp / den])
 
 
 def h_funcs(surface: Surface, z) -> np.ndarray:
@@ -342,6 +370,11 @@ def fit_decay_envelope(points, t_grid, medium: TwoPhaseMedium) -> DecayEstimate:
 
 def phases_distinct(med: TwoPhaseMedium) -> bool:
     return med.sigma_s != med.sigma_m
+
+
+def mu(med: TwoPhaseMedium) -> float:
+    """Lower conductivity bound min(sigma_s, sigma_m)."""
+    return min(med.sigma_s, med.sigma_m)
 
 
 def swapped(med: TwoPhaseMedium) -> TwoPhaseMedium:

@@ -5,8 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from twophase import geometry as geo, wkb
+from twophase import acceptance, geometry as geo, wkb
 from twophase.cli import main
+
+#: the keys of every manifest
+MANIFEST_KEYS = {"tool", "version", "subcommand", "config", "outputs"}
+
+
+def _manifest(outdir):
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    return manifest
 
 
 def _read_csv(path):
@@ -25,10 +34,9 @@ def test_kernel1d_default_run(tmp_path):
     for row in rows:
         assert abs(float(row["u_quadrature"]) - 2.0 / 3.0) < 1e-10
         assert float(row["abs_diff"]) < 1e-10
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest = _manifest(tmp_path)
     assert manifest["tool"] == "twophase"
     assert manifest["subcommand"] == "kernel1d"
-    assert "config" in manifest and "version" in manifest
 
 
 def test_kernel1d_custom_config(tmp_path):
@@ -75,9 +83,52 @@ def test_helicoid_seeded_runs_are_byte_identical(tmp_path):
                  "--jobs", "2", "--out", str(out2)]) == 0
     for name in ("helicoid.json", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert _manifest(out1)["config"]["seed"] == 7
     records = json.loads((out1 / "helicoid.json").read_text())
     assert all(set(r) >= {"test", "estimate", "stderr", "n", "seed", "pass"}
                for r in records)
+
+
+@pytest.mark.parametrize("command", [
+    "kernel1d", "simulate", "transform", "wkb", "extract-curvature", "all"])
+def test_seed_is_a_config_error_where_nothing_is_seeded(tmp_path, command):
+    assert main([command, "--seed", "3", "--out", str(tmp_path)]) == 2
+
+
+def test_maxprinciple_seed_overrides_the_config_seed(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 3, "n": 8, "seed": 11}))
+    assert main(["maxprinciple", "--config", str(cfg), "--seed", "5",
+                 "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "maxprinciple.json").read_text())["seed"] == 5
+    assert _manifest(tmp_path)["config"]["seed"] == 5
+
+
+def test_default_maxprinciple_is_the_gate_check(tmp_path):
+    assert main(["maxprinciple", "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "maxprinciple.json").read_text())
+    gate = acceptance.criterion_max_principle(jobs=1).details
+    assert rep["min_value"] == gate["positivity"]["min_value"]
+    assert rep["lambda0_counterexample"] == gate["counterexample"]
+    assert _manifest(tmp_path)["config"]["seed"] == 99
+
+
+def test_default_helicoid_is_the_gate_check(tmp_path):
+    assert main(["helicoid", "--jobs", "2", "--out", str(tmp_path)]) == 0
+    records = json.loads((tmp_path / "helicoid.json").read_text())
+    gate = acceptance.criterion_helicoid_half(jobs=2).details["records"]
+    assert len(records) == 10
+    assert records == gate
+    _manifest(tmp_path)
+
+
+def test_default_extract_curvature_is_the_gate_sphere(tmp_path):
+    assert main(["extract-curvature", "--out", str(tmp_path)]) == 0
+    _, rows = _read_csv(tmp_path / "extract_curvature.csv")
+    gate = acceptance.criterion_mean_curvature(jobs=1).details
+    assert float(rows[0]["sigma_kappa_estimate"]) == gate["sphere"]
+    assert len(rows) == 49
+    _manifest(tmp_path)
 
 
 def test_all_is_byte_identical_across_jobs(tmp_path):
@@ -142,24 +193,37 @@ def test_wkb_ray_table(tmp_path):
     assert float(rows[0]["A1_plus"]) == 0.0
 
 
-def test_wkb_residual_column_equals_the_per_point_calls(tmp_path):
+def _check_residual_column(tmp_path, surf, spec, side, q, order):
+    """Each wkb.csv residual equals the maximum of the per-point identity
+    residuals over j <= order."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"surface": {"variant": "catenoid", "c": 1.0},
-                               "side": 1, "q": 0.27}))
+    cfg.write_text(json.dumps({"surface": spec, "side": side, "q": q,
+                               "order": order}))
     assert main(["wkb", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     _, rows = _read_csv(tmp_path / "wkb.csv")
-    surf = geo.Catenoid(c=1.0)
-    eng = wkb.coefficient_engine(surf, 1)
+    eng = wkb.coefficient_engine(surf, side)
     checked = 0
     for row in rows:
         res = float(row["residual_max"])
         if math.isnan(res):
             continue
-        p = eng.ray_points(0.27, np.array([float(row["tau"])]))[0]
-        assert res == max(wkb.gradient_identity_residual(surf, j, p, side=1)[0]
-                          for j in range(3))
+        p = eng.ray_points(q, np.array([float(row["tau"])]))[0]
+        assert res == max(wkb.gradient_identity_residual(surf, j, p, side=side)[0]
+                          for j in range(order + 1))
         checked += 1
     assert checked == 31
+
+
+def test_wkb_residual_column_equals_the_per_point_calls(tmp_path):
+    _check_residual_column(tmp_path, geo.Catenoid(c=1.0),
+                           {"variant": "catenoid", "c": 1.0}, 1, 0.27, 2)
+
+
+def test_wkb_order_three_checks_the_top_coefficient(tmp_path):
+    # one past the minimal surfaces' table order: A_3 is tabulated and checked
+    assert wkb.coefficient_engine(geo.Helicoid(), -1).table_order == 2
+    _check_residual_column(tmp_path, geo.Helicoid(), {"variant": "helicoid"},
+                           -1, 0.3, 3)
 
 
 def test_simulate_and_transform(tmp_path):

@@ -16,6 +16,8 @@ K = MED.k
 SPHERE = geo.Sphere(R=1.0, N=3)
 CYLINDER = geo.Cylinder(R=2.0, N=3)
 PLANE = geo.Hyperplane()
+#: the curvature sweep, 12 rates per decade on [1e2, 1e6]
+RATES = ell.default_lambda_grid(1e2, 1e6, 12)
 
 
 # -- radial Dirichlet solutions ---------------------------------------------------
@@ -154,23 +156,23 @@ def test_transmission_outside_value_continuous():
 # -- curvature extraction -----------------------------------------------------------
 
 def test_extract_plane_zero():
-    fit = ell.extract_mean_curvature(PLANE, MED)
+    fit = ell.extract_mean_curvature(PLANE, MED, RATES)
     assert abs(fit.sum_kappa_estimate) < 1e-8
 
 
 def test_extract_sphere():
-    fit = ell.extract_mean_curvature(SPHERE, MED)
+    fit = ell.extract_mean_curvature(SPHERE, MED, RATES)
     assert abs(fit.sum_kappa_estimate - 2.0) < 0.02
 
 
 def test_extract_cylinder():
-    fit = ell.extract_mean_curvature(CYLINDER, MED)
+    fit = ell.extract_mean_curvature(CYLINDER, MED, RATES)
     assert abs(fit.sum_kappa_estimate - 0.5) < 0.005
 
 
 def test_extract_matches_target_for_other_media():
     med = TwoPhaseMedium(3.0, 2.0)
-    fit = ell.extract_mean_curvature(SPHERE, med)
+    fit = ell.extract_mean_curvature(SPHERE, med, RATES)
     assert abs(fit.sum_kappa_estimate - 2.0) < 0.02
 
 
@@ -363,12 +365,13 @@ def test_disk_study_cg_at_conductivity_contrast_100(sigmas):
 
 def test_max_principle_uniform_sigma():
     rep = ell.discrete_max_principle_check(lam=1.0, trials=20, rng_seed=1,
-                                           sigma_range=(1.0, 1.0))
+                                           n=32, sigma_range=(1.0, 1.0))
     assert rep["min_value"] >= -1e-12
 
 
 def test_max_principle_random_sigma():
-    rep = ell.discrete_max_principle_check(lam=10.0, trials=30, rng_seed=2)
+    rep = ell.discrete_max_principle_check(lam=10.0, trials=30, rng_seed=2,
+                                           n=32, sigma_range=(0.5, 4.0))
     assert rep["min_value"] >= -1e-10
 
 
@@ -377,7 +380,8 @@ def test_max_principle_trials_match_sparse_reference():
     # assembled CSR operator, against the banded Cholesky path
     lam, n, trials, seed = 10.0, 16, 12, 5
     rep = ell.discrete_max_principle_check(lam=lam, trials=trials,
-                                           rng_seed=seed, n=n)
+                                           rng_seed=seed, n=n,
+                                           sigma_range=(0.5, 4.0))
     rng = np.random.default_rng(seed)
     mins = []
     for _ in range(trials):
@@ -400,7 +404,8 @@ def test_max_principle_trials_match_sparse_reference():
 
 def test_max_principle_rejects_lambda_zero():
     with pytest.raises(InvalidArgument):
-        ell.discrete_max_principle_check(lam=0.0, trials=1, rng_seed=0)
+        ell.discrete_max_principle_check(lam=0.0, trials=1, rng_seed=0,
+                                         n=32, sigma_range=(0.5, 4.0))
 
 
 def test_annulus_counterexample_reproduces_failure():
@@ -425,4 +430,4 @@ def test_radial_solvers_reject_minimal_surfaces():
         with pytest.raises(UnsupportedGeometry):
             ell.solve_radial_transmission(surface, 10.0, MED)
         with pytest.raises(UnsupportedGeometry):
-            ell.extract_mean_curvature(surface, MED)
+            ell.extract_mean_curvature(surface, MED, RATES)

@@ -8,7 +8,7 @@ from twophase.errors import InvalidArgument
 from twophase.medium import TwoPhaseMedium, gaussian_kernel, interface_constant
 from twophase.quadrature import integrate_adaptive
 
-from oracles import phases_distinct, swapped
+from oracles import mu, phases_distinct, swapped
 
 
 def test_interface_constant_examples():
@@ -41,7 +41,7 @@ def test_medium_validation():
 
 def test_medium_derived_fields():
     med = TwoPhaseMedium(4.0, 1.0)
-    assert med.mu == 1.0 and med.M == 4.0
+    assert mu(med) == 1.0 and med.M == 4.0
     assert phases_distinct(med)
     assert not phases_distinct(TwoPhaseMedium(2.0, 2.0))
     assert med.side_conductivity(-1) == 4.0

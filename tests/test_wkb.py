@@ -539,6 +539,18 @@ def test_near_boundary_law_validates_s():
         wkb.near_boundary_law(HELICOID, 0.0, 1, 2)
 
 
+@pytest.mark.parametrize("side", [-1, 1])
+@pytest.mark.parametrize("surface, q, expected", [
+    (CYLINDER, 0.0, 0.5 ** 2 / 4),       # kappa^2 / 4 at kappa = 1/R
+    (HELICOID, 0.0, 1.0),                # 1 / (1 + q^2)^2
+    (HELICOID, 0.3, 1.0 / 1.09 ** 2),
+], ids=["cylinder", "helicoid-0", "helicoid-0.3"])
+def test_boundary_laplacian_of_a0_matches_its_closed_form(
+        surface, q, expected, side):
+    lap = wkb.boundary_laplacians(surface, q, 0, side=side)
+    assert abs(lap[0] - expected) <= 1e-9
+
+
 # -- harmonic correctors ----------------------------------------------------------
 
 def test_slab_corrector_midpoint():

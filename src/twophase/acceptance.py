@@ -55,6 +55,9 @@ MEDIUM = MappingProxyType({"sigma_s": 1.0, "sigma_m": 4.0})
 MAX_PRINCIPLE = MappingProxyType({"lam": 10.0, "trials": 100, "seed": 99,
                                   "n": 32, "sigma_range": (0.5, 4.0)})
 
+#: `maximum-principle`: no trial's minimum may lie below -MAX_PRINCIPLE_TOL
+MAX_PRINCIPLE_TOL = 1e-10
+
 #: `helicoid-half-value`: samples per estimate, base seed, times, radii and
 #: samples of the symmetry identities
 HALF_VALUE = MappingProxyType({"n_samples": 10 ** 6, "seed": 1234,
@@ -89,7 +92,7 @@ def criterion_interface_constant(jobs: int) -> CriterionRecord:
 
 def criterion_kernel_mass(jobs: int) -> CriterionRecord:
     """Unit kernel mass and quadrature/closed-form agreement."""
-    tol = 1e-10
+    tol = k1.TWO_WAY_TOL
     med = _medium14()
     rng = np.random.default_rng(2024)
     x1, t = np.array([(rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-2, 1))
@@ -187,7 +190,7 @@ def criterion_mean_curvature(jobs: int) -> CriterionRecord:
     med = _medium14()
     abs_tol = 1e-8
     rel_tol = 0.01
-    grid = ell.default_lambda_grid(*CURVATURE_SWEEP["lambda_range"],
+    grid = ell.log_rate_grid(*CURVATURE_SWEEP["lambda_range"],
                                    CURVATURE_SWEEP["per_decade"])
     fits = {name: ell.extract_mean_curvature(_surface_catalog()[name], med, grid)
             for name in ("plane", "sphere", "cylinder")}
@@ -290,7 +293,7 @@ def criterion_max_principle(jobs: int) -> CriterionRecord:
     rep = ell.discrete_max_principle_check(mp["lam"], mp["trials"], mp["seed"],
                                            mp["n"], mp["sigma_range"])
     ce = ell.annulus_counterexample()
-    tol = 1e-10
+    tol = MAX_PRINCIPLE_TOL
     ok = rep["min_value"] >= -tol and ce["min_interior"] < -0.4
     return CriterionRecord(
         name="maximum-principle", passed=ok,

@@ -144,7 +144,7 @@ def run_kernel1d(config: dict, outdir: str) -> int:
         "medium": acceptance.MEDIUM,
         "x1": [0.0],
         "t": list(np.geomspace(1e-3, 1e3, 13)),
-        "tolerance": 1e-10,
+        "tolerance": k1.TWO_WAY_TOL,
     }
     cfg = _merge_config(defaults, config, "kernel1d")
     med = _medium_from(cfg["medium"])
@@ -282,7 +282,7 @@ def run_extract_curvature(config: dict, outdir: str) -> int:
     surface = _radial_surface(**_merge_config(
         defaults["geometry"], cfg["geometry"], "geometry"))
     lo, hi = cfg["lambda_range"]
-    grid = ell.default_lambda_grid(lo, hi, cfg["per_decade"])
+    grid = ell.log_rate_grid(lo, hi, cfg["per_decade"])
     fit = ell.extract_mean_curvature(surface, med, grid)
     k = med.k
     rows = []
@@ -313,7 +313,7 @@ def run_maxprinciple(config: dict, outdir: str) -> int:
     _manifest(outdir, "maxprinciple", cfg, [path])
     print(f"maxprinciple: min value {rep['min_value']:.3e} over "
           f"{rep['trials']} trials")
-    return 0 if rep["min_value"] >= -1e-10 else 1
+    return 0 if rep["min_value"] >= -acceptance.MAX_PRINCIPLE_TOL else 1
 
 
 def run_helicoid(config: dict, outdir: str, *, jobs: int) -> int:

@@ -18,15 +18,15 @@ Three layers:
     p! 2^(-p) sigma^(p/2) H_p with opposite phase weights sigma_s vs
     sigma_m, the imbalance that forces H_p = 0 for distinct conductivities,
   * a Cartesian finite-volume discretization of the full transmission
-    problem with harmonic-mean face conductivities, solved by conjugate
+    problem on 2d grids with harmonic-mean face conductivities; the grid's
+    width picks banded Cholesky (up to BANDED_MAX_NX cells) or conjugate
     gradients preconditioned with a cell-centred multigrid V-cycle (2x2
     agglomeration, Galerkin coarse operators, damped-Jacobi smoothing;
     Alcouffe, Brandt, Dendy & Painter 1981 treat the discontinuous
-    coefficients), or by a banded Cholesky factorization; the disk
-    convergence study solves one quadrant and mirrors it, since the disk
-    problem is even in x and y; plus inverse-positivity checks of the
-    discrete operator (and the classical failure of the maximum principle
-    at lambda = 0 on an exterior-like annulus).
+    coefficients); the disk convergence study solves one quadrant and
+    mirrors it, since the disk problem is even in x and y; plus
+    inverse-positivity checks of the discrete operator (and the classical
+    failure of the maximum principle at lambda = 0 on an exterior annulus).
 
 Lambda-sweep points are independent and parallelize freely; each linear
 solve owns its grid exclusively.
@@ -47,7 +47,7 @@ from scipy.special import ive, kve
 
 from . import wkb
 from .errors import (FitUnstable, InvalidArgument, NonConvergence,
-                     SandwichTooLoose, UnsupportedGeometry)
+                     SandwichTooLoose)
 from .geometry import Sphere, Surface, elementary_symmetric
 from .medium import TwoPhaseMedium
 
@@ -195,7 +195,7 @@ def extract_mean_curvature(surface: Surface, medium: TwoPhaseMedium,
                         sum_kappa_estimate=-2.0 * constant / scale)
 
 
-def default_lambda_grid(lo: float, hi: float, per_decade: int) -> np.ndarray:
+def log_rate_grid(lo: float, hi: float, per_decade: int) -> np.ndarray:
     """Log-spaced rate grid, `per_decade` points per decade."""
     decades = math.log10(hi / lo)
     n = int(round(decades * per_decade)) + 1
@@ -214,8 +214,7 @@ class HigherOrderFit:
     lambda_grid: np.ndarray
 
 
-def higher_order_fit(surface: Surface, medium: TwoPhaseMedium, p: int, *,
-                     sides=(-1, +1)) -> dict:
+def higher_order_fit(surface: Surface, medium: TwoPhaseMedium, p: int) -> dict:
     """Fit the lambda^(-(p-1)/2) coefficient on both phase sides.
 
     On a minimal-catalog surface the conormal derivative has no closed
@@ -228,11 +227,11 @@ def higher_order_fit(surface: Surface, medium: TwoPhaseMedium, p: int, *,
     imbalance that forces H_p = 0 when the conductivities differ.
     """
     n, q = 3, 0.0
-    lam = default_lambda_grid(1e4, 1e8, 12)
+    lam = log_rate_grid(1e4, 1e8, 12)
     k = medium.k
     c0 = k * math.sqrt(medium.sigma_s)
     out = {}
-    for side in sides:
+    for side in (-1, +1):
         sigma = medium.side_conductivity(side)
         b = k if side == -1 else 1.0 - k
         mid = wkb.boundary_normal_derivative(surface, medium, lam, n, 0,
@@ -260,10 +259,9 @@ def higher_order_fit(surface: Surface, medium: TwoPhaseMedium, p: int, *,
                                    predicted=predicted,
                                    half_gap_max=float(halfgap.max()),
                                    lambda_grid=lam)
-    if len(out) == 2:
-        out["ratio"] = out[-1].coefficient / out[+1].coefficient
-        out["predicted_ratio"] = ((-1.0) ** p *
-                                  (medium.sigma_s / medium.sigma_m) ** (0.5 * p))
+    out["ratio"] = out[-1].coefficient / out[+1].coefficient
+    out["predicted_ratio"] = ((-1.0) ** p *
+                              (medium.sigma_s / medium.sigma_m) ** (0.5 * p))
     return out
 
 
@@ -322,34 +320,27 @@ def radial_barrier_sandwich(surface: Surface, medium: TwoPhaseMedium,
 
 @dataclass
 class GridField:
-    """Cell-centered field on a uniform Cartesian box (1d or 2d).
+    """Cell-centered field on a uniform 2d grid: (ny, nx) per-cell arrays
+    sigma and values, rows along y, lower corner lo = (x, y), cell width h.
 
-    sigma and values are per-cell arrays; boundary arrays hold Dirichlet
-    values on each face of the box.  The assembled operator for
-    -div(sigma grad w) + lambda w is an M-matrix for lambda > 0: strictly
-    diagonally dominant with nonpositive off-diagonal entries.  A solved
-    field also carries the CG iterations and the final relative residual
-    of the solve that produced its values.
+    The assembled operator for -div(sigma grad w) + lambda w is an M-matrix
+    for lambda > 0: strictly diagonally dominant with nonpositive
+    off-diagonal entries.  A solved field also carries the CG iterations (0
+    from the banded path) and the final relative residual of its solve.
     """
 
     lo: tuple
-    hi: tuple
     h: float
     sigma: np.ndarray
     values: Optional[np.ndarray] = None
     iterations: int = 0
     residual: float = 0.0
 
-    @property
-    def ndim(self) -> int:
-        return self.sigma.ndim
-
     def centers(self):
-        axes = []
-        for a in range(self.ndim):
-            n = self.sigma.shape[a]
-            axes.append(self.lo[a] + (np.arange(n) + 0.5) * self.h)
-        return axes
+        """Cell-center coordinates (x, y) along the two axes."""
+        ny, nx = self.sigma.shape
+        return (self.lo[0] + (np.arange(nx) + 0.5) * self.h,
+                self.lo[1] + (np.arange(ny) + 0.5) * self.h)
 
 
 def _harmonic(a, b):
@@ -358,12 +349,12 @@ def _harmonic(a, b):
 
 def _stencil(field: GridField, lam: float, boundary: dict) -> tuple:
     """(main, cx, cy, rhs) of -div(sigma grad w) + lambda w on the (ny, nx)
-    cell layout (a 1d field is one row in x): the main diagonal, the x- and
-    y-couplings (harmonic-mean faces, negated in the matrix) and the
-    Dirichlet terms of the right-hand side.  `boundary` maps face names
-    ("xlo", "xhi", "ylo", "yhi") to values (scalars or arrays on the face).
+    cell layout: the main diagonal, the x- and y-couplings (harmonic-mean
+    faces, negated in the matrix) and the Dirichlet terms of the right-hand
+    side.  `boundary` maps face names ("xlo", "xhi", "ylo", "yhi") to values
+    (scalars or arrays on the face).
     """
-    sig = np.atleast_2d(field.sigma)
+    sig = field.sigma
     h2 = field.h ** 2
     main = np.full(sig.shape, lam, dtype=float)
     rhs = np.zeros(sig.shape)
@@ -418,7 +409,7 @@ MG_COARSEST_CELLS = 64
 
 def _agglomeration(shape: tuple) -> tuple[sparse.csr_matrix, tuple]:
     """Piecewise-constant prolongation from 2x2 blocks (ceil sizes) and the
-    coarse grid shape; a single row (ny = 1) coarsens along x only."""
+    coarse grid shape."""
     ny, nx = shape
     coarse = (-(-ny // 2), -(-nx // 2))
     iy, ix = np.divmod(np.arange(ny * nx), nx)
@@ -460,50 +451,54 @@ def _vcycle(A: sparse.csr_matrix, shape: tuple) -> LinearOperator:
     return LinearOperator((n, n), matvec=lambda r: cycle(0, r), dtype=float)
 
 
+# the widest grid (nx, the operator's band width) solved by banded Cholesky,
+# O(ny nx^3), instead of V-cycle CG, O(ny nx) per iteration.  Medians with
+# OpenBLAS on one thread (2 vCPUs), n x n cells, sigma uniform in [0.5, 4],
+# four Dirichlet faces, banded vs CG: n = 32 1.3 vs 6.6 ms, 64 9.1 vs 12.8,
+# 72 13.2 vs 15.5, 80 18.4 vs 16.9, 96 26.8 vs 22.3, 192 230 vs 59 ms
+BANDED_MAX_NX = 64
+
+
 def grid_modified_helmholtz(field: GridField, lam: float, source,
-                            boundary: dict, *, method: str = "cg"
-                            ) -> GridField:
+                            boundary: dict) -> GridField:
     """Solve -div(sigma grad w) + lambda w = source with Dirichlet data.
 
     Harmonic-mean face conductivities preserve flux continuity across the
     discrete interface; faces absent from `boundary` carry zero flux.  The
-    operator is symmetric positive definite, so by default conjugate
-    gradients solve it to relative residual 1e-10 within 40000 iterations,
-    preconditioned by one multigrid V-cycle per iteration (`_vcycle`): the
-    iteration count then stays near 20 as h shrinks, where a diagonal
-    preconditioner needs O(1/h).  Method "direct" instead factorizes the
-    stencil's band form (bandwidth nx) by banded Cholesky.  The result
-    carries the CG iteration count (0 for "direct") and the final relative
-    residual |b - A w| / |b|.  A method other than "cg" or "direct", an
-    unknown face name, or a singular (lambda = 0, no Dirichlet face) or
-    indefinite operator raises InvalidArgument.
+    operator is symmetric positive definite with band width nx, the
+    field's width, and nx picks the solver.  Up to BANDED_MAX_NX cells, a
+    banded Cholesky factorization of the stencil's band form.  Wider,
+    conjugate gradients to relative residual 1e-10 within 40000
+    iterations, preconditioned by one multigrid V-cycle per iteration
+    (`_vcycle`): the iteration count then stays near 20 as h shrinks, where
+    a diagonal preconditioner needs O(1/h).  The result carries the CG
+    iteration count (0 from the banded path) and the final relative
+    residual |b - A w| / |b|.  An unknown face name, or a singular
+    (lambda = 0, no Dirichlet face) or indefinite operator raises
+    InvalidArgument.
     """
-    if method not in ("cg", "direct"):
-        raise InvalidArgument(f"unknown method {method!r}; expected 'cg' or "
-                              "'direct'")
     if not lam >= 0.0:
         raise InvalidArgument("lambda must be nonnegative")
     if lam == 0.0 and not boundary:
         raise InvalidArgument("lambda = 0 with no Dirichlet face makes the "
                               "operator singular")
     source = np.asarray(source, dtype=float).ravel()
+    ny, nx = field.sigma.shape
     iterations, info = 0, 0
-    if method == "direct":
-        # LAPACK upper band form, bandwidth u = nx (1 for a one-row field):
-        # row u holds the main diagonal, u - 1 the x- and 0 the y-couplings
+    if nx <= BANDED_MAX_NX:
+        # LAPACK upper band form, bandwidth nx: row nx holds the main
+        # diagonal, nx - 1 the x- and 0 the y-couplings
         main, cx, cy, rhs = _stencil(field, lam, boundary)
-        ny, nx = main.shape
-        u = nx if ny > 1 else 1
-        ab = np.zeros((u + 1, main.size))
-        ab[u] = main.ravel()
-        ab[u - 1].reshape(ny, nx)[:, 1:] = -cx
+        ab = np.zeros((nx + 1, main.size))
+        ab[nx] = main.ravel()
+        ab[nx - 1].reshape(ny, nx)[:, 1:] = -cx
         ab[0].reshape(ny, nx)[1:, :] = -cy
         b = rhs.ravel() + source
         _, sol, info = dpbsv(ab, b)
         if info != 0:
             raise InvalidArgument(f"the operator is not positive definite "
                                   f"(dpbsv info={info})")
-        Aw = dsbmv(u, 1.0, ab, sol)
+        Aw = dsbmv(nx, 1.0, ab, sol)
     else:
         A, rhs = assemble_operator(field, lam, boundary)
         b = rhs + source
@@ -513,8 +508,7 @@ def grid_modified_helmholtz(field: GridField, lam: float, source,
             iterations += 1
 
         sol, info = cg(A, b, rtol=1e-10, atol=0.0, maxiter=40000,
-                       M=_vcycle(A, np.atleast_2d(field.sigma).shape),
-                       callback=count)
+                       M=_vcycle(A, field.sigma.shape), callback=count)
         Aw = A @ sol
     b_norm = np.linalg.norm(b)
     residual = float(np.linalg.norm(b - Aw) / b_norm) if b_norm else 0.0
@@ -522,7 +516,7 @@ def grid_modified_helmholtz(field: GridField, lam: float, source,
         raise NonConvergence(
             f"conjugate gradients stopped after {iterations} iterations at "
             f"relative residual {residual:.2e} (info={info})")
-    return GridField(lo=field.lo, hi=field.hi, h=field.h, sigma=field.sigma,
+    return GridField(lo=field.lo, h=field.h, sigma=field.sigma,
                      values=sol.reshape(field.sigma.shape),
                      iterations=iterations, residual=residual)
 
@@ -545,26 +539,26 @@ def solve_disk(medium: TwoPhaseMedium, lam: float, h: float) -> GridField:
     x = (np.arange(int(round(DISK_L / h))) + 0.5) * h
     X, Y = np.meshgrid(x, x)
     sig = np.where(X ** 2 + Y ** 2 < DISK_R ** 2, medium.sigma_s, medium.sigma_m)
-    quadrant = GridField(lo=(0.0, 0.0), hi=(DISK_L, DISK_L), h=h, sigma=sig)
+    quadrant = GridField(lo=(0.0, 0.0), h=h, sigma=sig)
     sol = grid_modified_helmholtz(quadrant, lam, lam * (sig == medium.sigma_m),
                                   {"xhi": 1.0, "yhi": 1.0})
 
     def mirror(q):
         return np.block([[q[::-1, ::-1], q[::-1, :]], [q[:, ::-1], q]])
 
-    return GridField(lo=(-DISK_L, -DISK_L), hi=(DISK_L, DISK_L), h=h,
+    return GridField(lo=(-DISK_L, -DISK_L), h=h,
                      sigma=mirror(sig), values=mirror(sol.values),
                      iterations=sol.iterations, residual=sol.residual)
 
 
 def disk_interface_values(field: GridField) -> np.ndarray:
     """Bilinear samples of the solution at 64 angles on the circle r = DISK_R."""
-    xs = field.centers()[0]
+    xs, ys = field.centers()
     theta = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
     fx = (DISK_R * np.cos(theta) - xs[0]) / field.h
-    fy = (DISK_R * np.sin(theta) - xs[0]) / field.h
+    fy = (DISK_R * np.sin(theta) - ys[0]) / field.h
     ix = np.clip(np.floor(fx).astype(int), 0, len(xs) - 2)
-    iy = np.clip(np.floor(fy).astype(int), 0, len(xs) - 2)
+    iy = np.clip(np.floor(fy).astype(int), 0, len(ys) - 2)
     tx, ty = fx - ix, fy - iy
     v = field.values
     return ((1 - tx) * (1 - ty) * v[iy, ix] + tx * (1 - ty) * v[iy, ix + 1]
@@ -601,7 +595,8 @@ def discrete_max_principle_check(lam: float, trials: int, rng_seed: int,
 
     For each trial on an n x n grid of the unit square: a conductivity field
     uniform in sigma_range, nonnegative random Dirichlet data and a
-    nonnegative random source, solved by the banded direct path.  The
+    nonnegative random source, solved by `grid_modified_helmholtz` (banded
+    Cholesky up to n = BANDED_MAX_NX, so at the gate's n = 32).  The
     minimum solution value over all trials is reported; for lambda > 0 the
     operator is an M-matrix, so the minimum should not dip below solver
     roundoff.  A negative minimum is reported, not raised.
@@ -616,9 +611,8 @@ def discrete_max_principle_check(lam: float, trials: int, rng_seed: int,
         boundary = {name: rng.uniform(0.0, 1.0, size=n)
                     for name in ("xlo", "xhi", "ylo", "yhi")}
         source = rng.uniform(0.0, 1.0, size=(n, n)) * lam
-        field = GridField(lo=(0.0, 0.0), hi=(1.0, 1.0), h=1.0 / n, sigma=sig)
-        sol = grid_modified_helmholtz(field, lam, source, boundary,
-                                      method="direct")
+        field = GridField(lo=(0.0, 0.0), h=1.0 / n, sigma=sig)
+        sol = grid_modified_helmholtz(field, lam, source, boundary)
         return float(sol.values.min())
 
     mins = map(trial_min, range(trials))
@@ -626,22 +620,21 @@ def discrete_max_principle_check(lam: float, trials: int, rng_seed: int,
             "seed": rng_seed}
 
 
-def annulus_counterexample(N: int = 3) -> dict:
+def annulus_counterexample() -> dict:
     """The failure of inverse positivity at lambda = 0 on an exterior domain.
 
-    The harmonic profile w = |x|^(2-N) - 1 on {|x| > 1} has w = 0 on the
-    only true boundary piece yet is negative throughout the domain.  On a
-    radial annulus grid with geometric-mean face radii the profile is an
-    exact discrete solution of the lambda = 0 operator, so the discrete
-    setup reproduces the failure: zero residual, admissible boundary data,
-    interior values below -0.4.
+    The harmonic profile w = |x|^(2-N) - 1 on {|x| > 1} in R^N, N = 3, has
+    w = 0 on the only true boundary piece yet is negative throughout the
+    domain.  On a radial annulus grid with geometric-mean face radii the
+    profile is an exact discrete solution of the lambda = 0 operator, so
+    the discrete setup reproduces the failure: zero residual, admissible
+    boundary data, interior values below -0.4.
 
     The outer truncation value is the profile's own trace; it stands for
     the uncontrolled behavior at infinity and is not part of the domain
     boundary.
     """
-    if N < 3:
-        raise UnsupportedGeometry("the profile needs N >= 3")
+    N = 3
     r = np.linspace(1.0, 2.0, 201)  # 200 cells across the annulus 1 < r < 2
     w = r ** (2 - N) - 1.0
     faces = np.sqrt(r[:-1] * r[1:])  # geometric mean makes the flux constant

@@ -35,6 +35,7 @@ from .errors import ConsistencyError, InvalidArgument
 from .medium import TwoPhaseMedium, interface_constant
 from .quadrature import GAUSSIAN_CUTOFF_STD, integrate_adaptive
 
+#: the bound on |closed form - quadrature| of the half-line solution
 TWO_WAY_TOL = 1e-10
 
 
@@ -114,16 +115,16 @@ def halfline_quadrature(x1, t, medium: TwoPhaseMedium):
                               lo, 0.0, x1, t)
 
 
-def halfline_solution(x1, t, medium: TwoPhaseMedium, tol: float = TWO_WAY_TOL):
+def halfline_solution(x1, t, medium: TwoPhaseMedium):
     """Temperature of the half-line Cauchy solution, checked two ways.
 
     Computes the closed form and the adaptive quadrature, broadcast over x1
-    and t, and raises ConsistencyError if they disagree by more than tol at
-    any point; returns the closed-form values (a float for scalars).
+    and t, and raises ConsistencyError where they differ by more than
+    TWO_WAY_TOL; returns the closed-form values (a float for scalars).
     """
     exact = halfline_closed_form(x1, t, medium)
     diff = np.abs(exact - halfline_quadrature(x1, t, medium))
-    if np.any(diff > tol):
+    if np.any(diff > TWO_WAY_TOL):
         x1, t = np.broadcast_arrays(x1, t)
         i = np.unravel_index(np.argmax(diff), np.shape(diff))
         raise ConsistencyError(

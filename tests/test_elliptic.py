@@ -17,7 +17,7 @@ SPHERE = geo.Sphere(R=1.0, N=3)
 CYLINDER = geo.Cylinder(R=2.0, N=3)
 PLANE = geo.Hyperplane()
 #: the curvature sweep, 12 rates per decade on [1e2, 1e6]
-RATES = ell.default_lambda_grid(1e2, 1e6, 12)
+RATES = ell.log_rate_grid(1e2, 1e6, 12)
 
 
 # -- radial Dirichlet solutions ---------------------------------------------------
@@ -190,7 +190,7 @@ def test_higher_order_fit_minimal_patches(surface):
 
 def test_higher_order_fit_catenoid_inside_value():
     # p = 2, sigma_s = 1, H2 = -1 at the waist: coefficient -k/2
-    fits = ell.higher_order_fit(geo.Catenoid(c=1.0), MED, p=2, sides=(-1,))
+    fits = ell.higher_order_fit(geo.Catenoid(c=1.0), MED, p=2)
     f = fits[-1]
     assert f.predicted == pytest.approx(-K / 2.0, rel=1e-12)
     assert f.coefficient == pytest.approx(-K / 2.0, rel=0.10)
@@ -198,26 +198,43 @@ def test_higher_order_fit_catenoid_inside_value():
 
 # -- grid solver ----------------------------------------------------------------------
 
+def square(n, sigma):
+    """An n x n grid of the unit square."""
+    return ell.GridField(lo=(0.0, 0.0), h=1.0 / n, sigma=sigma)
+
+
+def superlu(field, lam, source, boundary):
+    """SuperLU's solution of the assembled operator, the reference of the
+    grid solve on either path."""
+    A, rhs = ell.assemble_operator(field, lam, boundary)
+    return spsolve(A.tocsc(), rhs + np.ravel(source)).reshape(field.sigma.shape)
+
+
+def rel_err(values, ref):
+    return np.max(np.abs(values - ref)) / np.max(np.abs(ref))
+
+
 def test_grid_1d_plane_interface_value():
+    # the plane interface x = 0 on a slab of ny rows, zero flux across the
+    # y faces: every row is the 1d transmission profile
     lam = 100.0
-    n = 512
+    n, ny = 512, 8
     L = 2.0
     h = 2 * L / n
     centers = -L + (np.arange(n) + 0.5) * h
-    sigma = np.where(centers < 0.0, MED.sigma_m, MED.sigma_s)
-    field = ell.GridField(lo=(-L,), hi=(L,), h=h, sigma=sigma)
-    source = lam * (centers < 0.0).astype(float)
+    sigma = np.tile(np.where(centers < 0.0, MED.sigma_m, MED.sigma_s), (ny, 1))
+    field = ell.GridField(lo=(-L, 0.0), h=h, sigma=sigma)
+    source = np.tile(lam * (centers < 0.0).astype(float), (ny, 1))
     sol = ell.grid_modified_helmholtz(field, lam, source,
                                       {"xlo": 1.0, "xhi": 0.0})
     i = n // 2
-    u_interface = 0.5 * (sol.values[i - 1] + sol.values[i])
-    assert abs(u_interface - K) < 5.0 * h
+    u_interface = 0.5 * (sol.values[:, i - 1] + sol.values[:, i])
+    assert np.max(np.abs(u_interface - K)) < 5.0 * h
 
 
 def test_grid_zero_data_zero_solution():
     n = 24
-    field = ell.GridField(lo=(0.0, 0.0), hi=(1.0, 1.0), h=1.0 / n,
-                          sigma=np.ones((n, n)))
+    field = square(n, np.ones((n, n)))
     sol = ell.grid_modified_helmholtz(field, 3.0, np.zeros(n * n),
                                       {k: 0.0 for k in ("xlo", "xhi", "ylo", "yhi")})
     assert np.max(np.abs(sol.values)) < 1e-14
@@ -226,8 +243,7 @@ def test_grid_zero_data_zero_solution():
 def test_grid_operator_is_m_matrix():
     rng = np.random.default_rng(0)
     n = 16
-    field = ell.GridField(lo=(0.0, 0.0), hi=(1.0, 1.0), h=1.0 / n,
-                          sigma=rng.uniform(0.5, 4.0, (n, n)))
+    field = square(n, rng.uniform(0.5, 4.0, (n, n)))
     A, _ = ell.assemble_operator(field, 2.0, {"xlo": 0.0})
     dense = A.toarray()
     off = dense - np.diag(np.diag(dense))
@@ -235,6 +251,24 @@ def test_grid_operator_is_m_matrix():
     assert np.all(np.diag(dense) > 0.0)
     # rows dominate strictly thanks to lambda > 0
     assert np.all(np.diag(dense) - np.abs(off).sum(axis=1) >= 2.0 - 1e-12)
+
+
+def test_grid_width_picks_the_solver():
+    # banded Cholesky up to BANDED_MAX_NX cells wide, V-cycle CG beyond;
+    # both paths agree with SuperLU
+    rng = np.random.default_rng(7)
+    ny = 40
+    for nx, banded in ((ell.BANDED_MAX_NX, True),
+                       (ell.BANDED_MAX_NX + 1, False)):
+        field = ell.GridField(lo=(0.0, 0.0), h=1.0 / nx,
+                              sigma=rng.uniform(0.5, 4.0, (ny, nx)))
+        boundary = {"xlo": rng.uniform(0.0, 1.0, ny),
+                    "yhi": rng.uniform(0.0, 1.0, nx)}
+        source = rng.uniform(0.0, 1.0, ny * nx)
+        sol = ell.grid_modified_helmholtz(field, 1.0, source, boundary)
+        assert (sol.iterations == 0) == banded
+        assert sol.residual <= 1e-10
+        assert rel_err(sol.values, superlu(field, 1.0, source, boundary)) <= 1e-8
 
 
 def test_disk_convergence_order():
@@ -249,35 +283,36 @@ def test_disk_quadrant_matches_full_square_direct_solve():
     x = -L + (np.arange(int(round(2 * L / h))) + 0.5) * h
     X, Y = np.meshgrid(x, x)
     sigma = np.where(X ** 2 + Y ** 2 < ell.DISK_R ** 2, MED.sigma_s, MED.sigma_m)
-    full = ell.GridField(lo=(-L, -L), hi=(L, L), h=h, sigma=sigma)
-    ref = ell.grid_modified_helmholtz(
-        full, lam, lam * (sigma == MED.sigma_m),
-        {k: 1.0 for k in ("xlo", "xhi", "ylo", "yhi")}, method="direct")
+    full = ell.GridField(lo=(-L, -L), h=h, sigma=sigma)
+    ref = superlu(full, lam, lam * (sigma == MED.sigma_m),
+                  {k: 1.0 for k in ("xlo", "xhi", "ylo", "yhi")})
     assert np.array_equal(sol.sigma, sigma)
-    assert np.max(np.abs(sol.values - ref.values)) <= 1e-9
+    assert np.max(np.abs(sol.values - ref)) <= 1e-9
 
 
 @pytest.mark.parametrize("shape", [(33, 33), (97, 97), (1, 257)])
 def test_vcycle_cg_matches_direct_on_random_sigma(shape):
+    # CG preconditioned by the V-cycle, as the grid solve runs it above
+    # BANDED_MAX_NX cells, here at every width
     rng = np.random.default_rng(sum(shape))
     ny, nx = shape
     sigma = rng.uniform(0.5, 4.0, shape)
-    if ny == 1:  # a 1d field is one row in x
-        sigma, boundary = sigma[0], {"xlo": 1.0, "xhi": 0.3}
+    if ny == 1:  # one row: Dirichlet at both ends
+        boundary = {"xlo": 1.0, "xhi": 0.3}
     else:        # two Dirichlet faces, zero flux across the other two
         boundary = {"xlo": rng.uniform(0.0, 1.0, ny),
                     "yhi": rng.uniform(0.0, 1.0, nx)}
-    field = ell.GridField(lo=(0.0, 0.0), hi=(1.0, ny / nx), h=1.0 / nx,
-                          sigma=sigma)
+    field = ell.GridField(lo=(0.0, 0.0), h=1.0 / nx, sigma=sigma)
     source = rng.uniform(0.0, 1.0, sigma.size)
-    sol = ell.grid_modified_helmholtz(field, 1.0, source, boundary)
-    ref = ell.grid_modified_helmholtz(field, 1.0, source, boundary,
-                                      method="direct")
-    assert 0 < sol.iterations <= 30
-    assert sol.residual <= 1e-10
-    assert ref.iterations == 0
-    err = np.max(np.abs(sol.values - ref.values)) / np.max(np.abs(ref.values))
-    assert err <= 1e-8
+    A, rhs = ell.assemble_operator(field, 1.0, boundary)
+    b = rhs + source
+    iterations = []
+    sol, info = ell.cg(A, b, rtol=1e-10, atol=0.0, M=ell._vcycle(A, shape),
+                       callback=lambda xk: iterations.append(1))
+    assert info == 0
+    assert 0 < len(iterations) <= 30
+    assert np.linalg.norm(b - A @ sol) / np.linalg.norm(b) <= 1e-10
+    assert rel_err(sol.reshape(shape), superlu(field, 1.0, source, boundary)) <= 1e-8
 
 
 def test_disk_study_cg_iterations_stay_bounded():
@@ -289,68 +324,52 @@ def test_disk_study_cg_iterations_stay_bounded():
 
 def test_cg_nonconvergence_names_iterations_and_residual(monkeypatch):
     monkeypatch.setattr(ell, "cg", lambda A, b, **kw: (np.zeros_like(b), 7))
-    field = ell.GridField(lo=(0.0,), hi=(1.0,), h=1.0 / 16, sigma=np.ones(16))
+    n = ell.BANDED_MAX_NX + 1  # wide enough for the CG path
+    field = square(n, np.ones((n, n)))
     with pytest.raises(NonConvergence, match=r"after 0 iterations at relative "
                        r"residual 1\.00e\+00"):
-        ell.grid_modified_helmholtz(field, 1.0, np.ones(16), {"xlo": 0.0})
+        ell.grid_modified_helmholtz(field, 1.0, np.ones(n * n), {"xlo": 0.0})
 
 
-@pytest.mark.parametrize("method", ["cg", "direct"])
-def test_singular_operator_is_rejected(method):
+#: one grid on each side of BANDED_MAX_NX, named by the path it takes
+PATHS = pytest.mark.parametrize("n", [ell.BANDED_MAX_NX + 1, 8],
+                                ids=["cg", "direct"])
+
+
+@PATHS
+def test_singular_operator_is_rejected(n):
     # lambda = 0 and no Dirichlet face: constants span the null space
-    n = 8
-    field = ell.GridField(lo=(0.0, 0.0), hi=(1.0, 1.0), h=1.0 / n,
-                          sigma=np.ones((n, n)))
+    field = square(n, np.ones((n, n)))
     with pytest.raises(InvalidArgument, match="singular"):
-        ell.grid_modified_helmholtz(field, 0.0, np.ones(n * n), {},
-                                    method=method)
+        ell.grid_modified_helmholtz(field, 0.0, np.ones(n * n), {})
 
 
-@pytest.mark.parametrize("method", ["cg", "direct"])
-def test_unknown_boundary_face_is_rejected(method):
+@PATHS
+def test_unknown_boundary_face_is_rejected(n):
     # a misspelled face used to become a zero-flux face, silently
-    n = 8
-    field = ell.GridField(lo=(0.0, 0.0), hi=(1.0, 1.0), h=1.0 / n,
-                          sigma=np.ones((n, n)))
+    field = square(n, np.ones((n, n)))
     with pytest.raises(InvalidArgument, match="unknown boundary faces"):
         ell.grid_modified_helmholtz(field, 0.0, np.ones(n * n),
-                                    {"xlow": 1.0}, method=method)
-
-
-def test_unknown_method_is_rejected():
-    # any method but "direct" used to run CG, silently
-    n = 16
-    field = ell.GridField(lo=(0.0, 0.0), hi=(1.0, 1.0), h=1.0 / n,
-                          sigma=np.ones((n, n)))
-    for method in ("Direct", "CG", "lu", ""):
-        with pytest.raises(InvalidArgument, match="unknown method"):
-            ell.grid_modified_helmholtz(field, 1.0, np.ones(n * n),
-                                        {"xlo": 0.0}, method=method)
+                                    {"xlow": 1.0})
 
 
 def test_direct_solve_rejects_an_indefinite_operator():
     n = 8
-    field = ell.GridField(lo=(0.0, 0.0), hi=(1.0, 1.0), h=1.0 / n,
-                          sigma=-np.ones((n, n)))
+    field = square(n, -np.ones((n, n)))
     with pytest.raises(InvalidArgument, match="not positive definite"):
-        ell.grid_modified_helmholtz(field, 1.0, np.ones(n * n), {"xlo": 0.0},
-                                    method="direct")
+        ell.grid_modified_helmholtz(field, 1.0, np.ones(n * n), {"xlo": 0.0})
 
 
 def test_vcycle_cg_at_conductivity_contrast_100():
     rng = np.random.default_rng(100)
     n = 97
     sigma = rng.uniform(1.0, 100.0, (n, n))
-    field = ell.GridField(lo=(0.0, 0.0), hi=(1.0, 1.0), h=1.0 / n,
-                          sigma=sigma)
+    field = square(n, sigma)
     boundary = {"xlo": rng.uniform(0.0, 1.0, n), "yhi": rng.uniform(0.0, 1.0, n)}
     source = rng.uniform(0.0, 1.0, n * n)
     sol = ell.grid_modified_helmholtz(field, 1.0, source, boundary)
-    ref = ell.grid_modified_helmholtz(field, 1.0, source, boundary,
-                                      method="direct")
     assert 0 < sol.iterations <= 30
-    err = np.max(np.abs(sol.values - ref.values)) / np.max(np.abs(ref.values))
-    assert err <= 1e-8
+    assert rel_err(sol.values, superlu(field, 1.0, source, boundary)) <= 1e-8
 
 
 @pytest.mark.parametrize("sigmas", [(100.0, 1.0), (1.0, 100.0)])
@@ -389,12 +408,10 @@ def test_max_principle_trials_match_sparse_reference():
         boundary = {name: rng.uniform(0.0, 1.0, size=n)
                     for name in ("xlo", "xhi", "ylo", "yhi")}
         source = rng.uniform(0.0, 1.0, size=(n, n)) * lam
-        field = ell.GridField(lo=(0.0, 0.0), hi=(1.0, 1.0), h=1.0 / n,
-                              sigma=sig)
+        field = square(n, sig)
         A, rhs = ell.assemble_operator(field, lam, boundary)
         ref = spsolve(A.tocsc(), rhs + source.ravel())
-        sol = ell.grid_modified_helmholtz(field, lam, source, boundary,
-                                          method="direct")
+        sol = ell.grid_modified_helmholtz(field, lam, source, boundary)
         err = np.max(np.abs(sol.values.ravel() - ref)) / np.max(np.abs(ref))
         assert err <= 1e-14
         mins.append(float(ref.min()))
@@ -414,11 +431,6 @@ def test_annulus_counterexample_reproduces_failure():
     assert rep["profile_residual"] < 1e-10        # discretely harmonic
     assert rep["min_interior"] < -0.4             # yet negative inside
     assert rep["profile_matches"] < 1e-10         # the solve recovers the profile
-
-
-def test_annulus_counterexample_needs_three_dimensions():
-    with pytest.raises(UnsupportedGeometry):
-        ell.annulus_counterexample(N=2)
 
 
 def test_radial_solvers_reject_minimal_surfaces():

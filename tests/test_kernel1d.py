@@ -101,9 +101,17 @@ def test_halfline_bounds_open_interval():
             assert 0.0 < u < 1.0
 
 
-def test_halfline_solution_raises_on_disagreement():
+def miss_by_twice_the_tolerance(monkeypatch):
+    """Make the quadrature miss the closed form by 2 TWO_WAY_TOL everywhere."""
+    quadrature = k1.halfline_quadrature
+    monkeypatch.setattr(k1, "halfline_quadrature", lambda x1, t, medium: (
+        quadrature(x1, t, medium) + 2.0 * k1.TWO_WAY_TOL))
+
+
+def test_halfline_solution_raises_on_disagreement(monkeypatch):
+    miss_by_twice_the_tolerance(monkeypatch)
     with pytest.raises(ConsistencyError):
-        k1.halfline_solution(0.3, 0.5, MED, tol=0.0)
+        k1.halfline_solution(0.3, 0.5, MED)
 
 
 def test_envelope_plane_rate_near_quarter():
@@ -197,12 +205,13 @@ def test_eval_kernel_arrays_equal_scalar_calls():
     assert times.tolist() == [k1.eval_kernel(0.4, -1e-13, s, MED) for s in t.ravel()]
 
 
-def test_halfline_functions_broadcast_and_reject_bad_times():
+def test_halfline_functions_broadcast_and_reject_bad_times(monkeypatch):
     t = np.geomspace(1e-3, 1e3, 13)
     np.testing.assert_array_equal(k1.halfline_solution(0.0, t, MED),
                                   [k1.halfline_closed_form(0.0, s, MED) for s in t])
-    with pytest.raises(ConsistencyError):
-        k1.halfline_solution(np.array([0.0, 0.3]), 0.5, MED, tol=0.0)
     for func in (k1.halfline_closed_form, k1.halfline_quadrature):
         with pytest.raises(InvalidArgument):
             func(np.zeros(2), np.array([1.0, 0.0]), MED)
+    miss_by_twice_the_tolerance(monkeypatch)
+    with pytest.raises(ConsistencyError):
+        k1.halfline_solution(np.array([0.0, 0.3]), 0.5, MED)

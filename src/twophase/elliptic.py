@@ -204,61 +204,47 @@ def log_rate_grid(lo: float, hi: float, per_decade: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HigherOrderFit:
-    """Fitted lambda^(-(p-1)/2) coefficient of the detrended derivative."""
+    """The lambda^(-(p-1)/2) coefficient of the detrended derivative."""
 
     p: int
     side: int
     coefficient: float
     predicted: float
     half_gap_max: float
-    lambda_grid: np.ndarray
 
 
 def higher_order_fit(surface: Surface, medium: TwoPhaseMedium, p: int) -> dict:
-    """Fit the lambda^(-(p-1)/2) coefficient on both phase sides.
+    """The lambda^(-(p-1)/2) coefficient on both phase sides, 2 <= p <= 4.
 
-    On a minimal-catalog surface the conormal derivative has no closed
-    form, so it is bracketed by the order-3 barrier pair at the footpoint
-    q = 0; the midpoint of the bracket is polynomial in lambda^(-1/2) with
-    coefficients built from the surface limits of Lap A_j, fitted over 12
-    rates per decade on [1e4, 1e8].  The fitted coefficient is compared with
-    c0 p! 2^(-p) sigma^(p/2) H_p (times (-1)^p from inside), and the
-    inside/outside pair differs by exactly (sigma_s/sigma_m)^(p/2), the
-    imbalance that forces H_p = 0 when the conductivities differ.
+    The order-3 barrier pair brackets the conormal derivative at footpoint
+    q = 0; its midpoint less c0 sqrt(lambda) is sigma b Lap(delta)/2 - 1/2 b
+    sigma sum_{j=1..3} (sigma/lambda)^(j/2) Lap A_{j-1}, so the coefficient
+    is -1/2 b sigma^((p+1)/2) Lap A_{p-2} at the surface, compared with
+    c0 p! 2^(-p) sigma^(p/2) H_p (times (-1)^p inside).  The sides' ratio
+    (sigma_s/sigma_m)^(p/2) is the imbalance that forces H_p = 0.
+    SandwichTooLoose is raised if the bracket's half-gap exceeds the term at
+    lambda = 1e4, where their ratio, ~ lambda^((p-4)/2), is largest.
     """
-    n, q = 3, 0.0
-    lam = log_rate_grid(1e4, 1e8, 12)
-    k = medium.k
-    c0 = k * math.sqrt(medium.sigma_s)
+    kap = surface.kappas(None if surface.is_radial else surface.point_at(0.0))
+    if not 2 <= p <= min(4, len(kap)):
+        raise InvalidArgument(f"need 2 <= p <= min(4, {len(kap)}), got {p!r}")
+    Hp = float(elementary_symmetric(kap)[p - 1])
+    lam = 1e4
+    c0 = medium.k * math.sqrt(medium.sigma_s)
     out = {}
     for side in (-1, +1):
         sigma = medium.side_conductivity(side)
-        b = k if side == -1 else 1.0 - k
-        mid = wkb.boundary_normal_derivative(surface, medium, lam, n, 0,
-                                             q=q, side=side)
-        det = sigma * mid - c0 * np.sqrt(lam)
-        halfgap = sigma * b * (sigma / lam) ** (0.5 * n)
-        powers = np.arange(1, n + 1)
-        design = lam[:, None] ** (-0.5 * powers[None, :])
-        wts = lam ** 0.25
-        coef, *_ = np.linalg.lstsq(design * wts[:, None], det * wts, rcond=None)
-        fitted = float(coef[p - 2]) if p >= 2 else float(coef[0])
-
-        kap = surface.kappas(surface.point_at(np.asarray(q, dtype=float))) \
-            if not surface.is_radial else surface.kappas(None)
-        Hp = float(elementary_symmetric(kap)[p - 1])
+        b = medium.side_value(side)
+        lap_a = wkb.boundary_laplacians(surface, 0.0, p - 2, side)[p - 2]
+        coefficient = float(-0.5 * b * sigma ** (0.5 * (p + 1)) * lap_a)
         sign_factor = (-1.0) ** p if side == -1 else 1.0
         predicted = (c0 * math.factorial(p) * 2.0 ** -p * sign_factor
                      * sigma ** (0.5 * p) * Hp)
-        term = abs(fitted) * lam ** (-0.5 * (p - 1))
-        if np.any(halfgap > np.maximum(term, 1e-300)):
-            raise SandwichTooLoose(
-                "barrier gap exceeds the fitted asymptotic term; raise the "
-                "barrier order or the rate grid")
-        out[side] = HigherOrderFit(p=p, side=side, coefficient=fitted,
-                                   predicted=predicted,
-                                   half_gap_max=float(halfgap.max()),
-                                   lambda_grid=lam)
+        halfgap = sigma * b * (sigma / lam) ** 1.5
+        if halfgap > max(abs(coefficient) * lam ** (-0.5 * (p - 1)), 1e-300):
+            raise SandwichTooLoose("barrier half-gap exceeds the term")
+        out[side] = HigherOrderFit(p=p, side=side, coefficient=coefficient,
+                                   predicted=predicted, half_gap_max=halfgap)
     out["ratio"] = out[-1].coefficient / out[+1].coefficient
     out["predicted_ratio"] = ((-1.0) ** p *
                               (medium.sigma_s / medium.sigma_m) ** (0.5 * p))

@@ -57,6 +57,14 @@ class TwoPhaseMedium:
             return self.sigma_m
         raise InvalidArgument(f"side must be -1 or +1, got {side!r}")
 
+    def side_value(self, side: int) -> float:
+        """Interface value of the decaying function: k inside, 1 - k outside."""
+        if side == -1:
+            return self.k
+        if side == +1:
+            return 1.0 - self.k
+        raise InvalidArgument(f"side must be -1 or +1, got {side!r}")
+
 
 def interface_constant(medium: TwoPhaseMedium) -> float:
     """Temperature value forced on the interface in the small-time limit.

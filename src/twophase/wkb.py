@@ -218,8 +218,9 @@ class CoefficientEngine:
     # ------------------------------------------------------------------
     # signed collar coordinates
     # ------------------------------------------------------------------
-    def signed_coords(self, X: np.ndarray):
+    def signed_coords(self, X):
         """(q, tau) for a batch of points; tau > 0 on this engine's side."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         Z, delta, side_pt = _project(self.surface, X)
         tau = np.where(side_pt == self.side, delta, -delta)
         tau = np.where(side_pt == 0, 0.0, tau)
@@ -227,11 +228,11 @@ class CoefficientEngine:
             q = np.zeros(len(X))
         else:
             q = self.surface.ray_param(Z)
-        return q, tau, Z, delta
+        return q, tau
 
     def _table_coords(self, X):
         """(q, tau) of points, which must lie in the tabulated box."""
-        q, tau, _, _ = self.signed_coords(np.atleast_2d(np.asarray(X, dtype=float)))
+        q, tau = self.signed_coords(X)
         outside = (tau < self._tau_box[0]) | (tau > self._tau_box[1])
         if self._q_box is not None:
             outside |= (q < self._q_box[0]) | (q > self._q_box[1])
@@ -244,7 +245,7 @@ class CoefficientEngine:
 
     def lap_signed_distance(self, X: np.ndarray) -> np.ndarray:
         """Laplacian of the signed distance (positive side = engine side)."""
-        q, tau, _, _ = self.signed_coords(np.atleast_2d(np.asarray(X, dtype=float)))
+        q, tau = self.signed_coords(X)
         return self._lap_delta(q, tau)
 
     # ------------------------------------------------------------------
@@ -339,7 +340,7 @@ class CoefficientEngine:
     # field evaluation
     # ------------------------------------------------------------------
     def a0(self, X) -> np.ndarray:
-        q, tau, _, _ = self.signed_coords(np.atleast_2d(np.asarray(X, dtype=float)))
+        q, tau = self.signed_coords(X)
         return 1.0 / self._weight(q, tau)
 
     def _table(self, tables: list, j: int) -> np.ndarray:
@@ -418,9 +419,10 @@ class WkbCoefficientTable:
         return np.asarray(vals)
 
 
-def compute_coefficients(surface: Surface, q, n: int, side: int = -1,
-                         taus=None) -> WkbCoefficientTable:
-    """Fill the ray table (A_0 .. A_{n-1}, A_{n,+-}) through footpoint q.
+def compute_coefficients(surface: Surface, q, n: int, side: int = -1, *,
+                         taus) -> WkbCoefficientTable:
+    """Fill the ray table (A_0 .. A_{n-1}, A_{n,+-}) through footpoint q at
+    the ray distances `taus`.
 
     q is the surface parameter of the footpoint (ignored for radial
     surfaces).  Every coefficient is read from the engine's tables, which
@@ -430,8 +432,6 @@ def compute_coefficients(surface: Surface, q, n: int, side: int = -1,
     if n < 1:
         raise InvalidArgument("order n must be >= 1")
     eng = coefficient_engine(surface, side)
-    if taus is None:
-        taus = np.linspace(0.0, eng.delta0, 65)
     taus = np.asarray(taus, dtype=float)
     pts = eng.ray_points(q, taus)
     on_surface = taus == 0.0
@@ -523,11 +523,6 @@ class RadialCorrector:
 # barriers
 # ---------------------------------------------------------------------------
 
-def _side_value(medium: TwoPhaseMedium, side: int) -> float:
-    """Interface value of the decaying function on the given side."""
-    return medium.k if side == -1 else 1.0 - medium.k
-
-
 def _s_terms(eng: CoefficientEngine, X, n: int, sign: int) -> list:
     """The table reads A_0, A_1 .. A_{n-1}, A_{n,+-} at points X."""
     return ([eng.a0(X)] + [eng.field(j, X) for j in range(1, n)]
@@ -561,10 +556,9 @@ def barrier_f(surface: Surface, medium: TwoPhaseMedium, x, lam: float, n: int,
         raise InvalidArgument(f"lambda must be positive, got {lam!r}")
     eng = coefficient_engine(surface, side)
     mu = math.sqrt(lam / medium.side_conductivity(side))
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    _, tau, _, _ = eng.signed_coords(X)
-    return _f_values(_side_value(medium, side), mu, tau,
-                     _s_terms(eng, X, n, sign))
+    _, tau = eng.signed_coords(x)
+    return _f_values(medium.side_value(side), mu, tau,
+                     _s_terms(eng, x, n, sign))
 
 
 @dataclass(frozen=True)
@@ -602,7 +596,7 @@ def calibrate_thresholds(surface: Surface, medium: TwoPhaseMedium, n: int,
     tau_samples = np.linspace(0.0, eng.delta0, 17)
     sample_pts = [eng.ray_points(q, tau_samples) for q in q_samples]
     wall_pts = [eng.ray_points(q, np.array([eng.delta0])) for q in q_samples]
-    b = _side_value(medium, side)
+    b = medium.side_value(side)
     # nothing read from the tables depends on lambda: read them once, both
     # signs on a ray before its wall point, so each batch projects once
     reads = []
@@ -660,9 +654,8 @@ def barrier_w(surface: Surface, medium: TwoPhaseMedium, x, lam: float, n: int,
         raise InvalidArgument(
             f"lambda = {lam:g} is below the calibrated threshold "
             f"{thresholds.lam_min:g}")
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    _, tau, _, _ = coefficient_engine(surface, side).signed_coords(X)
-    f = barrier_f(surface, medium, X, lam, n, sign, side)
+    _, tau = coefficient_engine(surface, side).signed_coords(x)
+    f = barrier_f(surface, medium, x, lam, n, sign, side)
     return f + sign * corrector.psi(tau) * math.exp(
         -thresholds.eta * math.sqrt(lam))
 
@@ -728,10 +721,10 @@ def boundary_laplacians(surface: Surface, q, j_max: int, side: int = -1
 
 
 def boundary_normal_derivative(surface: Surface, medium: TwoPhaseMedium,
-                               lam, n: int, sign: int, q=0.0,
+                               lam, n: int, sign: int,
                                side: int = -1) -> np.ndarray:
-    """Conormal derivative of the barrier f_{n,sign} at the surface, one
-    value per rate in `lam`.
+    """Conormal derivative of the barrier f_{n,sign} at the surface point of
+    footpoint 0, one value per rate in `lam`.
 
     Returns D such that sigma_side * D equals sigma_s df/dnu from inside
     (side -1) or sigma_m df/dnu from outside (side +1).  Explicitly
@@ -743,12 +736,11 @@ def boundary_normal_derivative(surface: Surface, medium: TwoPhaseMedium,
     barrier w_{n,sign} adds - sign psi'(0) e^{-eta sqrt(lambda)}; that pair
     brackets the exact conormal derivative.
     """
-    eng = coefficient_engine(surface, side)
     lam = np.asarray(lam, dtype=float)
     mu = np.sqrt(lam / medium.side_conductivity(side))
     qq = 1.0 / mu
-    lap_boundary = boundary_laplacians(surface, q, n - 1, side)
-    val = mu + 0.5 * eng.boundary_mean_term(q)
+    lap_boundary = boundary_laplacians(surface, 0.0, n - 1, side)
+    val = mu + 0.5 * coefficient_engine(surface, side).boundary_mean_term(0.0)
     val -= 0.5 * sum(qq ** j * lap_boundary[j - 1] for j in range(1, n + 1))
     val -= sign * qq ** n
-    return _side_value(medium, side) * val
+    return medium.side_value(side) * val

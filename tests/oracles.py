@@ -27,7 +27,7 @@ from twophase.helicoid import McEstimate, _mc_fraction
 from twophase.kernel1d import halfline_closed_form
 from twophase.medium import TwoPhaseMedium
 from twophase.wkb import (CoefficientEngine, RadialCorrector, _s_sum,
-                          _s_terms, _side_value, coefficient_engine)
+                          _s_terms, coefficient_engine)
 
 
 class OnSurface(TwoPhaseError, ValueError):
@@ -208,7 +208,7 @@ def elliptic_residual(surface: Surface, medium: TwoPhaseMedium, x, lam: float,
     mu = math.sqrt(lam / sigma)
     q = 1.0 / mu
     X = np.atleast_2d(np.asarray(x, dtype=float))
-    _, tau, _, _ = eng.signed_coords(X)
+    _, tau = eng.signed_coords(X)
     dd = eng.lap_signed_distance(X)
 
     S = _s_sum(_s_terms(eng, X, n, sign), q)
@@ -218,7 +218,7 @@ def elliptic_residual(surface: Surface, medium: TwoPhaseMedium, x, lam: float,
     lap_S = _s_sum([eng.laplacian(j, X) for j in range(n)] + [lap_pm], q)
 
     # the mu^2 S term cancels against lambda f exactly; assemble without it
-    scale = _side_value(medium, side) * sigma * np.exp(-mu * tau)
+    scale = medium.side_value(side) * sigma * np.exp(-mu * tau)
     lhs = scale * (-mu * dd * S - 2.0 * mu * s_tau + lap_S)
     rhs = scale * q ** (n - 1) * (-2.0 * sign + q * lap_pm)
     return lhs, rhs

@@ -241,6 +241,21 @@ def test_simulate_and_transform(tmp_path):
     assert all(float(r["diff"]) < 1e-3 for r in rows)
 
 
+@pytest.mark.parametrize("command, bad", [
+    ("simulate", ["Interface", True, "0.2", None, [0.1]]),
+    ("transform", ["x", "interface", False, "0.2", None, [0.1]]),
+])
+def test_a_probe_that_is_not_a_number_is_a_config_error(tmp_path, command,
+                                                         bad):
+    # simulate alone reads "interface"; bools and numeric strings are not
+    # JSON numbers
+    cfg = tmp_path / "cfg.json"
+    for probes in [[0.0, probe] for probe in bad] + [0.0]:
+        cfg.write_text(json.dumps({"probes": probes}))
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2, probes
+
+
 def test_unknown_surface_variant(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"surface": {"variant": "torus"}}))

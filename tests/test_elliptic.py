@@ -6,7 +6,9 @@ from scipy.sparse.linalg import spsolve
 
 from twophase import elliptic as ell
 from twophase import geometry as geo
-from twophase.errors import InvalidArgument, NonConvergence, UnsupportedGeometry
+from twophase import wkb
+from twophase.errors import (InvalidArgument, NonConvergence, SandwichTooLoose,
+                             UnsupportedGeometry)
 from twophase.medium import TwoPhaseMedium
 
 from oracles import flux_mismatch, outside_value
@@ -194,6 +196,39 @@ def test_higher_order_fit_catenoid_inside_value():
     f = fits[-1]
     assert f.predicted == pytest.approx(-K / 2.0, rel=1e-12)
     assert f.coefficient == pytest.approx(-K / 2.0, rel=0.10)
+
+
+@pytest.mark.parametrize("surface", [geo.Catenoid(c=1.0), geo.Helicoid()])
+@pytest.mark.parametrize("side", [-1, +1])
+def test_higher_order_coefficient_matches_the_bracket_midpoint(surface, side):
+    # sqrt(lambda) (sigma D_mid - c0 sqrt(lambda)) is the coefficient plus
+    # O(lambda^(-1/2)): at 1e8 the next term is ~1e-4 sqrt(sigma) Lap A_1
+    lam = 1e8
+    sigma = MED.side_conductivity(side)
+    mid = float(wkb.boundary_normal_derivative(surface, MED, lam, 3, 0,
+                                               side=side))
+    c0 = MED.k * math.sqrt(MED.sigma_s)
+    scaled = math.sqrt(lam) * (sigma * mid - c0 * math.sqrt(lam))
+    coefficient = ell.higher_order_fit(surface, MED, p=2)[side].coefficient
+    assert scaled == pytest.approx(coefficient, rel=1e-6)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_higher_order_fit_rejects_an_order_the_surface_lacks(p):
+    # a surface in R^3 has H_1 and H_2 only, and Lap A_{p-2} needs p >= 2
+    with pytest.raises(InvalidArgument):
+        ell.higher_order_fit(geo.Catenoid(c=1.0), MED, p=p)
+
+
+def test_higher_order_fit_rejects_a_loose_sandwich():
+    # the half-gap sigma b (sigma/lambda)^(3/2) at lambda = 1e4 outgrows the
+    # term once sigma_m is large
+    with pytest.raises(SandwichTooLoose):
+        ell.higher_order_fit(geo.Catenoid(c=1.0), TwoPhaseMedium(1.0, 1e4), p=2)
+    fits = ell.higher_order_fit(geo.Catenoid(c=1.0), TwoPhaseMedium(1.0, 3e3),
+                                p=2)
+    for side in (-1, +1):
+        assert fits[side].half_gap_max < abs(fits[side].coefficient) / 1e2
 
 
 # -- grid solver ----------------------------------------------------------------------

@@ -46,6 +46,13 @@ def test_medium_derived_fields():
     assert not phases_distinct(TwoPhaseMedium(2.0, 2.0))
     assert med.side_conductivity(-1) == 4.0
     assert med.side_conductivity(+1) == 1.0
+    assert med.side_value(-1) == med.k
+    assert med.side_value(+1) == 1.0 - med.k
+    for side in (0, 2):
+        with pytest.raises(InvalidArgument):
+            med.side_conductivity(side)
+        with pytest.raises(InvalidArgument):
+            med.side_value(side)
 
 
 def test_gaussian_kernel_peak_value():

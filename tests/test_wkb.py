@@ -120,7 +120,8 @@ def test_recursion_consistency_across_orders():
 
 def test_compute_coefficients_rejects_bad_order():
     with pytest.raises(InvalidArgument):
-        wkb.compute_coefficients(SPHERE, 0.0, 0, side=-1)
+        wkb.compute_coefficients(SPHERE, 0.0, 0, side=-1,
+                                 taus=np.linspace(0.0, 0.1, 5))
 
 
 # -- gradient identities ------------------------------------------------------------

@@ -8,7 +8,8 @@ resolved configuration and the outputs named relative to the output
 directory.  `--seed N` is the config value `seed`, so only `helicoid` and
 `maxprinciple` accept it.  `--jobs` sets the worker threads of the
 Monte-Carlo batches (`helicoid`, and `all` through its helicoid
-criterion); the other subcommands accept it and ignore it.  Identical
+criterion); the other subcommands accept it and ignore it, and below 1 it
+is an invalid configuration for all of them.  Identical
 config and seed produce byte-identical artifacts, wherever they are
 written and whatever `--jobs` is.  The default configs of `maxprinciple`,
 `helicoid` and `extract-curvature` read the settings pinned in
@@ -386,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="the config's RNG seed (helicoid and "
                         "maxprinciple; a config error elsewhere)")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count(),
+    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                         help="worker threads for the Monte-Carlo batches of "
                         "helicoid and all (the others accept and ignore it)")
     parser.add_argument("--out", default="out", help="output directory")
@@ -405,6 +406,8 @@ def main(argv=None) -> int:
             config = {}
         if args.seed is not None:
             config["seed"] = args.seed
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -413,7 +416,7 @@ def main(argv=None) -> int:
     runner = _RUNNERS[args.subcommand]
     try:
         if args.subcommand in ("helicoid", "all"):
-            return runner(config, args.out, jobs=max(1, args.jobs or 1))
+            return runner(config, args.out, jobs=args.jobs)
         return runner(config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

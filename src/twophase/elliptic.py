@@ -367,15 +367,33 @@ def assemble_operator(field: GridField, lam: float, boundary: dict
                       ) -> tuple[sparse.csr_matrix, np.ndarray]:
     """CSR matrix A and Dirichlet terms rhs of `_stencil`: every equation is
     divided by the cell volume, so A w = rhs + source matches
-    -div(sigma grad w) + lambda w = f pointwise."""
+    -div(sigma grad w) + lambda w = f pointwise.
+
+    The CSR arrays are filled directly, in scipy's canonical layout: row i
+    holds its couplings in column order i - nx, i - 1, i, i + 1, i + nx.  A
+    neighbour missing at the grid's edge is left out, not stored as an
+    explicit zero: zeros would carry into the Galerkin coarse operators and
+    change the coarsest level's LU ordering.
+    """
     main, cx, cy, rhs = _stencil(field, lam, boundary)
-    idx = np.arange(main.size).reshape(main.shape)
-    rows = [idx[:, :-1], idx[:, 1:], idx[:-1, :], idx[1:, :], idx]
-    cols = [idx[:, 1:], idx[:, :-1], idx[1:, :], idx[:-1, :], idx]
-    vals = [-cx, -cx, -cy, -cy, main]
-    A = sparse.csr_matrix((np.concatenate([v.ravel() for v in vals]),
-                           (np.concatenate([r.ravel() for r in rows]),
-                            np.concatenate([c.ravel() for c in cols]))),
+    ny, nx = main.shape
+    idx = np.arange(main.size, dtype=np.int32).reshape(ny, nx)
+    vals = np.empty((ny, nx, 5))
+    cols = np.full((ny, nx, 5), -1, dtype=np.int32)
+    vals[1:, :, 0] = -cy
+    cols[1:, :, 0] = idx[:-1, :]
+    vals[:, 1:, 1] = -cx
+    cols[:, 1:, 1] = idx[:, :-1]
+    vals[:, :, 2] = main
+    cols[:, :, 2] = idx
+    vals[:, :-1, 3] = -cx
+    cols[:, :-1, 3] = idx[:, 1:]
+    vals[:-1, :, 4] = -cy
+    cols[:-1, :, 4] = idx[1:, :]
+    present = cols >= 0
+    indptr = np.zeros(main.size + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=2, dtype=np.int32), out=indptr[1:])
+    A = sparse.csr_matrix((vals[present], cols[present], indptr),
                           shape=(main.size, main.size))
     return A, rhs.ravel()
 
@@ -395,14 +413,31 @@ MG_COARSEST_CELLS = 64
 
 def _agglomeration(shape: tuple) -> tuple[sparse.csr_matrix, tuple]:
     """Piecewise-constant prolongation from 2x2 blocks (ceil sizes) and the
-    coarse grid shape."""
+    coarse grid shape.  Each fine cell has one entry, 1 at its block."""
     ny, nx = shape
     coarse = (-(-ny // 2), -(-nx // 2))
-    iy, ix = np.divmod(np.arange(ny * nx), nx)
-    P = sparse.csr_matrix((np.ones(ny * nx),
-                           (np.arange(ny * nx), (iy // 2) * coarse[1] + ix // 2)),
+    block = ((np.arange(ny, dtype=np.int32) // 2)[:, None] * coarse[1]
+             + np.arange(nx, dtype=np.int32) // 2)
+    P = sparse.csr_matrix((np.ones(ny * nx), block.ravel(),
+                           np.arange(ny * nx + 1, dtype=np.int32)),
                           shape=(ny * nx, coarse[0] * coarse[1]))
     return P, coarse
+
+
+def _cycle(levels: list, coarsest, level: int, r: np.ndarray) -> np.ndarray:
+    """One V-cycle from `level` down: (A, omega / diag A, P) per level and
+    the coarsest level's LU factorization."""
+    if level == len(levels):
+        return coarsest.solve(r)
+    A, wd, P = levels[level]
+    x = wd * r
+    for _ in range(MG_SWEEPS - 1):
+        x += wd * (r - A @ x)
+    x += MG_COARSE_SCALE * (P @ _cycle(levels, coarsest, level + 1,
+                                       P.T @ (r - A @ x)))
+    for _ in range(MG_SWEEPS):
+        x += wd * (r - A @ x)
+    return x
 
 
 def _vcycle(A: sparse.csr_matrix, shape: tuple) -> LinearOperator:
@@ -413,28 +448,23 @@ def _vcycle(A: sparse.csr_matrix, shape: tuple) -> LinearOperator:
     and an LU factorization on the coarsest level.  Jacobi and the
     factorization are symmetric and the sweeps mirror each other, so the
     cycle is a symmetric positive definite approximate inverse.
+
+    The operator holds A (about 64 bytes per cell) and the hierarchy built
+    from it (about 53 more): coarse operators, prolongations, smoother
+    diagonals and the factorization.  The recursion `_cycle` is a module
+    function, so nothing in the hierarchy refers back to the operator, and
+    all of it is freed by reference counting when the caller drops the
+    operator rather than at the cyclic garbage collector's next pass.
     """
     n = A.shape[0]
     levels = []
     while A.shape[0] > MG_COARSEST_CELLS:
         P, shape = _agglomeration(shape)
         levels.append((A, MG_OMEGA / A.diagonal(), P))
-        A = (P.T @ A @ P).tocsr()
+        A = (P.T @ (A @ P)).tocsr()
     coarsest = splu(A.tocsc())
-
-    def cycle(level, r):
-        if level == len(levels):
-            return coarsest.solve(r)
-        A, wd, P = levels[level]
-        x = wd * r
-        for _ in range(MG_SWEEPS - 1):
-            x += wd * (r - A @ x)
-        x += MG_COARSE_SCALE * (P @ cycle(level + 1, P.T @ (r - A @ x)))
-        for _ in range(MG_SWEEPS):
-            x += wd * (r - A @ x)
-        return x
-
-    return LinearOperator((n, n), matvec=lambda r: cycle(0, r), dtype=float)
+    return LinearOperator(
+        (n, n), matvec=lambda r: _cycle(levels, coarsest, 0, r), dtype=float)
 
 
 # the widest grid (nx, the operator's band width) solved by banded Cholesky,

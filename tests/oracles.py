@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder
+from scipy import sparse
 from scipy.special import erfc, kve
 
-from twophase.elliptic import (TransmissionSolution,
+from twophase.elliptic import (GridField, TransmissionSolution,
                                _exterior_log_derivative,
-                               _interior_log_derivative)
+                               _interior_log_derivative, _stencil)
 from twophase.errors import (InvalidArgument, OutsideTubularNeighborhood,
                              TwoPhaseError)
 from twophase.geometry import (Catenoid, Helicoid, Surface,
@@ -243,7 +244,8 @@ def psi_at_radius(corr: RadialCorrector, r):
 
 
 # ---------------------------------------------------------------------------
-# elliptic: the radial transmission solution outside and its flux balance
+# elliptic: the radial transmission solution outside and its flux balance,
+# and a COO-triplet assembly of the grid operator
 # ---------------------------------------------------------------------------
 
 def outside_value(tr: TransmissionSolution, r):
@@ -265,6 +267,23 @@ def flux_mismatch(tr: TransmissionSolution) -> float:
     inner = tr.medium.sigma_s * tr.interface_value * gin
     outer = -tr.medium.sigma_m * (1.0 - tr.interface_value) * gout
     return inner - outer
+
+
+def assemble_operator_coo(field: GridField, lam: float, boundary: dict
+                          ) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """`elliptic.assemble_operator` built from (row, col, value) triplets
+    that scipy sorts into CSR: the reference the direct CSR fill must match
+    byte for byte."""
+    main, cx, cy, rhs = _stencil(field, lam, boundary)
+    idx = np.arange(main.size).reshape(main.shape)
+    rows = [idx[:, :-1], idx[:, 1:], idx[:-1, :], idx[1:, :], idx]
+    cols = [idx[:, 1:], idx[:, :-1], idx[1:, :], idx[:-1, :], idx]
+    vals = [-cx, -cx, -cy, -cy, main]
+    A = sparse.csr_matrix((np.concatenate([v.ravel() for v in vals]),
+                           (np.concatenate([r.ravel() for r in rows]),
+                            np.concatenate([c.ravel() for c in cols]))),
+                          shape=(main.size, main.size))
+    return A, rhs.ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from twophase import acceptance, geometry as geo, wkb
-from twophase.cli import main
+from twophase.cli import build_parser, main
 
 #: the keys of every manifest
 MANIFEST_KEYS = {"tool", "version", "subcommand", "config", "outputs"}
@@ -179,6 +180,21 @@ def test_maxprinciple_accepts_and_ignores_jobs(tmp_path):
                      "--out", str(out)]) == 0
         reports.append((out / "maxprinciple.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", ["helicoid", "all", "maxprinciple"])
+def test_jobs_below_one_is_a_config_error(tmp_path, capsys, command, jobs):
+    # rejected, not clamped to one thread, and before anything is written
+    out = tmp_path / "out"
+    assert main([command, "--jobs", jobs, "--out", str(out)]) == 2
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_jobs_defaults_to_one_where_the_cpu_count_is_unknown(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert build_parser().parse_args(["all"]).jobs == 1
 
 
 def test_wkb_ray_table(tmp_path):

@@ -1,11 +1,16 @@
 """Desk-scale acceptance suite: one check per headline property.
 
 Each criterion takes the worker count `jobs` (only `helicoid-half-value`
-uses it; the others ignore it) and returns a record with the measured
-quantity, the target, the tolerance it was held to, and a pass flag;
-`run_all` executes them in order and is used both by the command line
-(`twophase all`) and by the test suite.  Tolerances are pinned here, and no record
-depends on `jobs`.
+uses it, for its Monte-Carlo batches; the others ignore it) and returns a
+record with the measured quantity, the target, the tolerance it was held
+to, and a pass flag.  `run_all` runs the selected criteria on a pool of
+`jobs` threads, so that the Monte Carlo, which spends its time outside the
+interpreter lock, overlaps the criteria that hold it, and it prints and
+returns the records in `CRITERIA` order; one job runs them one after the
+other.  Each record's `runtime` is that criterion's own wall time, which
+under overlap includes waiting for the lock.  `run_all` is used both by
+the command line (`twophase all`) and by the test suite.  Tolerances are
+pinned here, and no record depends on `jobs`.
 
 The settings that a criterion shares with a subcommand's default config
 are pinned here too, once each, as the read-only mappings MEDIUM,
@@ -16,6 +21,7 @@ MAX_PRINCIPLE, HALF_VALUE and CURVATURE_SWEEP: `twophase maxprinciple`,
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -116,20 +122,15 @@ def criterion_kernel_mass(jobs: int) -> CriterionRecord:
         tolerance=f"{tol:.1e}", runtime=0.0)
 
 
-_CATALOG = None
-
-
-def _surface_catalog():
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = {
-            "plane": geo.Hyperplane(N=3),
-            "sphere": geo.Sphere(R=1.0, N=3),
-            "cylinder": geo.Cylinder(R=2.0, N=3),
-            "helicoid": geo.Helicoid(),
-            "catenoid": geo.Catenoid(c=1.0),
-        }
-    return _CATALOG
+#: the surfaces of the criteria, built once at import so that criteria on
+#: concurrent threads share one instance of each
+_CATALOG = MappingProxyType({
+    "plane": geo.Hyperplane(N=3),
+    "sphere": geo.Sphere(R=1.0, N=3),
+    "cylinder": geo.Cylinder(R=2.0, N=3),
+    "helicoid": geo.Helicoid(),
+    "catenoid": geo.Catenoid(c=1.0),
+})
 
 
 def criterion_wkb_identities(jobs: int) -> CriterionRecord:
@@ -138,7 +139,7 @@ def criterion_wkb_identities(jobs: int) -> CriterionRecord:
     rng = np.random.default_rng(7)
     worst = 0.0
     boundary_exact = True
-    for name, surf in _surface_catalog().items():
+    for name, surf in _CATALOG.items():
         eng = wkb.coefficient_engine(surf, -1)
         table = wkb.compute_coefficients(surf, 0.0, 3, side=-1,
                                          taus=np.linspace(0.0, eng.delta0, 17))
@@ -170,7 +171,7 @@ def criterion_near_boundary_law(jobs: int) -> CriterionRecord:
     worst_rel = 0.0
     worst_exp = 0.0
     for name in ("helicoid", "catenoid"):
-        surf = _surface_catalog()[name]
+        surf = _CATALOG[name]
         fit = wkb.near_boundary_law(surf, 0.0, 0, 2, side=-1)
         worst_rel = max(worst_rel, abs(fit.measured_coefficient
                                        - fit.predicted_coefficient)
@@ -192,7 +193,7 @@ def criterion_mean_curvature(jobs: int) -> CriterionRecord:
     rel_tol = 0.01
     grid = ell.log_rate_grid(*CURVATURE_SWEEP["lambda_range"],
                                    CURVATURE_SWEEP["per_decade"])
-    fits = {name: ell.extract_mean_curvature(_surface_catalog()[name], med, grid)
+    fits = {name: ell.extract_mean_curvature(_CATALOG[name], med, grid)
             for name in ("plane", "sphere", "cylinder")}
     ok = abs(fits["plane"].sum_kappa_estimate) < abs_tol
     rels = {}
@@ -216,7 +217,7 @@ def criterion_barrier_sandwich(jobs: int) -> CriterionRecord:
     ok = True
     detail = {}
     for name in ("sphere", "cylinder"):
-        rep = ell.radial_barrier_sandwich(_surface_catalog()[name], med, lams)
+        rep = ell.radial_barrier_sandwich(_CATALOG[name], med, lams)
         k = med.k
         for i, lam in enumerate(rep["lams"]):
             up, lo = rep["upper_margin"][i], rep["lower_margin"][i]
@@ -240,7 +241,7 @@ def criterion_higher_order(jobs: int) -> CriterionRecord:
     ok = True
     msgs = []
     for name in ("catenoid", "helicoid"):
-        surf = _surface_catalog()[name]
+        surf = _CATALOG[name]
         fits = ell.higher_order_fit(surf, med, p=2)
         for side in (-1, +1):
             f = fits[side]
@@ -307,9 +308,9 @@ def criterion_max_principle(jobs: int) -> CriterionRecord:
 def criterion_rigidity_probe(jobs: int) -> CriterionRecord:
     """Flat interfaces hold the constant; a sphere interface drifts."""
     med = _medium14()
-    plane = par.interface_constancy_probe(_surface_catalog()["plane"], med,
+    plane = par.interface_constancy_probe(_CATALOG["plane"], med,
                                           np.geomspace(1e-2, 1.0, 9))
-    sphere = par.interface_constancy_probe(_surface_catalog()["sphere"], med,
+    sphere = par.interface_constancy_probe(_CATALOG["sphere"], med,
                                            np.geomspace(1e-3, 1.0, 10))
     flat_tol = 1e-6
     drift_floor = 1e-2
@@ -341,14 +342,20 @@ CRITERIA = [
 
 
 def run_all(jobs: int, names=None) -> list[CriterionRecord]:
-    """The criteria in order (those in `names`, if given) on `jobs` workers."""
-    records = []
-    for name, fn in CRITERIA:
-        if names is not None and name not in names:
-            continue
+    """The criteria (those in `names`, if given) on a pool of `jobs` threads,
+    each record printed and returned in `CRITERIA` order."""
+    def timed(fn):
         t0 = time.perf_counter()
         rec = fn(jobs)
         rec.runtime = time.perf_counter() - t0
-        records.append(rec)
-        print(rec.line(), flush=True)
+        return rec
+
+    chosen = [fn for name, fn in CRITERIA if names is None or name in names]
+    records = []
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        # map yields in submission order and, if a criterion raises,
+        # cancels the ones not yet started
+        for rec in pool.map(timed, chosen):
+            records.append(rec)
+            print(rec.line(), flush=True)
     return records

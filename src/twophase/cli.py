@@ -8,8 +8,9 @@ resolved configuration and the outputs named relative to the output
 directory.  `--seed N` is the config value `seed`, so only `helicoid` and
 `maxprinciple` accept it.  `--jobs` sets the worker threads of the
 Monte-Carlo batches (`helicoid`, and `all` through its helicoid
-criterion); the other subcommands accept it and ignore it, and below 1 it
-is an invalid configuration for all of them.  Identical
+criterion) and, for `all`, also the threads the criteria run on; the other
+subcommands accept it and ignore it, and below 1 it is an invalid
+configuration for all of them.  Identical
 config and seed produce byte-identical artifacts, wherever they are
 written and whatever `--jobs` is.  The default configs of `maxprinciple`,
 `helicoid` and `extract-curvature` read the settings pinned in
@@ -389,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "maxprinciple; a config error elsewhere)")
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                         help="worker threads for the Monte-Carlo batches of "
-                        "helicoid and all (the others accept and ignore it)")
+                        "helicoid and all, and for the criteria of all (the "
+                        "others accept and ignore it)")
     parser.add_argument("--out", default="out", help="output directory")
     return parser
 

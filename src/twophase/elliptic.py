@@ -553,8 +553,8 @@ def solve_disk(medium: TwoPhaseMedium, lam: float, h: float) -> GridField:
     symmetric, so this is the same solution at a quarter of the cells.
     """
     x = (np.arange(int(round(DISK_L / h))) + 0.5) * h
-    X, Y = np.meshgrid(x, x)
-    sig = np.where(X ** 2 + Y ** 2 < DISK_R ** 2, medium.sigma_s, medium.sigma_m)
+    sig = np.where(x[None, :] ** 2 + x[:, None] ** 2 < DISK_R ** 2,
+                   medium.sigma_s, medium.sigma_m)
     quadrant = GridField(lo=(0.0, 0.0), h=h, sigma=sig)
     sol = grid_modified_helmholtz(quadrant, lam, lam * (sig == medium.sigma_m),
                                   {"xhi": 1.0, "yhi": 1.0})

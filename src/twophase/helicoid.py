@@ -17,20 +17,21 @@ their measure in the complement.
 All of this is checked by seeded Monte Carlo with a counter-based
 generator (Philox), split into fixed-order batches of _BATCH points, each
 drawn from its own stream, so estimates are bit-for-bit reproducible for a
-given (seed, n_samples) and safe to farm out to a thread pool.  A batch is
-drawn into a buffer owned by the calling thread, then moved into place and
-tested in cache-sized chunks of _CHUNK points; only its count of points
-outside Omega leaves the batch.  `half_value_checks` is the one report of
-the half-value identities, shared by `twophase helicoid` and the acceptance
-gate.  Dimensions N >= 4 add flat factors R^(N-3); by separation of
-variables the extra coordinates decouple, so they are not simulated
-separately.
+given (seed, n_samples) and safe to farm out to a thread pool.  A batch
+reads its stream in cache-sized chunks of _CHUNK points: each chunk's
+normals (then, for the ball, its radii) are drawn into one chunk buffer,
+moved into place and tested, and only the batch's count of points outside
+Omega leaves it, so a worker needs O(_CHUNK) memory whatever the sample
+count.  `half_value_checks` is the one report of the half-value
+identities, shared by `twophase helicoid` and the acceptance gate; it runs
+the batches of all its estimates on one thread pool.  Dimensions N >= 4
+add flat factors R^(N-3); by separation of variables the extra
+coordinates decouple, so they are not simulated separately.
 """
 
 from __future__ import annotations
 
 import math
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -80,44 +81,56 @@ def _philox(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(stream))
 
 
-def _mc_fraction(count, n_samples: int, rng_seed: int,
-                 n_jobs: int) -> McEstimate:
-    """Bernoulli mean over n_samples points from batch counts.
+def _batch_count(count, rng_seed: int, stream: int, m: int) -> int:
+    """How many of batch `stream`'s m points lie outside Omega.
 
-    Batch b (of _BATCH points, the last one partial) draws its (m, 3)
-    standard normals from the Philox stream (rng_seed, b) into a buffer
-    and `count(gen, z)` returns how many of its points lie outside Omega,
-    transforming z in place and drawing any further variates from gen.
-    Counts are summed in batch order, so the estimate is bit-for-bit
-    reproducible for a given (seed, n_samples) whether the batches run
-    sequentially or on a pool of n_jobs threads.  The buffers belong to
-    the calling thread, one per worker, so worker threads allocate nothing
-    of batch size.
+    The batch reads its Philox stream (rng_seed, stream) _CHUNK points at a
+    time: each chunk's (k, 3) standard normals fill the batch's one chunk
+    buffer, and `count(gen, c)` moves them in place, drawing any further
+    variates of the chunk from gen, and returns the chunk's count.
     """
-    work = [(stream, min(_BATCH, n_samples - start))
-            for stream, start in enumerate(range(0, n_samples, _BATCH))]
-    n_workers = min(n_jobs, len(work))
-    buffers = queue.SimpleQueue()
-    for _ in range(n_workers):
-        buffers.put(np.empty((work[0][1], 3)))
+    gen = _philox(rng_seed, stream)
+    buf = np.empty((min(m, _CHUNK), 3))
+    outside = 0
+    for lo in range(0, m, _CHUNK):
+        outside += count(gen, gen.standard_normal(out=buf[:min(_CHUNK, m - lo)]))
+    return outside
 
-    def one(stream_and_size):
-        stream, m = stream_and_size
-        buf = buffers.get()
-        gen = _philox(rng_seed, stream)
-        outside = count(gen, gen.standard_normal(out=buf[:m]))
-        buffers.put(buf)
-        return outside
 
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            hits = sum(pool.map(one, work))
+def _mc_fractions(estimates, n_jobs: int) -> list:
+    """Bernoulli means of the estimates (count, n_samples, rng_seed).
+
+    An estimate's n_samples points are split into batches of _BATCH (the
+    last one partial), batch b drawn from the Philox stream (rng_seed, b)
+    by `_batch_count`.  The batches of all the estimates run on one pool of
+    n_jobs threads (in turn for one job), and each estimate adds up its own
+    batches' counts, so it is bit-for-bit reproducible for a given
+    (seed, n_samples) whatever n_jobs is and whichever estimates share the
+    pool.  A worker holds one chunk of _CHUNK points at a time, so the
+    draws take O(n_jobs _CHUNK) memory, not O(_BATCH).
+    """
+    work = [(i, count, seed, stream, min(_BATCH, n - start))
+            for i, (count, n, seed) in enumerate(estimates)
+            for stream, start in enumerate(range(0, n, _BATCH))]
+
+    def one(item):
+        return _batch_count(*item[1:])
+
+    if n_jobs > 1 and len(work) > 1:
+        with ThreadPoolExecutor(max_workers=min(n_jobs, len(work))) as pool:
+            counts = list(pool.map(one, work))
     else:
-        hits = sum(map(one, work))
-    p = hits / n_samples
-    sd = math.sqrt(n_samples / (n_samples - 1) * p * (1.0 - p)) if n_samples > 1 else 0.0
-    return McEstimate(mean=p, stderr=sd / math.sqrt(n_samples),
-                      n_samples=n_samples, rng_seed=rng_seed)
+        counts = list(map(one, work))
+    hits = [0] * len(estimates)
+    for (i, *_), outside in zip(work, counts):
+        hits[i] += outside
+    out = []
+    for outside, (_, n, seed) in zip(hits, estimates):
+        p = outside / n
+        sd = math.sqrt(n / (n - 1) * p * (1.0 - p)) if n > 1 else 0.0
+        out.append(McEstimate(mean=p, stderr=sd / math.sqrt(n),
+                              n_samples=n, rng_seed=seed))
+    return out
 
 
 def _normalize_rows(c: np.ndarray) -> None:
@@ -128,16 +141,48 @@ def _normalize_rows(c: np.ndarray) -> None:
     c /= np.sqrt(norm, out=norm)[:, None]
 
 
-def _outside_count(x: np.ndarray, z: np.ndarray, move) -> int:
-    """Count of the points x + move(c) outside Omega, over row blocks c of
-    _CHUNK points of z, each moved in place by move(c) and then by x."""
-    inside = 0
-    for lo in range(0, len(z), _CHUNK):
-        c = z[lo:lo + _CHUNK]
-        move(c)
-        c += x
-        inside += int(np.count_nonzero(omega_indicator(c)))
-    return len(z) - inside
+def _outside(x: np.ndarray, c: np.ndarray) -> int:
+    """Count of the points c + x outside Omega; c is moved in place."""
+    c += x
+    return len(c) - int(np.count_nonzero(omega_indicator(c)))
+
+
+def _gaussian_count(x, t: float):
+    """The chunk count of u(x, t): normals z move to x + sqrt(2 t) z."""
+    if not t > 0.0:
+        raise InvalidArgument(f"t must be positive, got {t!r}")
+    x = np.asarray(x, dtype=float)
+    scale = math.sqrt(2.0 * t)
+    return lambda gen, c: _outside(x, np.multiply(c, scale, out=c))
+
+
+def _cap_count(x, r: float):
+    """The chunk count of the sphere of radius r about x."""
+    if not r > 0.0:
+        raise InvalidArgument(f"r must be positive, got {r!r}")
+    x = np.asarray(x, dtype=float)
+
+    def count(gen, c):
+        _normalize_rows(c)
+        c *= r
+        return _outside(x, c)
+
+    return count
+
+
+def _ball_count(x, r: float):
+    """The chunk count of the ball of radius r about x: each chunk draws
+    its radii's uniforms from the batch's stream right after its normals."""
+    if not r > 0.0:
+        raise InvalidArgument(f"r must be positive, got {r!r}")
+    x = np.asarray(x, dtype=float)
+
+    def count(gen, c):
+        _normalize_rows(c)
+        c *= (r * gen.random(len(c)) ** (1.0 / 3.0))[:, None]
+        return _outside(x, c)
+
+    return count
 
 
 def u_gaussian_mc(x, t: float, n_samples: int,
@@ -148,15 +193,8 @@ def u_gaussian_mc(x, t: float, n_samples: int,
     for a standard normal Z in R^3, matching the kernel
     (4 pi t)^(-3/2) exp(-|xi|^2 / (4 t)).
     """
-    if not t > 0.0:
-        raise InvalidArgument(f"t must be positive, got {t!r}")
-    x = np.asarray(x, dtype=float)
-    scale = math.sqrt(2.0 * t)
-
-    def count(gen, z):
-        return _outside_count(x, z, lambda c: np.multiply(c, scale, out=c))
-
-    return _mc_fraction(count, n_samples, rng_seed, n_jobs)
+    return _mc_fractions([(_gaussian_count(x, t), n_samples, rng_seed)],
+                         n_jobs)[0]
 
 
 def sphere_cap_density(x, r: float, n_samples: int,
@@ -165,35 +203,15 @@ def sphere_cap_density(x, r: float, n_samples: int,
 
     For x on the helicoid the exact value is 1/2 for every radius.
     """
-    if not r > 0.0:
-        raise InvalidArgument(f"r must be positive, got {r!r}")
-    x = np.asarray(x, dtype=float)
-
-    def move(c):
-        _normalize_rows(c)
-        c *= r
-
-    return _mc_fraction(lambda gen, z: _outside_count(x, z, move),
-                        n_samples, rng_seed, n_jobs)
+    return _mc_fractions([(_cap_count(x, r), n_samples, rng_seed)],
+                         n_jobs)[0]
 
 
 def ball_density(x, r: float, n_samples: int,
                  rng_seed: int = 0, n_jobs: int = 1) -> McEstimate:
     """Fraction of the ball of radius r about x lying outside Omega."""
-    if not r > 0.0:
-        raise InvalidArgument(f"r must be positive, got {r!r}")
-    x = np.asarray(x, dtype=float)
-
-    def count(gen, z):
-        # the radii's uniforms follow all of the batch's normals in its
-        # stream; drawn chunk by chunk they are the sequence of one draw
-        def move(c):
-            _normalize_rows(c)
-            c *= (r * gen.random(len(c)) ** (1.0 / 3.0))[:, None]
-
-        return _outside_count(x, z, move)
-
-    return _mc_fraction(count, n_samples, rng_seed, n_jobs)
+    return _mc_fractions([(_ball_count(x, r), n_samples, rng_seed)],
+                         n_jobs)[0]
 
 
 def half_value_checks(n_samples: int, seed: int, t_values, r_values,
@@ -204,24 +222,24 @@ def half_value_checks(n_samples: int, seed: int, t_values, r_values,
     for each r (seeds seed + 10 + i and seed + 20 + i), each held to 1/2
     within 3 standard errors, then the symmetry identities at seed.
     Returns (records, symmetry report): one record per check, in that
-    order, named with the values as given.
+    order, named with the values as given.  The batches of all the
+    estimates share one pool of `jobs` threads of its own: a caller that is
+    itself a pool worker must not queue them on its pool, where a worker
+    waiting on tasks queued behind it can deadlock.
     """
     x0 = np.zeros(3)
-    records = []
-
-    def record(test, est):
-        records.append({"test": test, "estimate": est.mean,
-                        "stderr": est.stderr, "n": est.n_samples,
-                        "seed": est.rng_seed, "pass": est.within(0.5)})
-
+    tests, estimates = [], []
     for i, t in enumerate(t_values):
-        record(f"u_on_surface_t_{t}", u_gaussian_mc(
-            x0, float(t), n_samples, rng_seed=seed + i, n_jobs=jobs))
+        tests.append(f"u_on_surface_t_{t}")
+        estimates.append((_gaussian_count(x0, float(t)), n_samples, seed + i))
     for i, r in enumerate(r_values):
-        record(f"cap_density_r_{r}", sphere_cap_density(
-            x0, float(r), n_samples, rng_seed=seed + 10 + i, n_jobs=jobs))
-        record(f"ball_density_r_{r}", ball_density(
-            x0, float(r), n_samples, rng_seed=seed + 20 + i, n_jobs=jobs))
+        tests += [f"cap_density_r_{r}", f"ball_density_r_{r}"]
+        estimates += [(_cap_count(x0, float(r)), n_samples, seed + 10 + i),
+                      (_ball_count(x0, float(r)), n_samples, seed + 20 + i)]
+    records = [{"test": test, "estimate": est.mean, "stderr": est.stderr,
+                "n": est.n_samples, "seed": est.rng_seed,
+                "pass": est.within(0.5)}
+               for test, est in zip(tests, _mc_fractions(estimates, jobs))]
     sym = symmetry_identities_check(symmetry_samples, rng_seed=seed)
     records.append({"test": "symmetry_identities",
                     "estimate": sym["surface_coincidence_max"],

@@ -81,6 +81,7 @@ central differences.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -107,32 +108,40 @@ N_CHEB = 40
 CALIBRATION_Q = 0.7 * (0.8 + 4 * 1.6 / 220)
 
 
-#: the last batch `_project` solved, as (surface, copy of X, (Z, delta, side),
-#: {engine: its basis rows at those points})
-_last_projection = None
+class _ProjectionSlot(threading.local):
+    """The last batch `_project` solved on the calling thread, as `last` =
+    (surface, copy of X, (Z, delta, side), {engine: its basis rows at those
+    points}); each thread sees only its own."""
+
+    last = None
+
+
+_projection = _ProjectionSlot()
 
 
 def _project(surface: Surface, X: np.ndarray):
-    """surface.project_batch(X), reusing the last batch solved in this module.
+    """surface.project_batch(X), reusing the last batch this thread solved.
 
-    One slot for the whole module, not one per engine: a barrier call reads
-    many fields at the same points, and both sides' engines share their
-    surface's projection.  The key is the surface and X's shape, dtype and
-    exact bytes (values alone would equate -0.0 with 0.0, which arctan2
-    tells apart); X is copied, so a caller that mutates its array misses.
+    One slot per thread for the whole module, not one per engine: a
+    barrier call reads many fields at the same points, and both sides'
+    engines share their surface's projection.  Per thread, because
+    `CoefficientEngine._bases` reads the slot again after projecting, and
+    another thread's batch in between would hand it rows of other points.
+    The key is the surface and X's shape, dtype and exact bytes (values
+    alone would equate -0.0 with 0.0, which arctan2 tells apart); X is
+    copied, so a caller that mutates its array misses.
     The returned arrays are read-only, since every later hit shares them.
     The slot also holds each engine's basis rows at these points
     (`CoefficientEngine._bases`), so they go with the projection.
     """
-    global _last_projection
-    last = _last_projection
+    last = _projection.last
     if (last is not None and last[0] == surface and last[1].shape == X.shape
             and last[1].dtype == X.dtype and last[1].tobytes() == X.tobytes()):
         return last[2]
     out = surface.project_batch(X)
     for a in out:
         a.flags.writeable = False
-    _last_projection = (surface, X.copy(), out, {})
+    _projection.last = (surface, X.copy(), out, {})
     return out
 
 
@@ -354,7 +363,7 @@ class CoefficientEngine:
         basis at points in the box, kept in the projection slot: the reads
         of every level at the same points build them once."""
         q, tau = self._table_coords(X)
-        bases = _last_projection[3]
+        bases = _projection.last[3]
         if self not in bases:
             bq = None if self._q_box is None else _basis(q, self._q_box)
             bases[self] = (bq, _basis(tau, self._tau_box))
@@ -387,10 +396,24 @@ class CoefficientEngine:
         return self.laplacian(n, X) + sign * self._interpolate(self._lap_j_table, X)
 
 
+#: every engine built, by (surface, side); filled under _ENGINES_LOCK
+_ENGINES: dict = {}
+_ENGINES_LOCK = threading.Lock()
+
+
 @lru_cache(maxsize=None)
 def coefficient_engine(surface: Surface, side: int) -> CoefficientEngine:
-    """Cached engine factory; tables are expensive and immutable, share them."""
-    return CoefficientEngine(surface, side)
+    """Cached engine factory; tables are expensive and immutable, share them.
+
+    Each (surface, side) is built once, also when threads ask for it at
+    the same time: lru_cache alone calls the factory again on a second miss
+    that arrives before the first build returns, so builds go through
+    _ENGINES under a lock.
+    """
+    with _ENGINES_LOCK:
+        if (surface, side) not in _ENGINES:
+            _ENGINES[surface, side] = CoefficientEngine(surface, side)
+        return _ENGINES[surface, side]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from twophase.errors import (InvalidArgument, OutsideTubularNeighborhood,
                              TwoPhaseError)
 from twophase.geometry import (Catenoid, Helicoid, Surface,
                                elementary_symmetric)
-from twophase.helicoid import McEstimate, _mc_fraction
+from twophase.helicoid import McEstimate, _mc_fractions
 from twophase.kernel1d import halfline_closed_form
 from twophase.medium import TwoPhaseMedium
 from twophase.wkb import (CoefficientEngine, RadialCorrector, _s_sum,
@@ -324,14 +324,15 @@ def plane_halfspace_mc(x1: float, t: float, n_samples: int = 10 ** 6,
         raise InvalidArgument(f"t must be positive, got {t!r}")
     scale = math.sqrt(2.0 * t)
 
-    def count(gen, z):
-        # one normal per point: the batch's first m draws, in stream order
-        v = z.reshape(-1)[:len(z)]
+    def count(gen, c):
+        # the first coordinate of each point's 3d normal: the helicoid's
+        # Gaussian with Omega replaced by the half-space
+        v = c[:, 0]
         v *= scale
         v += x1
         return int(np.count_nonzero(v <= 0.0))
 
-    return _mc_fraction(count, n_samples, rng_seed, 1)
+    return _mc_fractions([(count, n_samples, rng_seed)], 1)[0]
 
 
 def plane_halfspace_exact(x1: float, t: float) -> float:

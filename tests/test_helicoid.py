@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,9 +203,14 @@ def test_cap_kernel_matches_reference(n_jobs):
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_ball_kernel_matches_reference(n_jobs):
     def sampler(gen, m):
-        z = _unit_normals(gen, m)
-        radii = 1.3 * gen.random(m) ** (1.0 / 3.0)
-        return X_REF + radii[:, None] * z
+        # each chunk of the batch draws its normals, then its radii
+        points = []
+        for lo in range(0, m, hl._CHUNK):
+            k = min(hl._CHUNK, m - lo)
+            z = _unit_normals(gen, k)
+            radii = 1.3 * gen.random(k) ** (1.0 / 3.0)
+            points.append(X_REF + radii[:, None] * z)
+        return np.concatenate(points)
 
     ref = _reference(_outside, sampler, N_REF, 33)
     assert hl.ball_density(X_REF, 1.3, N_REF, rng_seed=33, n_jobs=n_jobs) == ref
@@ -213,13 +219,14 @@ def test_ball_kernel_matches_reference(n_jobs):
 def test_plane_kernel_matches_reference():
     scale = math.sqrt(2.0 * 0.3)
     ref = _reference(lambda v: v <= 0.0,
-                     lambda gen, m: 0.2 + scale * gen.standard_normal(m), N_REF, 34)
+                     lambda gen, m: 0.2 + scale * gen.standard_normal((m, 3))[:, 0],
+                     N_REF, 34)
     assert plane_halfspace_mc(0.2, 0.3, N_REF, rng_seed=34) == ref
 
 
 def test_batch_buffers_survive_more_workers_than_cores(monkeypatch):
-    # many small batches on 4 threads with a short switch interval: a
-    # buffer handed to two workers at once would change some batch's count
+    # many small batches on 4 threads with a short switch interval: a chunk
+    # buffer or stream shared by two batches would change some batch's count
     monkeypatch.setattr(hl, "_BATCH", 1000)
     monkeypatch.setattr(hl, "_CHUNK", 256)
     serial = hl.ball_density(X_REF, 1.3, 40_001, rng_seed=35, n_jobs=1)
@@ -231,6 +238,18 @@ def test_batch_buffers_survive_more_workers_than_cores(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert pooled == [serial] * 3
+
+
+def test_draws_take_chunk_memory_not_batch_memory():
+    # two workers, each holding one chunk and its temporaries (1.5 MiB
+    # traced); two (2^18, 3) batch buffers alone would be 12 MiB
+    tracemalloc.start()
+    try:
+        hl.ball_density(X_REF, 1.3, 10 ** 6, rng_seed=36, n_jobs=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
 
 
 @pytest.mark.parametrize("seed", range(5))

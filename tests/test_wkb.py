@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -388,7 +391,7 @@ def test_each_batch_is_projected_once(monkeypatch):
         counted.append(len(X))
         return project(self, X)
     monkeypatch.setattr(geo.Helicoid, "project_batch", counting)
-    monkeypatch.setattr(wkb, "_last_projection", None)
+    monkeypatch.setattr(wkb._projection, "last", None)
     taus = np.linspace(0.05, 0.3, 5) * eng.delta0
     X = eng.ray_points(0.0, taus)
     elliptic_residual(HELICOID, MED, X, 1e4, 2, +1)
@@ -411,6 +414,65 @@ def test_each_batch_is_projected_once(monkeypatch):
     for cached in wkb._project(HELICOID, Y):
         assert not cached.flags.writeable
     assert len(counted) == 4
+
+
+def _on_two_threads(read):
+    """read(0) and read(1) started together on two threads, with the
+    interpreter switching threads every microsecond; their results."""
+    results = [None, None]
+    start = threading.Barrier(2)
+
+    def run(i):
+        start.wait()
+        results[i] = read(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
+def test_threads_read_through_their_own_projection():
+    # the reads project their points, then fetch the basis rows kept with
+    # the projection; another thread's batch in between must not be read
+    eng = wkb.coefficient_engine(HELICOID, -1)
+    taus = np.linspace(0.05, 0.3, 6) * eng.delta0
+    point_sets = [eng.ray_points(q, taus) for q in (-0.3, 0.4)]
+
+    def reads(X):
+        return np.concatenate([eng.field(1, X), eng.laplacian(1, X),
+                               eng.field(2, X), eng.laplacian(0, X)])
+
+    expected = [reads(X) for X in point_sets]
+    results = _on_two_threads(
+        lambda i: [reads(point_sets[i]) for _ in range(300)])
+    for got, want in zip(results, expected):
+        assert got is not None
+        assert all(np.array_equal(g, want) for g in got)
+
+
+def test_concurrent_first_requests_build_one_engine(monkeypatch):
+    surface = geo.Sphere(R=1.7, N=3)  # an engine no other test asks for
+    builds = []
+    init = wkb.CoefficientEngine.__init__
+
+    def slow_init(self, *args):
+        builds.append(args)
+        time.sleep(0.05)  # the other thread asks while this build runs
+        init(self, *args)
+
+    monkeypatch.setattr(wkb.CoefficientEngine, "__init__", slow_init)
+    engines = _on_two_threads(lambda i: wkb.coefficient_engine(surface, -1))
+    assert builds == [(surface, -1)]
+    assert engines[0] is not None and engines[0] is engines[1]
 
 
 def test_threshold_calibration_and_barrier_w():

@@ -334,8 +334,8 @@ def run_maxprinciple(config: dict, outdir: str) -> int:
 def run_helicoid(config: dict, outdir: str, *, jobs: int) -> int:
     cfg = _merge_config(acceptance.HALF_VALUE, config, "helicoid")
     records, _ = hl.half_value_checks(
-        int(cfg["n_samples"]), int(cfg["seed"]), cfg["t_values"],
-        cfg["r_values"], int(cfg["symmetry_samples"]), jobs)
+        cfg["n_samples"], int(cfg["seed"]), cfg["t_values"],
+        cfg["r_values"], cfg["symmetry_samples"], jobs)
     path = os.path.join(outdir, "helicoid.json")
     _write_json(path, records)
     _manifest(outdir, "helicoid", cfg, [path])

@@ -23,8 +23,8 @@ Three layers:
     gradients preconditioned with a cell-centred multigrid V-cycle (2x2
     agglomeration, Galerkin coarse operators, damped-Jacobi smoothing;
     Alcouffe, Brandt, Dendy & Painter 1981 treat the discontinuous
-    coefficients); the disk convergence study solves one quadrant and
-    mirrors it, since the disk problem is even in x and y; plus
+    coefficients); the disk convergence study solves and samples one
+    quadrant, since the disk problem is even in x and y; plus
     inverse-positivity checks of the discrete operator (and the classical
     failure of the maximum principle at lambda = 0 on an exterior annulus).
 
@@ -47,13 +47,14 @@ from scipy.special import ive, kve
 
 from . import wkb
 from .errors import (FitUnstable, InvalidArgument, NonConvergence,
-                     SandwichTooLoose)
+                     SandwichTooLoose, positive_count)
 from .geometry import Sphere, Surface, elementary_symmetric
 from .medium import TwoPhaseMedium
 
 
-def _interior_log_derivative(surface: Surface, mu: float) -> float:
-    """phi'(R)/phi(R) for the interior radial solution phi = r^(1-d/2) I_(d/2-1)(mu r)."""
+def _interior_log_derivative(surface: Surface, mu):
+    """phi'(R)/phi(R) for the interior radial solution phi = r^(1-d/2) I_(d/2-1)(mu r),
+    at one rate mu or elementwise over an array of them."""
     if surface.radial_dim == 1:
         return mu  # plane: e^(-mu delta) decays into Omega, away from the wall
     nu = 0.5 * surface.radial_dim - 1.0
@@ -173,12 +174,12 @@ def extract_mean_curvature(surface: Surface, medium: TwoPhaseMedium,
     -2 constant / (k sigma_s).
     """
     lam = np.asarray(lambda_grid, dtype=float)
-    k = medium.k
-    c0 = k * math.sqrt(medium.sigma_s)
-    det = np.array([
-        medium.sigma_s
-        * solve_radial_dirichlet(surface, lv, medium.sigma_s, k).normal_derivative()
-        - c0 * math.sqrt(lv) for lv in lam])
+    if not np.all(lam > 0.0):
+        raise InvalidArgument("every rate of the sweep must be positive")
+    k, sigma_s = medium.k, medium.sigma_s
+    c0 = k * math.sqrt(sigma_s)
+    det = (sigma_s * (k * _interior_log_derivative(surface, np.sqrt(lam / sigma_s)))
+           - c0 * np.sqrt(lam))
     design = np.column_stack([np.ones_like(lam), lam ** -0.5])
     wts = lam ** 0.25  # sqrt of the weights sqrt(lambda)
     coef, *_ = np.linalg.lstsq(design * wts[:, None], det * wts, rcond=None)
@@ -547,32 +548,29 @@ def solve_disk(medium: TwoPhaseMedium, lam: float, h: float) -> GridField:
     """The 2d disk transmission solve with source lam outside the disk.
 
     The problem is even in x and in y, so only the quadrant [0, L]^2 is
-    solved, with the Dirichlet faces xhi and yhi and zero flux across the
-    two mirror faces; the solution and sigma are then mirrored back onto
-    [-L, L]^2.  The discrete full-square solution is itself mirror
-    symmetric, so this is the same solution at a quarter of the cells.
+    solved and returned, with the Dirichlet faces xhi and yhi and zero flux
+    across the two mirror faces.  The discrete full-square solution is
+    itself mirror symmetric, so this is its quadrant, at a quarter of the
+    cells.
     """
     x = (np.arange(int(round(DISK_L / h))) + 0.5) * h
     sig = np.where(x[None, :] ** 2 + x[:, None] ** 2 < DISK_R ** 2,
                    medium.sigma_s, medium.sigma_m)
     quadrant = GridField(lo=(0.0, 0.0), h=h, sigma=sig)
-    sol = grid_modified_helmholtz(quadrant, lam, lam * (sig == medium.sigma_m),
-                                  {"xhi": 1.0, "yhi": 1.0})
-
-    def mirror(q):
-        return np.block([[q[::-1, ::-1], q[::-1, :]], [q[:, ::-1], q]])
-
-    return GridField(lo=(-DISK_L, -DISK_L), h=h,
-                     sigma=mirror(sig), values=mirror(sol.values),
-                     iterations=sol.iterations, residual=sol.residual)
+    return grid_modified_helmholtz(quadrant, lam,
+                                   lam * (sig == medium.sigma_m),
+                                   {"xhi": 1.0, "yhi": 1.0})
 
 
 def disk_interface_values(field: GridField) -> np.ndarray:
-    """Bilinear samples of the solution at 64 angles on the circle r = DISK_R."""
+    """Bilinear samples of the solution at 64 angles on the circle r = DISK_R,
+    each taken at its image (|x|, |y|) in the quadrant of `solve_disk`.
+    Within half a cell of a mirror face the image lies between a cell and
+    the cell's own mirror image, so the fractional index is clamped at 0."""
     xs, ys = field.centers()
     theta = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
-    fx = (DISK_R * np.cos(theta) - xs[0]) / field.h
-    fy = (DISK_R * np.sin(theta) - ys[0]) / field.h
+    fx = np.maximum((np.abs(DISK_R * np.cos(theta)) - xs[0]) / field.h, 0.0)
+    fy = np.maximum((np.abs(DISK_R * np.sin(theta)) - ys[0]) / field.h, 0.0)
     ix = np.clip(np.floor(fx).astype(int), 0, len(xs) - 2)
     iy = np.clip(np.floor(fy).astype(int), 0, len(ys) - 2)
     tx, ty = fx - ix, fy - iy
@@ -615,11 +613,13 @@ def discrete_max_principle_check(lam: float, trials: int, rng_seed: int,
     Cholesky up to n = BANDED_MAX_NX, so at the gate's n = 32).  The
     minimum solution value over all trials is reported; for lambda > 0 the
     operator is an M-matrix, so the minimum should not dip below solver
-    roundoff.  A negative minimum is reported, not raised.
+    roundoff.  A negative minimum is reported, not raised; trials and n
+    must be positive integers.
     """
     if not lam > 0.0:
         raise InvalidArgument("the check applies to lambda > 0; see the "
                               "annulus counterexample for lambda = 0")
+    trials, n = positive_count("trials", trials), positive_count("n", n)
     rng = np.random.default_rng(rng_seed)
 
     def trial_min(_) -> float:
@@ -631,8 +631,7 @@ def discrete_max_principle_check(lam: float, trials: int, rng_seed: int,
         sol = grid_modified_helmholtz(field, lam, source, boundary)
         return float(sol.values.min())
 
-    mins = map(trial_min, range(trials))
-    return {"trials": trials, "min_value": min([math.inf, *mins]),
+    return {"trials": trials, "min_value": min(map(trial_min, range(trials))),
             "seed": rng_seed}
 
 

@@ -1,9 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the check of its
+sample and trial counts.
 
 Every failure mode that callers are expected to handle gets its own class;
 all of them derive from TwoPhaseError so a single except clause can catch
 package-level failures without swallowing genuine bugs.
 """
+
+import numbers
 
 
 class TwoPhaseError(Exception):
@@ -60,3 +63,14 @@ class NonConvergence(TwoPhaseError, RuntimeError):
 
 class ConfigError(TwoPhaseError, ValueError):
     """A run configuration failed schema validation."""
+
+
+def positive_count(name: str, value) -> int:
+    """value as an int if it is a whole number >= 1 (JSON's 1e6 included);
+    otherwise InvalidArgument, since a count below 1 checks nothing and a
+    truncated one checks other samples than were asked for."""
+    whole = (isinstance(value, numbers.Integral)
+             or isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole or value < 1:
+        raise InvalidArgument(f"{name} must be a positive integer, got {value!r}")
+    return int(value)

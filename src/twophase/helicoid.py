@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, positive_count
 
 _BATCH = 1 << 18
 _CHUNK = 1 << 14
@@ -107,8 +107,11 @@ def _mc_fractions(estimates, n_jobs: int) -> list:
     batches' counts, so it is bit-for-bit reproducible for a given
     (seed, n_samples) whatever n_jobs is and whichever estimates share the
     pool.  A worker holds one chunk of _CHUNK points at a time, so the
-    draws take O(n_jobs _CHUNK) memory, not O(_BATCH).
+    draws take O(n_jobs _CHUNK) memory, not O(_BATCH).  Every n_samples
+    must be a positive integer.
     """
+    estimates = [(count, positive_count("n_samples", n), seed)
+                 for count, n, seed in estimates]
     work = [(i, count, seed, stream, min(_BATCH, n - start))
             for i, (count, n, seed) in enumerate(estimates)
             for stream, start in enumerate(range(0, n, _BATCH))]
@@ -258,8 +261,10 @@ def symmetry_identities_check(n_samples: int, rng_seed: int) -> dict:
     pointwise.  Violations are counted, with a witness point kept for
     debugging; the group law k_a k_b = k_{a+b} is checked alongside.
     The points come from Philox key rng_seed + 2^64, which no Monte-Carlo
-    batch keyed by a seed below 2^64 shares.
+    batch keyed by a seed below 2^64 shares.  n_samples must be a
+    positive integer.
     """
+    n_samples = positive_count("symmetry_samples", n_samples)
     gen = _philox(rng_seed + 2 ** 64)
     pts = gen.uniform(-5.0, 5.0, size=(n_samples, 3))
     alphas = gen.uniform(-10.0, 10.0, size=n_samples)

@@ -422,10 +422,10 @@ def coefficient_engine(surface: Surface, side: int) -> CoefficientEngine:
 
 @dataclass(frozen=True)
 class WkbCoefficientTable:
-    """Coefficients sampled along one normal ray.
-
-    At tau = 0 the values are exactly (1, 0, ..., 0): A_0 = 1 and all
-    higher coefficients vanish on the surface.
+    """Coefficients sampled along one normal ray, every row read from the
+    engine's tables.  At tau = 0, A_0 (closed form) reads exactly 1 and the
+    higher coefficients, ray integrals from the surface, vanish to
+    round-off.
     """
 
     order: int
@@ -442,32 +442,30 @@ class WkbCoefficientTable:
         return np.asarray(vals)
 
 
-def compute_coefficients(surface: Surface, q, n: int, side: int = -1, *,
+def compute_coefficients(surface: Surface, q, n: int, side: int, *,
                          taus) -> WkbCoefficientTable:
     """Fill the ray table (A_0 .. A_{n-1}, A_{n,+-}) through footpoint q at
     the ray distances `taus`.
 
     q is the surface parameter of the footpoint (ignored for radial
     surfaces).  Every coefficient is read from the engine's tables, which
-    reach A_{order+1}, so n may exceed the table order by one; the values
-    at tau = 0 are set to their exact (1, 0, ..., 0).
+    reach A_{order+1}, so n may exceed the table order by one.  Nothing is
+    written in: the row tau = 0 is read like every other row.
     """
     if n < 1:
         raise InvalidArgument("order n must be >= 1")
     eng = coefficient_engine(surface, side)
     taus = np.asarray(taus, dtype=float)
     pts = eng.ray_points(q, taus)
-    on_surface = taus == 0.0
-    A = [np.where(on_surface, 1.0, eng.a0(pts))]
-    A += [np.where(on_surface, 0.0, eng.field(j, pts)) for j in range(1, n)]
-    top = np.where(on_surface, 0.0, eng.field(n, pts))
-    jint = np.where(on_surface, 0.0, eng.j_integral(pts))
+    A = [eng.field(j, pts) for j in range(n)]
+    top = eng.field(n, pts)
+    jint = eng.j_integral(pts)
     z = eng.ray_points(q, np.zeros(1))[0]
     return WkbCoefficientTable(order=n, side=side, z=z, taus=taus, A=tuple(A),
                                An_plus=top + jint, An_minus=top - jint)
 
 
-def gradient_identity_residual(surface: Surface, j: int, x, side: int = -1,
+def gradient_identity_residual(surface: Surface, j: int, x, side: int,
                                sign: int = 0) -> np.ndarray:
     """Residual of the ray-derivative identity for A_j (or A_{j,+-}).
 
@@ -567,7 +565,7 @@ def _f_values(b: float, mu: float, tau, terms: list) -> np.ndarray:
 
 
 def barrier_f(surface: Surface, medium: TwoPhaseMedium, x, lam: float, n: int,
-              sign: int, side: int = -1) -> np.ndarray:
+              sign: int, side: int) -> np.ndarray:
     """Barrier values f_{n,+-}(x, lambda) on the given side, one per point.
 
     On the Omega side this approximates w itself and equals k on the
@@ -593,7 +591,7 @@ class BarrierThresholds:
 
 
 def calibrate_thresholds(surface: Surface, medium: TwoPhaseMedium, n: int,
-                         side: int = -1, outer_w=None,
+                         side: int, outer_w=None,
                          engine: Optional[CoefficientEngine] = None
                          ) -> BarrierThresholds:
     """Find eta_n and the smallest lambda making the barriers strict.
@@ -617,17 +615,15 @@ def calibrate_thresholds(surface: Surface, medium: TwoPhaseMedium, n: int,
         edge = CALIBRATION_Q * getattr(eng.surface, "c", 1.0)
         q_samples = list(np.linspace(-edge, edge, 5))
     tau_samples = np.linspace(0.0, eng.delta0, 17)
-    sample_pts = [eng.ray_points(q, tau_samples) for q in q_samples]
-    wall_pts = [eng.ray_points(q, np.array([eng.delta0])) for q in q_samples]
+    pts = np.concatenate([eng.ray_points(q, tau_samples) for q in q_samples])
+    wall = np.concatenate([eng.ray_points(q, [eng.delta0]) for q in q_samples])
     b = medium.side_value(side)
-    # nothing read from the tables depends on lambda: read them once, both
-    # signs on a ray before its wall point, so each batch projects once
-    reads = []
-    for pts, wall in zip(sample_pts, wall_pts):
-        laps = {sign: eng.laplacian_pm(n, sign, pts) for sign in (+1, -1)}
-        wall_tau = eng.signed_coords(wall)[1]
-        reads += [(sign, laps[sign], wall_tau, _s_terms(eng, wall, n, sign))
-                  for sign in (+1, -1)]
+    # nothing read from the tables depends on lambda: read them once, the
+    # collar points in one batch and the wall points in another
+    laps = {sign: eng.laplacian_pm(n, sign, pts) for sign in (+1, -1)}
+    wall_tau = eng.signed_coords(wall)[1]
+    reads = [(sign, laps[sign], wall_tau, _s_terms(eng, wall, n, sign))
+             for sign in (+1, -1)]
 
     def admissible(lam: float) -> bool:
         # the residual equals (positive prefactor) * (-2 sign + q Lap A_{n,+-});
@@ -663,7 +659,7 @@ def calibrate_thresholds(surface: Surface, medium: TwoPhaseMedium, n: int,
 
 
 def barrier_w(surface: Surface, medium: TwoPhaseMedium, x, lam: float, n: int,
-              sign: int, side: int = -1, *, corrector,
+              sign: int, side: int, *, corrector,
               thresholds: BarrierThresholds) -> np.ndarray:
     """Corrected barrier w_{n,+-} = f_{n,+-} +- psi e^{-eta_n sqrt(lambda)},
     one value per point.
@@ -701,7 +697,7 @@ class NearBoundaryFit:
     values: np.ndarray
 
 
-def near_boundary_law(surface: Surface, q, s: int, p: int, side: int = -1
+def near_boundary_law(surface: Surface, q, s: int, p: int, side: int
                       ) -> NearBoundaryFit:
     """Fit Lap A_s ~ c delta^(p-2-s) near the surface and compare with theory.
 
@@ -734,7 +730,7 @@ def near_boundary_law(surface: Surface, q, s: int, p: int, side: int = -1
                            deltas=deltas, values=vals)
 
 
-def boundary_laplacians(surface: Surface, q, j_max: int, side: int = -1
+def boundary_laplacians(surface: Surface, q, j_max: int, side: int
                         ) -> np.ndarray:
     """Surface values of Lap A_j for j = 0..j_max, read from the tables at
     tau = 0 (which they contain)."""
@@ -745,7 +741,7 @@ def boundary_laplacians(surface: Surface, q, j_max: int, side: int = -1
 
 def boundary_normal_derivative(surface: Surface, medium: TwoPhaseMedium,
                                lam, n: int, sign: int,
-                               side: int = -1) -> np.ndarray:
+                               side: int) -> np.ndarray:
     """Conormal derivative of the barrier f_{n,sign} at the surface point of
     footpoint 0, one value per rate in `lam`.
 

@@ -191,7 +191,7 @@ def ray_derivative_pm(eng: CoefficientEngine, n: int, sign: int, X) -> np.ndarra
 
 
 def elliptic_residual(surface: Surface, medium: TwoPhaseMedium, x, lam: float,
-                      n: int, sign: int, side: int = -1
+                      n: int, sign: int, side: int
                       ) -> tuple[np.ndarray, np.ndarray]:
     """(sigma Lap f - lambda f, predicted right side) at collar points.
 

@@ -181,6 +181,25 @@ def test_extract_matches_target_for_other_media():
     assert abs(fit.sum_kappa_estimate - 2.0) < 0.02
 
 
+@pytest.mark.parametrize("surface", [PLANE, SPHERE, CYLINDER,
+                                     geo.Sphere(R=1.3, N=4)],
+                         ids=["plane", "sphere", "cylinder", "4-sphere"])
+def test_extract_sweep_equals_one_radial_solve_per_rate(surface):
+    # the sweep's array expression does each rate's arithmetic in the order
+    # one Dirichlet solve per rate does it
+    lam = ell.log_rate_grid(1e2, 1e6, 200)
+    per_rate = [MED.sigma_s * ell.solve_radial_dirichlet(
+        surface, lv, MED.sigma_s, K).normal_derivative()
+        - K * math.sqrt(MED.sigma_s) * math.sqrt(lv) for lv in lam]
+    fit = ell.extract_mean_curvature(surface, MED, lam)
+    assert np.array_equal(fit.detrended, per_rate)
+
+
+def test_extract_rejects_nonpositive_rates():
+    with pytest.raises(InvalidArgument):
+        ell.extract_mean_curvature(SPHERE, MED, [0.0, 1e2, 1e3])
+
+
 # -- higher-order fit ---------------------------------------------------------------
 
 @pytest.mark.parametrize("surface", [geo.Catenoid(c=1.0), geo.Helicoid()])
@@ -402,17 +421,37 @@ def test_disk_convergence_order():
     assert rep["errors"][-1] < rep["errors"][0]
 
 
+def _circle_samples(values, lo, h):
+    """Bilinear samples of a full-square grid at the 64 circle angles of
+    `disk_interface_values`."""
+    theta = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    fx = (ell.DISK_R * np.cos(theta) - lo - 0.5 * h) / h
+    fy = (ell.DISK_R * np.sin(theta) - lo - 0.5 * h) / h
+    ix, iy = np.floor(fx).astype(int), np.floor(fy).astype(int)
+    tx, ty = fx - ix, fy - iy
+    return ((1 - tx) * (1 - ty) * values[iy, ix]
+            + tx * (1 - ty) * values[iy, ix + 1]
+            + (1 - tx) * ty * values[iy + 1, ix]
+            + tx * ty * values[iy + 1, ix + 1])
+
+
 def test_disk_quadrant_matches_full_square_direct_solve():
+    # the quadrant solve is the full square's quadrant, and its circle
+    # samples, taken at the mirror images, are the full square's samples
     h, L, lam = 1 / 32, ell.DISK_L, 100.0
     sol = ell.solve_disk(MED, lam, h)
-    x = -L + (np.arange(int(round(2 * L / h))) + 0.5) * h
+    m = int(round(L / h))
+    x = -L + (np.arange(2 * m) + 0.5) * h
     X, Y = np.meshgrid(x, x)
     sigma = np.where(X ** 2 + Y ** 2 < ell.DISK_R ** 2, MED.sigma_s, MED.sigma_m)
     full = ell.GridField(lo=(-L, -L), h=h, sigma=sigma)
     ref = superlu(full, lam, lam * (sigma == MED.sigma_m),
                   {k: 1.0 for k in ("xlo", "xhi", "ylo", "yhi")})
-    assert np.array_equal(sol.sigma, sigma)
-    assert np.max(np.abs(sol.values - ref)) <= 1e-9
+    assert sol.lo == (0.0, 0.0)
+    assert np.array_equal(sol.sigma, sigma[m:, m:])
+    assert np.max(np.abs(sol.values - ref[m:, m:])) <= 1e-9
+    assert np.max(np.abs(ell.disk_interface_values(sol)
+                         - _circle_samples(ref, -L, h))) <= 1e-9
 
 
 @pytest.mark.parametrize("shape", [(33, 33), (97, 97), (1, 257)])

@@ -81,11 +81,13 @@ def test_plane_forced_coefficient_is_distance():
 
 @pytest.mark.parametrize("name", sorted(ALL))
 def test_surface_row_is_exact(name):
+    # the row is read from the tables: A_0 in closed form, the rest from
+    # ray integrals that start at tau = 0
     table = wkb.compute_coefficients(ALL[name], 0.0, 3, side=-1,
                                      taus=np.linspace(0.0, 0.3, 7))
     row = table.at_surface()
     assert row[0] == 1.0
-    assert np.all(row[1:] == 0.0)
+    assert np.max(np.abs(row[1:])) <= 1e-12
 
 
 def test_sphere_first_coefficient_vanishes():
@@ -166,12 +168,12 @@ def test_gradient_identity_returns_one_value_per_point():
                    for q in (-0.3, 0.1)])
     for surface, j, sign, P in [(CYLINDER, 2, 0, X), (CYLINDER, 2, +1, X),
                                 (CYLINDER, 5, 0, X), (HELICOID, 3, 0, Y)]:
-        batch = wkb.gradient_identity_residual(surface, j, P, sign=sign)
+        batch = wkb.gradient_identity_residual(surface, j, P, -1, sign=sign)
         assert np.shape(batch) == (len(P),)
         assert len(set(batch.tolist())) == len(P)
         for i in range(len(P)):
             assert batch[i] == wkb.gradient_identity_residual(
-                surface, j, P[i], sign=sign)[0]
+                surface, j, P[i], -1, sign=sign)[0]
 
 
 def test_gradient_identity_sphere_j0_symbolic():
@@ -278,14 +280,14 @@ def test_boundedness_of_forced_laplacians():
 def test_barrier_boundary_value_is_k():
     for sign in (+1, -1):
         z = np.array([1.0, 0.0, 0.0])
-        assert wkb.barrier_f(SPHERE, MED, z, 123.0, 1, sign) == pytest.approx(
+        assert wkb.barrier_f(SPHERE, MED, z, 123.0, 1, sign, -1) == pytest.approx(
             MED.k, abs=1e-14)
 
 
 def test_barrier_plane_example():
     x = np.array([0.5, -2.0, 1.0])
     for sign in (+1, -1):
-        got = wkb.barrier_f(PLANE, MED, x, 100.0, 1, sign)
+        got = wkb.barrier_f(PLANE, MED, x, 100.0, 1, sign, -1)
         expect = (2.0 / 3.0) * math.exp(-5.0) * (1.0 + sign * 0.05)
         assert got == pytest.approx(expect, rel=1e-13)
 
@@ -303,21 +305,22 @@ def test_barrier_large_rate_limit():
     x = np.array([0.0, 0.995, 0.0])
     eng = wkb.coefficient_engine(SPHERE, -1)
     lam = 1e8
-    f = wkb.barrier_f(SPHERE, MED, x, lam, 1, +1)
+    f = wkb.barrier_f(SPHERE, MED, x, lam, 1, +1, -1)
     leading = MED.k * math.exp(-math.sqrt(lam) * 0.005) * eng.a0(x[None, :])[0]
     assert f / leading == pytest.approx(1.0, abs=1e-3)
 
 
 def test_barrier_rejects_nonpositive_rate():
     with pytest.raises(InvalidArgument):
-        wkb.barrier_f(SPHERE, MED, np.array([0.9, 0.0, 0.0]), 0.0, 1, +1)
+        wkb.barrier_f(SPHERE, MED, np.array([0.9, 0.0, 0.0]), 0.0, 1, +1,
+                      -1)
 
 
 def test_elliptic_residual_plane_sign_strict_all_rates():
     x = np.array([0.4, 0.0, 0.0])
     for lam in (1.0, 10.0, 1e4):
         for sign in (+1, -1):
-            lhs, rhs = elliptic_residual(PLANE, MED, x, lam, 1, sign)
+            lhs, rhs = elliptic_residual(PLANE, MED, x, lam, 1, sign, -1)
             expect = -2.0 * sign * MED.k * math.exp(-math.sqrt(lam) * 0.4)
             assert lhs == pytest.approx(expect, rel=1e-10)
             assert rhs == pytest.approx(expect, rel=1e-10)
@@ -329,7 +332,7 @@ def test_elliptic_residual_sphere_agreement():
     for tau in (0.1, 0.3):
         p = eng.ray_points(0.0, np.array([tau]))[0]
         for sign in (+1, -1):
-            lhs, rhs = elliptic_residual(SPHERE, MED, p, 1e4, 1, sign)
+            lhs, rhs = elliptic_residual(SPHERE, MED, p, 1e4, 1, sign, -1)
             assert abs(lhs - rhs) < 1e-4 * abs(rhs)
             assert sign * lhs < 0.0
 
@@ -338,7 +341,7 @@ def test_elliptic_residual_on_surface_reduces():
     z = np.array([1.0, 0.0, 0.0])
     eng = wkb.coefficient_engine(SPHERE, -1)
     for sign in (+1, -1):
-        lhs, rhs = elliptic_residual(SPHERE, MED, z, 400.0, 1, sign)
+        lhs, rhs = elliptic_residual(SPHERE, MED, z, 400.0, 1, sign, -1)
         lap_pm = eng.laplacian_pm(1, sign, z[None, :])[0]
         expect = MED.k * 1.0 * (-2.0 * sign + lap_pm / 20.0)
         assert rhs == pytest.approx(expect, rel=1e-10)
@@ -364,15 +367,15 @@ def test_elliptic_residual_identity_closes(name, side, n, sign):
 
 def test_barrier_functions_return_one_value_per_point():
     eng = wkb.coefficient_engine(SPHERE, -1)
-    th = wkb.calibrate_thresholds(SPHERE, MED, 1)
+    th = wkb.calibrate_thresholds(SPHERE, MED, 1, -1)
     corr = wkb.RadialCorrector(R=1.0, d=3, side=-1, delta0=eng.delta0)
     X = eng.ray_points(0.0, np.array([0.1, 0.4, 0.8]) * eng.delta0)
     calls = [
-        lambda P: wkb.barrier_f(SPHERE, MED, P, 1e4, 2, +1),
-        lambda P: wkb.barrier_w(SPHERE, MED, P, 1e4, 1, -1, corrector=corr,
-                                thresholds=th),
-        lambda P: elliptic_residual(SPHERE, MED, P, 1e4, 2, +1)[0],
-        lambda P: elliptic_residual(SPHERE, MED, P, 1e4, 2, -1)[1],
+        lambda P: wkb.barrier_f(SPHERE, MED, P, 1e4, 2, +1, -1),
+        lambda P: wkb.barrier_w(SPHERE, MED, P, 1e4, 1, -1, -1,
+                                corrector=corr, thresholds=th),
+        lambda P: elliptic_residual(SPHERE, MED, P, 1e4, 2, +1, -1)[0],
+        lambda P: elliptic_residual(SPHERE, MED, P, 1e4, 2, -1, -1)[1],
     ]
     for call in calls:
         batch = call(X)
@@ -394,10 +397,10 @@ def test_each_batch_is_projected_once(monkeypatch):
     monkeypatch.setattr(wkb._projection, "last", None)
     taus = np.linspace(0.05, 0.3, 5) * eng.delta0
     X = eng.ray_points(0.0, taus)
-    elliptic_residual(HELICOID, MED, X, 1e4, 2, +1)
+    elliptic_residual(HELICOID, MED, X, 1e4, 2, +1, -1)
     assert counted == [5]
     th = wkb.BarrierThresholds(eta=0.5 * eng.delta0, lam_min=1.0)
-    wkb.barrier_w(HELICOID, MED, eng.ray_points(0.2, taus), 1e4, 2, +1,
+    wkb.barrier_w(HELICOID, MED, eng.ray_points(0.2, taus), 1e4, 2, +1, -1,
                   corrector=SlabCorrector(eng.delta0), thresholds=th)
     assert counted == [5, 5]
     # a caller that mutates its array in place reads its new points
@@ -477,24 +480,25 @@ def test_concurrent_first_requests_build_one_engine(monkeypatch):
 
 def test_threshold_calibration_and_barrier_w():
     eng = wkb.coefficient_engine(SPHERE, -1)
-    th = wkb.calibrate_thresholds(SPHERE, MED, 1)
+    th = wkb.calibrate_thresholds(SPHERE, MED, 1, -1)
     assert th.eta == pytest.approx(0.5 * eng.delta0, rel=1e-12)
     assert 0.0 < th.lam_min < 1e3
     corr = wkb.RadialCorrector(R=1.0, d=3, side=-1, delta0=eng.delta0)
     z = np.array([1.0, 0.0, 0.0])
     for sign in (+1, -1):
-        val = wkb.barrier_w(SPHERE, MED, z, 1e4, 1, sign, corrector=corr,
-                            thresholds=th)
+        val = wkb.barrier_w(SPHERE, MED, z, 1e4, 1, sign, -1,
+                            corrector=corr, thresholds=th)
         assert val == pytest.approx(MED.k, abs=1e-14)
     with pytest.raises(InvalidArgument):
-        wkb.barrier_w(SPHERE, MED, z, 0.5 * th.lam_min, 1, +1, corrector=corr,
-                      thresholds=th)
+        wkb.barrier_w(SPHERE, MED, z, 0.5 * th.lam_min, 1, +1, -1,
+                      corrector=corr, thresholds=th)
 
 
 def test_threshold_not_found_when_the_wall_bound_never_holds():
     # |w| = 1 at the far wall exceeds e^(-eta sqrt(lambda)) at every rate
     with pytest.raises(ThresholdNotFound):
-        wkb.calibrate_thresholds(SPHERE, MED, 1, outer_w=lambda lam: 1.0)
+        wkb.calibrate_thresholds(SPHERE, MED, 1, -1,
+                                 outer_w=lambda lam: 1.0)
 
 
 def _reference_thresholds(surface, n, side, eng):
@@ -545,25 +549,26 @@ def test_calibration_reads_once_without_changing_thresholds(name, side):
 
 @pytest.mark.parametrize("name", ["helicoid", "catenoid"])
 def test_calibration_projects_each_ray_and_wall_point_once(name, monkeypatch):
-    # 5 q samples, each a 17-point ray and its wall point, both signs read
+    # 5 q samples: their 5 x 17 ray points in one batch, then the 5 wall
+    # points in another, both signs read from each
     surface = ALL[name]
     wkb.coefficient_engine(surface, -1)
     project, points = type(surface).project_batch, []
     monkeypatch.setattr(type(surface), "project_batch",
                         lambda self, X: points.append(len(X)) or project(self, X))
     wkb.calibrate_thresholds(surface, MED, 2, side=-1)
-    assert points == [17, 1] * 5
+    assert points == [85, 5]
 
 
 def test_barrier_w_outer_wall_ordering():
     eng = wkb.coefficient_engine(PLANE, -1)
-    th = wkb.calibrate_thresholds(PLANE, MED, 1)
+    th = wkb.calibrate_thresholds(PLANE, MED, 1, -1)
     lam = max(1e4, 2.0 * th.lam_min)
     x = np.array([eng.delta0, 0.0, 0.0])
     corr = SlabCorrector(eng.delta0)
-    wp = wkb.barrier_w(PLANE, MED, x, lam, 1, +1, corrector=corr,
+    wp = wkb.barrier_w(PLANE, MED, x, lam, 1, +1, -1, corrector=corr,
                        thresholds=th)
-    wm = wkb.barrier_w(PLANE, MED, x, lam, 1, -1, corrector=corr,
+    wm = wkb.barrier_w(PLANE, MED, x, lam, 1, -1, -1, corrector=corr,
                        thresholds=th)
     bound = math.exp(-th.eta * math.sqrt(lam))
     assert wp >= bound
@@ -599,7 +604,7 @@ def test_near_boundary_law_off_axis():
 
 def test_near_boundary_law_validates_s():
     with pytest.raises(InvalidArgument):
-        wkb.near_boundary_law(HELICOID, 0.0, 1, 2)
+        wkb.near_boundary_law(HELICOID, 0.0, 1, 2, -1)
 
 
 @pytest.mark.parametrize("side", [-1, 1])
@@ -664,7 +669,7 @@ def test_outside_engine_boundary_row_and_symmetry():
     table = wkb.compute_coefficients(HELICOID, 0.0, 2, side=+1,
                                      taus=np.linspace(0.0, 0.3, 5))
     row = table.at_surface()
-    assert row[0] == 1.0 and np.all(row[1:] == 0.0)
+    assert row[0] == 1.0 and np.max(np.abs(row[1:])) <= 1e-12
 
 
 def test_outside_sphere_collar_uses_flipped_curvature():

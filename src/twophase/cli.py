@@ -1,22 +1,31 @@
 """Command-line front end: every experiment as a subcommand.
 
-Each run takes a JSON config (defaults are built in and any file values
-are merged over them; unknown keys are rejected), writes CSV for sweeps
-and JSON for scalar reports into the output directory, and always writes a
-manifest holding the tool, its version, the subcommand, the fully
-resolved configuration and the outputs named relative to the output
-directory.  `--seed N` is the config value `seed`, so only `helicoid` and
+Each run takes a JSON config, writes CSV for sweeps and JSON for scalar
+reports into the output directory, and always writes a manifest holding
+the tool, its version, the subcommand, the fully resolved configuration
+and the outputs named relative to the output directory.
+
+Each subcommand declares its keys once, in `_RUNNERS`, each with a
+default and a kind that fixes its JSON type, range and non-emptiness: a
+positive or finite number, a positive count, a seed, a side, a flag, a
+non-empty list, a range, one of a set, or an object merged over its own
+defaults.  Every key a config sets, `--seed` included, is checked before
+any work, and so is a surface key the chosen `kind` does not read.
+
+`--seed N` is the config value `seed`, so only `helicoid` and
 `maxprinciple` accept it.  `--jobs` sets the worker threads of the
 Monte-Carlo batches (`helicoid`, and `all` through its helicoid
 criterion) and, for `all`, also the threads the criteria run on; the other
 subcommands accept it and ignore it, and below 1 it is an invalid
-configuration for all of them.  Identical
-config and seed produce byte-identical artifacts, wherever they are
-written and whatever `--jobs` is.  The default configs of `maxprinciple`,
-`helicoid` and `extract-curvature` read the settings pinned in
-`acceptance`, so each runs what its criterion checks.
+configuration for all of them.  Identical config and seed produce
+byte-identical artifacts, wherever they are written and whatever `--jobs`
+is.  The default configs of `maxprinciple`, `helicoid` and
+`extract-curvature` read the settings pinned in `acceptance`, so each
+runs what its criterion checks.
 
-Exit codes: 0 success, 1 numeric failure, 2 invalid configuration.
+Exit codes: 0 success; 1 numeric failure (a library routine raised a
+`TwoPhaseError`); 2 invalid configuration, reported before anything is
+computed or written as `config error: <key> must be <kind>, got <value>`.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from . import helicoid as hl
 from . import kernel1d as k1
 from . import parabolic as par
 from . import wkb
-from .errors import ConfigError, TwoPhaseError
+from .errors import ConfigError, InvalidArgument, TwoPhaseError, positive_count
 from .medium import TwoPhaseMedium
 
 
@@ -57,19 +66,124 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _merge_config(defaults: dict, override: dict, context: str) -> dict:
-    out = dict(defaults)
-    for key, val in override.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown key {key!r} in {context} config "
-                              f"(known: {sorted(defaults)})")
-        out[key] = val
+# ---------------------------------------------------------------------------
+# config kinds: each checks (key, value) and returns the value to use
+# ---------------------------------------------------------------------------
+
+def _wrong(key: str, what: str, value) -> ConfigError:
+    return ConfigError(f"{key} must be {what}, got {json.dumps(value)}")
+
+
+def _kind(what: str, ok):
+    def check(key, value):
+        if not ok(value):
+            raise _wrong(key, what, value)
+        return value
+    return check
+
+
+def _number(v) -> bool:
+    """A finite JSON number; true and false are not numbers."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def _nonempty(v, ok) -> bool:
+    return isinstance(v, list) and len(v) > 0 and all(map(ok, v))
+
+
+def _one_of(*names):
+    return _kind("one of " + ", ".join(map(json.dumps, names)),
+                 lambda v: isinstance(v, str) and v in names)
+
+
+def _count(key, value) -> int:
+    try:
+        return positive_count(key, value)
+    except InvalidArgument:
+        raise _wrong(key, "a positive integer", value) from None
+
+
+_POSITIVE = _kind("a positive number", lambda v: _number(v) and v > 0)
+_NUMBER = _kind("a finite number", _number)
+_SEED = _kind("an integer in [0, 2**64)",
+              lambda v: type(v) is int and 0 <= v < 2 ** 64)
+_SIDE = _kind("-1 or 1", lambda v: type(v) is int and v in (-1, 1))
+_FLAG = _kind("true or false", lambda v: isinstance(v, bool))
+_NUMBERS = _kind("a non-empty list of numbers",
+                 lambda v: _nonempty(v, _number))
+_POSITIVES = _kind("a non-empty list of positive numbers",
+                   lambda v: _nonempty(v, lambda x: _number(x) and x > 0))
+_RANGE = _kind("[lo, hi] with 0 < lo < hi",
+               lambda v: isinstance(v, list) and len(v) == 2
+               and all(map(_number, v)) and 0 < v[0] < v[1])
+_RADIAL = _one_of("plane", "sphere", "cylinder")
+
+
+def _nested(schema: dict) -> tuple:
+    """(default, kind) of a nested object, merged over its own defaults."""
+    return ({k: default for k, (default, _) in schema.items()},
+            lambda key, value: _merge_config(schema, value, key))
+
+
+#: surface variant -> (class, the keys it reads, with their defaults)
+_SURFACES = {
+    "plane": (geo.Hyperplane, {"N": 3}),
+    "hyperplane": (geo.Hyperplane, {"N": 3}),
+    "sphere": (geo.Sphere, {"R": 1.0, "N": 3}),
+    "cylinder": (geo.Cylinder, {"R": 1.0, "N": 3}),
+    "helicoid": (geo.Helicoid, {}),
+    "catenoid": (geo.Catenoid, {"c": 1.0}),
+}
+#: the kind of each surface key
+_SHAPE = {"R": _POSITIVE, "N": _count, "c": _POSITIVE}
+_VARIANT = _one_of(*_SURFACES)
+
+
+def _surface_spec(key, spec) -> dict:
+    """A wkb surface: a variant and the keys it reads, over their defaults."""
+    if not isinstance(spec, dict):
+        raise _wrong(key, "a JSON object", spec)
+    variant = _VARIANT("variant", spec.get("variant"))
+    schema = {"variant": (variant, _VARIANT), **{
+        k: (default, _SHAPE[k]) for k, default in _SURFACES[variant][1].items()}}
+    return _merge_config(schema, spec, f"the {variant} surface")
+
+
+def _surface(variant: str, values: Mapping) -> geo.Surface:
+    """The catalog surface `variant`, built from the keys of `values` it reads."""
+    cls, keys = _SURFACES[variant]
+    return cls(**{k: values[k] for k in keys if k in values})
+
+
+def _merge_config(schema: dict, override: dict, context: str) -> dict:
+    """The defaults of `schema` ({key: (default, kind)}) with the values of
+    the object `override`, each checked against its key's kind.  Where a
+    `kind` names the surface, setting a surface key it does not read is an
+    error too."""
+    if not isinstance(override, dict):
+        raise _wrong(context, "a JSON object", override)
+    out = {key: default for key, (default, _) in schema.items()}
+    for key, value in override.items():
+        if key not in schema:
+            raise ConfigError(f"unknown key {key!r} in {context} "
+                              f"(known: {sorted(schema)})")
+        out[key] = schema[key][1](key, value)
+    if "kind" in out:
+        unread = override.keys() & _SHAPE.keys() - _SURFACES[out["kind"]][1].keys()
+        if unread:
+            raise ConfigError(f"kind {out['kind']!r} does not read "
+                              f"{sorted(unread)} in {context}")
     return out
 
 
-def _medium_from(spec) -> TwoPhaseMedium:
-    spec = _merge_config(acceptance.MEDIUM, dict(spec), "medium")
-    return TwoPhaseMedium(float(spec["sigma_s"]), float(spec["sigma_m"]))
+def _pinned(defaults: Mapping, **kinds) -> dict:
+    """{key: (default, kind)} of settings pinned in `acceptance`."""
+    return {key: (defaults[key], kind) for key, kind in kinds.items()}
+
+
+_MEDIUM = _nested(_pinned(acceptance.MEDIUM, sigma_s=_POSITIVE,
+                          sigma_m=_POSITIVE))
 
 
 def _jsonable(obj):
@@ -82,46 +196,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     return obj
-
-
-def _probes_from(probes, interface: bool) -> list:
-    """The config's probe list: JSON numbers, and "interface" if allowed."""
-    def ok(x):
-        return (isinstance(x, (int, float)) and not isinstance(x, bool)
-                or interface and x == "interface")
-    if not (isinstance(probes, list) and all(map(ok, probes))):
-        allowed = ' or "interface"' if interface else ""
-        raise ConfigError(f"probes must be numbers{allowed}, got {probes!r}")
-    return probes
-
-
-def _surface_from(spec: dict) -> geo.Surface:
-    spec = dict(spec)
-    variant = spec.pop("variant", None)
-    try:
-        if variant in ("hyperplane", "plane"):
-            return geo.Hyperplane(N=int(spec.pop("N", 3)), **spec)
-        if variant == "sphere":
-            return geo.Sphere(R=float(spec.pop("R", 1.0)),
-                              N=int(spec.pop("N", 3)), **spec)
-        if variant == "cylinder":
-            return geo.Cylinder(R=float(spec.pop("R", 1.0)),
-                                N=int(spec.pop("N", 3)), **spec)
-        if variant == "helicoid":
-            return geo.Helicoid(**spec)
-        if variant == "catenoid":
-            return geo.Catenoid(c=float(spec.pop("c", 1.0)), **spec)
-    except TypeError as exc:
-        raise ConfigError(f"bad surface spec: {exc}")
-    raise ConfigError(f"unknown surface variant {variant!r}")
-
-
-def _radial_surface(kind, R, N=3) -> geo.Surface:
-    """The catalog surface named by a `kind`/`R`/`N` config; a plane has no R."""
-    spec = {"variant": kind, "N": N}
-    if kind != "plane":
-        spec["R"] = R
-    return _surface_from(spec)
 
 
 def _write_csv(path: str, header: list, rows) -> None:
@@ -149,20 +223,12 @@ def _manifest(outdir: str, subcommand: str, config: dict, outputs: list) -> None
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each runs a config checked against its keys in _RUNNERS
 # ---------------------------------------------------------------------------
 
-def run_kernel1d(config: dict, outdir: str) -> int:
-    defaults = {
-        "medium": acceptance.MEDIUM,
-        "x1": [0.0],
-        "t": list(np.geomspace(1e-3, 1e3, 13)),
-        "tolerance": k1.TWO_WAY_TOL,
-    }
-    cfg = _merge_config(defaults, config, "kernel1d")
-    med = _medium_from(cfg["medium"])
-    X, T = np.meshgrid(np.asarray(cfg["x1"], dtype=float),
-                       np.asarray(cfg["t"], dtype=float), indexing="ij")
+def run_kernel1d(cfg: dict, outdir: str) -> tuple:
+    med = TwoPhaseMedium(**cfg["medium"])
+    X, T = np.meshgrid(cfg["x1"], cfg["t"], indexing="ij")
     uq, uc = k1.halfline_quadrature(X, T, med), k1.halfline_closed_form(X, T, med)
     diff = np.abs(uq - uc)
     worst = float(diff.max(initial=0.0))
@@ -172,32 +238,20 @@ def run_kernel1d(config: dict, outdir: str) -> int:
     path = os.path.join(outdir, "kernel1d.csv")
     _write_csv(path, ["x1", "t", "u_quadrature", "u_closed_form", "abs_diff"],
                rows)
-    _manifest(outdir, "kernel1d", cfg, [path])
     print(f"kernel1d: {len(rows)} points, max two-way diff {worst:.3e}")
-    return 0 if worst < cfg["tolerance"] else 1
+    return path, 0 if worst < cfg["tolerance"] else 1
 
 
-def run_simulate(config: dict, outdir: str) -> int:
-    defaults = {
-        "medium": acceptance.MEDIUM,
-        "kind": "plane",
-        "R": 1.0,
-        "t_grid": list(np.geomspace(1e-2, 1.0, 9)),
-        "probes": ["interface"],
-        "h_fine": 2e-3,
-        "t_start": 1e-6,
-    }
-    cfg = _merge_config(defaults, config, "simulate")
-    probes = _probes_from(cfg["probes"], interface=True)
-    med = _medium_from(cfg["medium"])
-    t_grid = np.asarray(cfg["t_grid"], dtype=float)
-    grid = par.interface_grid(_radial_surface(cfg["kind"], cfg["R"]), med,
+def run_simulate(cfg: dict, outdir: str) -> tuple:
+    probes = cfg["probes"]
+    med = TwoPhaseMedium(**cfg["medium"])
+    t_end = max(cfg["t_grid"])
+    grid = par.interface_grid(_surface(cfg["kind"], cfg), med,
                               h_fine=cfg["h_fine"],
-                              far=par.far_wall_distance(med, t_grid.max()))
-    times = par.geometric_times(cfg["t_start"], float(t_grid.max()),
-                                include=t_grid)
+                              far=par.far_wall_distance(med, t_end))
+    times = par.geometric_times(cfg["t_start"], t_end, include=cfg["t_grid"])
     series = par.evolve(grid, times, [x for x in probes if x != "interface"])
-    mask = np.isin(series.times, t_grid)
+    mask = np.isin(series.times, cfg["t_grid"])
     rows = []
     for pid, x in enumerate(probes):
         vals = (series.interface_values()[mask] if x == "interface"
@@ -206,23 +260,13 @@ def run_simulate(config: dict, outdir: str) -> int:
             rows.append((t, pid, u))
     path = os.path.join(outdir, "simulate.csv")
     _write_csv(path, ["t", "probe_id", "u"], rows)
-    _manifest(outdir, "simulate", cfg, [path])
     print(f"simulate: {cfg['kind']} interface, {len(rows)} samples")
-    return 0
+    return path, 0
 
 
-def run_transform(config: dict, outdir: str) -> int:
-    defaults = {
-        "medium": acceptance.MEDIUM,
-        "lambdas": [25.0, 50.0, 100.0, 200.0],
-        "probes": [-0.4, -0.1, 0.0, 0.05, 0.3],
-        "t_end": 0.8,
-        "h_fine": 1e-3,
-        "tolerance": 1e-5,
-    }
-    cfg = _merge_config(defaults, config, "transform")
-    probes = _probes_from(cfg["probes"], interface=False)
-    med = _medium_from(cfg["medium"])
+def run_transform(cfg: dict, outdir: str) -> tuple:
+    probes = cfg["probes"]
+    med = TwoPhaseMedium(**cfg["medium"])
     k = med.k
     grid = par.interface_grid(geo.Hyperplane(), med, h_fine=cfg["h_fine"],
                               far=10.0)
@@ -231,8 +275,7 @@ def run_transform(config: dict, outdir: str) -> int:
     rows = []
     worst = 0.0
     for lam in cfg["lambdas"]:
-        tr = par.laplace_stieltjes(series, float(lam), probes,
-                                   tol=cfg["tolerance"])
+        tr = par.laplace_stieltjes(series, lam, probes, tol=cfg["tolerance"])
         for pid, (x, w_time) in enumerate(zip(tr.probes, tr.values)):
             if x >= 0.0:
                 w_ell = k * math.exp(-x * math.sqrt(lam / med.sigma_s))
@@ -243,25 +286,15 @@ def run_transform(config: dict, outdir: str) -> int:
     path = os.path.join(outdir, "transform.csv")
     _write_csv(path, ["lambda", "probe_id", "w_time", "w_elliptic", "diff"],
                rows)
-    _manifest(outdir, "transform", cfg, [path])
     print(f"transform: max |w_time - w_elliptic| = {worst:.3e}")
-    return 0 if worst < 2e-3 else 1
+    return path, 0 if worst < 2e-3 else 1
 
 
-def run_wkb(config: dict, outdir: str) -> int:
-    defaults = {
-        "surface": {"variant": "sphere", "R": 1.0, "N": 3},
-        "side": -1,
-        "order": 2,
-        "q": 0.0,
-        "n_points": 33,
-    }
-    cfg = _merge_config(defaults, config, "wkb")
-    surf = _surface_from(cfg["surface"])
-    side = int(cfg["side"])
-    n = int(cfg["order"])
+def run_wkb(cfg: dict, outdir: str) -> tuple:
+    surf = _surface(cfg["surface"]["variant"], cfg["surface"])
+    side, n = cfg["side"], cfg["order"]
     eng = wkb.coefficient_engine(surf, side)
-    taus = np.linspace(0.0, eng.delta0, int(cfg["n_points"]))
+    taus = np.linspace(0.0, eng.delta0, cfg["n_points"])
     table = wkb.compute_coefficients(surf, cfg["q"], n, side=side, taus=taus)
     header = (["tau"] + [f"A{j}" for j in range(n)]
               + [f"A{n}_plus", f"A{n}_minus", "residual_max"])
@@ -270,7 +303,7 @@ def run_wkb(config: dict, outdir: str) -> int:
     h = wkb.IDENTITY_STEP
     inner = (taus > 2 * h) & (taus < eng.delta0 - 2 * h)
     pts = eng.ray_points(cfg["q"], taus[inner])
-    residual = np.full(len(taus), float("nan"))
+    residual = np.full(len(taus), np.nan)
     residual[inner] = np.max(
         [wkb.gradient_identity_residual(surf, j, pts, side=side)
          for j in range(min(n, eng.table_order + 1) + 1)], axis=0)
@@ -281,21 +314,13 @@ def run_wkb(config: dict, outdir: str) -> int:
         rows.append(row)
     path = os.path.join(outdir, "wkb.csv")
     _write_csv(path, header, rows)
-    _manifest(outdir, "wkb", cfg, [path])
     print(f"wkb: order-{n} ray table with {len(taus)} samples")
-    return 0
+    return path, 0
 
 
-def run_extract_curvature(config: dict, outdir: str) -> int:
-    defaults = {
-        "medium": acceptance.MEDIUM,
-        "geometry": {"kind": "sphere", "R": 1.0, "N": 3},
-        **acceptance.CURVATURE_SWEEP,
-    }
-    cfg = _merge_config(defaults, config, "extract-curvature")
-    med = _medium_from(cfg["medium"])
-    surface = _radial_surface(**_merge_config(
-        defaults["geometry"], cfg["geometry"], "geometry"))
+def run_extract_curvature(cfg: dict, outdir: str) -> tuple:
+    med = TwoPhaseMedium(**cfg["medium"])
+    surface = _surface(cfg["geometry"]["kind"], cfg["geometry"])
     lo, hi = cfg["lambda_range"]
     grid = ell.log_rate_grid(lo, hi, cfg["per_decade"])
     fit = ell.extract_mean_curvature(surface, med, grid)
@@ -308,15 +333,12 @@ def run_extract_curvature(config: dict, outdir: str) -> int:
     path = os.path.join(outdir, "extract_curvature.csv")
     _write_csv(path, ["lambda", "normal_derivative", "detrended",
                       "fit_constant", "sigma_kappa_estimate"], rows)
-    _manifest(outdir, "extract-curvature", cfg, [path])
     print(f"extract-curvature: sum kappa = {fit.sum_kappa_estimate:.6f} "
           f"(target {sum(surface.kappas(None))})")
-    return 0
+    return path, 0
 
 
-def run_maxprinciple(config: dict, outdir: str) -> int:
-    defaults = {**acceptance.MAX_PRINCIPLE, "counterexample": True}
-    cfg = _merge_config(defaults, config, "maxprinciple")
+def run_maxprinciple(cfg: dict, outdir: str) -> tuple:
     rep = ell.discrete_max_principle_check(cfg["lam"], cfg["trials"],
                                            cfg["seed"], cfg["n"],
                                            cfg["sigma_range"])
@@ -325,34 +347,23 @@ def run_maxprinciple(config: dict, outdir: str) -> int:
         payload["lambda0_counterexample"] = ell.annulus_counterexample()
     path = os.path.join(outdir, "maxprinciple.json")
     _write_json(path, payload)
-    _manifest(outdir, "maxprinciple", cfg, [path])
     print(f"maxprinciple: min value {rep['min_value']:.3e} over "
           f"{rep['trials']} trials")
-    return 0 if rep["min_value"] >= -acceptance.MAX_PRINCIPLE_TOL else 1
+    return path, 0 if rep["min_value"] >= -acceptance.MAX_PRINCIPLE_TOL else 1
 
 
-def run_helicoid(config: dict, outdir: str, *, jobs: int) -> int:
-    cfg = _merge_config(acceptance.HALF_VALUE, config, "helicoid")
+def run_helicoid(cfg: dict, outdir: str, *, jobs: int) -> tuple:
     records, _ = hl.half_value_checks(
-        cfg["n_samples"], int(cfg["seed"]), cfg["t_values"],
-        cfg["r_values"], cfg["symmetry_samples"], jobs)
+        cfg["n_samples"], cfg["seed"], cfg["t_values"], cfg["r_values"],
+        cfg["symmetry_samples"], jobs)
     path = os.path.join(outdir, "helicoid.json")
     _write_json(path, records)
-    _manifest(outdir, "helicoid", cfg, [path])
     n_fail = sum(not r["pass"] for r in records)
     print(f"helicoid: {len(records)} checks, {n_fail} failures")
-    return 0 if n_fail == 0 else 1
+    return path, 0 if n_fail == 0 else 1
 
 
-def run_acceptance(config: dict, outdir: str, *, jobs: int) -> int:
-    defaults = {"criteria": None}
-    cfg = _merge_config(defaults, config, "all")
-    if cfg["criteria"] is not None:
-        known = {name for name, _ in acceptance.CRITERIA}
-        unknown = set(cfg["criteria"]) - known
-        if unknown:
-            raise ConfigError(f"unknown criteria {sorted(unknown)} "
-                              f"(known: {sorted(known)})")
+def run_acceptance(cfg: dict, outdir: str, *, jobs: int) -> tuple:
     records = acceptance.run_all(jobs, names=cfg["criteria"])
     # runtimes go to stdout only, so the artifact is seed-deterministic
     payload = [{
@@ -361,21 +372,51 @@ def run_acceptance(config: dict, outdir: str, *, jobs: int) -> int:
     } for r in records]
     path = os.path.join(outdir, "acceptance.json")
     _write_json(path, payload)
-    _manifest(outdir, "all", cfg, [path])
-    return 0 if all(r.passed for r in records) else 1
+    return path, 0 if all(r.passed for r in records) else 1
 
 
 # ---------------------------------------------------------------------------
 
+_CRITERIA = [name for name, _ in acceptance.CRITERIA]
+
+#: subcommand -> (runner, its keys as {key: (default, kind)}): the schema
 _RUNNERS = {
-    "kernel1d": run_kernel1d,
-    "simulate": run_simulate,
-    "transform": run_transform,
-    "wkb": run_wkb,
-    "extract-curvature": run_extract_curvature,
-    "maxprinciple": run_maxprinciple,
-    "helicoid": run_helicoid,
-    "all": run_acceptance,
+    "kernel1d": (run_kernel1d, {
+        "medium": _MEDIUM, "x1": ([0.0], _NUMBERS),
+        "t": (list(np.geomspace(1e-3, 1e3, 13)), _POSITIVES),
+        "tolerance": (k1.TWO_WAY_TOL, _POSITIVE)}),
+    "simulate": (run_simulate, {
+        "medium": _MEDIUM, "kind": ("plane", _RADIAL), "R": (1.0, _POSITIVE),
+        "t_grid": (list(np.geomspace(1e-2, 1.0, 9)), _POSITIVES),
+        "probes": (["interface"], _kind(
+            'a non-empty list of numbers or "interface"',
+            lambda v: _nonempty(v, lambda x: x == "interface" or _number(x)))),
+        "h_fine": (2e-3, _POSITIVE), "t_start": (1e-6, _POSITIVE)}),
+    "transform": (run_transform, {
+        "medium": _MEDIUM, "lambdas": ([25.0, 50.0, 100.0, 200.0], _POSITIVES),
+        "probes": ([-0.4, -0.1, 0.0, 0.05, 0.3], _NUMBERS),
+        "t_end": (0.8, _POSITIVE), "h_fine": (1e-3, _POSITIVE),
+        "tolerance": (1e-5, _POSITIVE)}),
+    "wkb": (run_wkb, {
+        "surface": ({"variant": "sphere", "R": 1.0, "N": 3}, _surface_spec),
+        "side": (-1, _SIDE), "order": (2, _count), "q": (0.0, _NUMBER),
+        "n_points": (33, _count)}),
+    "extract-curvature": (run_extract_curvature, {
+        "medium": _MEDIUM,
+        "geometry": _nested({"kind": ("sphere", _RADIAL),
+                             "R": (1.0, _POSITIVE), "N": (3, _count)}),
+        **_pinned(acceptance.CURVATURE_SWEEP, lambda_range=_RANGE,
+                  per_decade=_count)}),
+    "maxprinciple": (run_maxprinciple, {
+        **_pinned(acceptance.MAX_PRINCIPLE, lam=_POSITIVE, trials=_count,
+                  seed=_SEED, n=_count, sigma_range=_RANGE),
+        "counterexample": (True, _FLAG)}),
+    "helicoid": (run_helicoid, _pinned(
+        acceptance.HALF_VALUE, n_samples=_count, seed=_SEED,
+        t_values=_POSITIVES, r_values=_POSITIVES, symmetry_samples=_count)),
+    "all": (run_acceptance, {"criteria": (None, _kind(
+        f"null or a non-empty list of names from {json.dumps(_CRITERIA)}",
+        lambda v: v is None or _nonempty(v, lambda x: x in _CRITERIA)))}),
 }
 
 
@@ -398,34 +439,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    runner, schema = _RUNNERS[args.subcommand]
     try:
+        config = {}
         if args.config is not None:
             with open(args.config) as fh:
                 config = json.load(fh)
-            if not isinstance(config, dict):
-                raise ConfigError("config root must be a JSON object")
-        else:
-            config = {}
-        if args.seed is not None:
-            config["seed"] = args.seed
+        if args.seed is not None and isinstance(config, dict):
+            config["seed"] = args.seed  # any other root is rejected below
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+        cfg = _merge_config(schema, config, f"the {args.subcommand} config")
+        os.makedirs(args.out, exist_ok=True)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    os.makedirs(args.out, exist_ok=True)
-    runner = _RUNNERS[args.subcommand]
+    jobs = {"jobs": args.jobs} if args.subcommand in ("helicoid", "all") else {}
     try:
-        if args.subcommand in ("helicoid", "all"):
-            return runner(config, args.out, jobs=args.jobs)
-        return runner(config, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        path, code = runner(cfg, args.out, **jobs)
     except TwoPhaseError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
+    _manifest(args.out, args.subcommand, cfg, [path])
+    return code
 
 
 if __name__ == "__main__":

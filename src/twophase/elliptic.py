@@ -197,9 +197,12 @@ def extract_mean_curvature(surface: Surface, medium: TwoPhaseMedium,
 
 
 def log_rate_grid(lo: float, hi: float, per_decade: int) -> np.ndarray:
-    """Log-spaced rate grid, `per_decade` points per decade."""
+    """Log-spaced rate grid over [lo, hi], 0 < lo < hi, `per_decade` (a
+    positive integer) points per decade."""
+    if not 0.0 < lo < hi:
+        raise InvalidArgument(f"need 0 < lo < hi, got {lo!r}, {hi!r}")
     decades = math.log10(hi / lo)
-    n = int(round(decades * per_decade)) + 1
+    n = int(round(decades * positive_count("per_decade", per_decade))) + 1
     return np.geomspace(lo, hi, n)
 
 

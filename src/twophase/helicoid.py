@@ -228,8 +228,10 @@ def half_value_checks(n_samples: int, seed: int, t_values, r_values,
     order, named with the values as given.  The batches of all the
     estimates share one pool of `jobs` threads of its own: a caller that is
     itself a pool worker must not queue them on its pool, where a worker
-    waiting on tasks queued behind it can deadlock.
+    waiting on tasks queued behind it can deadlock.  symmetry_samples is
+    checked before any draw.
     """
+    positive_count("symmetry_samples", symmetry_samples)
     x0 = np.zeros(3)
     tests, estimates = [], []
     for i, t in enumerate(t_values):

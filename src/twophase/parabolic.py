@@ -112,7 +112,11 @@ def interface_grid(surface: Surface, medium: TwoPhaseMedium, *,
     Plane: slab [-far, far] around the interface at 0, sigma_m on the
     negative side.  Sphere/cylinder of radius R: radial grid [0, R + far]
     with weight r^(d-1), d = `surface.radial_dim`, and sigma_s inside R.
+    h_fine, h_max and far must be positive, or the faces never end.
     """
+    if not (h_fine > 0.0 and h_max > 0.0 and far > 0.0):
+        raise InvalidArgument(f"h_fine, h_max and far must be positive, got "
+                              f"{h_fine!r}, {h_max!r}, {far!r}")
     d = surface.radial_dim
     if d == 1:  # slab: the sigma_m side is x < 0
         R, stop, below, above = 0.0, -far, medium.sigma_m, medium.sigma_s
@@ -208,8 +212,12 @@ def geometric_times(t_start: float, t_end: float, ratio: float = 1.08,
     """Geometric time grid from t_start to t_end, with 0 prepended.
 
     Extra times in `include` are merged in exactly so probes can read them
-    off without interpolation in time.
+    off without interpolation in time.  t_start > 0 and ratio > 1, or the
+    grid never reaches t_end.
     """
+    if not (t_start > 0.0 and ratio > 1.0):
+        raise InvalidArgument(f"need t_start > 0 and ratio > 1, got "
+                              f"{t_start!r}, {ratio!r}")
     ts = [t_start]
     while ts[-1] < t_end:
         ts.append(min(ts[-1] * ratio, t_end))

@@ -1,13 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import signal
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twophase import acceptance, geometry as geo, wkb
-from twophase.cli import build_parser, main
+from twophase.cli import _RUNNERS, build_parser, main
 
 #: the keys of every manifest
 MANIFEST_KEYS = {"tool", "version", "subcommand", "config", "outputs"}
@@ -181,12 +186,17 @@ def test_maxprinciple_json_report(tmp_path):
         "n-0"])
 def test_counts_that_do_no_work_are_numeric_failures(tmp_path, capsys,
                                                      command, config, message):
-    # a count that would check nothing, or be truncated, is out of domain
+    # a count that would check nothing, or be truncated, is out of domain:
+    # the config schema rejects it before any work, with the library's
+    # wording (tests/test_helicoid.py and test_elliptic.py hold the library
+    # to its own check)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("numeric failure: ") and message in err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
 
 
 def test_maxprinciple_accepts_and_ignores_jobs(tmp_path):
@@ -329,3 +339,142 @@ def test_tolerance_scale_flag_is_gone(tmp_path):
         main(["all", "--tolerance-scale", "2", "--config", str(cfg),
               "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+# -- the config schema: every bad value is caught before any work -----------
+
+@pytest.mark.parametrize("command, config, argv", [
+    ("simulate", {"h_fine": 0}, []),
+    ("simulate", {"t_start": 0}, []),
+    ("kernel1d", {"x1": "x"}, []),
+    ("kernel1d", {"t": []}, []),
+    ("transform", {"lambdas": None}, []),
+    ("maxprinciple", {"lam": "x"}, []),
+    ("maxprinciple", {"counterexample": "no"}, []),
+    ("maxprinciple", {}, ["--seed", "-1"]),
+    ("helicoid", {}, ["--seed", "-1"]),
+    ("helicoid", {"seed": 7.9}, []),
+    ("extract-curvature", {"lambda_range": [0, 1e6]}, []),
+    ("extract-curvature", {"per_decade": 0}, []),
+    ("wkb", {"order": 1.5}, []),
+    ("wkb", {"side": 1.5}, []),
+    ("wkb", {"n_points": 0}, []),
+    ("all", {"criteria": []}, []),
+    ("simulate", {"R": 2.0}, []),
+    ("extract-curvature", {"geometry": {"kind": "plane", "R": 2.0}}, []),
+    ("wkb", {"surface": {"variant": "catenoid", "R": 1.0}}, []),
+    ("kernel1d", {"medium": {"sigma_s": True}}, []),
+    ("maxprinciple", [1, 2], ["--seed", "3"]),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
+def test_a_value_of_the_wrong_kind_is_a_config_error(tmp_path, capsys,
+                                                     command, config, argv):
+    # each of these used to hang, end in a traceback, or run something other
+    # than what was asked; a key the chosen surface does not read is an error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out),
+                 *argv]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+def test_an_output_path_that_is_a_file_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("")
+    assert main(["kernel1d", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_config_errors_name_the_key_and_its_kind(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"order": 1.5}))
+    assert main(["wkb", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: order must be a positive integer, got 1.5\n")
+
+
+def test_nested_objects_are_merged_over_their_defaults(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"surface": {"variant": "cylinder"},
+                               "n_points": 5.0}))
+    assert main(["wkb", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    config = _manifest(tmp_path)["config"]
+    assert config["surface"] == {"variant": "cylinder", "R": 1.0, "N": 3}
+    assert config["n_points"] == 5
+    cfg.write_text(json.dumps({"medium": {"sigma_m": 9.0}, "x1": [0.0],
+                               "t": [1.0]}))
+    assert main(["kernel1d", "--config", str(cfg), "--out",
+                 str(tmp_path)]) == 0
+    assert _manifest(tmp_path)["config"]["medium"] == {"sigma_s": 1.0,
+                                                       "sigma_m": 9.0}
+
+
+#: small configs, so that no drawn value can make a valid run long
+SMALL = {
+    "kernel1d": {"x1": [0.0], "t": [1.0]},
+    "simulate": {"t_grid": [0.01], "h_fine": 0.01},
+    "transform": {"lambdas": [100.0], "probes": [0.0], "t_end": 0.3,
+                  "h_fine": 0.01},
+    "wkb": {"n_points": 5},
+    "extract-curvature": {"lambda_range": [1e2, 1e4], "per_decade": 4},
+    "maxprinciple": {"trials": 2, "n": 8, "counterexample": False},
+    "helicoid": {"n_samples": 1000, "symmetry_samples": 100,
+                 "t_values": [1.0], "r_values": [1.0]},
+}
+JUNK = [0, -1, 1.5, "x", None, [], {}, True]
+
+
+class _Hang(Exception):
+    pass
+
+
+def _run_bounded(argv, seconds):
+    """main(argv) with stdout and stderr captured, failing after `seconds`."""
+    def expire(*_):
+        raise _Hang(f"{argv} ran past {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+#: (subcommand, key, value): every key of the seven, each drawn value alone
+#: and in a one-element list
+BAD_KEYS = [(command, key, value) for command in sorted(SMALL)
+            for key in sorted(_RUNNERS[command][1])
+            for value in JUNK + [[v] for v in JUNK]]
+
+
+@given(st.sampled_from(BAD_KEYS))
+@settings(max_examples=len(BAD_KEYS), deadline=None, derandomize=True)
+def test_any_one_bad_key_ends_in_an_exit_code(case):
+    # 0, 1 or 2 and no exception; an exit 2 writes nothing
+    command, key, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+        with open(cfg, "w") as fh:
+            json.dump({**SMALL[command], key: value}, fh)
+        code = _run_bounded([command, "--config", cfg, "--out", out,
+                             "--jobs", "1"], 10.0)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("criteria", [
+    0, -1, 1.5, "x", [], {}, True, ["x"], [0], [None], [[]],
+    ["interface-constant-1d", "no-such-criterion"]], ids=json.dumps)
+def test_criteria_must_name_known_criteria(tmp_path, capsys, criteria):
+    # null, the default, runs the whole gate; test_acceptance covers it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"criteria": criteria}))
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: criteria must ")
+    assert not out.exists()

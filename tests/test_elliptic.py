@@ -589,6 +589,22 @@ def test_max_principle_rejects_lambda_zero():
                                          n=32, sigma_range=(0.5, 4.0))
 
 
+@pytest.mark.parametrize("trials, n", [(0, 8), (2, 0)])
+def test_max_principle_rejects_counts_that_do_no_work(trials, n):
+    with pytest.raises(InvalidArgument, match="must be a positive integer"):
+        ell.discrete_max_principle_check(lam=10.0, trials=trials, rng_seed=0,
+                                         n=n, sigma_range=(0.5, 4.0))
+
+
+@pytest.mark.parametrize("lo, hi, per_decade", [
+    (0.0, 1e6, 12), (-1.0, 1e6, 12), (1e6, 1e2, 12), (1e2, 1e6, 0),
+    (1e2, 1e6, 1.5)])
+def test_log_rate_grid_rejects_sweeps_that_cannot_be_fitted(lo, hi,
+                                                             per_decade):
+    with pytest.raises(InvalidArgument):
+        ell.log_rate_grid(lo, hi, per_decade)
+
+
 def test_annulus_counterexample_reproduces_failure():
     rep = ell.annulus_counterexample()
     assert rep["boundary_value"] == 0.0           # admissible data on the true boundary

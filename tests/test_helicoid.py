@@ -156,6 +156,27 @@ def test_invalid_arguments():
         hl.ball_density(np.zeros(3), 0.0, 10)
 
 
+@pytest.mark.parametrize("n_samples", [0, 1.5])
+def test_half_value_checks_reject_sample_counts_that_do_no_work(n_samples):
+    with pytest.raises(InvalidArgument, match="n_samples must be a positive"):
+        hl.half_value_checks(n_samples, 1, (1.0,), (1.0,), 10, jobs=1)
+
+
+def test_half_value_checks_reject_symmetry_samples_before_any_draw(
+        monkeypatch):
+    def no_draws(*_):
+        raise AssertionError("the Monte Carlo ran before the check")
+    monkeypatch.setattr(hl, "_mc_fractions", no_draws)
+    with pytest.raises(InvalidArgument,
+                       match="symmetry_samples must be a positive"):
+        hl.half_value_checks(10, 1, (1.0,), (1.0,), 0, jobs=1)
+
+
+def test_symmetry_check_rejects_zero_samples():
+    with pytest.raises(InvalidArgument, match="must be a positive integer"):
+        hl.symmetry_identities_check(0, rng_seed=1)
+
+
 # -- the batch kernels against the straightforward samplers ------------------
 
 N_REF = 300_001  # one partial 2^18 batch, ending in a partial 2^14 chunk

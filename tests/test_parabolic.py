@@ -27,6 +27,24 @@ def _plane_series(probes, h_fine=2e-3, t_end=1.0, include=(), far=12.0,
     return par.evolve(grid, times, probes)
 
 
+@pytest.mark.parametrize("sizes", [
+    {"h_fine": 0.0}, {"h_fine": -1e-3}, {"h_max": 0.0}, {"h_max": -0.05},
+    {"far": 0.0}, {"far": -1.0}])
+def test_interface_grid_rejects_steps_that_never_end(sizes):
+    # the graded faces would loop forever; h_max only matters past the
+    # fine core, so far exceeds fine_width
+    with pytest.raises(InvalidArgument):
+        par.interface_grid(PLANE, MED, **{"h_fine": 2e-3, "h_max": 0.05,
+                                          "far": 4.0, **sizes})
+
+
+@pytest.mark.parametrize("t_start, ratio", [
+    (0.0, 1.08), (-1e-6, 1.08), (1e-6, 1.0), (1e-6, 0.5)])
+def test_geometric_times_rejects_grids_that_never_end(t_start, ratio):
+    with pytest.raises(InvalidArgument):
+        par.geometric_times(t_start, 1.0, ratio=ratio)
+
+
 def test_interface_value_matches_constant():
     tg = np.geomspace(1e-2, 1.0, 7)
     series = _plane_series((), include=tg, far=26.0)

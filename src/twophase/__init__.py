@@ -18,7 +18,19 @@ the rigidity of flat interfaces in two-phase heat conductors:
   * `helicoid`  -- one-phase screw-symmetry identities and half-value
                    Monte-Carlo densities
   * `acceptance`, `cli` -- the acceptance suite and the `twophase` command
+
+Importing the package defaults OpenBLAS, OpenMP and MKL to one thread each
+(a variable the caller has set keeps its value): the package runs its own
+`--jobs` pool, and BLAS threads on the same cores only compete with it.
+The default takes effect only where `twophase` is imported before numpy,
+as in the `twophase` script and `python -m twophase.cli`, and it reaches
+child processes.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .medium import TwoPhaseMedium, gaussian_kernel, interface_constant
 

@@ -160,7 +160,8 @@ def _merge_config(schema: dict, override: dict, context: str) -> dict:
     """The defaults of `schema` ({key: (default, kind)}) with the values of
     the object `override`, each checked against its key's kind.  Where a
     `kind` names the surface, setting a surface key it does not read is an
-    error too."""
+    error too, and so is a ray footpoint `q` other than its default 0 on a
+    radial `wkb` surface, whose rays are all alike."""
     if not isinstance(override, dict):
         raise _wrong(context, "a JSON object", override)
     out = {key: default for key, (default, _) in schema.items()}
@@ -174,6 +175,9 @@ def _merge_config(schema: dict, override: dict, context: str) -> dict:
         if unread:
             raise ConfigError(f"kind {out['kind']!r} does not read "
                               f"{sorted(unread)} in {context}")
+    if out.get("q") and _SURFACES[out["surface"]["variant"]][0].is_radial:
+        raise ConfigError(f"variant {out['surface']['variant']!r} does not "
+                          f"read ['q'] in {context}")
     return out
 
 

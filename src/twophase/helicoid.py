@@ -14,19 +14,26 @@ force u = 1/2 there for all time.  The same scaling argument gives the
 half-density identities: spheres and balls centered on H carry exactly half
 their measure in the complement.
 
-All of this is checked by seeded Monte Carlo with a counter-based
-generator (Philox), split into fixed-order batches of _BATCH points, each
-drawn from its own stream, so estimates are bit-for-bit reproducible for a
-given (seed, n_samples) and safe to farm out to a thread pool.  A batch
-reads its stream in cache-sized chunks of _CHUNK points: each chunk's
-normals (then, for the ball, its radii) are drawn into one chunk buffer,
-moved into place and tested, and only the batch's count of points outside
-Omega leaves it, so a worker needs O(_CHUNK) memory whatever the sample
-count.  `half_value_checks` is the one report of the half-value
-identities, shared by `twophase helicoid` and the acceptance gate; it runs
-the batches of all its estimates on one thread pool.  Dimensions N >= 4
-add flat factors R^(N-3); by separation of variables the extra
-coordinates decouple, so they are not simulated separately.
+Which side of H a point lies on is read off its angle about the x3-axis:
+x2 cos x3 - x1 sin x3 = rho sin(theta - x3), so the point lies in Omega iff
+the turn g = (x3 - theta) / (2 pi), reduced to [0, 1), exceeds 1/2
+(`_turns`).  That costs one SIMD arctan2 and a floor per point where the
+defining function costs a scalar-libm sine and cosine.
+
+All of this is checked by seeded Monte Carlo, split into fixed-order
+batches of _BATCH points, batch b of seed s drawn from its own SFC64
+stream, seeded by the child b of SeedSequence(s) (`_stream`), so estimates
+are bit-for-bit reproducible for a given (seed, n_samples) and safe to farm
+out to a thread pool.  A batch reads its stream in cache-sized chunks of
+_CHUNK points: each chunk's normals (then, for the ball, its radii) are
+drawn into one chunk buffer, moved into place and tested in one two-row
+scratch block, and only the batch's count of points outside Omega leaves
+it, so a worker needs O(_CHUNK) memory whatever the sample count and no
+chunk allocates a temporary.  `half_value_checks` is the one report of the
+half-value identities, shared by `twophase helicoid` and the acceptance
+gate; it runs the batches of all its estimates on one thread pool.
+Dimensions N >= 4 add flat factors R^(N-3); by separation of variables the
+extra coordinates decouple, so they are not simulated separately.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from .errors import InvalidArgument, positive_count
 
 _BATCH = 1 << 18
 _CHUNK = 1 << 14
+_TURN = 0.5 / math.pi
 
 
 def _defining(X: np.ndarray) -> np.ndarray:
@@ -48,9 +56,26 @@ def _defining(X: np.ndarray) -> np.ndarray:
     return X[:, 1] * np.cos(X[:, 2]) - X[:, 0] * np.sin(X[:, 2])
 
 
+def _turns(P: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The turn g from each point of the (k, 3) array P to H's ruling at its
+    height: (x3 - atan2(x2, x1)) / (2 pi) - floor(.), in [0, 1), written
+    into rows[0] and returned; rows is a (2, k) scratch block.
+
+    x2 cos x3 - x1 sin x3 = rho sin(2 pi (1 - g)), so the point lies in
+    Omega iff g > 1/2.
+    """
+    g, whole = rows
+    np.arctan2(P[:, 1], P[:, 0], out=g)
+    np.subtract(P[:, 2], g, out=g)
+    g *= _TURN
+    g -= np.floor(g, out=whole)
+    return g
+
+
 def omega_indicator(X: np.ndarray) -> np.ndarray:
     """Vectorized indicator of Omega for an (m, 3) array of points."""
-    return _defining(X) > 0.0
+    X = np.asarray(X, dtype=float)
+    return _turns(X, np.empty((2, len(X)))) > 0.5
 
 
 def flip(x) -> np.ndarray:
@@ -77,23 +102,34 @@ class McEstimate:
         return abs(self.mean - target) <= 3.0 * max(self.stderr, 1e-300)
 
 
-def _philox(seed: int, stream: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed).jumped(stream))
+def _stream(seed: int, stream: int = 0) -> np.random.Generator:
+    """SFC64 seeded by SeedSequence(seed).spawn(stream + 1)[stream].
+
+    A spawn key is hashed after the seed's words padded to the pool size,
+    so no two (seed, stream) pairs with seeds below 2^128 feed the hash the
+    same words; a flat SeedSequence((seed, stream)) gives seed s, stream 1
+    the words of seed s + 2^32, stream 0.
+    """
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
 def _batch_count(count, rng_seed: int, stream: int, m: int) -> int:
     """How many of batch `stream`'s m points lie outside Omega.
 
-    The batch reads its Philox stream (rng_seed, stream) _CHUNK points at a
-    time: each chunk's (k, 3) standard normals fill the batch's one chunk
-    buffer, and `count(gen, c)` moves them in place, drawing any further
-    variates of the chunk from gen, and returns the chunk's count.
+    The batch reads its stream (rng_seed, stream) _CHUNK points at a time:
+    each chunk's (k, 3) standard normals fill the batch's one chunk buffer,
+    and `count(gen, c, rows)` moves them in place, drawing any further
+    variates of the chunk from gen and working in the (2, k) scratch block
+    rows, and returns the chunk's count.
     """
-    gen = _philox(rng_seed, stream)
-    buf = np.empty((min(m, _CHUNK), 3))
+    gen = _stream(rng_seed, stream)
+    size = min(m, _CHUNK)
+    buf, scratch = np.empty((size, 3)), np.empty((2, size))
     outside = 0
     for lo in range(0, m, _CHUNK):
-        outside += count(gen, gen.standard_normal(out=buf[:min(_CHUNK, m - lo)]))
+        k = min(_CHUNK, m - lo)
+        outside += count(gen, gen.standard_normal(out=buf[:k]), scratch[:, :k])
     return outside
 
 
@@ -101,7 +137,7 @@ def _mc_fractions(estimates, n_jobs: int) -> list:
     """Bernoulli means of the estimates (count, n_samples, rng_seed).
 
     An estimate's n_samples points are split into batches of _BATCH (the
-    last one partial), batch b drawn from the Philox stream (rng_seed, b)
+    last one partial), batch b drawn from the stream (rng_seed, b)
     by `_batch_count`.  The batches of all the estimates run on one pool of
     n_jobs threads (in turn for one job), and each estimate adds up its own
     batches' counts, so it is bit-for-bit reproducible for a given
@@ -136,18 +172,25 @@ def _mc_fractions(estimates, n_jobs: int) -> list:
     return out
 
 
-def _normalize_rows(c: np.ndarray) -> None:
-    """c /= |row|, summing the squares in np.linalg.norm's order."""
-    norm = c[:, 0] * c[:, 0]
-    norm += c[:, 1] * c[:, 1]
-    norm += c[:, 2] * c[:, 2]
-    c /= np.sqrt(norm, out=norm)[:, None]
+def _normalize_rows(c: np.ndarray, rows: np.ndarray) -> None:
+    """c /= |row|, summing the squares in np.linalg.norm's order in the
+    (2, k) scratch block rows."""
+    norm, square = rows
+    np.multiply(c[:, 0], c[:, 0], out=norm)
+    norm += np.multiply(c[:, 1], c[:, 1], out=square)
+    norm += np.multiply(c[:, 2], c[:, 2], out=square)
+    np.sqrt(norm, out=norm)
+    for col in c.T:
+        col /= norm
 
 
-def _outside(x: np.ndarray, c: np.ndarray) -> int:
-    """Count of the points c + x outside Omega; c is moved in place."""
-    c += x
-    return len(c) - int(np.count_nonzero(omega_indicator(c)))
+def _outside(x: np.ndarray, c: np.ndarray, rows: np.ndarray) -> int:
+    """Count of the points c + x outside Omega; c is moved in place and the
+    (2, k) scratch block rows overwritten."""
+    for col, shift in zip(c.T, x):
+        col += shift
+    g = _turns(c, rows)
+    return len(g) - np.count_nonzero(np.greater(g, 0.5, out=g))
 
 
 def _gaussian_count(x, t: float):
@@ -156,7 +199,7 @@ def _gaussian_count(x, t: float):
         raise InvalidArgument(f"t must be positive, got {t!r}")
     x = np.asarray(x, dtype=float)
     scale = math.sqrt(2.0 * t)
-    return lambda gen, c: _outside(x, np.multiply(c, scale, out=c))
+    return lambda gen, c, rows: _outside(x, np.multiply(c, scale, out=c), rows)
 
 
 def _cap_count(x, r: float):
@@ -165,10 +208,10 @@ def _cap_count(x, r: float):
         raise InvalidArgument(f"r must be positive, got {r!r}")
     x = np.asarray(x, dtype=float)
 
-    def count(gen, c):
-        _normalize_rows(c)
+    def count(gen, c, rows):
+        _normalize_rows(c, rows)
         c *= r
-        return _outside(x, c)
+        return _outside(x, c, rows)
 
     return count
 
@@ -180,10 +223,13 @@ def _ball_count(x, r: float):
         raise InvalidArgument(f"r must be positive, got {r!r}")
     x = np.asarray(x, dtype=float)
 
-    def count(gen, c):
-        _normalize_rows(c)
-        c *= (r * gen.random(len(c)) ** (1.0 / 3.0))[:, None]
-        return _outside(x, c)
+    def count(gen, c, rows):
+        _normalize_rows(c, rows)
+        radii = np.cbrt(gen.random(out=rows[0]), out=rows[0])
+        radii *= r
+        for col in c.T:
+            col *= radii
+        return _outside(x, c, rows)
 
     return count
 
@@ -262,12 +308,12 @@ def symmetry_identities_check(n_samples: int, rng_seed: int) -> dict:
     sides (off the surface); (c) on the surface, g(x) = k_{-2 x3}(x)
     pointwise.  Violations are counted, with a witness point kept for
     debugging; the group law k_a k_b = k_{a+b} is checked alongside.
-    The points come from Philox key rng_seed + 2^64, which no Monte-Carlo
-    batch keyed by a seed below 2^64 shares.  n_samples must be a
-    positive integer.
+    The points come from the stream (rng_seed + 2^64, 0), which no
+    Monte-Carlo batch keyed by a seed below 2^64 shares.  n_samples must
+    be a positive integer.
     """
     n_samples = positive_count("symmetry_samples", n_samples)
-    gen = _philox(rng_seed + 2 ** 64)
+    gen = _stream(rng_seed + 2 ** 64)
     pts = gen.uniform(-5.0, 5.0, size=(n_samples, 3))
     alphas = gen.uniform(-10.0, 10.0, size=n_samples)
 

@@ -324,7 +324,7 @@ def plane_halfspace_mc(x1: float, t: float, n_samples: int = 10 ** 6,
         raise InvalidArgument(f"t must be positive, got {t!r}")
     scale = math.sqrt(2.0 * t)
 
-    def count(gen, c):
+    def count(gen, c, rows):
         # the first coordinate of each point's 3d normal: the helicoid's
         # Gaussian with Omega replaced by the half-space
         v = c[:, 0]

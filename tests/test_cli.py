@@ -365,6 +365,7 @@ def test_tolerance_scale_flag_is_gone(tmp_path):
     ("wkb", {"surface": {"variant": "catenoid", "R": 1.0}}, []),
     ("kernel1d", {"medium": {"sigma_s": True}}, []),
     ("maxprinciple", [1, 2], ["--seed", "3"]),
+    ("wkb", {"q": 1.5}, []),
 ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
 def test_a_value_of_the_wrong_kind_is_a_config_error(tmp_path, capsys,
                                                      command, config, argv):
@@ -377,6 +378,12 @@ def test_a_value_of_the_wrong_kind_is_a_config_error(tmp_path, capsys,
                  *argv]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()
+
+
+def test_a_radial_wkb_surface_takes_q_at_its_default(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 0.0}))
+    assert main(["wkb", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
 def test_an_output_path_that_is_a_file_is_a_config_error(tmp_path, capsys):

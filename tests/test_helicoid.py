@@ -36,6 +36,25 @@ def test_screw_group_law(a, b):
     assert np.linalg.norm(once - direct) < 1e-13 * (1 + np.linalg.norm(x))
 
 
+def test_angle_side_test_agrees_with_the_defining_function():
+    # 1.25 10^6 seeded points with |x3| up to 60, a fifth of them within
+    # 10^-12..10^-1 of the axis; only points where the defining function
+    # itself is round-off are skipped
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for near_axis in (False, False, False, False, True):
+        P = rng.uniform(-60.0, 60.0, (250_000, 3))
+        rho = (10.0 ** rng.uniform(-12.0, -1.0, len(P)) if near_axis
+               else rng.uniform(0.0, 5.0, len(P)))
+        theta = rng.uniform(-math.pi, math.pi, len(P))
+        P[:, 0], P[:, 1] = rho * np.cos(theta), rho * np.sin(theta)
+        d = hl._defining(P)
+        clear = np.abs(d) >= 1e-12 * (1.0 + np.linalg.norm(P, axis=1))
+        assert np.array_equal(hl.omega_indicator(P)[clear], d[clear] > 0.0)
+        checked += int(np.count_nonzero(clear))
+    assert checked >= 10 ** 6
+
+
 def test_flip_is_involution_and_screw_identity():
     x = np.array([1.0, 2.0, -3.0])
     assert np.allclose(hl.flip(hl.flip(x)), x)
@@ -132,19 +151,33 @@ def test_bitwise_reproducibility():
 
 
 def test_distinct_seeds_give_distinct_streams():
-    a = hl._philox(6).standard_normal(8)
-    b = hl._philox(7).standard_normal(8)
-    assert not np.allclose(a, b)  # independent Philox keys
+    a = hl._stream(6).standard_normal(8)
+    b = hl._stream(7).standard_normal(8)
+    assert not np.allclose(a, b)
+
+
+@pytest.mark.parametrize("key, other", [((5, 1), (5 + 2 ** 32, 0)),
+                                        ((5, 0), (5, 1))])
+def test_keys_that_share_seed_words_get_distinct_streams(key, other):
+    # a flat SeedSequence((seed, stream)) maps both keys of the first pair
+    # to the same words, hence to the same stream (and the symmetry key
+    # S + 2^64 to batch 1 of S for S >= 2^32, which the next test covers)
+    assert (hl._stream(*key).random(4).tolist()
+            != hl._stream(*other).random(4).tolist())
 
 
 def test_symmetry_check_has_its_own_stream(monkeypatch):
-    philox, keys = hl._philox, []
-    monkeypatch.setattr(hl, "_philox",
-                        lambda *key: keys.append(key) or philox(*key))
-    hl.symmetry_identities_check(10, rng_seed=5)
-    hl.u_gaussian_mc(np.zeros(3), 1.0, 10, rng_seed=5)
-    sym_key, mc_key = keys  # the MC run has one batch
-    assert philox(*sym_key).random() != philox(*mc_key).random()
+    stream, keys = hl._stream, []
+    monkeypatch.setattr(hl, "_stream",
+                        lambda *key: keys.append(key) or stream(*key))
+    for seed in (5, 2 ** 40 + 5):
+        keys.clear()
+        hl.symmetry_identities_check(10, rng_seed=seed)
+        hl.u_gaussian_mc(np.zeros(3), 1.0, hl._BATCH + 10, rng_seed=seed)
+        sym_key, *mc_keys = keys  # the MC run has two batches
+        assert len(mc_keys) == 2
+        assert all(stream(*sym_key).random() != stream(*key).random()
+                   for key in mc_keys)
 
 
 def test_invalid_arguments():
@@ -187,7 +220,7 @@ def _reference(indicator, sampler, n_samples, rng_seed):
     hits = 0
     for stream, start in enumerate(range(0, n_samples, hl._BATCH)):
         m = min(hl._BATCH, n_samples - start)
-        hits += int(np.count_nonzero(indicator(sampler(hl._philox(rng_seed, stream), m))))
+        hits += int(np.count_nonzero(indicator(sampler(hl._stream(rng_seed, stream), m))))
     p = hits / n_samples
     sd = math.sqrt(n_samples / (n_samples - 1) * p * (1.0 - p))
     return hl.McEstimate(mean=p, stderr=sd / math.sqrt(n_samples),
@@ -262,8 +295,8 @@ def test_batch_buffers_survive_more_workers_than_cores(monkeypatch):
 
 
 def test_draws_take_chunk_memory_not_batch_memory():
-    # two workers, each holding one chunk and its temporaries (1.5 MiB
-    # traced); two (2^18, 3) batch buffers alone would be 12 MiB
+    # two workers, each holding one chunk and its (2, 2^14) scratch block
+    # (1.25 MiB); two (2^18, 3) batch buffers alone would be 12 MiB
     tracemalloc.start()
     try:
         hl.ball_density(X_REF, 1.3, 10 ** 6, rng_seed=36, n_jobs=2)
@@ -273,6 +306,22 @@ def test_draws_take_chunk_memory_not_batch_memory():
     assert peak < 3 * 2 ** 20
 
 
+@pytest.mark.parametrize("estimate", [hl.u_gaussian_mc, hl.sphere_cap_density,
+                                      hl.ball_density])
+def test_a_batch_allocates_no_temporary_per_chunk(estimate):
+    # one full batch on one thread: its (2^14, 3) chunk buffer and (2, 2^14)
+    # scratch block, 640 KiB, plus the generator; one 2^14-point
+    # temporary would add 128 KiB
+    estimate(X_REF, 1.3, 1000, rng_seed=37)  # first-call set-up
+    tracemalloc.start()
+    try:
+        estimate(X_REF, 1.3, hl._BATCH, rng_seed=37)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 640 * 2 ** 10 + 64 * 2 ** 10
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_row_normalizer_is_bitwise_linalg_norm(seed):
     # a count comparison would not see a changed summation order; the bits do
@@ -280,7 +329,7 @@ def test_row_normalizer_is_bitwise_linalg_norm(seed):
     z = rng.standard_normal((hl._CHUNK + 3, 3))
     z *= 10.0 ** rng.uniform(-3.0, 3.0, len(z))[:, None]
     expected = z / np.linalg.norm(z, axis=1)[:, None]
-    hl._normalize_rows(z)
+    hl._normalize_rows(z, np.empty((2, len(z))))
     assert z.tobytes() == expected.tobytes()
 
 

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module, the
 package's count of defaulted parameters does not creep back up, the
-package holds no code that only the tests run, and starting the CLI loads
-no scipy module it does not need.
+package holds no code that only the tests run, starting the CLI loads
+no scipy module it does not need, and importing the package defaults the
+BLAS thread counts to one without overriding the caller's.
 
 `twophase/__init__.py` is skipped by the import check: its imports are the
 package's re-exports.
@@ -182,3 +183,21 @@ def test_cli_start_loads_no_interpolate_or_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, expected", [
+    ({}, ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2"}, ["3", "2", "1"]),
+])
+def test_import_defaults_blas_threads_to_one(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    code = ("import os, twophase; print(' '.join(os.environ[v] for v in "
+            f"{BLAS_THREADS!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env={**env, **preset},
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == expected

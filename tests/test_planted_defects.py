@@ -5,7 +5,7 @@ here plants one fault in the package, rebuilds what the fault reaches and
 asserts that the criterion named for it reports FAIL, for the reason it is
 named for.
 
-Covered so far, `wkb-identities`, through `wkb.chebint`, the ray integral
+Covered so far: `wkb-identities`, through `wkb.chebint`, the ray integral
 of every coefficient table:
 
   * (a) the ray integral's constant taken at the box's lower end
@@ -14,6 +14,18 @@ of every coefficient table:
     the identity residuals cannot see it; the surface row reads 0.100;
   * (b) every ray integral scaled by 1 + 1e-3: the surface row stays at
     round-off, and the identity residuals read 8.9e-4.
+
+and `helicoid-half-value`, through the helicoid's side test and screw
+motions:
+
+  * (c) the side test's turn left unreduced, its floor step dropped: a
+    point then counts as in Omega wherever (x3 - theta) / (2 pi) > 1/2,
+    so all nine estimates miss 1/2, by 550 to 4000 standard errors at
+    the gate's seed;
+  * (d) `screw_many` rotating by -alpha while it still translates by
+    alpha: that map does not preserve Omega, so the symmetry identities
+    count violations, while the nine estimates, which never screw a
+    point, still pass.
 
 Not yet covered, each for want of a planted defect that it alone must
 catch:
@@ -27,9 +39,9 @@ catch:
     form; an independent collar solve would be the check of it;
   * grid-solver-convergence: a face conductivity changed from the
     harmonic to the arithmetic mean passes it;
-  * helicoid-half-value: its estimates sit at the origin, where every
-    region whose horizontal slices are half-planes through the axis gives
-    exactly 1/2;
+  * helicoid-half-value, beyond (c) and (d): its estimates sit at the
+    origin, where every region whose horizontal slices are half-planes
+    through the axis gives exactly 1/2;
   * maximum-principle, rigidity-probe: no fault planted yet.
 """
 
@@ -37,9 +49,11 @@ import re
 
 import pytest
 
-from twophase import acceptance, wkb
+from twophase import acceptance, helicoid, wkb
 
 chebint = wkb.chebint
+turns = helicoid._turns
+screw_many = helicoid.screw_many
 
 
 @pytest.fixture
@@ -78,3 +92,37 @@ def test_scaled_ray_integral_fails_identities(fresh_engines):
     row, residual = _row_and_residual(record)
     assert not record.passed
     assert row <= 1e-12 and residual > 1e-4
+
+
+def _half_value_records(record):
+    """The nine estimate records and the symmetry record."""
+    *estimates, symmetry = record.details["records"]
+    assert len(estimates) == 9 and symmetry["test"] == "symmetry_identities"
+    return estimates, symmetry
+
+
+def test_unreduced_turn_fails_half_value(monkeypatch):
+    def unreduced(P, rows):
+        g = turns(P, rows)
+        g += rows[1]  # add back the whole turns the floor step took off
+        return g
+
+    monkeypatch.setattr(helicoid, "_turns", unreduced)
+    record = acceptance.criterion_helicoid_half(jobs=1)
+    estimates, _ = _half_value_records(record)
+    assert not record.passed
+    assert all(abs(r["estimate"] - 0.5) > 10.0 * r["stderr"]
+               for r in estimates)
+
+
+def test_screw_rotating_backwards_fails_symmetry(monkeypatch):
+    def backwards(X, alphas):
+        Y = screw_many(X, -alphas)
+        Y[:, 2] += 2.0 * alphas  # the translation stays +alpha
+        return Y
+
+    monkeypatch.setattr(helicoid, "screw_many", backwards)
+    record = acceptance.criterion_helicoid_half(jobs=1)
+    estimates, symmetry = _half_value_records(record)
+    assert not record.passed
+    assert all(r["pass"] for r in estimates) and not symmetry["pass"]

@@ -19,7 +19,9 @@ Three layers:
     sigma_m, the imbalance that forces H_p = 0 for distinct conductivities,
   * a Cartesian finite-volume discretization of the full transmission
     problem on 2d grids with harmonic-mean face conductivities; the grid's
-    width picks banded Cholesky (up to BANDED_MAX_NX cells) or conjugate
+    width picks banded Cholesky (up to BANDED_MAX_NX cells, factored in
+    place in one Fortran-ordered band buffer per thread, with the residual
+    from a five-point apply of the stencil) or conjugate
     gradients preconditioned with a cell-centred multigrid V-cycle (2x2
     agglomeration, Galerkin coarse operators, damped-Jacobi smoothing;
     Alcouffe, Brandt, Dendy & Painter 1981 treat the discontinuous
@@ -35,12 +37,12 @@ solve owns its grid exclusively.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbsv
 from scipy.sparse.linalg import LinearOperator, cg, splu, spsolve
 from scipy.special import ive, kve
@@ -479,6 +481,53 @@ def _vcycle(A: sparse.csr_matrix, shape: tuple) -> LinearOperator:
 BANDED_MAX_NX = 64
 
 
+class _BandSlot(threading.local):
+    """The calling thread's band buffer for the banded path, as `ab`: one
+    Fortran-ordered (nx + 1, ny nx) array, replaced when the grid's shape
+    changes; each thread sees only its own."""
+
+    ab = None
+
+
+_band = _BandSlot()
+
+
+def _band_form(main, cx, cy) -> np.ndarray:
+    """The stencil in LAPACK upper band form, bandwidth nx, written into the
+    calling thread's band buffer: row nx holds the main diagonal, nx - 1
+    the x- and 0 the y-couplings, rows 1 to nx - 2 zeros.
+
+    The buffer is Fortran-ordered so that `dpbsv(..., overwrite_ab=1)`
+    factors it in place; f2py copies a C-ordered array whatever the flag.
+    One buffer (264 KiB at 32 x 32) serves every solve of a thread, so a
+    run of solves maps, faults in and unmaps no block per solve.  The
+    factor of the previous solve fills it, so every row is written again:
+    the fill-in rows are zeroed and so are the x-couplings across row ends.
+    """
+    ny, nx = main.shape
+    ab = _band.ab
+    if ab is None or ab.shape != (nx + 1, main.size):
+        ab = _band.ab = np.zeros((nx + 1, main.size), order="F")
+    ab[1:nx - 1] = 0.0
+    xrow = ab[nx - 1].reshape(ny, nx)
+    xrow[:, 0] = 0.0
+    xrow[:, 1:] = -cx
+    ab[0].reshape(ny, nx)[1:, :] = -cy
+    ab[nx] = main.ravel()
+    return ab
+
+
+def _apply_stencil(main, cx, cy, w) -> np.ndarray:
+    """A w for the stencil (main, cx, cy) of `_stencil`, w on the (ny, nx)
+    cell layout: the five-point matvec, with no matrix formed."""
+    Aw = main * w
+    Aw[:, :-1] -= cx * w[:, 1:]
+    Aw[:, 1:] -= cx * w[:, :-1]
+    Aw[:-1, :] -= cy * w[1:, :]
+    Aw[1:, :] -= cy * w[:-1, :]
+    return Aw
+
+
 def grid_modified_helmholtz(field: GridField, lam: float, source,
                             boundary: dict) -> GridField:
     """Solve -div(sigma grad w) + lambda w = source with Dirichlet data.
@@ -487,7 +536,8 @@ def grid_modified_helmholtz(field: GridField, lam: float, source,
     discrete interface; faces absent from `boundary` carry zero flux.  The
     operator is symmetric positive definite with band width nx, the
     field's width, and nx picks the solver.  Up to BANDED_MAX_NX cells, a
-    banded Cholesky factorization of the stencil's band form.  Wider,
+    banded Cholesky factorization of the stencil's band form, in place in
+    the calling thread's band buffer (`_band_form`).  Wider,
     conjugate gradients to relative residual 1e-10 within 40000
     iterations, preconditioned by one multigrid V-cycle per iteration
     (`_vcycle`): the iteration count then stays near 20 as h shrinks, where
@@ -506,19 +556,13 @@ def grid_modified_helmholtz(field: GridField, lam: float, source,
     ny, nx = field.sigma.shape
     iterations, info = 0, 0
     if nx <= BANDED_MAX_NX:
-        # LAPACK upper band form, bandwidth nx: row nx holds the main
-        # diagonal, nx - 1 the x- and 0 the y-couplings
         main, cx, cy, rhs = _stencil(field, lam, boundary)
-        ab = np.zeros((nx + 1, main.size))
-        ab[nx] = main.ravel()
-        ab[nx - 1].reshape(ny, nx)[:, 1:] = -cx
-        ab[0].reshape(ny, nx)[1:, :] = -cy
         b = rhs.ravel() + source
-        _, sol, info = dpbsv(ab, b)
+        _, sol, info = dpbsv(_band_form(main, cx, cy), b, overwrite_ab=1)
         if info != 0:
             raise InvalidArgument(f"the operator is not positive definite "
                                   f"(dpbsv info={info})")
-        Aw = dsbmv(nx, 1.0, ab, sol)
+        Aw = _apply_stencil(main, cx, cy, sol.reshape(ny, nx)).ravel()
     else:
         A, rhs = assemble_operator(field, lam, boundary)
         b = rhs + source

@@ -24,6 +24,9 @@ The stepper keeps O(cells + steps x probes) memory: it advances one field
 in place and records, at every step, only the cells that bracket the probe
 points named up front plus the two cells of the interface, never the whole
 (steps x cells) history.  A probe must therefore be named before the run.
+It steps the field plus the constant STEP_OFFSET = 2^-900, which the
+conservative step carries unchanged, so that no cell's value decays into
+the subnormal range, where arithmetic takes the processor's slow path.
 """
 
 from __future__ import annotations
@@ -225,6 +228,20 @@ def geometric_times(t_start: float, t_end: float, ratio: float = 1.08,
     return ts
 
 
+# the constant `evolve` adds to the field it steps.  Indicator data decay
+# through the subnormal range (below 2^-1022) on the side that starts at 0,
+# and every solve and elementwise operation on such a cell takes the
+# processor's slow path; a field offset by a constant c never comes near
+# it.  Every value above about 2^-848 absorbs 2^-900 bit for bit, so the
+# recorded u - c is the unshifted step's u wherever it is not itself that
+# small.  An O(1) offset would also remove the subnormals, but it puts an
+# O(1) value into the nearly singular constant mode of vol/dt + theta L:
+# on the plane at h_fine = 1e-4, the interface value's largest error over
+# t in [0.01, 1] against the same scheme in long double grows from 1.9e-9
+# to 4.3e-9
+STEP_OFFSET = 2.0 ** -900
+
+
 def evolve(grid: Grid1D, times, probes, u0: Optional[np.ndarray] = None
            ) -> TimeSeries:
     """Advance the diffusion equation over the given time grid, recording u
@@ -237,6 +254,12 @@ def evolve(grid: Grid1D, times, probes, u0: Optional[np.ndarray] = None
     the indicator data of the grid's interface.  Discrete conservation holds
     up to boundary flux (zero-flux far walls); values stay in [0, 1] for
     indicator data.
+
+    The loop steps u + STEP_OFFSET: the far walls carry zero flux and L 1 =
+    0, so the step maps the constant to itself, and it keeps the cold
+    side's tail out of the subnormal range.  U[0] is u0 itself and U[k] is
+    the stepped field less the offset, which is the unshifted step's value
+    bit for bit wherever that value is above about 2^-848.
 
     Each step runs in place on preallocated vectors, so memory is
     O(cells + steps x probes): a probe must be named here to be read off
@@ -258,6 +281,7 @@ def evolve(grid: Grid1D, times, probes, u0: Optional[np.ndarray] = None
     U = np.empty((len(times), len(cells)))
     u = np.array(u0, dtype=float)
     U[0] = u[cells]
+    u += STEP_OFFSET
     # the step's vectors, overwritten every step: dptsv factorizes diag and
     # off in place and leaves the solution in rhs, which then swaps with u
     vol_dt, diag, rhs = (np.empty_like(vol) for _ in range(3))
@@ -282,7 +306,7 @@ def evolve(grid: Grid1D, times, probes, u0: Optional[np.ndarray] = None
             raise InvalidArgument(f"step {step}: the step matrix is not "
                                   f"positive definite (dptsv info={info})")
         u, rhs = u_next, u
-        U[step] = u[cells]
+        np.subtract(u[cells], STEP_OFFSET, out=U[step])
     return TimeSeries(times=times, U=U, cells=cells, grid=grid)
 
 

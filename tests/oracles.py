@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import chebder
 from scipy import sparse
+from scipy.linalg.lapack import dptsv
 from scipy.special import erfc, kve
 
 from twophase.elliptic import (GridField, TransmissionSolution,
@@ -27,6 +28,7 @@ from twophase.geometry import (Catenoid, Helicoid, Surface,
 from twophase.helicoid import McEstimate, _mc_fractions
 from twophase.kernel1d import halfline_closed_form
 from twophase.medium import TwoPhaseMedium
+from twophase.parabolic import Grid1D, indicator_data
 from twophase.wkb import (CoefficientEngine, RadialCorrector, _s_sum,
                           _s_terms, coefficient_engine)
 
@@ -382,6 +384,38 @@ def fit_decay_envelope(points, t_grid, medium: TwoPhaseMedium) -> DecayEstimate:
     resid = logs - (alpha - b * inv_t)
     alpha += max(0.0, float(resid.max())) + 1e-12  # restore the envelope property
     return DecayEstimate(B=math.exp(alpha), b=float(b))
+
+
+# ---------------------------------------------------------------------------
+# parabolic: the time stepper without its field offset
+# ---------------------------------------------------------------------------
+
+def unshifted_evolve(grid: Grid1D, times, cells) -> np.ndarray:
+    """`parabolic.evolve`'s recorded U from indicator data, stepping u
+    itself rather than u + `STEP_OFFSET`, so the cold side's tail decays
+    through the subnormal range: the reference for the claim that the
+    offset moves no recorded value but the smallest.  `cells` are the
+    recorded cells, as in `TimeSeries.cells`."""
+    vol, cond = grid.volumes, grid.conductances()
+    summed = np.zeros_like(vol)
+    summed[:-1] += cond
+    summed[1:] += cond
+    u = indicator_data(grid)
+    U = np.empty((len(times), len(cells)))
+    U[0] = u[cells]
+    for step in range(1, len(times)):
+        dt = times[step] - times[step - 1]
+        theta = 1.0 if step <= 10 else 0.5
+        vol_dt = vol / dt
+        rhs = vol_dt * u
+        if theta < 1.0:
+            flux = (u[1:] - u[:-1]) * cond * (1.0 - theta)
+            rhs[:-1] += flux
+            rhs[1:] -= flux
+        *_, u, info = dptsv(summed * theta + vol_dt, cond * -theta, rhs)
+        assert info == 0
+        U[step] = u[cells]
+    return U
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import gc
 import itertools
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -353,6 +355,11 @@ def test_assembly_matches_the_coo_reference_byte_for_byte(shape):
                 assert got.tobytes() == want.tobytes(), (faces, name)
             assert rhs.dtype == ref_rhs.dtype
             assert rhs.tobytes() == ref_rhs.tobytes()
+            # the banded path's residual applies the stencil with no matrix
+            main, cx, cy, _ = ell._stencil(field, 1.5, boundary)
+            w = rng.uniform(-1.0, 1.0, shape)
+            Aw = ell._apply_stencil(main, cx, cy, w).ravel()
+            assert rel_err(Aw, A @ w.ravel()) <= 1e-13, faces
 
 
 def _cg_problem(n, seed):
@@ -413,6 +420,81 @@ def test_grid_width_picks_the_solver():
         assert (sol.iterations == 0) == banded
         assert sol.residual <= 1e-10
         assert rel_err(sol.values, superlu(field, 1.0, source, boundary)) <= 1e-8
+
+
+def _banded_problem(shape, seed):
+    """A random-sigma grid for the banded path, its source and four
+    Dirichlet faces."""
+    ny, nx = shape
+    assert nx <= ell.BANDED_MAX_NX
+    rng = np.random.default_rng(seed)
+    field = ell.GridField(lo=(0.0, 0.0), h=1.0 / nx,
+                          sigma=rng.uniform(0.5, 4.0, shape))
+    boundary = {name: rng.uniform(0.0, 1.0, nx if name[0] == "y" else ny)
+                for name in FACES}
+    return field, rng.uniform(0.0, 1.0, ny * nx), boundary
+
+
+def _banded_solve(problem, fresh=False):
+    """The solution's bytes and the residual of one banded solve, in a new
+    band buffer if `fresh`."""
+    if fresh:
+        ell._band.ab = None
+    sol = ell.grid_modified_helmholtz(problem[0], 2.0, *problem[1:])
+    assert sol.iterations == 0
+    return sol.values.tobytes(), sol.residual
+
+
+def test_banded_solves_do_not_see_the_last_factor():
+    # the band buffer holds the previous solve's factor, fill-in included
+    a, b = _banded_problem((32, 32), 1), _banded_problem((32, 32), 2)
+    first = _banded_solve(a)
+    _banded_solve(b)
+    assert _banded_solve(a) == first
+
+
+def test_banded_solves_across_shapes_match_fresh_buffers():
+    problems = [_banded_problem(shape, seed) for seed, shape in
+                enumerate([(32, 32), (8, 40), (32, 32), (1, 9), (9, 1)])]
+    reused = [_banded_solve(p) for p in problems]
+    assert reused == [_banded_solve(p, fresh=True) for p in problems]
+
+
+def test_a_banded_solve_allocates_no_band_matrix():
+    # the (33, 1024) band matrix takes 264 KiB; a fresh one per solve, its
+    # factor copy and a copy for the residual's dsbmv peaked at 850 KiB.  One
+    # band buffer per thread, factored in place, leaves 82 KiB of stencil
+    # and vectors
+    problem = _banded_problem((32, 32), 3)
+    _banded_solve(problem)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _banded_solve(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 33 * 1024 * 8
+
+
+def test_max_principle_checks_on_threads_match_serial_ones():
+    # each thread fills and factors its own band buffer; a shared one hands
+    # a trial another thread's band or factor, and dpbsv then fails
+    def check(seed):
+        return ell.discrete_max_principle_check(lam=10.0, trials=40,
+                                                rng_seed=seed, n=32,
+                                                sigma_range=(0.5, 4.0))
+
+    seeds = (11, 12, 13, 14)
+    serial = [check(seed) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+            threaded = list(pool.map(check, seeds, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def test_disk_convergence_order():

@@ -12,7 +12,7 @@ from twophase.errors import (InsufficientHorizon, InvalidArgument,
                              UnsupportedGeometry)
 from twophase.medium import TwoPhaseMedium
 
-from oracles import fit_decay_envelope
+from oracles import fit_decay_envelope, unshifted_evolve
 
 MED = TwoPhaseMedium(1.0, 4.0)
 K = MED.k
@@ -236,6 +236,41 @@ def test_evolve_steps_match_a_general_band_solve():
     for step, theta in ((1, 1.0), (11, 0.5)):
         ref = _banded_step(grid, U[step - 1], t[step] - t[step - 1], theta)
         assert np.max(np.abs(U[step] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _offset_gap(surface, probes):
+    """The recorded U of `evolve` from t = 1e-7 to 1 and of the unshifted
+    reference stepper, with the mask of reference values >= 2^-800."""
+    grid = par.interface_grid(surface, MED, far=8.0)
+    times = par.geometric_times(1e-7, 1.0)
+    series = par.evolve(grid, times, probes)
+    ref = unshifted_evolve(grid, times, series.cells)
+    return series.U, ref, np.abs(ref) >= 2.0 ** -800
+
+
+FAR_PROBES = [(PLANE, (-3.0, 0.6, 1.5, 3.0)),
+              (SPHERE, (0.2, 0.5, 1.5, 3.0)),
+              (geo.Cylinder(R=2.0, N=3), (0.5, 1.2, 3.5, 5.0))]
+
+
+@pytest.mark.parametrize("surface, probes", FAR_PROBES,
+                         ids=["plane", "sphere", "cylinder"])
+def test_the_offset_moves_no_value_above_two_to_the_minus_800(surface,
+                                                              probes):
+    # the far probes on the cold side record values that pass through the
+    # subnormal range; every value >= 2^-800 absorbs the offset 2^-900
+    U, ref, big = _offset_gap(surface, probes)
+    assert big.any() and (~big).any()
+    assert np.array_equal(U[big], ref[big])
+    assert np.max(np.abs(U - ref)[~big]) <= 2.0 ** -800
+
+
+def test_an_offset_of_one_moves_recorded_values(monkeypatch):
+    # an O(1) offset enters the step matrix's nearly singular constant mode
+    # (3.9e-12 at the interface here): the comparison above must see it
+    monkeypatch.setattr(par, "STEP_OFFSET", 1.0)
+    U, ref, big = _offset_gap(*FAR_PROBES[0])
+    assert np.max(np.abs(U - ref)[big]) > 1e-13
 
 
 def test_evolve_rejects_a_step_matrix_that_is_not_positive_definite():

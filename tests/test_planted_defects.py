@@ -27,6 +27,19 @@ motions:
     count violations, while the nine estimates, which never screw a
     point, still pass.
 
+and the two criteria of the solver loops, `maximum-principle` through the
+grid stencil and `rigidity-probe` through the 1D stepper's faces:
+
+  * (e) `elliptic._stencil`'s x- and y-couplings with the wrong sign: the
+    operator stays symmetric positive definite but is no M-matrix, so the
+    banded solves go negative, to -0.478 at the gate's config, while the
+    lambda = 0 annulus counterexample, which does not use the stencil,
+    still holds;
+  * (f) `Grid1D.conductances` with the arithmetic face mean of sigma in
+    place of the harmonic one: the conormal flux is then not continuous
+    across the interface face, and the plane's interface value moves
+    1.13e-4 from k, against the 1e-6 bound.
+
 Not yet covered, each for want of a planted defect that it alone must
 catch:
 
@@ -41,8 +54,7 @@ catch:
     harmonic to the arithmetic mean passes it;
   * helicoid-half-value, beyond (c) and (d): its estimates sit at the
     origin, where every region whose horizontal slices are half-planes
-    through the axis gives exactly 1/2;
-  * maximum-principle, rigidity-probe: no fault planted yet.
+    through the axis gives exactly 1/2.
 """
 
 import re
@@ -50,10 +62,13 @@ import re
 import pytest
 
 from twophase import acceptance, helicoid, wkb
+from twophase import elliptic as ell
+from twophase import parabolic as par
 
 chebint = wkb.chebint
 turns = helicoid._turns
 screw_many = helicoid.screw_many
+stencil = ell._stencil
 
 
 @pytest.fixture
@@ -126,3 +141,30 @@ def test_screw_rotating_backwards_fails_symmetry(monkeypatch):
     estimates, symmetry = _half_value_records(record)
     assert not record.passed
     assert all(r["pass"] for r in estimates) and not symmetry["pass"]
+
+
+def test_couplings_of_the_wrong_sign_fail_the_maximum_principle(monkeypatch):
+    def flipped(field, lam, boundary):
+        main, cx, cy, rhs = stencil(field, lam, boundary)
+        return main, -cx, -cy, rhs
+
+    monkeypatch.setattr(ell, "_stencil", flipped)
+    record = acceptance.criterion_max_principle(jobs=1)
+    assert not record.passed
+    assert (record.details["positivity"]["min_value"]
+            < -acceptance.MAX_PRINCIPLE_TOL)
+    assert record.details["counterexample"]["min_interior"] < -0.4
+
+
+def test_arithmetic_face_mean_fails_the_rigidity_probe(monkeypatch):
+    def arithmetic(grid):
+        w, s = grid.widths, grid.sigma
+        return (grid.face_areas[1:-1] * 0.5 * (s[:-1] + s[1:])
+                / (0.5 * (w[:-1] + w[1:])))
+
+    monkeypatch.setattr(par.Grid1D, "conductances", arithmetic)
+    record = acceptance.criterion_rigidity_probe(jobs=1)
+    plane, sphere = map(float, re.findall(r"(?:plane|sphere) (\S+?)[;\s]",
+                                          record.measured))
+    assert not record.passed
+    assert plane > 1e-6 and sphere > 1e-2  # the plane breaks its bound

@@ -1,28 +1,35 @@
-"""Desk-scale acceptance suite: one check per headline property.
+"""Desk-scale acceptance suite: one criterion per headline property.
 
 Each criterion takes the worker count `jobs` (only `helicoid-half-value`
-uses it, for its Monte-Carlo batches; the others ignore it) and returns a
-record with the measured quantity, the target, the tolerance it was held
-to, and a pass flag.  `run_all` runs the selected criteria on a pool of
-`jobs` threads, so that the Monte Carlo, which spends its time outside the
-interpreter lock, overlaps the criteria that hold it, and it prints and
-returns the records in `CRITERIA` order; one job runs them one after the
-other.  Each record's `runtime` is that criterion's own wall time, which
-under overlap includes waiting for the lock.  `run_all` is used both by
-the command line (`twophase all`) and by the test suite.  Tolerances are
-pinned here, and no record depends on `jobs`.
+uses it, for its Monte-Carlo batches; the others ignore it) and returns
+(checks, details): one `Check(label, value, bound, sense)` per comparison
+it makes, and a JSON-ready dict of what else it computed.  A criterion
+passes when all its checks pass.  `CriterionRecord` derives that and the
+printed line (each check as `label value sense bound`, with `!` before
+the sense of a failed one), and `cli.run_acceptance` the `acceptance.json`
+entry, from the checks alone, so the bound that is shown is the bound
+that was compared.
+`run_all` runs the selected criteria on a pool of `jobs` threads, so that
+the Monte Carlo, which spends its time outside the interpreter lock,
+overlaps the criteria that hold it, and it prints and returns the records
+in `CRITERIA` order; one job runs them one after the other.  Each record's
+`runtime` is that criterion's own wall time, which under overlap includes
+waiting for the lock; it is printed, never written.  `run_all` is used
+both by the command line (`twophase all`) and by the test suite.  Bounds
+are pinned here, and no check or detail depends on `jobs`.
 
 The settings that a criterion shares with a subcommand's default config
 are pinned here too, once each, as the read-only mappings MEDIUM,
 MAX_PRINCIPLE, HALF_VALUE and CURVATURE_SWEEP: `twophase maxprinciple`,
-`helicoid` and `extract-curvature` with no config run what the gate checks.
+`helicoid` and `extract-curvature` with no config run what the gate checks,
+and `maxprinciple` and `helicoid` exit on the gate's own checks.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -33,24 +40,27 @@ from . import helicoid as hel
 from . import kernel1d as k1
 from . import parabolic as par
 from . import quadrature, wkb
+from .errors import Check
 from .medium import TwoPhaseMedium
 
 
 @dataclass
 class CriterionRecord:
     name: str
-    passed: bool
-    expected: str
-    measured: str
-    tolerance: str
+    checks: list
+    details: dict
     runtime: float
-    details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     def line(self) -> str:
-        mark = "PASS" if self.passed else "FAIL"
-        return (f"{mark}  {self.name}: measured {self.measured}, "
-                f"expected {self.expected} (tol {self.tolerance}, "
-                f"{self.runtime:.1f}s)")
+        checks = "; ".join(
+            f"{c.label} {c.value:.3g} {'' if c.passed else '!'}{c.sense} "
+            f"{float(c.bound)!r}" for c in self.checks)
+        return (f"{'PASS' if self.passed else 'FAIL'}  {self.name}: "
+                f"{checks} ({self.runtime:.1f}s)")
 
 
 #: the conductivity pair of the gate and of every default config
@@ -80,25 +90,31 @@ def _medium14() -> TwoPhaseMedium:
     return TwoPhaseMedium(**MEDIUM)
 
 
+def _rel(value, target) -> float:
+    return abs(value - target) / abs(target)
+
+
+def positivity_check(report: dict) -> Check:
+    """`maximum-principle`'s check of `ell.discrete_max_principle_check`'s
+    report, which `twophase maxprinciple` exits on too."""
+    return Check("trial minimum", report["min_value"], -MAX_PRINCIPLE_TOL, ">=")
+
+
 # ---------------------------------------------------------------------------
 
-def criterion_interface_constant(jobs: int) -> CriterionRecord:
+def criterion_interface_constant(jobs: int) -> tuple:
     """1d exact: u(0, t) equals the interface constant for all t."""
-    tol = 1e-10
     t_values = np.geomspace(1e-3, 1e3, 13)
     media = [TwoPhaseMedium(*pair)
              for pair in [(1.0, 4.0), (4.0, 1.0), (1.0, 1.0), (2.0, 3.0)]]
-    worst = max(np.max(np.abs(k1.halfline_solution(0.0, t_values, med) - med.k))
-                for med in media)
-    return CriterionRecord(
-        name="interface-constant-1d", passed=worst < tol,
-        expected="0", measured=f"{worst:.3e}", tolerance=f"{tol:.1e}",
-        runtime=0.0, details={"pairs": 4, "n_times": len(t_values)})
+    worst = np.max([np.abs(k1.halfline_solution(0.0, t_values, med) - med.k)
+                    for med in media])
+    return ([Check("max |u(0, t) - k|", worst, 1e-10, "<")],
+            {"pairs": len(media), "n_times": len(t_values)})
 
 
-def criterion_kernel_mass(jobs: int) -> CriterionRecord:
+def criterion_kernel_mass(jobs: int) -> tuple:
     """Unit kernel mass and quadrature/closed-form agreement."""
-    tol = k1.TWO_WAY_TOL
     med = _medium14()
     rng = np.random.default_rng(2024)
     x1, t = np.array([(rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-2, 1))
@@ -110,16 +126,14 @@ def criterion_kernel_mass(jobs: int) -> CriterionRecord:
 
     mass = quadrature.integrate_adaptive(kernel, [-reach, 0.0 * reach],
                                          [0.0 * reach, reach], x1, t).sum(axis=0)
-    worst_mass = float(np.max(np.abs(mass - 1.0)))
     X, T = np.meshgrid(np.linspace(-2.0, 2.0, 10), np.geomspace(1e-2, 10.0, 10),
                        indexing="ij")
-    worst_pair = float(np.max(np.abs(k1.halfline_closed_form(X, T, med)
-                                     - k1.halfline_quadrature(X, T, med))))
-    worst = max(worst_mass, worst_pair)
-    return CriterionRecord(
-        name="kernel-mass-two-way", passed=worst < tol,
-        expected="0", measured=f"mass {worst_mass:.2e}, two-way {worst_pair:.2e}",
-        tolerance=f"{tol:.1e}", runtime=0.0)
+    pair = k1.halfline_closed_form(X, T, med) - k1.halfline_quadrature(X, T, med)
+    return ([Check("max |mass - 1|", np.max(np.abs(mass - 1.0)),
+                   k1.TWO_WAY_TOL, "<"),
+             Check("max |closed form - quadrature|", np.max(np.abs(pair)),
+                   k1.TWO_WAY_TOL, "<")],
+            {"mass_points": len(x1), "two_way_points": X.size})
 
 
 #: the surfaces of the criteria, built once at import so that criteria on
@@ -133,22 +147,18 @@ _CATALOG = MappingProxyType({
 })
 
 
-def criterion_wkb_identities(jobs: int) -> CriterionRecord:
+def criterion_wkb_identities(jobs: int) -> tuple:
     """Ray-table surface row (read, not written) and the derivative
-    identities for j <= 3."""
-    tol = 1e-4
-    row_tol = 1e-12
+    identities for j <= 3, at the step wkb.IDENTITY_STEP."""
     rng = np.random.default_rng(7)
-    worst = 0.0
-    a0_exact = True
-    row_max = 0.0
+    a0, rows, residuals = [], [], {}
     for name, surf in _CATALOG.items():
         eng = wkb.coefficient_engine(surf, -1)
         table = wkb.compute_coefficients(surf, 0.0, 3, side=-1,
                                          taus=np.linspace(0.0, eng.delta0, 17))
         surface_row = table.at_surface()
-        a0_exact = a0_exact and surface_row[0] == 1.0
-        row_max = max(row_max, float(np.max(np.abs(surface_row[1:]))))
+        a0.append(abs(surface_row[0] - 1.0))
+        rows.append(np.max(np.abs(surface_row[1:])))
         if surf.is_radial:
             samples = [(0.0, t) for t in (0.05, 0.15, 0.3)]
         else:
@@ -157,179 +167,124 @@ def criterion_wkb_identities(jobs: int) -> CriterionRecord:
         # tau * delta0 / 0.4 keeps the fraction of the collar
         pts = np.array([eng.ray_points(q, np.array([tau * eng.delta0 / 0.4]))[0]
                         for q, tau in samples])
-        for j in range(4):
-            worst = max(worst, float(np.max(wkb.gradient_identity_residual(
-                surf, j, pts, side=-1))))
-    return CriterionRecord(
-        name="wkb-identities",
-        passed=a0_exact and row_max <= row_tol and worst < tol,
-        expected="surface row A_0 == 1, higher rows 0; residuals 0",
-        measured=(f"A_0 == 1 {a0_exact}, higher rows {row_max:.2e}, "
-                  f"max residual {worst:.2e}"),
-        tolerance=f"rows {row_tol:.0e}; residuals {tol:.1e} at h=1e-3",
-        runtime=0.0)
+        residuals[name] = np.max([wkb.gradient_identity_residual(
+            surf, j, pts, side=-1) for j in range(4)])
+    return ([Check("surface |A_0 - 1|", np.max(a0), 0.0, "=="),
+             Check("surface max |A_j|, j >= 1", np.max(rows), 1e-12, "<="),
+             Check("max identity residual", np.max(list(residuals.values())),
+                   1e-4, "<")],
+            {"identity_residuals": residuals})
 
 
-def criterion_near_boundary_law(jobs: int) -> CriterionRecord:
+def criterion_near_boundary_law(jobs: int) -> tuple:
     """Lap A_0 -> -H_2 with the right distance exponent on minimal patches."""
-    coef_tol = 0.02
-    exp_tol = 0.1
-    worst_rel = 0.0
-    worst_exp = 0.0
-    for name in ("helicoid", "catenoid"):
-        surf = _CATALOG[name]
-        fit = wkb.near_boundary_law(surf, 0.0, 0, 2, side=-1)
-        worst_rel = max(worst_rel, abs(fit.measured_coefficient
-                                       - fit.predicted_coefficient)
-                        / abs(fit.predicted_coefficient))
-        worst_exp = max(worst_exp, abs(fit.fitted_exponent
-                                       - fit.expected_exponent))
-    passed = worst_rel < coef_tol and worst_exp < exp_tol
-    return CriterionRecord(
-        name="near-boundary-law", passed=passed,
-        expected="coefficient -H2, exponent p-2-s",
-        measured=f"rel err {worst_rel:.2e}, exponent err {worst_exp:.2e}",
-        tolerance=f"{coef_tol:.0%} / {exp_tol}", runtime=0.0)
+    fits = {name: wkb.near_boundary_law(_CATALOG[name], 0.0, 0, 2, side=-1)
+            for name in ("helicoid", "catenoid")}
+    return ([Check("coefficient rel err", np.max(
+                [_rel(f.measured_coefficient, f.predicted_coefficient)
+                 for f in fits.values()]), 0.02, "<"),
+             Check("exponent err", np.max(
+                 [abs(f.fitted_exponent - f.expected_exponent)
+                  for f in fits.values()]), 0.1, "<")],
+            {name: {"coefficient": [f.measured_coefficient,
+                                    f.predicted_coefficient],
+                    "exponent": [f.fitted_exponent, f.expected_exponent]}
+             for name, f in fits.items()})
 
 
-def criterion_mean_curvature(jobs: int) -> CriterionRecord:
+def criterion_mean_curvature(jobs: int) -> tuple:
     """Summed-curvature extraction on plane, sphere, cylinder."""
     med = _medium14()
-    abs_tol = 1e-8
-    rel_tol = 0.01
     grid = ell.log_rate_grid(*CURVATURE_SWEEP["lambda_range"],
-                                   CURVATURE_SWEEP["per_decade"])
-    fits = {name: ell.extract_mean_curvature(_CATALOG[name], med, grid)
+                             CURVATURE_SWEEP["per_decade"])
+    sums = {name: ell.extract_mean_curvature(_CATALOG[name], med,
+                                             grid).sum_kappa_estimate
             for name in ("plane", "sphere", "cylinder")}
-    ok = abs(fits["plane"].sum_kappa_estimate) < abs_tol
-    rels = {}
-    for name, target in (("sphere", 2.0), ("cylinder", 0.5)):
-        rels[name] = abs(fits[name].sum_kappa_estimate - target) / target
-        ok = ok and rels[name] < rel_tol
-    return CriterionRecord(
-        name="mean-curvature-extraction", passed=ok,
-        expected="0, 2, 0.5",
-        measured=(f"plane {fits['plane'].sum_kappa_estimate:.1e}, "
-                  f"sphere rel {rels['sphere']:.2e}, "
-                  f"cylinder rel {rels['cylinder']:.2e}"),
-        tolerance=f"plane {abs_tol:.0e}; others {rel_tol:.0%}", runtime=0.0,
-        details={name: fit.sum_kappa_estimate for name, fit in fits.items()})
+    return ([Check("plane |sum kappa|", abs(sums["plane"]), 1e-8, "<"),
+             Check("sphere rel err", _rel(sums["sphere"], 2.0), 0.01, "<"),
+             Check("cylinder rel err", _rel(sums["cylinder"], 0.5), 0.01, "<")],
+            sums)
 
 
-def criterion_barrier_sandwich(jobs: int) -> CriterionRecord:
-    """Order-1 barriers enclose the exact radial solution pointwise."""
+def criterion_barrier_sandwich(jobs: int) -> tuple:
+    """Order-1 barriers enclose the exact radial solution pointwise, meet
+    it at the surface, and bracket its conormal derivative there."""
     med = _medium14()
-    lams = [1e3, 1e4, 1e5]
-    ok = True
-    detail = {}
-    for name in ("sphere", "cylinder"):
-        rep = ell.radial_barrier_sandwich(_CATALOG[name], med, lams)
-        k = med.k
-        for i, lam in enumerate(rep["lams"]):
-            up, lo = rep["upper_margin"][i], rep["lower_margin"][i]
-            wp0, wex0, wm0 = rep["surface_values"][i]
-            dnp, dnex, dnm = rep["derivative_ordering"][i]
-            ok = ok and up > 0.0 and lo > 0.0
-            ok = ok and abs(wp0 - k) < 1e-12 and abs(wm0 - k) < 1e-12
-            ok = ok and dnp <= dnex <= dnm
-        detail[name] = {"upper": rep["upper_margin"], "lower": rep["lower_margin"]}
-    return CriterionRecord(
-        name="barrier-sandwich", passed=ok,
-        expected="strict enclosure off the surface; equality at it",
-        measured="margins positive" if ok else "ordering violated",
-        tolerance="strict", runtime=0.0, details=detail)
+    reps = {name: ell.radial_barrier_sandwich(_CATALOG[name], med,
+                                              [1e3, 1e4, 1e5])
+            for name in ("sphere", "cylinder")}
+    upper, lower, values, dn = (np.array([rep[key] for rep in reps.values()])
+                                for key in ("upper_margin", "lower_margin",
+                                            "surface_values",
+                                            "derivative_ordering"))
+    # a - b has the sign of the comparison of a and b, so the largest
+    # difference is <= 0 exactly when dn+ <= dn_exact <= dn- everywhere
+    return ([Check("min upper margin", np.min(upper), 0.0, ">"),
+             Check("min lower margin", np.min(lower), 0.0, ">"),
+             Check("surface max |w+- - k|",
+                   np.max(np.abs(values[..., [0, 2]] - med.k)), 1e-12, "<"),
+             Check("max dn order gap", np.max(dn[..., :-1] - dn[..., 1:]),
+                   0.0, "<=")],
+            {name: {key: value for key, value in rep.items()
+                    if key != "thresholds"} for name, rep in reps.items()})
 
 
-def criterion_higher_order(jobs: int) -> CriterionRecord:
+def criterion_higher_order(jobs: int) -> tuple:
     """lambda^(-1/2) coefficient and the phase imbalance on minimal patches."""
     med = _medium14()
-    tol = 0.10
-    ok = True
-    msgs = []
+    checks, details = [], {}
     for name in ("catenoid", "helicoid"):
-        surf = _CATALOG[name]
-        fits = ell.higher_order_fit(surf, med, p=2)
-        for side in (-1, +1):
-            f = fits[side]
-            rel = abs(f.coefficient - f.predicted) / abs(f.predicted)
-            ok = ok and rel < tol
-            msgs.append(f"{name} side {side:+d} rel {rel:.2e}")
-        ratio_rel = abs(fits["ratio"] - fits["predicted_ratio"]) / abs(
-            fits["predicted_ratio"])
-        ok = ok and ratio_rel < tol
-        msgs.append(f"{name} ratio rel {ratio_rel:.2e}")
-    return CriterionRecord(
-        name="higher-order-coefficient", passed=ok,
-        expected="k p! 2^-p sigma^(p/2) H_p per side; ratio (ss/sm)^(p/2)",
-        measured="; ".join(msgs), tolerance=f"{tol:.0%}", runtime=0.0)
+        fits = ell.higher_order_fit(_CATALOG[name], med, p=2)
+        pairs = {f"side {side:+d}": (fits[side].coefficient,
+                                     fits[side].predicted)
+                 for side in (-1, +1)}
+        pairs["ratio"] = (fits["ratio"], fits["predicted_ratio"])
+        checks += [Check(f"{name} {key} rel err", _rel(*pair), 0.10, "<")
+                   for key, pair in pairs.items()]
+        details[name] = pairs
+    return checks, details
 
 
-def criterion_grid_convergence(jobs: int) -> CriterionRecord:
+def criterion_grid_convergence(jobs: int) -> tuple:
     """2d disk transmission solve converges to the radial oracle."""
-    med = _medium14()
-    rep = ell.disk_convergence_study(med, lam=100.0)
-    return CriterionRecord(
-        name="grid-solver-convergence", passed=rep["observed_order"] >= 0.9,
-        expected=">= 0.9", measured=f"order {rep['observed_order']:.3f}, "
-        f"errors {np.array2string(rep['errors'], precision=2)}",
-        tolerance="order >= 0.9", runtime=0.0,
-        details={"errors": rep["errors"].tolist(),
-                 "cg_iterations": rep["iterations"],
-                 "relative_residuals": rep["residuals"]})
+    rep = ell.disk_convergence_study(_medium14(), lam=100.0)
+    return ([Check("observed order", rep["observed_order"], 0.9, ">=")],
+            {"errors": rep["errors"].tolist(),
+             "cg_iterations": rep["iterations"],
+             "relative_residuals": rep["residuals"]})
 
 
-def criterion_helicoid_half(jobs: int) -> CriterionRecord:
+def criterion_helicoid_half(jobs: int) -> tuple:
     """Monte-Carlo half-value and half-density identities on the helicoid."""
-    records, sym = hel.half_value_checks(**HALF_VALUE, jobs=jobs)
-    means = iter(rec["estimate"] for rec in records)
-    msgs = [f"u(t={t}) {next(means):.4f}" for t in HALF_VALUE["t_values"]]
-    msgs += [f"cap/ball(r={r}) {next(means):.4f}/{next(means):.4f}"
-             for r in HALF_VALUE["r_values"]]
-    msgs.append(f"symmetry violations {sym['screw_violations']}"
-                f"+{sym['flip_violations']}")
-    return CriterionRecord(
-        name="helicoid-half-value", passed=all(rec["pass"] for rec in records),
-        expected="all 0.5 within 3 stderr; zero violations",
-        measured="; ".join(msgs), tolerance="3 stderr / exact", runtime=0.0,
-        details={"records": records})
+    records, checks = hel.half_value_checks(**HALF_VALUE, jobs=jobs)
+    return checks, {"records": records}
 
 
-def criterion_max_principle(jobs: int) -> CriterionRecord:
+def criterion_max_principle(jobs: int) -> tuple:
     """Inverse positivity for lambda > 0; the annulus failure at lambda = 0."""
     mp = MAX_PRINCIPLE
     rep = ell.discrete_max_principle_check(mp["lam"], mp["trials"], mp["seed"],
                                            mp["n"], mp["sigma_range"])
     ce = ell.annulus_counterexample()
-    tol = MAX_PRINCIPLE_TOL
-    ok = rep["min_value"] >= -tol and ce["min_interior"] < -0.4
-    return CriterionRecord(
-        name="maximum-principle", passed=ok,
-        expected=f"min >= -{tol:.0e}; counterexample interior < -0.4",
-        measured=(f"min {rep['min_value']:.2e}; "
-                  f"counterexample {ce['min_interior']:.3f}"),
-        tolerance=f"{tol:.0e} / -0.4", runtime=0.0,
-        details={"positivity": rep, "counterexample": ce})
+    return ([positivity_check(rep),
+             Check("lambda = 0 annulus interior minimum", ce["min_interior"],
+                   -0.4, "<")],
+            {"positivity": rep, "counterexample": ce})
 
 
-def criterion_rigidity_probe(jobs: int) -> CriterionRecord:
-    """Flat interfaces hold the constant; a sphere interface drifts."""
+def criterion_rigidity_probe(jobs: int) -> tuple:
+    """Flat interfaces hold the constant; a sphere interface drifts, by
+    more than its step-halving (Richardson) gap."""
     med = _medium14()
     plane = par.interface_constancy_probe(_CATALOG["plane"], med,
                                           np.geomspace(1e-2, 1.0, 9))
     sphere = par.interface_constancy_probe(_CATALOG["sphere"], med,
                                            np.geomspace(1e-3, 1.0, 10))
-    flat_tol = 1e-6
-    drift_floor = 1e-2
-    stable = sphere["richardson_gap"] < 0.1 * sphere["max_deviation"]
-    ok = (plane["max_deviation"] < flat_tol
-          and sphere["max_deviation"] > drift_floor and stable)
-    return CriterionRecord(
-        name="rigidity-probe", passed=ok,
-        expected=f"plane < {flat_tol:.0e}; sphere > {drift_floor:.0e} (stable)",
-        measured=(f"plane {plane['max_deviation']:.2e}; sphere "
-                  f"{sphere['max_deviation']:.2e} "
-                  f"(gap {sphere['richardson_gap']:.1e})"),
-        tolerance="as stated", runtime=0.0)
+    return ([Check("plane max deviation", plane["max_deviation"], 1e-6, "<"),
+             Check("sphere max deviation", sphere["max_deviation"], 1e-2, ">"),
+             Check("sphere Richardson gap", sphere["richardson_gap"],
+                   0.1 * sphere["max_deviation"], "<")],
+            {"plane": plane, "sphere": sphere})
 
 
 CRITERIA = [
@@ -350,13 +305,15 @@ CRITERIA = [
 def run_all(jobs: int, names=None) -> list[CriterionRecord]:
     """The criteria (those in `names`, if given) on a pool of `jobs` threads,
     each record printed and returned in `CRITERIA` order."""
-    def timed(fn):
+    def timed(criterion):
+        name, fn = criterion
         t0 = time.perf_counter()
-        rec = fn(jobs)
-        rec.runtime = time.perf_counter() - t0
-        return rec
+        checks, details = fn(jobs)
+        return CriterionRecord(name, checks, details,
+                               time.perf_counter() - t0)
 
-    chosen = [fn for name, fn in CRITERIA if names is None or name in names]
+    chosen = [(name, fn) for name, fn in CRITERIA
+              if names is None or name in names]
     records = []
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         # map yields in submission order and, if a criterion raises,

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the check of its
-sample and trial counts.
+"""Exception types shared across the package, the check of its sample and
+trial counts, and the `Check` record of a pass/fail comparison.
 
 Every failure mode that callers are expected to handle gets its own class;
 all of them derive from TwoPhaseError so a single except clause can catch
@@ -7,6 +7,12 @@ package-level failures without swallowing genuine bugs.
 """
 
 import numbers
+import operator
+from dataclasses import dataclass
+
+#: the comparisons a Check can make, by the sign that is printed for them
+_SENSES = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+           ">=": operator.ge, "==": operator.eq}
 
 
 class TwoPhaseError(Exception):
@@ -74,3 +80,20 @@ def positive_count(name: str, value) -> int:
     if isinstance(value, bool) or not whole or value < 1:
         raise InvalidArgument(f"{name} must be a positive integer, got {value!r}")
     return int(value)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One pass/fail comparison, `value sense bound` (sense one of <, <=,
+    >, >=, ==): the acceptance criteria and the helicoid report state each
+    comparison they make as one, so the bound that is printed and written
+    is the bound that decided the pass."""
+
+    label: str
+    value: float
+    bound: float
+    sense: str
+
+    @property
+    def passed(self) -> bool:
+        return bool(_SENSES[self.sense](self.value, self.bound))

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, positive_count
+from .errors import Check, InvalidArgument, positive_count
 
 _BATCH = 1 << 18
 _CHUNK = 1 << 14
@@ -97,9 +97,10 @@ class McEstimate:
     n_samples: int
     rng_seed: int
 
-    def within(self, target: float) -> bool:
-        """The estimate lies within 3 standard errors of target."""
-        return abs(self.mean - target) <= 3.0 * max(self.stderr, 1e-300)
+    def check(self, label: str, target: float) -> Check:
+        """|mean - target| held to 3 standard errors."""
+        return Check(label, abs(self.mean - target),
+                     3.0 * max(self.stderr, 1e-300), "<=")
 
 
 def _stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -269,13 +270,16 @@ def half_value_checks(n_samples: int, seed: int, t_values, r_values,
 
     u(0, t) for each t (seeds seed + i), the sphere-cap and ball densities
     for each r (seeds seed + 10 + i and seed + 20 + i), each held to 1/2
-    within 3 standard errors, then the symmetry identities at seed.
-    Returns (records, symmetry report): one record per check, in that
-    order, named with the values as given.  The batches of all the
-    estimates share one pool of `jobs` threads of its own: a caller that is
-    itself a pool worker must not queue them on its pool, where a worker
-    waiting on tasks queued behind it can deadlock.  symmetry_samples is
-    checked before any draw.
+    within 3 standard errors, then the symmetry identities at seed: no
+    screw or flip violation and the flip within 1e-12 of k_{-2 x3} on H.
+    Returns (records, checks): one record per estimate, named with the
+    values as given, then the symmetry record; one check per estimate, in
+    that order, then the symmetry identities' three.  Each record's pass
+    is that of its checks.  The batches of all the estimates share one
+    pool of `jobs` threads of its own: a caller that is itself a pool
+    worker must not queue them on its pool, where a worker waiting on
+    tasks queued behind it can deadlock.  symmetry_samples is checked
+    before any draw.
     """
     positive_count("symmetry_samples", symmetry_samples)
     x0 = np.zeros(3)
@@ -287,18 +291,21 @@ def half_value_checks(n_samples: int, seed: int, t_values, r_values,
         tests += [f"cap_density_r_{r}", f"ball_density_r_{r}"]
         estimates += [(_cap_count(x0, float(r)), n_samples, seed + 10 + i),
                       (_ball_count(x0, float(r)), n_samples, seed + 20 + i)]
-    records = [{"test": test, "estimate": est.mean, "stderr": est.stderr,
-                "n": est.n_samples, "seed": est.rng_seed,
-                "pass": est.within(0.5)}
-               for test, est in zip(tests, _mc_fractions(estimates, jobs))]
+    fractions = _mc_fractions(estimates, jobs)
+    checks = [est.check(test, 0.5) for test, est in zip(tests, fractions)]
+    records = [{"test": c.label, "estimate": est.mean, "stderr": est.stderr,
+                "n": est.n_samples, "seed": est.rng_seed, "pass": c.passed}
+               for c, est in zip(checks, fractions)]
     sym = symmetry_identities_check(symmetry_samples, rng_seed=seed)
+    identities = [Check("screw_violations", sym["screw_violations"], 0, "=="),
+                  Check("flip_violations", sym["flip_violations"], 0, "=="),
+                  Check("surface_coincidence_max",
+                        sym["surface_coincidence_max"], 1e-12, "<")]
     records.append({"test": "symmetry_identities",
                     "estimate": sym["surface_coincidence_max"],
                     "stderr": 0.0, "n": sym["n_samples"], "seed": sym["seed"],
-                    "pass": sym["screw_violations"] == 0
-                    and sym["flip_violations"] == 0
-                    and sym["surface_coincidence_max"] < 1e-12})
-    return records, sym
+                    "pass": all(c.passed for c in identities)})
+    return records, checks + identities
 
 
 def symmetry_identities_check(n_samples: int, rng_seed: int) -> dict:

@@ -113,7 +113,7 @@ def test_maxprinciple_seed_overrides_the_config_seed(tmp_path):
 def test_default_maxprinciple_is_the_gate_check(tmp_path):
     assert main(["maxprinciple", "--out", str(tmp_path)]) == 0
     rep = json.loads((tmp_path / "maxprinciple.json").read_text())
-    gate = acceptance.criterion_max_principle(jobs=1).details
+    _, gate = acceptance.criterion_max_principle(jobs=1)
     assert rep["min_value"] == gate["positivity"]["min_value"]
     assert rep["lambda0_counterexample"] == gate["counterexample"]
     assert _manifest(tmp_path)["config"]["seed"] == 99
@@ -122,7 +122,7 @@ def test_default_maxprinciple_is_the_gate_check(tmp_path):
 def test_default_helicoid_is_the_gate_check(tmp_path):
     assert main(["helicoid", "--jobs", "2", "--out", str(tmp_path)]) == 0
     records = json.loads((tmp_path / "helicoid.json").read_text())
-    gate = acceptance.criterion_helicoid_half(jobs=2).details["records"]
+    gate = acceptance.criterion_helicoid_half(jobs=2)[1]["records"]
     assert len(records) == 10
     assert records == gate
     _manifest(tmp_path)
@@ -131,17 +131,19 @@ def test_default_helicoid_is_the_gate_check(tmp_path):
 def test_default_extract_curvature_is_the_gate_sphere(tmp_path):
     assert main(["extract-curvature", "--out", str(tmp_path)]) == 0
     _, rows = _read_csv(tmp_path / "extract_curvature.csv")
-    gate = acceptance.criterion_mean_curvature(jobs=1).details
+    _, gate = acceptance.criterion_mean_curvature(jobs=1)
     assert float(rows[0]["sigma_kappa_estimate"]) == gate["sphere"]
     assert len(rows) == 49
     _manifest(tmp_path)
 
 
 def test_all_is_byte_identical_across_jobs(tmp_path):
-    # the two criteria that farm out work: MC batches and max-principle trials
+    # the two criteria that farm out work (MC batches and max-principle
+    # trials), and two whose details are floats from the shared engines
+    names = ["mean-curvature-extraction", "barrier-sandwich",
+             "helicoid-half-value", "maximum-principle"]
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"criteria": ["helicoid-half-value",
-                                            "maximum-principle"]}))
+    cfg.write_text(json.dumps({"criteria": names}))
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["all", "--config", str(cfg), "--jobs", "1",
                  "--out", str(out1)]) == 0
@@ -150,8 +152,7 @@ def test_all_is_byte_identical_across_jobs(tmp_path):
     for name in ("acceptance.json", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     records = json.loads((out1 / "acceptance.json").read_text())
-    assert [r["name"] for r in records] == ["helicoid-half-value",
-                                            "maximum-principle"]
+    assert [r["name"] for r in records] == names
 
 
 def test_extract_curvature_sphere(tmp_path):

@@ -72,13 +72,13 @@ def test_symmetry_identities_zero_violations():
 def test_u_half_on_surface():
     for t in (0.1, 1.0, 10.0):
         est = hl.u_gaussian_mc(np.zeros(3), t, N_FAST, rng_seed=11)
-        assert est.within(0.5)
+        assert est.check("mean", 0.5).passed
 
 
 def test_u_half_off_axis_surface_point():
     x = helicoid_point(1.5, 0.7)
     est = hl.u_gaussian_mc(x, 0.5, N_FAST, rng_seed=13)
-    assert est.within(0.5)
+    assert est.check("mean", 0.5).passed
 
 
 def test_u_deep_point_small():
@@ -92,22 +92,22 @@ def test_plane_halfspace_matches_erfc():
     est = plane_halfspace_mc(1.0, 0.25, 4 * N_FAST, rng_seed=5)
     exact = plane_halfspace_exact(1.0, 0.25)
     assert exact == pytest.approx(0.5 * math.erfc(1.0), rel=1e-12)
-    assert est.within(exact)
+    assert est.check("mean", exact).passed
 
 
 def test_cap_and_ball_densities_half():
     for r in (0.5, 1.0, 2.0):
         cap = hl.sphere_cap_density(np.zeros(3), r, N_FAST, rng_seed=7)
         ball = hl.ball_density(np.zeros(3), r, N_FAST, rng_seed=8)
-        assert cap.within(0.5)
-        assert ball.within(0.5)
+        assert cap.check("mean", 0.5).passed
+        assert ball.check("mean", 0.5).passed
 
 
 def test_small_radius_cap_tangent_plane_regime():
     x = np.array([1.0, 0.0, 0.0])
     assert abs(on_surface_value(x)) == 0.0  # on-surface check first
     est = hl.sphere_cap_density(x, 0.01, N_FAST, rng_seed=9)
-    assert est.within(0.5)
+    assert est.check("mean", 0.5).passed
 
 
 def test_ball_density_equals_weighted_cap_average():
@@ -334,12 +334,15 @@ def test_row_normalizer_is_bitwise_linalg_norm(seed):
 
 
 def test_half_value_checks_records():
-    records, sym = hl.half_value_checks(5000, 3, [1.0], [0.5, 2], 100, 1)
-    assert [r["test"] for r in records] == [
-        "u_on_surface_t_1.0", "cap_density_r_0.5", "ball_density_r_0.5",
-        "cap_density_r_2", "ball_density_r_2", "symmetry_identities"]
+    records, checks = hl.half_value_checks(5000, 3, [1.0], [0.5, 2], 100, 1)
+    estimates = ["u_on_surface_t_1.0", "cap_density_r_0.5",
+                 "ball_density_r_0.5", "cap_density_r_2", "ball_density_r_2"]
+    assert [r["test"] for r in records] == estimates + ["symmetry_identities"]
+    assert [c.label for c in checks] == estimates + [
+        "screw_violations", "flip_violations", "surface_coincidence_max"]
     assert [r["seed"] for r in records] == [3, 13, 23, 14, 24, 3]
-    assert records[1]["estimate"] == hl.sphere_cap_density(
-        np.zeros(3), 0.5, 5000, rng_seed=13).mean
-    assert records[-1]["estimate"] == sym["surface_coincidence_max"]
-    assert all(r["pass"] for r in records)
+    cap = hl.sphere_cap_density(np.zeros(3), 0.5, 5000, rng_seed=13)
+    assert records[1]["estimate"] == cap.mean
+    assert checks[1] == cap.check("cap_density_r_0.5", 0.5)
+    assert records[-1]["estimate"] == checks[-1].value
+    assert all(r["pass"] for r in records) and all(c.passed for c in checks)

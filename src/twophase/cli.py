@@ -9,8 +9,9 @@ Each subcommand declares its keys once, in `_RUNNERS`, each with a
 default and a kind that fixes its JSON type, range and non-emptiness: a
 positive or finite number, a positive count, a seed, a side, a flag, a
 non-empty list, a range, one of a set, or an object merged over its own
-defaults.  Every key a config sets, `--seed` included, is checked before
-any work, and so is a surface key the chosen `kind` does not read.
+defaults; a surface's keys are the fields of its class (`_SURFACES`).
+Every key a config sets, `--seed` included, is checked before any work,
+and so are the surface it names, which must build, and a `wkb` ray.
 
 `--seed N` is the config value `seed`, so only `helicoid` and
 `maxprinciple` accept it.  `--jobs` sets the worker threads of the
@@ -118,7 +119,6 @@ _POSITIVES = _kind("a non-empty list of positive numbers",
 _RANGE = _kind("[lo, hi] with 0 < lo < hi",
                lambda v: isinstance(v, list) and len(v) == 2
                and all(map(_number, v)) and 0 < v[0] < v[1])
-_RADIAL = _one_of("plane", "sphere", "cylinder")
 
 
 def _nested(schema: dict) -> tuple:
@@ -127,18 +127,30 @@ def _nested(schema: dict) -> tuple:
             lambda key, value: _merge_config(schema, value, key))
 
 
-#: surface variant -> (class, the keys it reads, with their defaults)
-_SURFACES = {
-    "plane": (geo.Hyperplane, {"N": 3}),
-    "hyperplane": (geo.Hyperplane, {"N": 3}),
-    "sphere": (geo.Sphere, {"R": 1.0, "N": 3}),
-    "cylinder": (geo.Cylinder, {"R": 1.0, "N": 3}),
-    "helicoid": (geo.Helicoid, {}),
-    "catenoid": (geo.Catenoid, {"c": 1.0}),
-}
-#: the kind of each surface key
-_SHAPE = {"R": _POSITIVE, "N": _count, "c": _POSITIVE}
+#: surface variant -> its class, whose fields are the variant's keys
+_SURFACES = {"plane": geo.Hyperplane, "sphere": geo.Sphere, "cylinder": geo.Cylinder,
+             "helicoid": geo.Helicoid, "catenoid": geo.Catenoid}
 _VARIANT = _one_of(*_SURFACES)
+_RADIAL_VARIANTS = [v for v, cls in _SURFACES.items() if cls.is_radial]
+_RADIAL = _one_of(*_RADIAL_VARIANTS)
+#: the kind of a surface field, by its type; the surface checks its range
+_FIELD_KIND = {"int": _count, "float": _NUMBER}
+
+
+def _keys(*variants) -> dict:
+    """{key: (default, kind)} of the fields of the surfaces `variants`."""
+    return {f.name: (f.default, _FIELD_KIND[f.type]) for v in variants
+            for f in dataclasses.fields(_SURFACES[v])}
+
+
+def _surface(variant: str, values: Mapping) -> geo.Surface:
+    """The catalog surface `variant`, built from the keys of `values` it
+    reads; a value the surface rejects is a config error."""
+    keys = {k: values[k] for k in _keys(variant) if k in values}
+    try:
+        return _SURFACES[variant](**keys)
+    except InvalidArgument as exc:
+        raise ConfigError(f"{exc}, got {json.dumps(keys)}") from None
 
 
 def _surface_spec(key, spec) -> dict:
@@ -146,23 +158,27 @@ def _surface_spec(key, spec) -> dict:
     if not isinstance(spec, dict):
         raise _wrong(key, "a JSON object", spec)
     variant = _VARIANT("variant", spec.get("variant"))
-    schema = {"variant": (variant, _VARIANT), **{
-        k: (default, _SHAPE[k]) for k, default in _SURFACES[variant][1].items()}}
-    return _merge_config(schema, spec, f"the {variant} surface")
+    return _merge_config({"variant": (variant, _VARIANT), **_keys(variant)},
+                         spec, f"the {variant} surface")
 
 
-def _surface(variant: str, values: Mapping) -> geo.Surface:
-    """The catalog surface `variant`, built from the keys of `values` it reads."""
-    cls, keys = _SURFACES[variant]
-    return cls(**{k: values[k] for k in keys if k in values})
+def _wkb_ray(cfg: dict) -> None:
+    """A wkb ray reads the tables of its surface, which must build: `order`
+    at most one past the table order, `q` in the q box ([0, 0] if radial)."""
+    variant, n, q = cfg["surface"]["variant"], cfg["order"], cfg["q"]
+    order, _, q_box = wkb.table_box(_surface(variant, cfg["surface"]))
+    if n > order + 1:
+        raise _wrong("order", f"at most {order + 1} on the {variant}", n)
+    lo, hi = q_box or (0.0, 0.0)
+    if not lo <= q <= hi:
+        raise _wrong("q", f"in [{lo:.6g}, {hi:.6g}] on the {variant}", q)
 
 
 def _merge_config(schema: dict, override: dict, context: str) -> dict:
     """The defaults of `schema` ({key: (default, kind)}) with the values of
     the object `override`, each checked against its key's kind.  Where a
-    `kind` names the surface, setting a surface key it does not read is an
-    error too, and so is a ray footpoint `q` other than its default 0 on a
-    radial `wkb` surface, whose rays are all alike."""
+    `kind` names the surface, the surface must build, and setting a surface
+    key it does not read is an error too; so is a `wkb` ray off the tables."""
     if not isinstance(override, dict):
         raise _wrong(context, "a JSON object", override)
     out = {key: default for key, (default, _) in schema.items()}
@@ -172,13 +188,13 @@ def _merge_config(schema: dict, override: dict, context: str) -> dict:
                               f"(known: {sorted(schema)})")
         out[key] = schema[key][1](key, value)
     if "kind" in out:
-        unread = override.keys() & _SHAPE.keys() - _SURFACES[out["kind"]][1].keys()
+        unread = override.keys() & _keys(*_SURFACES) - _keys(out["kind"]).keys()
         if unread:
             raise ConfigError(f"kind {out['kind']!r} does not read "
                               f"{sorted(unread)} in {context}")
-    if out.get("q") and _SURFACES[out["surface"]["variant"]][0].is_radial:
-        raise ConfigError(f"variant {out['surface']['variant']!r} does not "
-                          f"read ['q'] in {context}")
+        _surface(out["kind"], out)
+    if "surface" in out:
+        _wkb_ray(out)
     return out
 
 
@@ -303,15 +319,14 @@ def run_wkb(cfg: dict, outdir: str) -> tuple:
     table = wkb.compute_coefficients(surf, cfg["q"], n, side=side, taus=taus)
     header = (["tau"] + [f"A{j}" for j in range(n)]
               + [f"A{n}_plus", f"A{n}_minus", "residual_max"])
-    # the identity residuals of every interior ray point, one call per
-    # tabulated j <= n
+    # the identity residuals of every interior ray point, one call per j <= n
     h = wkb.IDENTITY_STEP
     inner = (taus > 2 * h) & (taus < eng.delta0 - 2 * h)
     pts = eng.ray_points(cfg["q"], taus[inner])
     residual = np.full(len(taus), np.nan)
     residual[inner] = np.max(
         [wkb.gradient_identity_residual(surf, j, pts, side=side)
-         for j in range(min(n, eng.table_order + 1) + 1)], axis=0)
+         for j in range(n + 1)], axis=0)
     rows = []
     for i, tau in enumerate(taus):
         row = [tau] + [table.A[j][i] for j in range(n)]
@@ -339,7 +354,7 @@ def run_extract_curvature(cfg: dict, outdir: str) -> tuple:
     _write_csv(path, ["lambda", "normal_derivative", "detrended",
                       "fit_constant", "sigma_kappa_estimate"], rows)
     print(f"extract-curvature: sum kappa = {fit.sum_kappa_estimate:.6f} "
-          f"(target {sum(surface.kappas(None))})")
+          f"(target {sum(surface.kappas_at(0.0))})")
     return path, 0
 
 
@@ -390,7 +405,7 @@ _RUNNERS = {
         "t": (list(np.geomspace(1e-3, 1e3, 13)), _POSITIVES),
         "tolerance": (k1.TWO_WAY_TOL, _POSITIVE)}),
     "simulate": (run_simulate, {
-        "medium": _MEDIUM, "kind": ("plane", _RADIAL), "R": (1.0, _POSITIVE),
+        "medium": _MEDIUM, "kind": ("plane", _RADIAL), "R": _keys("sphere")["R"],
         "t_grid": (list(np.geomspace(1e-2, 1.0, 9)), _POSITIVES),
         "probes": (["interface"], _kind(
             'a non-empty list of numbers or "interface"',
@@ -402,13 +417,14 @@ _RUNNERS = {
         "t_end": (0.8, _POSITIVE), "h_fine": (1e-3, _POSITIVE),
         "tolerance": (1e-5, _POSITIVE)}),
     "wkb": (run_wkb, {
-        "surface": ({"variant": "sphere", "R": 1.0, "N": 3}, _surface_spec),
+        "surface": (_surface_spec("surface", {"variant": "sphere"}),
+                    _surface_spec),
         "side": (-1, _SIDE), "order": (2, _count), "q": (0.0, _NUMBER),
         "n_points": (33, _count)}),
     "extract-curvature": (run_extract_curvature, {
         "medium": _MEDIUM,
         "geometry": _nested({"kind": ("sphere", _RADIAL),
-                             "R": (1.0, _POSITIVE), "N": (3, _count)}),
+                             **_keys(*_RADIAL_VARIANTS)}),
         **_pinned(acceptance.CURVATURE_SWEEP, lambda_range=_RANGE,
                   per_decade=_count)}),
     "maxprinciple": (run_maxprinciple, {

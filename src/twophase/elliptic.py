@@ -231,7 +231,7 @@ def higher_order_fit(surface: Surface, medium: TwoPhaseMedium, p: int) -> dict:
     SandwichTooLoose is raised if the bracket's half-gap exceeds the term at
     lambda = 1e4, where their ratio, ~ lambda^((p-4)/2), is largest.
     """
-    kap = surface.kappas(None if surface.is_radial else surface.point_at(0.0))
+    kap = surface.kappas_at(0.0)
     if not 2 <= p <= min(4, len(kap)):
         raise InvalidArgument(f"need 2 <= p <= min(4, {len(kap)}), got {p!r}")
     Hp = float(elementary_symmetric(kap)[p - 1])

@@ -27,10 +27,6 @@ class QuadratureFailure(TwoPhaseError, RuntimeError):
     """Adaptive quadrature exhausted its refinement budget."""
 
 
-class ConsistencyError(TwoPhaseError, RuntimeError):
-    """Two independent evaluation routes disagree beyond tolerance."""
-
-
 class FitUnstable(TwoPhaseError, RuntimeError):
     """A regression's residual is too large relative to the fitted term."""
 

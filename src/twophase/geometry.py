@@ -25,6 +25,11 @@ Which side is Omega, per variant: Hyperplane {x1 > 0}; Sphere and Cylinder
 the interior; Catenoid the axis-containing region; Helicoid the region
 {x2 cos x3 - x1 sin x3 > 0}.  Surfaces are immutable and projection is a
 pure function, so batch queries parallelize freely.
+
+A variant's dataclass fields are its only settable values, checked by its
+`__post_init__`: Hyperplane(N), Sphere(R, N), Cylinder(R, N), Helicoid()
+and Catenoid(c).  `kappas(z)` is `kappas_at(ray_param(z))`, with the
+footpoint parameter `ray_param` 0 on the radial variants.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ class Surface:
 
     N: int
     delta0: float
-    is_radial: bool = False
+    is_radial = False
 
     @property
     def projection_radius(self) -> float:
@@ -76,9 +81,18 @@ class Surface:
         """
         raise NotImplementedError
 
-    def kappas(self, z: np.ndarray) -> np.ndarray:
-        """Principal curvatures at a surface point, inward convention."""
+    def ray_param(self, Z) -> np.ndarray:
+        """Footpoint parameter q of surface points Z, shape Z.shape[:-1];
+        0 here, on the radial variants, whose curvatures never vary."""
+        return np.zeros(np.shape(Z)[:-1])
+
+    def kappas_at(self, q) -> np.ndarray:
+        """Inward principal curvatures at parameters q: q.shape + (N-1,)."""
         raise NotImplementedError
+
+    def kappas(self, z) -> np.ndarray:
+        """Principal curvatures at a surface point, inward convention."""
+        return self.kappas_at(self.ray_param(z))
 
     def outward_normal(self, z: np.ndarray) -> np.ndarray:
         """Outward unit normal at a surface point (the radial variants)."""
@@ -94,8 +108,8 @@ class Hyperplane(Surface):
     """The hyperplane {x1 = 0} bounding Omega = {x1 > 0}."""
 
     N: int = 3
-    delta0: float = 1.0
-    is_radial: bool = True
+    delta0 = 1.0
+    is_radial = True
     radial_dim = 1
 
     def project_batch(self, X):
@@ -106,8 +120,8 @@ class Hyperplane(Surface):
         side = np.where(X[:, 0] > 0.0, -1, np.where(X[:, 0] < 0.0, 1, 0))
         return Z, delta, side
 
-    def kappas(self, z):
-        return np.zeros(self.N - 1)
+    def kappas_at(self, q):
+        return np.zeros(np.shape(q) + (self.N - 1,))
 
     def outward_normal(self, z):
         nu = np.zeros(self.N)
@@ -121,7 +135,7 @@ class Sphere(Surface):
 
     R: float = 1.0
     N: int = 3
-    is_radial: bool = True
+    is_radial = True
 
     def __post_init__(self):
         if not (self.R > 0.0 and self.N >= 2):
@@ -145,8 +159,8 @@ class Sphere(Surface):
         side = np.where(r < self.R, -1, np.where(r > self.R, 1, 0))
         return Z, delta, side
 
-    def kappas(self, z):
-        return np.full(self.N - 1, 1.0 / self.R)
+    def kappas_at(self, q):
+        return np.full(np.shape(q) + (self.N - 1,), 1.0 / self.R)
 
     def outward_normal(self, z):
         z = np.asarray(z, dtype=float)
@@ -155,11 +169,11 @@ class Sphere(Surface):
 
 @dataclass(frozen=True)
 class Cylinder(Surface):
-    """Cylinder {x1^2 + x2^2 = R^2} bounding its interior, axis along x3.."""
+    """Cylinder {x1^2 + x2^2 = R^2} bounding its interior, axis along x3."""
 
     R: float = 1.0
     N: int = 3
-    is_radial: bool = True
+    is_radial = True
     radial_dim = 2
 
     def __post_init__(self):
@@ -183,9 +197,9 @@ class Cylinder(Surface):
         side = np.where(rho < self.R, -1, np.where(rho > self.R, 1, 0))
         return Z, delta, side
 
-    def kappas(self, z):
-        kap = np.zeros(self.N - 1)
-        kap[0] = 1.0 / self.R
+    def kappas_at(self, q):
+        kap = np.zeros(np.shape(q) + (self.N - 1,))
+        kap[..., 0] = 1.0 / self.R
         return kap
 
     def outward_normal(self, z):
@@ -239,8 +253,8 @@ class Helicoid(Surface):
     and the mean curvature vanishes identically.
     """
 
-    N: int = 3
-    delta0: float = 0.40
+    N = 3
+    delta0 = 0.40
 
     # surface trace in the slice x3 = 0 is the x1-axis; the point at
     # parameter q is (q, 0, 0) and every surface point is a screw image of it
@@ -308,11 +322,6 @@ class Helicoid(Surface):
         side = np.where(B > 0.0, -1, np.where(B < 0.0, 1, 0))
         return Z, delta, side
 
-    def kappas(self, z):
-        rho = float(self.ray_param(np.asarray(z, dtype=float)))
-        a = 1.0 / (1.0 + rho * rho)
-        return np.array([a, -a])
-
 
 @dataclass(frozen=True)
 class Catenoid(Surface):
@@ -326,7 +335,7 @@ class Catenoid(Surface):
     """
 
     c: float = 1.0
-    N: int = 3
+    N = 3
 
     def __post_init__(self):
         if not (self.c > 0.0):
@@ -412,9 +421,6 @@ class Catenoid(Surface):
         g_zeta = self._g(zeta)
         side = np.where(r < g_zeta, -1, np.where(r > g_zeta, 1, 0))
         return Z, delta, side
-
-    def kappas(self, z):
-        return np.asarray(self.kappas_at(float(np.asarray(z)[2])), dtype=float)
 
 
 # ---------------------------------------------------------------------------

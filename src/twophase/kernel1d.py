@@ -31,7 +31,7 @@ import math
 import numpy as np
 from scipy.special import erfc
 
-from .errors import ConsistencyError, InvalidArgument
+from .errors import InvalidArgument
 from .medium import TwoPhaseMedium, interface_constant
 from .quadrature import GAUSSIAN_CUTOFF_STD, integrate_adaptive
 
@@ -114,20 +114,3 @@ def halfline_quadrature(x1, t, medium: TwoPhaseMedium):
     return integrate_adaptive(lambda y, x, s: eval_kernel(x, y, s, medium),
                               lo, 0.0, x1, t)
 
-
-def halfline_solution(x1, t, medium: TwoPhaseMedium):
-    """Temperature of the half-line Cauchy solution, checked two ways.
-
-    Computes the closed form and the adaptive quadrature, broadcast over x1
-    and t, and raises ConsistencyError where they differ by more than
-    TWO_WAY_TOL; returns the closed-form values (a float for scalars).
-    """
-    exact = halfline_closed_form(x1, t, medium)
-    diff = np.abs(exact - halfline_quadrature(x1, t, medium))
-    if np.any(diff > TWO_WAY_TOL):
-        x1, t = np.broadcast_arrays(x1, t)
-        i = np.unravel_index(np.argmax(diff), np.shape(diff))
-        raise ConsistencyError(
-            f"closed form and quadrature disagree at (x1={x1[i]}, t={t[i]}) "
-            f"by {np.max(diff):.3e}")
-    return exact

@@ -58,10 +58,11 @@ tabulated when the engine is built, so every read is one interpolation,
 the top coefficient one order past the Laplacian tables included.  A node
 lies on a known ray, so a build projects nothing.
 
-The tables cover the collar with a margin of p = 4 + 2 order steps:
-tau in [-p h, delta0 + p h] with h = delta0/120 and, on the minimal
-surfaces, |q| <= 0.8 c + p 1.6 c/220 (c = 1 for the helicoid).  Reads
-outside this box raise OutsideTubularNeighborhood.
+`table_box` gives the table order, 4 on radial surfaces and 2 on the
+minimal ones, and the box the tables cover: the collar with a margin of
+p = 4 + 2 order steps, tau in [-p h, delta0 + p h] with h = delta0/120
+and, on the minimal surfaces, |q| <= 0.8 c + p 1.6 c/220 (c = 1 for the
+helicoid).  Reads outside this box raise OutsideTubularNeighborhood.
 
 Reads go point by point: each point's value is its q basis row times the
 coefficient array (one vector-matrix product per point, stacked), summed
@@ -153,6 +154,21 @@ def _basis(v: np.ndarray, box: tuple) -> np.ndarray:
                                            N_CHEB - 1))
 
 
+def table_box(surface: Surface) -> tuple:
+    """(table order, tau box, q box) of the tables of `surface`, as the
+    module notes give them; no q box (None) on radial surfaces."""
+    order = 4 if surface.is_radial else 2
+    h = surface.delta0 / 120
+    pad = 4 + 2 * order
+    tau_box = (-pad * h, (120 + pad) * h)
+    if surface.is_radial:
+        return order, tau_box, None
+    c = getattr(surface, "c", 1.0)
+    q_lo, q_hi = -0.8 * c, 0.8 * c
+    padq = pad * (q_hi - q_lo) / 220
+    return order, tau_box, (q_lo - padq, q_hi + padq)
+
+
 class CoefficientEngine:
     """Coefficient fields A_j, A_{n,+-} on one side of a surface's collar.
 
@@ -170,42 +186,20 @@ class CoefficientEngine:
             raise InvalidArgument("side must be -1 (inside) or +1 (outside)")
         self.surface = surface
         self.side = side
-        self.table_order = 4 if surface.is_radial else 2
-        self.delta0 = d0 = surface.delta0
-
-        # the box of the module notes; tau = 0 lies inside it
-        h = d0 / 120
-        pad = 4 + 2 * self.table_order
-        self._tau_box = (-pad * h, (120 + pad) * h)
-        if surface.is_radial:
-            kap = surface.kappas(self._any_surface_point())
-            self._kap_const = -kap if side == +1 else kap
-            self._q_box = None
-        else:
-            if not hasattr(surface, "chart_metric"):
-                raise UnsupportedGeometry(
-                    "barrier coefficients need a ray parametrization; only "
-                    "the catalog surfaces provide one")
-            c = getattr(surface, "c", 1.0)
-            q_lo, q_hi = -0.8 * c, 0.8 * c
-            padq = pad * (q_hi - q_lo) / 220
-            self._q_box = (q_lo - padq, q_hi + padq)
+        if not (surface.is_radial or hasattr(surface, "chart_metric")):
+            raise UnsupportedGeometry(
+                "barrier coefficients need a ray parametrization; only "
+                "the catalog surfaces provide one")
+        self.delta0 = surface.delta0
+        self.table_order, self._tau_box, self._q_box = table_box(surface)
         self._build_tables()
 
     # ------------------------------------------------------------------
     # curvature helpers (side-adjusted: the collar on this side sees kappa
     # with the sign that makes the product factors 1 - kappa tau)
     # ------------------------------------------------------------------
-    def _any_surface_point(self):
-        z = np.zeros(self.surface.N)
-        if hasattr(self.surface, "R"):
-            z[0] = self.surface.R
-        return z
-
     def _kappas(self, q):
-        if self.surface.is_radial:
-            return self._kap_const
-        kap = np.asarray(self.surface.kappas_at(np.asarray(q, dtype=float)))
+        kap = self.surface.kappas_at(q)
         return -kap if self.side == +1 else kap
 
     def boundary_mean_term(self, q) -> float:
@@ -233,11 +227,7 @@ class CoefficientEngine:
         Z, delta, side_pt = _project(self.surface, X)
         tau = np.where(side_pt == self.side, delta, -delta)
         tau = np.where(side_pt == 0, 0.0, tau)
-        if self.surface.is_radial:
-            q = np.zeros(len(X))
-        else:
-            q = self.surface.ray_param(Z)
-        return q, tau
+        return self.surface.ray_param(Z), tau
 
     def _table_coords(self, X):
         """(q, tau) of points, which must lie in the tabulated box."""
@@ -260,6 +250,12 @@ class CoefficientEngine:
     # ------------------------------------------------------------------
     # ray construction (non-radial surfaces root their rays at point_at(q))
     # ------------------------------------------------------------------
+    def _any_surface_point(self):
+        z = np.zeros(self.surface.N)
+        if hasattr(self.surface, "R"):
+            z[0] = self.surface.R
+        return z
+
     def ray_points(self, q: float, taus) -> np.ndarray:
         taus = np.asarray(taus, dtype=float)
         if self.surface.is_radial:
@@ -301,8 +297,9 @@ class CoefficientEngine:
         tau = tau[None, :]
         from_surface = chebvander(x, N_CHEB) @ chebint(
             eye, lbnd=-(lo + hi) / (hi - lo), scl=0.5 * (hi - lo))
-        if self._q_box is None:
-            q, eq0, to_coef_q = None, np.ones((1, 1)), np.ones((1, 1))
+        radial = self._q_box is None
+        if radial:
+            q, eq0, to_coef_q = np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1))
         else:
             q, eq0, eq1, eq2 = axis(self._q_box)
             q, to_coef_q = q[:, None], to_coef
@@ -316,7 +313,7 @@ class CoefficientEngine:
         def chart_laplacian(coef):
             rows = eq0 @ coef          # a series in tau at each q node
             lap = rows @ et2.T + lap_delta * (rows @ et1.T)
-            if q is not None:
+            if not radial:
                 cols = coef @ et0.T    # a series in q at each tau node
                 lap += gqq * (eq2 @ cols) + drift * (eq1 @ cols)
             return lap
@@ -328,7 +325,7 @@ class CoefficientEngine:
         a = 1.0 / w
         self._fields, self._laps = [None], []
         for j in range(self.table_order + 1):
-            lap = (self._radial_lap_a0(tau) if q is None and j == 0
+            lap = (self._radial_lap_a0(q, tau) if radial and j == 0
                    else chart_laplacian(fit(a)))
             self._laps.append(fit(lap))
             a = ray_integral(0.5 * lap * w) / w
@@ -336,12 +333,12 @@ class CoefficientEngine:
         self._j_table = fit(ray_integral(w) / w)
         self._lap_j_table = fit(chart_laplacian(self._j_table))
 
-    def _radial_lap_a0(self, tau) -> np.ndarray:
+    def _radial_lap_a0(self, q, tau) -> np.ndarray:
         """Closed form A_0'' + Lap(delta) A_0' on a radial collar."""
-        kap = self._kap_const
-        dd = self._lap_delta(None, tau)
+        kap = self._kappas(q)
+        dd = self._lap_delta(q, tau)
         ddp = -np.sum((kap / (1.0 - kap * tau[..., None])) ** 2, axis=-1)
-        a0 = 1.0 / self._weight(None, tau)
+        a0 = 1.0 / self._weight(q, tau)
         a0p = -0.5 * dd * a0
         return -0.5 * (ddp * a0 + dd * a0p) + dd * a0p
 

@@ -26,7 +26,8 @@ from twophase.errors import (InvalidArgument, OutsideTubularNeighborhood,
 from twophase.geometry import (Catenoid, Helicoid, Surface,
                                elementary_symmetric)
 from twophase.helicoid import McEstimate, _mc_fractions
-from twophase.kernel1d import halfline_closed_form
+from twophase import kernel1d
+from twophase.kernel1d import TWO_WAY_TOL, halfline_closed_form
 from twophase.medium import TwoPhaseMedium
 from twophase.parabolic import Grid1D, indicator_data
 from twophase.wkb import (CoefficientEngine, RadialCorrector, _s_sum,
@@ -39,6 +40,10 @@ class OnSurface(TwoPhaseError, ValueError):
 
 class DegenerateFit(TwoPhaseError, RuntimeError):
     """All samples underflowed; no envelope can be fitted."""
+
+
+class ConsistencyError(TwoPhaseError, RuntimeError):
+    """Two independent evaluation routes disagree beyond tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +347,26 @@ def plane_halfspace_exact(x1: float, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# kernel1d: decay envelope of the half-line solution
+# kernel1d: the half-line solution checked two ways, and its decay envelope
 # ---------------------------------------------------------------------------
+
+def halfline_solution(x1, t, medium: TwoPhaseMedium):
+    """Temperature of the half-line Cauchy solution, checked two ways.
+
+    Computes the closed form and the adaptive quadrature, broadcast over x1
+    and t, and raises ConsistencyError where they differ by more than
+    TWO_WAY_TOL; returns the closed-form values (a float for scalars).
+    """
+    exact = halfline_closed_form(x1, t, medium)
+    diff = np.abs(exact - kernel1d.halfline_quadrature(x1, t, medium))
+    if np.any(diff > TWO_WAY_TOL):
+        x1, t = np.broadcast_arrays(x1, t)
+        i = np.unravel_index(np.argmax(diff), np.shape(diff))
+        raise ConsistencyError(
+            f"closed form and quadrature disagree at (x1={x1[i]}, t={t[i]}) "
+            f"by {np.max(diff):.3e}")
+    return exact
+
 
 @dataclass(frozen=True)
 class DecayEstimate:

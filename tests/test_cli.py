@@ -367,11 +367,22 @@ def test_tolerance_scale_flag_is_gone(tmp_path):
     ("kernel1d", {"medium": {"sigma_s": True}}, []),
     ("maxprinciple", [1, 2], ["--seed", "3"]),
     ("wkb", {"q": 1.5}, []),
+    ("wkb", {"surface": {"variant": "cylinder", "N": 2}}, []),
+    ("wkb", {"surface": {"variant": "sphere", "N": 1}}, []),
+    ("wkb", {"surface": {"variant": "catenoid", "c": -1.0}}, []),
+    ("extract-curvature", {"geometry": {"kind": "sphere", "N": 1}}, []),
+    ("simulate", {"kind": "sphere", "R": -1.0}, []),
+    ("wkb", {"surface": {"variant": "hyperplane"}}, []),
+    ("wkb", {"order": 6}, []),
+    ("wkb", {"surface": {"variant": "helicoid"}, "order": 4}, []),
+    ("wkb", {"surface": {"variant": "helicoid"}, "q": 0.9}, []),
 ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
 def test_a_value_of_the_wrong_kind_is_a_config_error(tmp_path, capsys,
                                                      command, config, argv):
-    # each of these used to hang, end in a traceback, or run something other
-    # than what was asked; a key the chosen surface does not read is an error
+    # each of these used to hang, end in a traceback, run something other
+    # than what was asked, or fail only after the output directory was made;
+    # a key the chosen surface does not read, a value the surface rejects
+    # and a wkb ray past the tables are errors
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -379,6 +390,16 @@ def test_a_value_of_the_wrong_kind_is_a_config_error(tmp_path, capsys,
                  *argv]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"surface": {"variant": "plane"}, "order": 5},
+    {"surface": {"variant": "helicoid"}, "order": 3, "q": -0.85}])
+def test_wkb_reads_up_to_the_edge_of_the_tables(tmp_path, config):
+    # one order past the table order, and a footpoint inside the q box
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "n_points": 5}))
+    assert main(["wkb", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
 def test_a_radial_wkb_surface_takes_q_at_its_default(tmp_path):

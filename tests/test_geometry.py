@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twophase import geometry as geo
-from twophase.errors import (AmbiguousProjection, NonConvergence,
-                             OutsideTubularNeighborhood)
+from twophase.errors import (AmbiguousProjection, InvalidArgument,
+                             NonConvergence, OutsideTubularNeighborhood)
 
 from oracles import (OnSurface, curvature_product_expansion,
                      laplacian_of_distance, project, screw,
@@ -336,6 +337,48 @@ def test_minimal_surfaces_have_zero_mean_curvature(surface):
         q = rng.uniform(-0.7, 0.7)
         H = geo.elementary_symmetric(np.asarray(surface.kappas_at(np.asarray(q))))
         assert abs(H[0]) < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_kappas_at_has_one_row_per_footpoint(name):
+    surface = ALL[name]
+    for q in (0.0, np.asarray(0.3), np.linspace(-0.5, 0.5, 4),
+              np.zeros((2, 3))):
+        assert surface.kappas_at(q).shape == np.shape(q) + (surface.N - 1,)
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_kappas_is_kappas_at_of_the_ray_param(name):
+    surface = ALL[name]
+    rng = np.random.default_rng(37)
+    X = np.array([_random_tube_point(surface, rng) for _ in range(8)])
+    Z = surface.project_batch(X)[0]
+    q = surface.ray_param(Z)
+    assert q.shape == (8,)
+    if surface.is_radial:
+        assert np.all(q == 0.0)
+    for z, qi in zip(Z, q):
+        assert surface.kappas(z).tolist() == surface.kappas_at(qi).tolist()
+
+
+def test_constants_are_not_fields():
+    # each variant's fields are its only settable values
+    assert [[f.name for f in dataclasses.fields(cls)] for cls in (
+        geo.Hyperplane, geo.Sphere, geo.Cylinder, geo.Helicoid,
+        geo.Catenoid)] == [["N"], ["R", "N"], ["R", "N"], [], ["c"]]
+    with pytest.raises(TypeError):
+        geo.Helicoid(N=4)
+    with pytest.raises(TypeError):
+        geo.Sphere(is_radial=False)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: geo.Sphere(N=1),
+    lambda: geo.Sphere(R=0.0), lambda: geo.Cylinder(N=2),
+    lambda: geo.Cylinder(R=-1.0), lambda: geo.Catenoid(c=0.0)])
+def test_surfaces_reject_values_out_of_range(build):
+    with pytest.raises(InvalidArgument):
+        build()
 
 
 @pytest.mark.parametrize("name", sorted(ALL))

@@ -22,8 +22,9 @@ MODULES = sorted(p for p in (ROOT / "src" / "twophase").glob("*.py")
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
-#: defaulted parameters over src/twophase/*.py; lower it when a change pins more
-MAX_DEFAULTED_PARAMETERS = 20
+#: defaulted parameters over src/twophase/*.py, dataclass fields included;
+#: lower it when a change pins more
+MAX_DEFAULTED_PARAMETERS = 29
 
 #: exempt from the test-only check: the console script pyproject.toml declares
 ENTRY_POINTS = {"cli.main"}
@@ -55,13 +56,22 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in node.decorator_list)
+
+
 def defaulted_parameters(source: str) -> int:
-    """Parameters with a default value, over every function in the source."""
+    """Parameters with a default value, over every function in the source,
+    and the fields with a default value of every dataclass."""
     count = 0
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             count += len(node.args.defaults)
             count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(item, ast.AnnAssign) and item.value is not None
+                         for item in node.body)
     return count
 
 
@@ -69,6 +79,13 @@ def test_defaulted_parameters_are_counted():
     assert defaulted_parameters("def f(a, b=1, *c, d, e=2, **g):\n"
                                 "    def h(x=0):\n        pass\n"
                                 "k = lambda y=1: y\n") == 4
+
+
+def test_defaulted_dataclass_fields_are_counted():
+    assert defaulted_parameters("@dataclass(frozen=True)\nclass A:\n"
+                                "    a: int\n    b: int = 1\n    C = 2\n"
+                                "@dataclass\nclass B:\n    d: float = 0.0\n"
+                                "class E:\n    e: int = 3\n") == 2
 
 
 def test_defaulted_parameters_stay_capped():

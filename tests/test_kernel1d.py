@@ -6,11 +6,12 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from twophase import kernel1d as k1
-from twophase.errors import ConsistencyError, InvalidArgument
+from twophase.errors import InvalidArgument
 from twophase.medium import TwoPhaseMedium, gaussian_kernel
 from twophase.quadrature import integrate_adaptive
 
-from oracles import DegenerateFit, fit_decay_envelope
+from oracles import (ConsistencyError, DegenerateFit, fit_decay_envelope,
+                     halfline_solution)
 
 MED = TwoPhaseMedium(1.0, 4.0)
 
@@ -62,19 +63,19 @@ def test_kernel_rejects_nonpositive_time():
 
 def test_halfline_interface_value_time_independent():
     for t in np.geomspace(1e-3, 1e3, 13):
-        assert k1.halfline_solution(0.0, t, MED) == pytest.approx(2.0 / 3.0,
+        assert halfline_solution(0.0, t, MED) == pytest.approx(2.0 / 3.0,
                                                                   abs=1e-10)
 
 
 def test_halfline_equal_phases_gives_half():
     med = TwoPhaseMedium(2.0, 2.0)
     for t in (0.01, 1.0, 50.0):
-        assert k1.halfline_solution(0.0, t, med) == pytest.approx(0.5, abs=1e-12)
+        assert halfline_solution(0.0, t, med) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_halfline_deep_point_small():
     # erfc oracle: u(3, 0.01) = k erfc(3 / (2 sqrt(0.01)))
-    val = k1.halfline_solution(3.0, 0.01, MED)
+    val = halfline_solution(3.0, 0.01, MED)
     assert val == pytest.approx(MED.k * erfc(15.0), rel=1e-6)
     assert val < 1e-8
 
@@ -111,7 +112,7 @@ def miss_by_twice_the_tolerance(monkeypatch):
 def test_halfline_solution_raises_on_disagreement(monkeypatch):
     miss_by_twice_the_tolerance(monkeypatch)
     with pytest.raises(ConsistencyError):
-        k1.halfline_solution(0.3, 0.5, MED)
+        halfline_solution(0.3, 0.5, MED)
 
 
 def test_envelope_plane_rate_near_quarter():
@@ -207,11 +208,11 @@ def test_eval_kernel_arrays_equal_scalar_calls():
 
 def test_halfline_functions_broadcast_and_reject_bad_times(monkeypatch):
     t = np.geomspace(1e-3, 1e3, 13)
-    np.testing.assert_array_equal(k1.halfline_solution(0.0, t, MED),
+    np.testing.assert_array_equal(halfline_solution(0.0, t, MED),
                                   [k1.halfline_closed_form(0.0, s, MED) for s in t])
     for func in (k1.halfline_closed_form, k1.halfline_quadrature):
         with pytest.raises(InvalidArgument):
             func(np.zeros(2), np.array([1.0, 0.0]), MED)
     miss_by_twice_the_tolerance(monkeypatch)
     with pytest.raises(ConsistencyError):
-        k1.halfline_solution(np.array([0.0, 0.3]), 0.5, MED)
+        halfline_solution(np.array([0.0, 0.3]), 0.5, MED)

@@ -47,13 +47,27 @@ grid stencil and `rigidity-probe` through the 1D stepper's faces:
     across the interface face, and the plane's interface value moves
     1.13e-4 from k, against the 1e-6 bound.
 
+and the two criteria of the 1D kernel, `interface-constant-1d` and
+`kernel-mass-two-way`, through its image amplitude:
+
+  * (g) `kernel1d._amplitudes`' reflection amplitude on the sigma_m side
+    scaled by 1 + 1e-6: the quadrature of u(0, t) moves 1.67e-7 from k,
+    and the kernel's mass 1.44e-7 from 1, while the closed form, which
+    reads the same amplitude, still agrees with the quadrature (5.9e-16);
+
+and `mean-curvature-extraction`, through the radial reduction:
+
+  * (h) `Sphere.radial_dim` = N - 1 in place of N: the sphere's fitted
+    curvature sum is off by 0.50 relative, against the 0.01 bound, while
+    the plane and cylinder still pass.
+
 Not yet covered, each for want of a planted defect that it alone must
 catch:
 
-  * interface-constant-1d, kernel-mass-two-way: the 1D kernel's closed
-    form and quadrature;
-  * near-boundary-law: the fitted exponent and coefficient of Lap A_0;
-  * mean-curvature-extraction: the radial log-derivatives and the fit;
+  * near-boundary-law: the fitted coefficient of Lap A_0 barely moves
+    under a faulty chart.  Scaling G^qq by 1.05 moves its relative error
+    from 5.06e-6 to 5.30e-6 against the 0.02 bound, and scaling Lap(delta)
+    by 1.01 leaves it at 5.06e-6;
   * higher-order-coefficient: reads Lap A_0 at the surface in closed
     form; an independent collar solve would be the check of it;
   * grid-solver-convergence: a face conductivity changed from the
@@ -65,14 +79,16 @@ catch:
 
 import pytest
 
-from twophase import acceptance, helicoid, wkb
+from twophase import acceptance, helicoid, kernel1d, wkb
 from twophase import elliptic as ell
+from twophase import geometry as geo
 from twophase import parabolic as par
 
 chebint = wkb.chebint
 turns = helicoid._turns
 screw_many = helicoid.screw_many
 stencil = ell._stencil
+amplitudes = kernel1d._amplitudes
 
 
 @pytest.fixture
@@ -174,3 +190,35 @@ def test_arithmetic_face_mean_fails_the_rigidity_probe(monkeypatch):
     monkeypatch.setattr(par.Grid1D, "conductances", arithmetic)
     _, failed = _failed(acceptance.criterion_rigidity_probe)
     assert failed == {"plane max deviation"}  # the sphere still drifts
+
+
+def _scaled_reflection(monkeypatch):
+    def scaled(medium):
+        a, m, refl_m, refl_s, trans_m, trans_s = amplitudes(medium)
+        return a, m, refl_m * (1.0 + 1e-6), refl_s, trans_m, trans_s
+
+    monkeypatch.setattr(kernel1d, "_amplitudes", scaled)
+
+
+def test_scaled_reflection_fails_the_interface_constant(monkeypatch):
+    _scaled_reflection(monkeypatch)
+    checks, failed = _failed(acceptance.criterion_interface_constant)
+    assert failed == {"max |u(0, t) - k|"}
+    assert checks["max |u(0, t) - k|"].value > 1e-7  # reads 1.67e-7
+
+
+def test_scaled_reflection_fails_the_kernel_mass_alone(monkeypatch):
+    _scaled_reflection(monkeypatch)
+    checks, failed = _failed(acceptance.criterion_kernel_mass)
+    assert failed == {"max |mass - 1|"}  # reads 1.44e-7
+    # the closed form reads the same amplitude as the quadrature
+    assert checks["max |closed form - quadrature|"].value < 1e-14
+
+
+def test_sphere_in_the_wrong_dimension_fails_curvature_extraction(
+        monkeypatch):
+    monkeypatch.setattr(geo.Sphere, "radial_dim",
+                        property(lambda self: self.N - 1))
+    checks, failed = _failed(acceptance.criterion_mean_curvature)
+    assert failed == {"sphere rel err"}
+    assert checks["sphere rel err"].value > 0.4  # reads 0.50

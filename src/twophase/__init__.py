@@ -3,11 +3,11 @@
 The package implements and cross-checks the constructive machinery behind
 the rigidity of flat interfaces in two-phase heat conductors:
 
-  * `medium`    -- conductivity pairs, the interface constant, Gaussian kernels
+  * `medium`    -- conductivity pairs and the interface constant
   * `kernel1d`  -- the exact two-phase heat kernel on the line and its
                    half-line Cauchy solution (quadrature vs closed form)
-  * `geometry`  -- surface catalog with signed distance, projections,
-                   principal curvatures and symmetric functions
+  * `geometry`  -- surface catalog with signed distance, projections
+                   and principal curvatures
   * `wkb`       -- barrier coefficients A_j, the forced pair A_{n,+-},
                    harmonic correctors, sub/supersolution barriers
   * `elliptic`  -- radial solvers for sigma Lap w = lambda w, curvature
@@ -32,6 +32,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .medium import TwoPhaseMedium, gaussian_kernel, interface_constant
+from .medium import TwoPhaseMedium
 
-__all__ = ["TwoPhaseMedium", "gaussian_kernel", "interface_constant"]
+__all__ = ["TwoPhaseMedium"]

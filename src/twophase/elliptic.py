@@ -13,10 +13,10 @@ Three layers:
 
     with c0 = sqrt(sigma_s sigma_m) / (sqrt(sigma_s) + sqrt(sigma_m)), so a
     regression of the detrended derivative against {1, lambda^(-1/2)}
-    recovers the summed principal curvatures; on minimal surfaces the
-    constant term vanishes and the lambda^(-1/2) coefficient isolates
-    p! 2^(-p) sigma^(p/2) H_p with opposite phase weights sigma_s vs
-    sigma_m, the imbalance that forces H_p = 0 for distinct conductivities,
+    recovers the summed principal curvatures; on the N = 3 minimal
+    surfaces the constant term vanishes and the lambda^(-1/2) coefficient
+    isolates sigma H_2 / 2 with phase weights sigma_s vs sigma_m, the
+    imbalance that forces H_2 = 0 for distinct conductivities,
   * a Cartesian finite-volume discretization of the full transmission
     problem on 2d grids with harmonic-mean face conductivities; the grid's
     width picks banded Cholesky (up to BANDED_MAX_NX cells, factored in
@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -50,7 +49,7 @@ from scipy.special import ive, kve
 from . import wkb
 from .errors import (FitUnstable, InvalidArgument, NonConvergence,
                      SandwichTooLoose, positive_count)
-from .geometry import Sphere, Surface, elementary_symmetric
+from .geometry import Sphere, Surface
 from .medium import TwoPhaseMedium
 
 
@@ -210,50 +209,48 @@ def log_rate_grid(lo: float, hi: float, per_decade: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HigherOrderFit:
-    """The lambda^(-(p-1)/2) coefficient of the detrended derivative."""
+    """The lambda^(-1/2) coefficient of the detrended derivative."""
 
-    p: int
     side: int
     coefficient: float
     predicted: float
     half_gap_max: float
 
 
-def higher_order_fit(surface: Surface, medium: TwoPhaseMedium, p: int) -> dict:
-    """The lambda^(-(p-1)/2) coefficient on both phase sides, 2 <= p <= 4.
+def higher_order_fit(surface: Surface, medium: TwoPhaseMedium) -> dict:
+    """The lambda^(-1/2) coefficient on both phase sides of an N = 3
+    minimal surface, where H_1 = 0 and H_2 is the first symmetric
+    curvature that can be non-zero (p = 2).
 
     The order-3 barrier pair brackets the conormal derivative at footpoint
     q = 0; its midpoint less c0 sqrt(lambda) is sigma b Lap(delta)/2 - 1/2 b
     sigma sum_{j=1..3} (sigma/lambda)^(j/2) Lap A_{j-1}, so the coefficient
-    is -1/2 b sigma^((p+1)/2) Lap A_{p-2} at the surface, compared with
-    c0 p! 2^(-p) sigma^(p/2) H_p (times (-1)^p inside).  The sides' ratio
-    (sigma_s/sigma_m)^(p/2) is the imbalance that forces H_p = 0.
-    SandwichTooLoose is raised if the bracket's half-gap exceeds the term at
-    lambda = 1e4, where their ratio, ~ lambda^((p-4)/2), is largest.
+    is -1/2 b sigma^(3/2) Lap A_0 at the surface, compared with
+    c0 sigma H_2 / 2.  The sides' ratio sigma_s/sigma_m is the imbalance
+    that forces H_2 = 0.  SandwichTooLoose is raised if the bracket's
+    half-gap exceeds the term at lambda = 1e4, where their ratio,
+    ~ 1/lambda, is largest, and InvalidArgument on a radial surface.
     """
+    if surface.is_radial:
+        raise InvalidArgument("the higher-order fit needs a minimal surface")
     kap = surface.kappas_at(0.0)
-    if not 2 <= p <= min(4, len(kap)):
-        raise InvalidArgument(f"need 2 <= p <= min(4, {len(kap)}), got {p!r}")
-    Hp = float(elementary_symmetric(kap)[p - 1])
+    H2 = float(kap[0] * kap[1])
     lam = 1e4
     c0 = medium.k * math.sqrt(medium.sigma_s)
     out = {}
     for side in (-1, +1):
         sigma = medium.side_conductivity(side)
         b = medium.side_value(side)
-        lap_a = wkb.boundary_laplacians(surface, 0.0, p - 2, side)[p - 2]
-        coefficient = float(-0.5 * b * sigma ** (0.5 * (p + 1)) * lap_a)
-        sign_factor = (-1.0) ** p if side == -1 else 1.0
-        predicted = (c0 * math.factorial(p) * 2.0 ** -p * sign_factor
-                     * sigma ** (0.5 * p) * Hp)
+        lap_a = wkb.boundary_laplacians(surface, 0.0, 0, side)[0]
+        coefficient = float(-0.5 * b * sigma ** 1.5 * lap_a)
         halfgap = sigma * b * (sigma / lam) ** 1.5
-        if halfgap > max(abs(coefficient) * lam ** (-0.5 * (p - 1)), 1e-300):
+        if halfgap > max(abs(coefficient) * lam ** -0.5, 1e-300):
             raise SandwichTooLoose("barrier half-gap exceeds the term")
-        out[side] = HigherOrderFit(p=p, side=side, coefficient=coefficient,
-                                   predicted=predicted, half_gap_max=halfgap)
+        out[side] = HigherOrderFit(side=side, coefficient=coefficient,
+                                   predicted=c0 * sigma * H2 / 2,
+                                   half_gap_max=halfgap)
     out["ratio"] = out[-1].coefficient / out[+1].coefficient
-    out["predicted_ratio"] = ((-1.0) ** p *
-                              (medium.sigma_s / medium.sigma_m) ** (0.5 * p))
+    out["predicted_ratio"] = medium.sigma_s / medium.sigma_m
     return out
 
 
@@ -310,29 +307,28 @@ def radial_barrier_sandwich(surface: Surface, medium: TwoPhaseMedium,
 # Cartesian finite-volume discretization
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class GridField:
-    """Cell-centered field on a uniform 2d grid: (ny, nx) per-cell arrays
-    sigma and values, rows along y, lower corner lo = (x, y), cell width h.
+    """A uniform 2d grid of cell width h and its (ny, nx) per-cell
+    conductivities sigma, rows along y.
 
     The assembled operator for -div(sigma grad w) + lambda w is an M-matrix
     for lambda > 0: strictly diagonally dominant with nonpositive
-    off-diagonal entries.  A solved field also carries the CG iterations (0
-    from the banded path) and the final relative residual of its solve.
+    off-diagonal entries.
     """
 
-    lo: tuple
     h: float
     sigma: np.ndarray
-    values: Optional[np.ndarray] = None
-    iterations: int = 0
-    residual: float = 0.0
 
-    def centers(self):
-        """Cell-center coordinates (x, y) along the two axes."""
-        ny, nx = self.sigma.shape
-        return (self.lo[0] + (np.arange(nx) + 0.5) * self.h,
-                self.lo[1] + (np.arange(ny) + 0.5) * self.h)
+
+@dataclass(frozen=True)
+class GridSolution:
+    """A grid solve's (ny, nx) cell values, its CG iterations (0 from the
+    banded path) and its final relative residual |b - A w| / |b|."""
+
+    values: np.ndarray
+    iterations: int
+    residual: float
 
 
 def _harmonic(a, b):
@@ -529,7 +525,7 @@ def _apply_stencil(main, cx, cy, w) -> np.ndarray:
 
 
 def grid_modified_helmholtz(field: GridField, lam: float, source,
-                            boundary: dict) -> GridField:
+                            boundary: dict) -> GridSolution:
     """Solve -div(sigma grad w) + lambda w = source with Dirichlet data.
 
     Harmonic-mean face conductivities preserve flux continuity across the
@@ -541,7 +537,7 @@ def grid_modified_helmholtz(field: GridField, lam: float, source,
     conjugate gradients to relative residual 1e-10 within 40000
     iterations, preconditioned by one multigrid V-cycle per iteration
     (`_vcycle`): the iteration count then stays near 20 as h shrinks, where
-    a diagonal preconditioner needs O(1/h).  The result carries the CG
+    a diagonal preconditioner needs O(1/h).  The solution carries the CG
     iteration count (0 from the banded path) and the final relative
     residual |b - A w| / |b|.  An unknown face name, or a singular
     (lambda = 0, no Dirichlet face) or indefinite operator raises
@@ -580,9 +576,8 @@ def grid_modified_helmholtz(field: GridField, lam: float, source,
         raise NonConvergence(
             f"conjugate gradients stopped after {iterations} iterations at "
             f"relative residual {residual:.2e} (info={info})")
-    return GridField(lo=field.lo, h=field.h, sigma=field.sigma,
-                     values=sol.reshape(field.sigma.shape),
-                     iterations=iterations, residual=residual)
+    return GridSolution(values=sol.reshape(ny, nx), iterations=iterations,
+                        residual=residual)
 
 
 # the grid convergence study: a disk of radius DISK_R (sigma_s inside) in
@@ -591,7 +586,7 @@ DISK_R = 1.0
 DISK_L = 3.0
 
 
-def solve_disk(medium: TwoPhaseMedium, lam: float, h: float) -> GridField:
+def solve_disk(medium: TwoPhaseMedium, lam: float, h: float) -> GridSolution:
     """The 2d disk transmission solve with source lam outside the disk.
 
     The problem is even in x and in y, so only the quadrant [0, L]^2 is
@@ -603,25 +598,26 @@ def solve_disk(medium: TwoPhaseMedium, lam: float, h: float) -> GridField:
     x = (np.arange(int(round(DISK_L / h))) + 0.5) * h
     sig = np.where(x[None, :] ** 2 + x[:, None] ** 2 < DISK_R ** 2,
                    medium.sigma_s, medium.sigma_m)
-    quadrant = GridField(lo=(0.0, 0.0), h=h, sigma=sig)
+    quadrant = GridField(h=h, sigma=sig)
     return grid_modified_helmholtz(quadrant, lam,
                                    lam * (sig == medium.sigma_m),
                                    {"xhi": 1.0, "yhi": 1.0})
 
 
-def disk_interface_values(field: GridField) -> np.ndarray:
-    """Bilinear samples of the solution at 64 angles on the circle r = DISK_R,
-    each taken at its image (|x|, |y|) in the quadrant of `solve_disk`.
+def disk_interface_values(values: np.ndarray, h: float) -> np.ndarray:
+    """Bilinear samples of the cell values of a `solve_disk` quadrant of
+    cell width h at 64 angles on the circle r = DISK_R, each taken at its
+    image (|x|, |y|) in the quadrant, whose first cell centre is (h/2, h/2).
     Within half a cell of a mirror face the image lies between a cell and
     the cell's own mirror image, so the fractional index is clamped at 0."""
-    xs, ys = field.centers()
+    ny, nx = values.shape
     theta = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
-    fx = np.maximum((np.abs(DISK_R * np.cos(theta)) - xs[0]) / field.h, 0.0)
-    fy = np.maximum((np.abs(DISK_R * np.sin(theta)) - ys[0]) / field.h, 0.0)
-    ix = np.clip(np.floor(fx).astype(int), 0, len(xs) - 2)
-    iy = np.clip(np.floor(fy).astype(int), 0, len(ys) - 2)
+    fx = np.maximum((np.abs(DISK_R * np.cos(theta)) - 0.5 * h) / h, 0.0)
+    fy = np.maximum((np.abs(DISK_R * np.sin(theta)) - 0.5 * h) / h, 0.0)
+    ix = np.clip(np.floor(fx).astype(int), 0, nx - 2)
+    iy = np.clip(np.floor(fy).astype(int), 0, ny - 2)
     tx, ty = fx - ix, fy - iy
-    v = field.values
+    v = values
     return ((1 - tx) * (1 - ty) * v[iy, ix] + tx * (1 - ty) * v[iy, ix + 1]
             + (1 - tx) * ty * v[iy + 1, ix] + tx * ty * v[iy + 1, ix + 1])
 
@@ -634,7 +630,7 @@ def disk_convergence_study(medium: TwoPhaseMedium, lam: float,
     errs, iterations, residuals = [], [], []
     for h in hs:
         sol = solve_disk(medium, lam, h)
-        vals = disk_interface_values(sol)
+        vals = disk_interface_values(sol.values, h)
         errs.append(float(np.max(np.abs(vals - oracle.interface_value))))
         iterations.append(sol.iterations)
         residuals.append(sol.residual)
@@ -674,7 +670,7 @@ def discrete_max_principle_check(lam: float, trials: int, rng_seed: int,
         boundary = {name: rng.uniform(0.0, 1.0, size=n)
                     for name in ("xlo", "xhi", "ylo", "yhi")}
         source = rng.uniform(0.0, 1.0, size=(n, n)) * lam
-        field = GridField(lo=(0.0, 0.0), h=1.0 / n, sigma=sig)
+        field = GridField(h=1.0 / n, sigma=sig)
         sol = grid_modified_helmholtz(field, lam, source, boundary)
         return float(sol.values.min())
 

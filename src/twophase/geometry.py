@@ -1,4 +1,4 @@
-"""Surface catalog: signed distance, projection, curvatures, symmetric functions.
+"""Surface catalog: signed distance, projection and principal curvatures.
 
 Each surface is the boundary of a reference domain Omega and carries
 
@@ -7,8 +7,7 @@ Each surface is the boundary of a reference domain Omega and carries
     unique,
   * principal curvatures kappa_j at surface points, taken with respect to
     the normal pointing INTO Omega (so a sphere bounding a ball has
-    kappa_j = +1/R), and
-  * the elementary symmetric functions H_i of the kappa_j.
+    kappa_j = +1/R).
 
 The declared delta0 always satisfies max_j |kappa_j| < 1/(2 delta0) on the
 test patch.  With these conventions the distance function obeys
@@ -19,7 +18,11 @@ test patch.  With these conventions the distance function obeys
 
 with kappa_j evaluated at z(x), and the product expansion
 
-    prod_j (1 - kappa_j delta) = 1 + sum_i (-1)^i H_i delta^i.
+    prod_j (1 - kappa_j delta) = 1 + sum_i (-1)^i H_i delta^i
+
+in the elementary symmetric functions H_i of the kappa_j.  The helicoid
+and catenoid have N = 3, so H_1 = 0 (they are minimal) and H_2 =
+kappa_1 kappa_2 is their only other one.
 
 Which side is Omega, per variant: Hyperplane {x1 > 0}; Sphere and Cylinder
 the interior; Catenoid the axis-containing region; Helicoid the region
@@ -111,6 +114,10 @@ class Hyperplane(Surface):
     delta0 = 1.0
     is_radial = True
     radial_dim = 1
+
+    def __post_init__(self):
+        if not self.N >= 1:
+            raise InvalidArgument("Hyperplane needs N >= 1")
 
     def project_batch(self, X):
         X = np.asarray(X, dtype=float)
@@ -422,21 +429,3 @@ class Catenoid(Surface):
         side = np.where(r < g_zeta, -1, np.where(r > g_zeta, 1, 0))
         return Z, delta, side
 
-
-# ---------------------------------------------------------------------------
-# module-level operations
-# ---------------------------------------------------------------------------
-
-def elementary_symmetric(kappas) -> np.ndarray:
-    """Elementary symmetric polynomials H_1..H_n of the given curvatures.
-
-    Computed by the stable Vieta recurrence (building the coefficients of
-    prod_j (x + kappa_j) one root at a time).
-    """
-    kappas = np.asarray(kappas, dtype=float)
-    e = np.zeros(len(kappas) + 1)
-    e[0] = 1.0
-    for j, kap in enumerate(kappas):
-        upper = j + 1
-        e[1:upper + 1] = e[1:upper + 1] + kap * e[0:upper]
-    return e[1:]

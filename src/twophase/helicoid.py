@@ -313,19 +313,18 @@ def symmetry_identities_check(n_samples: int, rng_seed: int) -> dict:
 
     (a) screw motions preserve the side of Omega; (b) the flip swaps the
     sides (off the surface); (c) on the surface, g(x) = k_{-2 x3}(x)
-    pointwise.  Violations are counted, with a witness point kept for
-    debugging; the group law k_a k_b = k_{a+b} is checked alongside.
-    The points come from the stream (rng_seed + 2^64, 0), which no
-    Monte-Carlo batch keyed by a seed below 2^64 shares.  n_samples must
-    be a positive integer.
+    pointwise.  Violations of (a) and (b) are counted, and (c) reports
+    its largest distance.  The points come from the stream
+    (rng_seed + 2^64, 0), which no Monte-Carlo batch keyed by a seed below
+    2^64 shares.  n_samples must be a positive integer.
     """
     n_samples = positive_count("symmetry_samples", n_samples)
     gen = _stream(rng_seed + 2 ** 64)
     pts = gen.uniform(-5.0, 5.0, size=(n_samples, 3))
     alphas = gen.uniform(-10.0, 10.0, size=n_samples)
 
-    screw_bad = np.flatnonzero(omega_indicator(screw_many(pts, alphas))
-                               != omega_indicator(pts))
+    screw_bad = int(np.count_nonzero(omega_indicator(screw_many(pts, alphas))
+                                     != omega_indicator(pts)))
 
     on_h = np.abs(_defining(pts)) < 1e-9
     off = pts[~on_h]
@@ -337,20 +336,12 @@ def symmetry_identities_check(n_samples: int, rng_seed: int) -> dict:
     kx = screw_many(surf, -2.0 * surf[:, 2])
     coincide = float(np.max(np.linalg.norm(flip(surf) - kx, axis=1)))
 
-    a, b = gen.uniform(-10.0, 10.0, size=n_samples), gen.uniform(-10.0, 10.0, size=n_samples)
-    comp = screw_many(screw_many(pts, a), b)
-    direct = screw_many(pts, a + b)
-    group_law = float(np.max(np.linalg.norm(comp - direct, axis=1)
-                             / np.maximum(1.0, np.linalg.norm(pts, axis=1))))
-
     return {
         "n_samples": n_samples,
         "seed": rng_seed,
-        "screw_violations": int(screw_bad.size),
+        "screw_violations": screw_bad,
         "flip_violations": flip_bad,
         "surface_coincidence_max": coincide,
-        "group_law_max": group_law,
-        "witness": pts[screw_bad[-1]].tolist() if screw_bad.size else None,
     }
 
 

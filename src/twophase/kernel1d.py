@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import InvalidArgument
-from .medium import TwoPhaseMedium, interface_constant
+from .medium import TwoPhaseMedium
 from .quadrature import GAUSSIAN_CUTOFF_STD, integrate_adaptive
 
 #: the bound on |closed form - quadrature| of the half-line solution
@@ -66,7 +66,7 @@ def eval_kernel(x1, y1, t, medium: TwoPhaseMedium):
          [trans_s, trans_m], [a / m, m / a]])[:, warm.astype(int)]
     spread, scale = 4.0 * t * sigma, np.sqrt(4.0 * math.pi * t * sigma)
 
-    def gaussian(z):  # `gaussian_kernel`, operation for operation, unchecked
+    def gaussian(z):  # (4 pi t sigma)^(-1/2) exp(-z^2 / (4 t sigma))
         return np.exp(-(z * z) / spread) / scale
     same = gaussian(x1 - y1) + refl * gaussian(x1 + y1)
     cross = trans * gaussian(x1 - stretch * y1)
@@ -86,7 +86,7 @@ def halfline_closed_form(x1, t, medium: TwoPhaseMedium):
     broadcast over x1 and t (a float for scalar arguments)."""
     x1, t = np.asarray(x1, dtype=float), _check_times(t)
     refl_m = _amplitudes(medium)[2]
-    cold = interface_constant(medium) * erfc(x1 / (2.0 * np.sqrt(t * medium.sigma_s)))
+    cold = medium.k * erfc(x1 / (2.0 * np.sqrt(t * medium.sigma_s)))
     xi = x1 / (2.0 * np.sqrt(t * medium.sigma_m))
     val = np.where(x1 >= 0.0, cold, 0.5 * erfc(xi) + refl_m * 0.5 * erfc(-xi))
     return val if val.ndim else float(val)

@@ -62,7 +62,9 @@ lies on a known ray, so a build projects nothing.
 minimal ones, and the box the tables cover: the collar with a margin of
 p = 4 + 2 order steps, tau in [-p h, delta0 + p h] with h = delta0/120
 and, on the minimal surfaces, |q| <= 0.8 c + p 1.6 c/220 (c = 1 for the
-helicoid).  Reads outside this box raise OutsideTubularNeighborhood.
+helicoid).  Reads outside this box raise OutsideTubularNeighborhood; a
+footpoint on the q box's edge projects back to within an ulp of it, so q
+may pass the edge by a few ulps of the box width (`_Q_EDGE_ULPS`).
 
 Reads go point by point: each point's value is its q basis row times the
 coefficient array (one vector-matrix product per point, stacked), summed
@@ -93,7 +95,7 @@ from numpy.polynomial.chebyshev import chebder, chebint, chebpts2, chebvander
 from .errors import (DegenerateTube, InvalidArgument,
                      OutsideTubularNeighborhood, ThresholdNotFound,
                      UnsupportedGeometry)
-from .geometry import Surface, elementary_symmetric
+from .geometry import Surface
 from .medium import TwoPhaseMedium
 
 #: absolute central-difference step of `gradient_identity_residual`
@@ -107,6 +109,12 @@ N_CHEB = 40
 
 #: the calibration footpoints span |q| <= CALIBRATION_Q c on the minimal surfaces
 CALIBRATION_Q = 0.7 * (0.8 + 4 * 1.6 / 220)
+
+#: how far, in ulps of the q box's width, a projected footpoint may lie past
+#: the box's edge: a ray rooted on the edge projects back to within an ulp
+#: of it.  The series is still read at the projected q, a few ulps outside
+#: [-1, 1] in its own variable, so nothing is clamped
+_Q_EDGE_ULPS = 4
 
 
 class _ProjectionSlot(threading.local):
@@ -202,10 +210,6 @@ class CoefficientEngine:
         kap = self.surface.kappas_at(q)
         return -kap if self.side == +1 else kap
 
-    def boundary_mean_term(self, q) -> float:
-        """Lap(signed distance) at the surface: -sum of side-adjusted kappas."""
-        return float(-np.sum(self._kappas(q)))
-
     def _lap_delta(self, q, tau):
         """Lap(signed distance) at chart coordinates (q, tau)."""
         kap = self._kappas(q)
@@ -230,11 +234,14 @@ class CoefficientEngine:
         return self.surface.ray_param(Z), tau
 
     def _table_coords(self, X):
-        """(q, tau) of points, which must lie in the tabulated box."""
+        """(q, tau) of points, which must lie in the tabulated box (q within
+        _Q_EDGE_ULPS ulps of the box width past its edges)."""
         q, tau = self.signed_coords(X)
         outside = (tau < self._tau_box[0]) | (tau > self._tau_box[1])
         if self._q_box is not None:
-            outside |= (q < self._q_box[0]) | (q > self._q_box[1])
+            lo, hi = self._q_box
+            slack = _Q_EDGE_ULPS * np.spacing(hi - lo)
+            outside |= (q < lo - slack) | (q > hi + slack)
         if np.any(outside):
             i = int(np.argmax(outside))
             raise OutsideTubularNeighborhood(
@@ -425,9 +432,6 @@ class WkbCoefficientTable:
     round-off.
     """
 
-    order: int
-    side: int
-    z: np.ndarray
     taus: np.ndarray
     A: tuple              # arrays A_0 .. A_{n-1} on the ray grid
     An_plus: np.ndarray
@@ -457,9 +461,8 @@ def compute_coefficients(surface: Surface, q, n: int, side: int, *,
     A = [eng.field(j, pts) for j in range(n)]
     top = eng.field(n, pts)
     jint = eng.j_integral(pts)
-    z = eng.ray_points(q, np.zeros(1))[0]
-    return WkbCoefficientTable(order=n, side=side, z=z, taus=taus, A=tuple(A),
-                               An_plus=top + jint, An_minus=top - jint)
+    return WkbCoefficientTable(taus=taus, A=tuple(A), An_plus=top + jint,
+                               An_minus=top - jint)
 
 
 def gradient_identity_residual(surface: Surface, j: int, x, side: int,
@@ -682,49 +685,42 @@ def barrier_w(surface: Surface, medium: TwoPhaseMedium, x, lam: float, n: int,
 
 @dataclass(frozen=True)
 class NearBoundaryFit:
-    """Measured vs predicted small-distance behavior of Lap A_s."""
+    """Measured vs predicted small-distance behavior of Lap A_0."""
 
-    s: int
-    p: int
     measured_coefficient: float
     predicted_coefficient: float
     fitted_exponent: float
-    expected_exponent: int
     deltas: np.ndarray
     values: np.ndarray
 
 
-def near_boundary_law(surface: Surface, q, s: int, p: int, side: int
-                      ) -> NearBoundaryFit:
-    """Fit Lap A_s ~ c delta^(p-2-s) near the surface and compare with theory.
+def near_boundary_law(surface: Surface, q, side: int) -> NearBoundaryFit:
+    """Fit Lap A_0 ~ c delta^0 near an N = 3 minimal surface and compare
+    with theory.
 
-    On a surface whose first p-1 symmetric curvature functions vanish,
-    Lap A_s = -2^-(s+1) (-1)^p (s+2)! C(p, s+2) H_p delta^(p-2-s) + O(delta^(p-1-s))
-    for s = 0 .. p-2.  The exponent is fitted on a log-log window of 13
-    distances from 1e-3 delta0 to 1e-1 delta0 and the coefficient by
-    extrapolating Lap A_s / delta^(p-2-s) to delta -> 0.
+    On a surface whose first p - 1 symmetric curvature functions vanish,
+    Lap A_s = -2^-(s+1) (-1)^p (s+2)! C(p, s+2) H_p delta^(p-2-s)
+    + O(delta^(p-1-s)).  In N = 3 a minimal surface has H_1 = 0 and
+    H_2 = kappa_1 kappa_2, so p = 2, s = 0 and Lap A_0 -> -H_2 at exponent
+    0.  The exponent is fitted on a log-log window of 13 distances from
+    1e-3 delta0 to 1e-1 delta0 and the coefficient by extrapolating Lap A_0
+    to delta -> 0.  A radial surface raises InvalidArgument.
     """
-    if not (0 <= s <= p - 2):
-        raise InvalidArgument("need 0 <= s <= p-2")
+    if surface.is_radial:
+        raise InvalidArgument("the near-boundary law needs a minimal surface")
     eng = coefficient_engine(surface, side)
     deltas = np.geomspace(1e-3 * eng.delta0, 1e-1 * eng.delta0, 13)
     pts = eng.ray_points(q, deltas)
-    vals = eng.laplacian(s, pts)
+    vals = eng.laplacian(0, pts)
 
     logv = np.log(np.abs(vals))
     exponent = float(np.polyfit(np.log(deltas), logv, 1)[0])
-
-    scaled = vals / deltas ** (p - 2 - s)
-    coef = float(np.polynomial.polynomial.polyfit(deltas, scaled, 2)[0])
+    coef = float(np.polynomial.polynomial.polyfit(deltas, vals, 2)[0])
 
     kap = eng._kappas(q)
-    Hp = float(elementary_symmetric(kap)[p - 1])
-    predicted = (-(2.0 ** -(s + 1)) * (-1.0) ** p * math.factorial(s + 2)
-                 * math.comb(p, s + 2) * Hp)
-    return NearBoundaryFit(s=s, p=p, measured_coefficient=coef,
-                           predicted_coefficient=predicted,
-                           fitted_exponent=exponent, expected_exponent=p - 2 - s,
-                           deltas=deltas, values=vals)
+    return NearBoundaryFit(measured_coefficient=coef,
+                           predicted_coefficient=-float(kap[0] * kap[1]),
+                           fitted_exponent=exponent, deltas=deltas, values=vals)
 
 
 def boundary_laplacians(surface: Surface, q, j_max: int, side: int
@@ -756,7 +752,8 @@ def boundary_normal_derivative(surface: Surface, medium: TwoPhaseMedium,
     mu = np.sqrt(lam / medium.side_conductivity(side))
     qq = 1.0 / mu
     lap_boundary = boundary_laplacians(surface, 0.0, n - 1, side)
-    val = mu + 0.5 * coefficient_engine(surface, side).boundary_mean_term(0.0)
+    val = mu + 0.5 * float(coefficient_engine(surface, side)._lap_delta(
+        0.0, np.zeros(())))
     val -= 0.5 * sum(qq ** j * lap_boundary[j - 1] for j in range(1, n + 1))
     val -= sign * qq ** n
     return medium.side_value(side) * val

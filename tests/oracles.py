@@ -23,8 +23,7 @@ from twophase.elliptic import (GridField, TransmissionSolution,
                                _interior_log_derivative, _stencil)
 from twophase.errors import (InvalidArgument, OutsideTubularNeighborhood,
                              TwoPhaseError)
-from twophase.geometry import (Catenoid, Helicoid, Surface,
-                               elementary_symmetric)
+from twophase.geometry import Catenoid, Cylinder, Helicoid, Sphere, Surface
 from twophase.helicoid import McEstimate, _mc_fractions
 from twophase import kernel1d
 from twophase.kernel1d import TWO_WAY_TOL, halfline_closed_form
@@ -118,6 +117,21 @@ def catenoid_outward_normal(surface: Catenoid, z) -> np.ndarray:
     return np.array([math.cos(theta) / den, math.sin(theta) / den, -gp / den])
 
 
+def elementary_symmetric(kappas) -> np.ndarray:
+    """Elementary symmetric polynomials H_1..H_n of the given curvatures.
+
+    Computed by the stable Vieta recurrence (building the coefficients of
+    prod_j (x + kappa_j) one root at a time).
+    """
+    kappas = np.asarray(kappas, dtype=float)
+    e = np.zeros(len(kappas) + 1)
+    e[0] = 1.0
+    for j, kap in enumerate(kappas):
+        upper = j + 1
+        e[1:upper + 1] = e[1:upper + 1] + kap * e[0:upper]
+    return e[1:]
+
+
 def h_funcs(surface: Surface, z) -> np.ndarray:
     """Elementary symmetric functions H_1..H_{N-1} at a surface point."""
     return elementary_symmetric(surface.kappas(np.asarray(z, dtype=float)))
@@ -195,6 +209,33 @@ def ray_derivative(eng: CoefficientEngine, j: int, X) -> np.ndarray:
 def ray_derivative_pm(eng: CoefficientEngine, n: int, sign: int, X) -> np.ndarray:
     return (ray_derivative(eng, n, X)
             + sign * _tau_derivative(eng, eng._j_table, X))
+
+
+def first_coefficient_inside(surface: Surface, tau):
+    """Exact A_1 at depth tau inside a cylinder (kappa = 1/R) or a sphere
+    in N = 4 (three curvatures 1/R): the recursion A_1 = A_0 int_0^tau
+    [Lap A_0 / 2] / A_0 ds in closed form,
+
+        cylinder:     kappa^2 tau / (8 (1 - kappa tau)^(3/2)),
+        sphere N = 4: -3 kappa^2 tau / (8 (1 - kappa tau)^(5/2)).
+
+    (In N = 3, A_0 = R/r is harmonic and every A_j of the sphere is 0.)
+    """
+    tau = np.asarray(tau, dtype=float)
+    kap = 1.0 / surface.R
+    if isinstance(surface, Cylinder):
+        return kap ** 2 * tau / (8.0 * (1.0 - kap * tau) ** 1.5)
+    if isinstance(surface, Sphere) and surface.N == 4:
+        return -3.0 * kap ** 2 * tau / (8.0 * (1.0 - kap * tau) ** 2.5)
+    raise InvalidArgument("closed-form A_1 for a cylinder or a sphere in N = 4")
+
+
+def first_coefficient_error(surface: Surface) -> float:
+    """max |A_1 - closed form| of the inside tables at 9 depths on [0, delta0]."""
+    eng = coefficient_engine(surface, -1)
+    taus = np.linspace(0.0, eng.delta0, 9)
+    got = eng.field(1, eng.ray_points(0.0, taus))
+    return float(np.max(np.abs(got - first_coefficient_inside(surface, taus))))
 
 
 def elliptic_residual(surface: Surface, medium: TwoPhaseMedium, x, lam: float,
@@ -442,8 +483,21 @@ def unshifted_evolve(grid: Grid1D, times, cells) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# medium
+# medium: the one-phase Gaussian kernel and conductivity-pair helpers
 # ---------------------------------------------------------------------------
+
+def gaussian_kernel(z, t, sigma):
+    """One-phase heat kernel (4 pi t sigma)^(-1/2) exp(-z^2/(4 t sigma)),
+    the fundamental solution of u_t = sigma u_zz, for t, sigma > 0.
+
+    Even in z, unit mass in z for every t > 0, and obeys the scaling
+    kernel(z, t, sigma) = kernel(z / sqrt(sigma), t, 1) / sqrt(sigma).
+    Broadcasts over z, t and sigma.
+    """
+    z = np.asarray(z, dtype=float)
+    val = np.exp(-(z * z) / (4.0 * t * sigma)) / np.sqrt(4.0 * math.pi * t * sigma)
+    return val if val.ndim else float(val)
+
 
 def phases_distinct(med: TwoPhaseMedium) -> bool:
     return med.sigma_s != med.sigma_m

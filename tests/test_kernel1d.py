@@ -7,11 +7,11 @@ from scipy.special import erfc
 
 from twophase import kernel1d as k1
 from twophase.errors import InvalidArgument
-from twophase.medium import TwoPhaseMedium, gaussian_kernel
+from twophase.medium import TwoPhaseMedium
 from twophase.quadrature import integrate_adaptive
 
 from oracles import (ConsistencyError, DegenerateFit, fit_decay_envelope,
-                     halfline_solution)
+                     gaussian_kernel, halfline_solution)
 
 MED = TwoPhaseMedium(1.0, 4.0)
 

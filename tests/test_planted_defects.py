@@ -61,6 +61,14 @@ and `mean-curvature-extraction`, through the radial reduction:
     curvature sum is off by 0.50 relative, against the 0.01 bound, while
     the plane and cylinder still pass.
 
+One planted defect shows what a criterion cannot see, and the test oracle
+that does:
+
+  * (i) every ray integral scaled by 1 + 1e-6: `wkb-identities` still
+    passes, while the tables' A_1 misses its closed form
+    (`oracles.first_coefficient_inside`) by 1.38e-7 on the cylinder and
+    7.52e-7 on the sphere in N = 4, against 1.4e-16 and 7.5e-16 clean.
+
 Not yet covered, each for want of a planted defect that it alone must
 catch:
 
@@ -83,6 +91,8 @@ from twophase import acceptance, helicoid, kernel1d, wkb
 from twophase import elliptic as ell
 from twophase import geometry as geo
 from twophase import parabolic as par
+
+from oracles import first_coefficient_error
 
 chebint = wkb.chebint
 turns = helicoid._turns
@@ -131,6 +141,16 @@ def test_scaled_ray_integral_fails_identities(fresh_engines):
     assert failed == {"max identity residual"}
     residual = checks["max identity residual"]
     assert residual.value > 5.0 * residual.bound
+
+
+def test_slightly_scaled_ray_integral_passes_identities_not_the_oracle(
+        fresh_engines):
+    fresh_engines.setattr(wkb, "chebint",
+                          lambda c, **kw: (1.0 + 1e-6) * chebint(c, **kw))
+    _, failed = _failed(acceptance.criterion_wkb_identities)
+    assert failed == set()
+    for surface in (geo.Cylinder(R=1.0, N=3), geo.Sphere(R=1.0, N=4)):
+        assert first_coefficient_error(surface) > 1e-8  # 1.38e-7, 7.52e-7
 
 
 def test_integration_constant_at_the_box_end_fails_the_surface_values(

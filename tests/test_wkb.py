@@ -13,8 +13,9 @@ from twophase.errors import (DegenerateTube, InvalidArgument,
                              UnsupportedGeometry)
 from twophase.medium import TwoPhaseMedium
 
-from oracles import (SlabCorrector, elliptic_residual, psi_at_radius,
-                     ray_derivative)
+from oracles import (SlabCorrector, elliptic_residual,
+                     first_coefficient_error, first_coefficient_inside,
+                     psi_at_radius, ray_derivative)
 
 MED = TwoPhaseMedium(1.0, 4.0)
 PLANE = geo.Hyperplane(N=3)
@@ -113,6 +114,17 @@ def test_cylinder_first_coefficient_two_ways():
         oracle = quad(lambda t: 0.5 * lap_a0(t) * w(t), 0.0, delta)[0] / w(delta)
         p = eng.ray_points(0.0, np.array([delta]))[0]
         assert eng.field(1, p[None, :])[0] == pytest.approx(oracle, abs=1e-8)
+        # the closed form of `first_coefficient_inside` is this integral
+        assert first_coefficient_inside(CYLINDER, delta) == pytest.approx(
+            oracle, abs=1e-14)
+
+
+@pytest.mark.parametrize("surface", [geo.Cylinder(R=1.0, N=3),
+                                     geo.Sphere(R=1.0, N=4)],
+                         ids=["cylinder", "sphere-N4"])
+def test_first_coefficient_matches_its_closed_form(surface):
+    # the tables read 1.4e-16 (cylinder) and 7.5e-16 (sphere) at 9 depths
+    assert first_coefficient_error(surface) <= 1e-12
 
 
 def test_recursion_consistency_across_orders():
@@ -587,7 +599,7 @@ def test_near_boundary_law_plane_trivial():
 
 @pytest.mark.parametrize("name,q", [("helicoid", 0.0), ("catenoid", 0.0)])
 def test_near_boundary_law_minimal_patches(name, q):
-    fit = wkb.near_boundary_law(ALL[name], q, 0, 2, side=-1)
+    fit = wkb.near_boundary_law(ALL[name], q, side=-1)
     assert fit.predicted_coefficient == pytest.approx(1.0, abs=1e-12)
     assert abs(fit.measured_coefficient - 1.0) < 0.02
     assert abs(fit.fitted_exponent - 0.0) < 0.1
@@ -596,15 +608,18 @@ def test_near_boundary_law_minimal_patches(name, q):
 def test_near_boundary_law_off_axis():
     # H_2 = -(1 + q^2)^-2 at parameter q on the helicoid
     q = 0.4
-    fit = wkb.near_boundary_law(HELICOID, q, 0, 2, side=-1)
+    fit = wkb.near_boundary_law(HELICOID, q, side=-1)
     expect = (1.0 + q * q) ** -2
     assert fit.predicted_coefficient == pytest.approx(expect, rel=1e-12)
     assert fit.measured_coefficient == pytest.approx(expect, rel=0.02)
 
 
-def test_near_boundary_law_validates_s():
-    with pytest.raises(InvalidArgument):
-        wkb.near_boundary_law(HELICOID, 0.0, 1, 2, -1)
+def test_near_boundary_law_needs_a_minimal_surface():
+    # H_1 = 0 and H_2 = kappa_1 kappa_2 hold on the helicoid and catenoid;
+    # on a sphere in N = 3 the law would predict -1 where Lap A_0 is 0
+    for surface in (geo.Sphere(R=1.0, N=3), geo.Sphere(R=1.0, N=4)):
+        with pytest.raises(InvalidArgument):
+            wkb.near_boundary_law(surface, 0.0, side=-1)
 
 
 @pytest.mark.parametrize("side", [-1, 1])

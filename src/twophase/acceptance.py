@@ -209,8 +209,7 @@ def criterion_barrier_sandwich(jobs: int) -> tuple:
     """Order-1 barriers enclose the exact radial solution pointwise, meet
     it at the surface, and bracket its conormal derivative there."""
     med = _medium14()
-    reps = {name: ell.radial_barrier_sandwich(_CATALOG[name], med,
-                                              [1e3, 1e4, 1e5])
+    reps = {name: ell.radial_barrier_sandwich(_CATALOG[name], med)
             for name in ("sphere", "cylinder")}
     upper, lower, values, dn = (np.array([rep[key] for rep in reps.values()])
                                 for key in ("upper_margin", "lower_margin",
@@ -246,7 +245,7 @@ def criterion_higher_order(jobs: int) -> tuple:
 
 def criterion_grid_convergence(jobs: int) -> tuple:
     """2d disk transmission solve converges to the radial oracle."""
-    rep = ell.disk_convergence_study(_medium14(), lam=100.0)
+    rep = ell.disk_convergence_study(_medium14())
     return ([Check("observed order", rep["observed_order"], 0.9, ">=")],
             {"errors": rep["errors"].tolist(),
              "cg_iterations": rep["iterations"],

@@ -241,7 +241,7 @@ def higher_order_fit(surface: Surface, medium: TwoPhaseMedium) -> dict:
     for side in (-1, +1):
         sigma = medium.side_conductivity(side)
         b = medium.side_value(side)
-        lap_a = wkb.boundary_laplacians(surface, 0.0, 0, side)[0]
+        lap_a = wkb.boundary_laplacians(surface, 0, side)[0]
         coefficient = float(-0.5 * b * sigma ** 1.5 * lap_a)
         halfgap = sigma * b * (sigma / lam) ** 1.5
         if halfgap > max(abs(coefficient) * lam ** -0.5, 1e-300):
@@ -254,9 +254,13 @@ def higher_order_fit(surface: Surface, medium: TwoPhaseMedium) -> dict:
     return out
 
 
-def radial_barrier_sandwich(surface: Surface, medium: TwoPhaseMedium,
-                            lam_values) -> dict:
-    """Check w_{1,-} <= w_exact <= w_{1,+} on a 64-point radial collar grid.
+#: the rates of the barrier sandwich
+SANDWICH_LAMS = (1e3, 1e4, 1e5)
+
+
+def radial_barrier_sandwich(surface: Surface, medium: TwoPhaseMedium) -> dict:
+    """Check w_{1,-} <= w_exact <= w_{1,+} on a 64-point radial collar grid
+    at each rate of SANDWICH_LAMS.
 
     `surface` is a sphere or cylinder.  w_exact is the Dirichlet-k radial
     solution on its Omega side; the barriers are the order-1 pair corrected
@@ -270,7 +274,7 @@ def radial_barrier_sandwich(surface: Surface, medium: TwoPhaseMedium,
     d0 = eng.delta0
     taus = np.linspace(0.0, d0, 64)
     R = surface.R
-    corr = wkb.RadialCorrector(R=R, d=surface.radial_dim, side=-1, delta0=d0)
+    corr = wkb.RadialCorrector(surface, side=-1)
 
     def wall_value(lam):
         sol = solve_radial_dirichlet(surface, lam, medium.sigma_s, k)
@@ -282,7 +286,7 @@ def radial_barrier_sandwich(surface: Surface, medium: TwoPhaseMedium,
            "lower_margin": [], "surface_values": [],
            "derivative_ordering": []}
     pts = eng.ray_points(0.0, taus)
-    for lam in lam_values:
+    for lam in SANDWICH_LAMS:
         exact = solve_radial_dirichlet(surface, lam, medium.sigma_s, k)
         wex = exact(R - taus)
         wp, wm = (wkb.barrier_w(surface, medium, pts, lam, n, sign, -1,
@@ -581,13 +585,16 @@ def grid_modified_helmholtz(field: GridField, lam: float, source,
 
 
 # the grid convergence study: a disk of radius DISK_R (sigma_s inside) in
-# the square [-DISK_L, DISK_L]^2, Dirichlet value 1 on the box
+# the square [-DISK_L, DISK_L]^2, Dirichlet value 1 on the box, at rate
+# DISK_LAM and cell widths DISK_HS
 DISK_R = 1.0
 DISK_L = 3.0
+DISK_LAM = 100.0
+DISK_HS = (1 / 32, 1 / 64, 1 / 128)
 
 
-def solve_disk(medium: TwoPhaseMedium, lam: float, h: float) -> GridSolution:
-    """The 2d disk transmission solve with source lam outside the disk.
+def solve_disk(medium: TwoPhaseMedium, h: float) -> GridSolution:
+    """The 2d disk transmission solve, source DISK_LAM outside the disk.
 
     The problem is even in x and in y, so only the quadrant [0, L]^2 is
     solved and returned, with the Dirichlet faces xhi and yhi and zero flux
@@ -599,8 +606,8 @@ def solve_disk(medium: TwoPhaseMedium, lam: float, h: float) -> GridSolution:
     sig = np.where(x[None, :] ** 2 + x[:, None] ** 2 < DISK_R ** 2,
                    medium.sigma_s, medium.sigma_m)
     quadrant = GridField(h=h, sigma=sig)
-    return grid_modified_helmholtz(quadrant, lam,
-                                   lam * (sig == medium.sigma_m),
+    return grid_modified_helmholtz(quadrant, DISK_LAM,
+                                   DISK_LAM * (sig == medium.sigma_m),
                                    {"xhi": 1.0, "yhi": 1.0})
 
 
@@ -622,19 +629,19 @@ def disk_interface_values(values: np.ndarray, h: float) -> np.ndarray:
             + (1 - tx) * ty * v[iy + 1, ix] + tx * ty * v[iy + 1, ix + 1])
 
 
-def disk_convergence_study(medium: TwoPhaseMedium, lam: float,
-                           hs=(1 / 32, 1 / 64, 1 / 128)) -> dict:
-    """Interface-value error of the 2d disk solve against the radial oracle,
-    with the CG iteration count and final relative residual per h."""
-    oracle = solve_radial_transmission(Sphere(R=DISK_R, N=2), lam, medium)
+def disk_convergence_study(medium: TwoPhaseMedium) -> dict:
+    """Interface-value error of the 2d disk solve at each h of DISK_HS
+    against the radial oracle at DISK_LAM, with the CG iteration count and
+    final relative residual per h."""
+    oracle = solve_radial_transmission(Sphere(R=DISK_R, N=2), DISK_LAM, medium)
     errs, iterations, residuals = [], [], []
-    for h in hs:
-        sol = solve_disk(medium, lam, h)
+    for h in DISK_HS:
+        sol = solve_disk(medium, h)
         vals = disk_interface_values(sol.values, h)
         errs.append(float(np.max(np.abs(vals - oracle.interface_value))))
         iterations.append(sol.iterations)
         residuals.append(sol.residual)
-    hs = np.asarray(hs, dtype=float)
+    hs = np.asarray(DISK_HS)
     errs = np.asarray(errs)
     order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     return {"hs": hs, "errors": errs, "observed_order": order,

@@ -103,7 +103,7 @@ class McEstimate:
                      3.0 * max(self.stderr, 1e-300), "<=")
 
 
-def _stream(seed: int, stream: int = 0) -> np.random.Generator:
+def _stream(seed: int, stream: int) -> np.random.Generator:
     """SFC64 seeded by SeedSequence(seed).spawn(stream + 1)[stream].
 
     A spawn key is hashed after the seed's words padded to the pool size,
@@ -140,7 +140,7 @@ def _mc_fractions(estimates, n_jobs: int) -> list:
     An estimate's n_samples points are split into batches of _BATCH (the
     last one partial), batch b drawn from the stream (rng_seed, b)
     by `_batch_count`.  The batches of all the estimates run on one pool of
-    n_jobs threads (in turn for one job), and each estimate adds up its own
+    n_jobs threads (at most one per batch), and each estimate adds up its own
     batches' counts, so it is bit-for-bit reproducible for a given
     (seed, n_samples) whatever n_jobs is and whichever estimates share the
     pool.  A worker holds one chunk of _CHUNK points at a time, so the
@@ -153,14 +153,8 @@ def _mc_fractions(estimates, n_jobs: int) -> list:
             for i, (count, n, seed) in enumerate(estimates)
             for stream, start in enumerate(range(0, n, _BATCH))]
 
-    def one(item):
-        return _batch_count(*item[1:])
-
-    if n_jobs > 1 and len(work) > 1:
-        with ThreadPoolExecutor(max_workers=min(n_jobs, len(work))) as pool:
-            counts = list(pool.map(one, work))
-    else:
-        counts = list(map(one, work))
+    with ThreadPoolExecutor(max_workers=max(1, min(n_jobs, len(work)))) as pool:
+        counts = list(pool.map(lambda item: _batch_count(*item[1:]), work))
     hits = [0] * len(estimates)
     for (i, *_), outside in zip(work, counts):
         hits[i] += outside
@@ -319,7 +313,7 @@ def symmetry_identities_check(n_samples: int, rng_seed: int) -> dict:
     2^64 shares.  n_samples must be a positive integer.
     """
     n_samples = positive_count("symmetry_samples", n_samples)
-    gen = _stream(rng_seed + 2 ** 64)
+    gen = _stream(rng_seed + 2 ** 64, 0)
     pts = gen.uniform(-5.0, 5.0, size=(n_samples, 3))
     alphas = gen.uniform(-10.0, 10.0, size=n_samples)
 

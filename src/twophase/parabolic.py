@@ -66,9 +66,8 @@ class Grid1D:
 
     @property
     def volumes(self) -> np.ndarray:
+        """Cell integrals of r^(d-1): the widths on a slab (d = 1)."""
         f = self.faces
-        if self.d == 1:
-            return np.diff(f)
         return np.diff(np.abs(f) ** self.d * np.sign(f)) / self.d
 
     @property
@@ -108,8 +107,8 @@ def far_wall_distance(medium: TwoPhaseMedium, t_end: float) -> float:
 
 
 def interface_grid(surface: Surface, medium: TwoPhaseMedium, *,
-                   h_fine: float = 2e-3, fine_width: float = 1.5,
-                   h_max: float = 0.05, far: float = 16.0) -> Grid1D:
+                   h_fine: float, far: float, fine_width: float = 1.5,
+                   h_max: float = 0.05) -> Grid1D:
     """Grid with the conductivity interface exactly on a face.
 
     Plane: slab [-far, far] around the interface at 0, sigma_m on the

@@ -465,24 +465,20 @@ def compute_coefficients(surface: Surface, q, n: int, side: int, *,
                                An_minus=top - jint)
 
 
-def gradient_identity_residual(surface: Surface, j: int, x, side: int,
-                               sign: int = 0) -> np.ndarray:
-    """Residual of the ray-derivative identity for A_j (or A_{j,+-}).
+def gradient_identity_residual(surface: Surface, j: int, x,
+                               side: int) -> np.ndarray:
+    """Residual of the ray-derivative identity for A_j.
 
-    Checks d A_j/dtau + 1/2 Lap(delta) A_j - 1/2 Lap A_{j-1} (-+ 1 for the
-    forced top coefficient) at collar points x, one value per point.  The
-    left side is a fresh central difference along the ray, not the tables'
-    own tau-derivative; everything on the right comes from the table
-    machinery, so the residual measures the end-to-end consistency of the
-    recursion.  Contract: O(h^2) plus interpolation noise, with h =
-    IDENTITY_STEP; x must lie at least 2h from the surface.
+    Checks d A_j/dtau + 1/2 Lap(delta) A_j - 1/2 Lap A_{j-1} at collar
+    points x, one value per point.  The left side is a fresh central
+    difference along the ray, not the tables' own tau-derivative;
+    everything on the right comes from the table machinery, so the residual
+    measures the end-to-end consistency of the recursion.  Contract: O(h^2)
+    plus interpolation noise, with h = IDENTITY_STEP; x must lie at least
+    2h from the surface.
     """
     eng = coefficient_engine(surface, side)
     X = np.atleast_2d(np.asarray(x, dtype=float))
-
-    def fieldfunc(P):
-        return eng.field(j, P) if sign == 0 else eng.field_pm(j, sign, P)
-
     # every read at X first, then the two shifted batches: one projection each
     h = IDENTITY_STEP
     Z, delta, _ = _project(surface, X)
@@ -491,9 +487,9 @@ def gradient_identity_residual(surface: Surface, j: int, x, side: int,
                               "central difference would cross the surface")
     lap_prev = eng.laplacian(j - 1, X) if j >= 1 else 0.0
     dd = eng.lap_signed_distance(X)
-    rhs = -0.5 * dd * fieldfunc(X) + 0.5 * lap_prev + float(sign)
+    rhs = -0.5 * dd * eng.field(j, X) + 0.5 * lap_prev
     e = (X - Z) / delta[:, None]
-    lhs = (fieldfunc(X + h * e) - fieldfunc(X - h * e)) / (2.0 * h)
+    lhs = (eng.field(j, X + h * e) - eng.field(j, X - h * e)) / (2.0 * h)
     return np.abs(lhs - rhs)
 
 
@@ -503,41 +499,45 @@ def gradient_identity_residual(surface: Surface, j: int, x, side: int,
 
 @dataclass(frozen=True)
 class RadialCorrector:
-    """Harmonic corrector on a radial annulus collar.
+    """Harmonic corrector on the collar of a sphere or cylinder.
 
-    The collar is [R - delta0, R] (side -1) or [R, R + delta0] (side +1) in
-    the effective radial dimension d (d = N for a sphere collar, d = 2 for
-    a cylinder collar).  psi is the radial harmonic function with psi = 0 at
-    r = R and psi = 2 on the far wall; log profile for d = 2, power profile
-    r^(2-d) for d >= 3.
+    The collar is [R - delta0, R] (side -1) or [R, R + delta0] (side +1),
+    with R, delta0 and the radial dimension d (N for a sphere, 2 for a
+    cylinder) those of `surface`.  psi is the radial harmonic function with
+    psi = 0 at r = R and psi = 2 on the far wall; log profile for d = 2,
+    power profile r^(2-d) for d >= 3.  A surface with no radial collar
+    (plane, helicoid, catenoid) raises UnsupportedGeometry.
     """
 
-    R: float
-    d: int
+    surface: Surface
     side: int
-    delta0: float
 
-    def _r(self, tau):
-        return self.R + self.side * np.asarray(tau, dtype=float)
+    def __post_init__(self):
+        if not (self.surface.is_radial and self.surface.radial_dim >= 2):
+            raise UnsupportedGeometry(f"{type(self.surface).__name__} has no "
+                                      "radial collar to correct")
 
     def _profile(self, r):
-        r_far = self.R + self.side * self.delta0
-        if self.d == 2:
-            return 2.0 * np.log(r / self.R) / np.log(r_far / self.R)
-        p = 2.0 - self.d
-        return 2.0 * (r ** p - self.R ** p) / (r_far ** p - self.R ** p)
+        R, d = self.surface.R, self.surface.radial_dim
+        r_far = R + self.side * self.surface.delta0
+        if d == 2:
+            return 2.0 * np.log(r / R) / np.log(r_far / R)
+        p = 2.0 - d
+        return 2.0 * (r ** p - R ** p) / (r_far ** p - R ** p)
 
     def psi(self, tau):
-        return self._profile(self._r(tau))
+        return self._profile(self.surface.R
+                             + self.side * np.asarray(tau, dtype=float))
 
     @property
     def surface_slope(self) -> float:
         # d psi / d tau at tau = 0
-        r_far = self.R + self.side * self.delta0
-        if self.d == 2:
-            return float(self.side * 2.0 / (self.R * np.log(r_far / self.R)))
-        p = 2.0 - self.d
-        return float(self.side * 2.0 * p * self.R ** (p - 1) / (r_far ** p - self.R ** p))
+        R, d = self.surface.R, self.surface.radial_dim
+        r_far = R + self.side * self.surface.delta0
+        if d == 2:
+            return float(self.side * 2.0 / (R * np.log(r_far / R)))
+        p = 2.0 - d
+        return float(self.side * 2.0 * p * R ** (p - 1) / (r_far ** p - R ** p))
 
 
 # ---------------------------------------------------------------------------
@@ -723,12 +723,11 @@ def near_boundary_law(surface: Surface, q, side: int) -> NearBoundaryFit:
                            fitted_exponent=exponent, deltas=deltas, values=vals)
 
 
-def boundary_laplacians(surface: Surface, q, j_max: int, side: int
-                        ) -> np.ndarray:
-    """Surface values of Lap A_j for j = 0..j_max, read from the tables at
-    tau = 0 (which they contain)."""
+def boundary_laplacians(surface: Surface, j_max: int, side: int) -> np.ndarray:
+    """Surface values of Lap A_j for j = 0..j_max at the surface point of
+    footpoint 0, read from the tables at tau = 0 (which they contain)."""
     eng = coefficient_engine(surface, side)
-    pt = eng.ray_points(q, [0.0])
+    pt = eng.ray_points(0.0, [0.0])
     return np.array([eng.laplacian(j, pt)[0] for j in range(j_max + 1)])
 
 
@@ -751,7 +750,7 @@ def boundary_normal_derivative(surface: Surface, medium: TwoPhaseMedium,
     lam = np.asarray(lam, dtype=float)
     mu = np.sqrt(lam / medium.side_conductivity(side))
     qq = 1.0 / mu
-    lap_boundary = boundary_laplacians(surface, 0.0, n - 1, side)
+    lap_boundary = boundary_laplacians(surface, n - 1, side)
     val = mu + 0.5 * float(coefficient_engine(surface, side)._lap_delta(
         0.0, np.zeros(())))
     val -= 0.5 * sum(qq ** j * lap_boundary[j - 1] for j in range(1, n + 1))

@@ -496,12 +496,6 @@ def test_max_principle_checks_on_threads_match_serial_ones():
     assert threaded == serial
 
 
-def test_disk_convergence_order():
-    rep = ell.disk_convergence_study(MED, lam=100.0, hs=(1 / 16, 1 / 32, 1 / 64))
-    assert rep["observed_order"] >= 0.9
-    assert rep["errors"][-1] < rep["errors"][0]
-
-
 def _circle_samples(values, lo, h):
     """Bilinear samples of a full-square grid at the 64 circle angles of
     `disk_interface_values`."""
@@ -519,8 +513,8 @@ def _circle_samples(values, lo, h):
 def test_disk_quadrant_matches_full_square_direct_solve():
     # the quadrant solve is the full square's quadrant, and its circle
     # samples, taken at the mirror images, are the full square's samples
-    h, L, lam = 1 / 32, ell.DISK_L, 100.0
-    sol = ell.solve_disk(MED, lam, h)
+    h, L, lam = 1 / 32, ell.DISK_L, ell.DISK_LAM
+    sol = ell.solve_disk(MED, h)
     m = int(round(L / h))
     x = -L + (np.arange(2 * m) + 0.5) * h
     X, Y = np.meshgrid(x, x)
@@ -559,8 +553,10 @@ def test_vcycle_cg_matches_direct_on_random_sigma(shape):
 
 
 def test_disk_study_cg_iterations_stay_bounded():
-    rep = ell.disk_convergence_study(MED, lam=100.0)
+    rep = ell.disk_convergence_study(MED)
     assert len(rep["iterations"]) == len(rep["hs"]) == 3
+    assert rep["observed_order"] >= 0.9
+    assert rep["errors"][-1] < rep["errors"][0]
     assert max(rep["iterations"]) <= 30
     assert max(rep["residuals"]) <= 1e-10
 
@@ -617,10 +613,10 @@ def test_vcycle_cg_at_conductivity_contrast_100():
 
 @pytest.mark.parametrize("sigmas", [(100.0, 1.0), (1.0, 100.0)])
 def test_disk_study_cg_at_conductivity_contrast_100(sigmas):
-    rep = ell.disk_convergence_study(TwoPhaseMedium(*sigmas), lam=100.0,
-                                     hs=(1 / 32, 1 / 64))
-    assert max(rep["iterations"]) <= 30
-    assert max(rep["residuals"]) <= 1e-10
+    for h in (1 / 32, 1 / 64):
+        sol = ell.solve_disk(TwoPhaseMedium(*sigmas), h)
+        assert sol.iterations <= 30
+        assert sol.residual <= 1e-10
 
 
 # -- maximum principle ------------------------------------------------------------------

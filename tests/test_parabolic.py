@@ -121,11 +121,11 @@ def test_evolve_on_sphere_grid_starts_from_indicator():
 
 
 def test_radial_grid_weight_follows_surface_dimension():
-    assert par.interface_grid(PLANE, MED, far=2.0).d == 1
-    assert par.interface_grid(geo.Sphere(R=1.0, N=4), MED, far=2.0).d == 4
-    assert par.interface_grid(geo.Cylinder(R=1.0, N=4), MED, far=2.0).d == 2
+    for surface, d in [(PLANE, 1), (geo.Sphere(R=1.0, N=4), 4),
+                       (geo.Cylinder(R=1.0, N=4), 2)]:
+        assert par.interface_grid(surface, MED, h_fine=2e-3, far=2.0).d == d
     with pytest.raises(UnsupportedGeometry):
-        par.interface_grid(geo.Helicoid(), MED)
+        par.interface_grid(geo.Helicoid(), MED, h_fine=2e-3, far=2.0)
 
 
 def test_cylinder_probe_drifts_less_than_sphere():
@@ -195,7 +195,7 @@ def test_probe_of_cells_not_recorded_is_rejected():
 
 def test_evolve_memory_does_not_grow_with_the_step_count():
     # the (steps x cells) history took 182 x cells x 8 bytes here
-    grid = par.interface_grid(PLANE, MED, h_fine=1e-3)
+    grid = par.interface_grid(PLANE, MED, h_fine=1e-3, far=16.0)
     cells = len(grid.sigma)
     assert cells > 3000
     for ratio in (1.08, 1.02):
@@ -241,7 +241,7 @@ def test_evolve_steps_match_a_general_band_solve():
 def _offset_gap(surface, probes):
     """The recorded U of `evolve` from t = 1e-7 to 1 and of the unshifted
     reference stepper, with the mask of reference values >= 2^-800."""
-    grid = par.interface_grid(surface, MED, far=8.0)
+    grid = par.interface_grid(surface, MED, h_fine=2e-3, far=8.0)
     times = par.geometric_times(1e-7, 1.0)
     series = par.evolve(grid, times, probes)
     ref = unshifted_evolve(grid, times, series.cells)

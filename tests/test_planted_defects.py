@@ -61,6 +61,18 @@ and `mean-curvature-extraction`, through the radial reduction:
     curvature sum is off by 0.50 relative, against the 0.01 bound, while
     the plane and cylinder still pass.
 
+and `near-boundary-law`, through the chart Laplacian:
+
+  * (j) `wkb.chebder`'s second-derivative matrices scaled by 1.05: the
+    tables' Lap A_0 at the surface is then 1.05 times its value, and the
+    fitted coefficient misses -H_2 by 0.050 relative against the 0.02
+    bound (5.06e-6 clean), while the fitted exponent (1.59e-4) still
+    passes.  Earlier candidates faulted the metric term G^qq and Lap(delta),
+    which this criterion cannot see: at tau = 0 on an N = 3 minimal
+    surface, A_0 = 1 along the whole surface, so d_q A_0 = d_qq A_0 = 0,
+    and d_tau A_0 = -Lap(delta) A_0 / 2 = 0 because Lap(delta) = -H_1 = 0
+    there.  Only d_tautau A_0 reaches Lap A_0(0).
+
 One planted defect shows what a criterion cannot see, and the test oracle
 that does:
 
@@ -72,12 +84,13 @@ that does:
 Not yet covered, each for want of a planted defect that it alone must
 catch:
 
-  * near-boundary-law: the fitted coefficient of Lap A_0 barely moves
-    under a faulty chart.  Scaling G^qq by 1.05 moves its relative error
-    from 5.06e-6 to 5.30e-6 against the 0.02 bound, and scaling Lap(delta)
-    by 1.01 leaves it at 5.06e-6;
-  * higher-order-coefficient: reads Lap A_0 at the surface in closed
-    form; an independent collar solve would be the check of it;
+  * higher-order-coefficient: its side checks hold the same
+    Lap A_0(0) = -H_2 that near-boundary-law holds, at 10% instead of 2%,
+    so (j) passes them at 0.050.  Its ratio check cannot see a fault
+    common to both sides: with b = k inside, 1 - k outside and
+    k / (1 - k) = sqrt(sigma_m / sigma_s), the ratio of the coefficients
+    is sigma_s / sigma_m times Lap A_0^in(0) / Lap A_0^out(0).  An
+    independent collar solve would be the check of it;
   * grid-solver-convergence: a face conductivity changed from the
     harmonic to the arithmetic mean passes it;
   * helicoid-half-value, beyond (c) and (d): its estimates sit at the
@@ -95,6 +108,7 @@ from twophase import parabolic as par
 from oracles import first_coefficient_error
 
 chebint = wkb.chebint
+chebder = wkb.chebder
 turns = helicoid._turns
 screw_many = helicoid.screw_many
 stencil = ell._stencil
@@ -159,6 +173,19 @@ def test_integration_constant_at_the_box_end_fails_the_surface_values(
     checks, failed = _failed(acceptance.criterion_barrier_sandwich)
     assert failed == {"surface max |w+- - k|"}
     assert checks["surface max |w+- - k|"].value > 1e-5
+
+
+def test_scaled_second_derivatives_fail_the_near_boundary_law(
+        fresh_engines):
+    fresh_engines.setattr(wkb, "chebder", lambda c, m=1, scl=1: (
+        1.05 if m == 2 else 1.0) * chebder(c, m, scl))
+    checks, failed = _failed(acceptance.criterion_near_boundary_law)
+    assert failed == {"coefficient rel err"}
+    assert checks["coefficient rel err"].value > 0.04  # reads 0.050
+    # the same Lap A_0(0), held to 10%, and the identities both pass
+    for criterion in (acceptance.criterion_higher_order,
+                      acceptance.criterion_wkb_identities):
+        assert _failed(criterion)[1] == set()
 
 
 #: the symmetry identities' checks of `helicoid-half-value`

@@ -160,15 +160,6 @@ def test_gradient_identities_j_up_to_three(name):
             assert res < 1e-4, (name, j, q, frac, res)
 
 
-def test_gradient_identity_forced_variant():
-    eng = wkb.coefficient_engine(CYLINDER, -1)
-    p = eng.ray_points(0.0, np.array([0.4]))[0]
-    for sign in (+1, -1):
-        res = wkb.gradient_identity_residual(CYLINDER, 2, p, side=-1,
-                                             sign=sign)
-        assert res < 1e-4
-
-
 def test_gradient_identity_returns_one_value_per_point():
     # a cylinder batch on and one past the tables (order 4), and a helicoid
     # batch past its tables (order 2) on rays of different q, where each
@@ -178,14 +169,14 @@ def test_gradient_identity_returns_one_value_per_point():
     hel = wkb.coefficient_engine(HELICOID, -1)
     Y = np.vstack([hel.ray_points(q, np.array([0.4 * hel.delta0]))
                    for q in (-0.3, 0.1)])
-    for surface, j, sign, P in [(CYLINDER, 2, 0, X), (CYLINDER, 2, +1, X),
-                                (CYLINDER, 5, 0, X), (HELICOID, 3, 0, Y)]:
-        batch = wkb.gradient_identity_residual(surface, j, P, -1, sign=sign)
+    for surface, j, P in [(CYLINDER, 2, X), (CYLINDER, 5, X),
+                          (HELICOID, 3, Y)]:
+        batch = wkb.gradient_identity_residual(surface, j, P, -1)
         assert np.shape(batch) == (len(P),)
         assert len(set(batch.tolist())) == len(P)
         for i in range(len(P)):
             assert batch[i] == wkb.gradient_identity_residual(
-                surface, j, P[i], -1, sign=sign)[0]
+                surface, j, P[i], -1)[0]
 
 
 def test_gradient_identity_sphere_j0_symbolic():
@@ -380,7 +371,7 @@ def test_elliptic_residual_identity_closes(name, side, n, sign):
 def test_barrier_functions_return_one_value_per_point():
     eng = wkb.coefficient_engine(SPHERE, -1)
     th = wkb.calibrate_thresholds(SPHERE, MED, 1, -1)
-    corr = wkb.RadialCorrector(R=1.0, d=3, side=-1, delta0=eng.delta0)
+    corr = wkb.RadialCorrector(SPHERE, side=-1)
     X = eng.ray_points(0.0, np.array([0.1, 0.4, 0.8]) * eng.delta0)
     calls = [
         lambda P: wkb.barrier_f(SPHERE, MED, P, 1e4, 2, +1, -1),
@@ -495,7 +486,7 @@ def test_threshold_calibration_and_barrier_w():
     th = wkb.calibrate_thresholds(SPHERE, MED, 1, -1)
     assert th.eta == pytest.approx(0.5 * eng.delta0, rel=1e-12)
     assert 0.0 < th.lam_min < 1e3
-    corr = wkb.RadialCorrector(R=1.0, d=3, side=-1, delta0=eng.delta0)
+    corr = wkb.RadialCorrector(SPHERE, side=-1)
     z = np.array([1.0, 0.0, 0.0])
     for sign in (+1, -1):
         val = wkb.barrier_w(SPHERE, MED, z, 1e4, 1, sign, -1,
@@ -517,7 +508,7 @@ def _reference_thresholds(surface, n, side, eng):
     """calibrate_thresholds' bisection, reading the tables at every step."""
     sigma = MED.side_conductivity(side)
     eta = 0.5 * eng.delta0 / math.sqrt(sigma)
-    edge = 0.7 * (0.8 + 4 * 1.6 / 220) * getattr(surface, "c", 1.0)
+    edge = wkb.CALIBRATION_Q * getattr(surface, "c", 1.0)
     q_samples = [0.0] if surface.is_radial else list(np.linspace(-edge, edge, 5))
     tau_samples = np.linspace(0.0, eng.delta0, 17)
 
@@ -630,8 +621,11 @@ def test_near_boundary_law_needs_a_minimal_surface():
 ], ids=["cylinder", "helicoid-0", "helicoid-0.3"])
 def test_boundary_laplacian_of_a0_matches_its_closed_form(
         surface, q, expected, side):
-    lap = wkb.boundary_laplacians(surface, q, 0, side=side)
-    assert abs(lap[0] - expected) <= 1e-9
+    eng = wkb.coefficient_engine(surface, side)
+    lap = eng.laplacian(0, eng.ray_points(q, [0.0]))[0]
+    assert abs(lap - expected) <= 1e-9
+    if q == 0.0:  # boundary_laplacians reads the same row at footpoint 0
+        assert wkb.boundary_laplacians(surface, 0, side=side)[0] == lap
 
 
 # -- harmonic correctors ----------------------------------------------------------
@@ -640,22 +634,40 @@ def test_slab_corrector_midpoint():
     assert SlabCorrector(0.8).psi(0.4) == 1.0
 
 
+#: the gate's radial collars: inner [0.55, 1] (delta0 = 0.45) and outer
+#: [2, 2.9] (delta0 = 0.9)
+SPHERE_IN = wkb.RadialCorrector(SPHERE, side=-1)
+CYLINDER_OUT = wkb.RadialCorrector(CYLINDER, side=+1)
+
+
 def test_radial_corrector_example():
-    # inner collar [0.5, 1] in dimension 3: psi(r) = 2 (1/r - 1)
-    corr = wkb.RadialCorrector(R=1.0, d=3, side=-1, delta0=0.5)
-    assert corr.psi(0.25) == pytest.approx(2.0 / 3.0, rel=1e-13)  # r = 0.75
+    # sphere, d = 3: psi(r) = 2 (1/r - 1) / (1/0.55 - 1) = 22/9 (1/r - 1)
+    assert SPHERE_IN.psi(0.25) == pytest.approx(22 / 27, rel=1e-13)  # r = 0.75
+    assert SPHERE_IN.surface_slope == pytest.approx(22 / 9, rel=1e-13)
+    # cylinder, d = 2: psi(r) = 2 log(r / 2) / log(1.45)
+    assert CYLINDER_OUT.psi(0.45) == pytest.approx(
+        2 * math.log(1.225) / math.log(1.45), rel=1e-13)          # r = 2.45
+    assert CYLINDER_OUT.surface_slope == pytest.approx(
+        1 / math.log(1.45), rel=1e-13)
+
+
+@pytest.mark.parametrize("surface", [geo.Hyperplane(), geo.Helicoid(),
+                                     geo.Catenoid()],
+                         ids=["plane", "helicoid", "catenoid"])
+def test_radial_corrector_needs_a_radial_collar(surface):
+    with pytest.raises(UnsupportedGeometry):
+        wkb.RadialCorrector(surface, side=-1)
 
 
 def test_corrector_boundary_values_exact():
-    for corr in (SlabCorrector(0.4),
-                 wkb.RadialCorrector(R=1.0, d=3, side=-1, delta0=0.4),
-                 wkb.RadialCorrector(R=2.0, d=2, side=+1, delta0=0.9)):
+    for corr, delta0 in ((SlabCorrector(0.4), 0.4), (SPHERE_IN, 0.45),
+                         (CYLINDER_OUT, 0.9)):
         assert corr.psi(0.0) == 0.0
-        assert corr.psi(corr.delta0) == pytest.approx(2.0, abs=1e-14)
+        assert corr.psi(delta0) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_radial_corrector_is_harmonic():
-    corr = wkb.RadialCorrector(R=1.0, d=3, side=-1, delta0=0.45)
+    corr = SPHERE_IN
     rs = np.linspace(0.58, 0.97, 9)
     h = 1e-5
     for r in rs:
@@ -667,9 +679,8 @@ def test_radial_corrector_is_harmonic():
 
 
 def test_corrector_strictly_inside_bounds():
-    corr = wkb.RadialCorrector(R=2.0, d=2, side=+1, delta0=0.9)
     taus = np.linspace(0.05, 0.85, 9)
-    vals = corr.psi(taus)
+    vals = CYLINDER_OUT.psi(taus)
     assert np.all((0.0 < vals) & (vals < 2.0))
 
 
@@ -678,8 +689,8 @@ def test_corrector_strictly_inside_bounds():
 def test_outside_engine_boundary_row_and_symmetry():
     # the flip symmetry of the helicoid makes the two collars congruent:
     # the surface limits of Lap A_j agree side to side
-    inner = wkb.boundary_laplacians(HELICOID, 0.0, 2, side=-1)
-    outer = wkb.boundary_laplacians(HELICOID, 0.0, 2, side=+1)
+    inner = wkb.boundary_laplacians(HELICOID, 2, side=-1)
+    outer = wkb.boundary_laplacians(HELICOID, 2, side=+1)
     assert np.allclose(inner, outer, atol=1e-4)
     table = wkb.compute_coefficients(HELICOID, 0.0, 2, side=+1,
                                      taus=np.linspace(0.0, 0.3, 5))

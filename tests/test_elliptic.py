@@ -496,6 +496,16 @@ def test_max_principle_checks_on_threads_match_serial_ones():
     assert threaded == serial
 
 
+@pytest.fixture(scope="module")
+def disk_study():
+    return ell.disk_convergence_study(MED)
+
+
+def test_disk_convergence_order(disk_study):
+    assert disk_study["observed_order"] >= 0.9
+    assert disk_study["errors"][-1] < disk_study["errors"][0]
+
+
 def _circle_samples(values, lo, h):
     """Bilinear samples of a full-square grid at the 64 circle angles of
     `disk_interface_values`."""
@@ -552,11 +562,9 @@ def test_vcycle_cg_matches_direct_on_random_sigma(shape):
     assert rel_err(sol.reshape(shape), superlu(field, 1.0, source, boundary)) <= 1e-8
 
 
-def test_disk_study_cg_iterations_stay_bounded():
-    rep = ell.disk_convergence_study(MED)
+def test_disk_study_cg_iterations_stay_bounded(disk_study):
+    rep = disk_study
     assert len(rep["iterations"]) == len(rep["hs"]) == 3
-    assert rep["observed_order"] >= 0.9
-    assert rep["errors"][-1] < rep["errors"][0]
     assert max(rep["iterations"]) <= 30
     assert max(rep["residuals"]) <= 1e-10
 

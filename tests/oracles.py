@@ -211,18 +211,20 @@ def ray_derivative_pm(eng: CoefficientEngine, n: int, sign: int, X) -> np.ndarra
             + sign * _tau_derivative(eng, eng._j_table, X))
 
 
-def first_coefficient_inside(surface: Surface, tau):
-    """Exact A_1 at depth tau inside a cylinder (kappa = 1/R) or a sphere
-    in N = 4 (three curvatures 1/R): the recursion A_1 = A_0 int_0^tau
-    [Lap A_0 / 2] / A_0 ds in closed form,
+def first_coefficient(surface: Surface, tau, side: int):
+    """Exact A_1 at depth tau on `side` of a cylinder (kappa = 1/R) or a
+    sphere in N = 4 (three curvatures 1/R): the recursion A_1 = A_0
+    int_0^tau [Lap A_0 / 2] / A_0 ds in closed form,
 
-        cylinder:     kappa^2 tau / (8 (1 - kappa tau)^(3/2)),
-        sphere N = 4: -3 kappa^2 tau / (8 (1 - kappa tau)^(5/2)).
+        cylinder:     k^2 tau / (8 (1 - k tau)^(3/2)),
+        sphere N = 4: -3 k^2 tau / (8 (1 - k tau)^(5/2)),
 
+    with k = kappa inside (side -1) and k = -kappa outside (side +1),
+    where the collar sees the curvatures with the opposite sign.
     (In N = 3, A_0 = R/r is harmonic and every A_j of the sphere is 0.)
     """
     tau = np.asarray(tau, dtype=float)
-    kap = 1.0 / surface.R
+    kap = -side / surface.R
     if isinstance(surface, Cylinder):
         return kap ** 2 * tau / (8.0 * (1.0 - kap * tau) ** 1.5)
     if isinstance(surface, Sphere) and surface.N == 4:
@@ -230,12 +232,13 @@ def first_coefficient_inside(surface: Surface, tau):
     raise InvalidArgument("closed-form A_1 for a cylinder or a sphere in N = 4")
 
 
-def first_coefficient_error(surface: Surface) -> float:
-    """max |A_1 - closed form| of the inside tables at 9 depths on [0, delta0]."""
-    eng = coefficient_engine(surface, -1)
+def first_coefficient_error(surface: Surface, side: int) -> float:
+    """max |A_1 - closed form| of the tables on `side` at 9 depths on
+    [0, delta0]."""
+    eng = coefficient_engine(surface, side)
     taus = np.linspace(0.0, eng.delta0, 9)
     got = eng.field(1, eng.ray_points(0.0, taus))
-    return float(np.max(np.abs(got - first_coefficient_inside(surface, taus))))
+    return float(np.max(np.abs(got - first_coefficient(surface, taus, side))))
 
 
 def elliptic_residual(surface: Surface, medium: TwoPhaseMedium, x, lam: float,

@@ -1,8 +1,8 @@
 """Source hygiene: every name a module imports is used in that module, the
-package's count of defaulted parameters does not creep back up, the
-package holds no code that only the tests run, starting the CLI loads
-no scipy module it does not need, and importing the package defaults the
-BLAS thread counts to one without overriding the caller's.
+package's count of defaulted parameters and its line count do not creep
+back up, the package holds no code that only the tests run, starting the
+CLI loads no scipy module it does not need, and importing the package
+defaults the BLAS thread counts to one without overriding the caller's.
 
 `twophase/__init__.py` is skipped by the import check: its imports are the
 package's re-exports.
@@ -25,6 +25,10 @@ PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 #: defaulted parameters over src/twophase/*.py, dataclass fields included;
 #: lower it when a change pins more
 MAX_DEFAULTED_PARAMETERS = 21
+
+#: lines over src/twophase/*.py, counted as `wc -l` counts them; lower it
+#: when a change removes code
+MAX_SRC_LINES = 3902
 
 #: exempt from the test-only check: the console script pyproject.toml declares
 ENTRY_POINTS = {"cli.main"}
@@ -92,6 +96,12 @@ def test_defaulted_parameters_stay_capped():
     total = sum(defaulted_parameters(p.read_text())
                 for p in (ROOT / "src" / "twophase").glob("*.py"))
     assert total <= MAX_DEFAULTED_PARAMETERS
+
+
+def test_src_lines_stay_capped():
+    total = sum(p.read_text().count("\n")
+                for p in (ROOT / "src" / "twophase").glob("*.py"))
+    assert total <= MAX_SRC_LINES
 
 
 def _definitions(module: str, tree: ast.Module):

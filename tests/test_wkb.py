@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval, chebval2d
 from scipy.integrate import quad
 
 from twophase import geometry as geo, helicoid as hl, wkb
@@ -14,7 +15,7 @@ from twophase.errors import (DegenerateTube, InvalidArgument,
 from twophase.medium import TwoPhaseMedium
 
 from oracles import (SlabCorrector, elliptic_residual,
-                     first_coefficient_error, first_coefficient_inside,
+                     first_coefficient, first_coefficient_error,
                      psi_at_radius, ray_derivative)
 
 MED = TwoPhaseMedium(1.0, 4.0)
@@ -114,17 +115,21 @@ def test_cylinder_first_coefficient_two_ways():
         oracle = quad(lambda t: 0.5 * lap_a0(t) * w(t), 0.0, delta)[0] / w(delta)
         p = eng.ray_points(0.0, np.array([delta]))[0]
         assert eng.field(1, p[None, :])[0] == pytest.approx(oracle, abs=1e-8)
-        # the closed form of `first_coefficient_inside` is this integral
-        assert first_coefficient_inside(CYLINDER, delta) == pytest.approx(
+        # the closed form of `first_coefficient` is this integral
+        assert first_coefficient(CYLINDER, delta, -1) == pytest.approx(
             oracle, abs=1e-14)
 
 
-@pytest.mark.parametrize("surface", [geo.Cylinder(R=1.0, N=3),
-                                     geo.Sphere(R=1.0, N=4)],
-                         ids=["cylinder", "sphere-N4"])
-def test_first_coefficient_matches_its_closed_form(surface):
-    # the tables read 1.4e-16 (cylinder) and 7.5e-16 (sphere) at 9 depths
-    assert first_coefficient_error(surface) <= 1e-12
+@pytest.mark.parametrize("surface, side", [
+    (geo.Cylinder(R=1.0, N=3), -1), (geo.Sphere(R=1.0, N=4), -1),
+    (geo.Cylinder(R=1.0, N=3), +1), (CYLINDER, +1), (geo.Sphere(R=1.0, N=4), +1),
+], ids=["cylinder", "sphere-N4", "cylinder-outside", "cylinder-R2-outside",
+        "sphere-N4-outside"])
+def test_first_coefficient_matches_its_closed_form(surface, side):
+    # the tables read 1.6e-16 (cylinder) and 7.7e-16 (sphere) at 9 depths
+    # inside; outside, where kappa -> -kappa, 6.2e-17 (R = 1), 3.1e-17
+    # (R = 2) and 1.5e-16 (sphere)
+    assert first_coefficient_error(surface, side) <= 1e-12
 
 
 def test_recursion_consistency_across_orders():
@@ -388,6 +393,80 @@ def test_barrier_functions_return_one_value_per_point():
             assert batch[i] == call(X[i])[0]
 
 
+def _collar_batch(eng, n: int, rng) -> np.ndarray:
+    """n seeded points of eng's collar at depths in [0.05, 0.85] delta0:
+    random radial directions on a sphere or a cylinder (whose axis
+    coordinate is drawn in [-2, 2]), footpoints |q| <= 0.5 c on a minimal
+    surface."""
+    taus = rng.uniform(0.05, 0.85, n) * eng.delta0
+    surface = eng.surface
+    if surface.is_radial:
+        d = surface.radial_dim
+        X = rng.uniform(-2.0, 2.0, (n, surface.N))
+        u = rng.standard_normal((n, d))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        X[:, :d] = (surface.R + eng.side * taus)[:, None] * u
+        return X
+    qs = rng.uniform(-0.5, 0.5, n) * getattr(surface, "c", 1.0)
+    return np.concatenate([eng.ray_points(q, [t]) for q, t in zip(qs, taus)])
+
+
+#: more than two read blocks, the last one partial
+BLOCK_BATCH = 2 * wkb._READ_BLOCK + 37
+
+
+@pytest.mark.parametrize("side", [-1, +1])
+@pytest.mark.parametrize("name", ["helicoid", "catenoid", "sphere"])
+def test_a_point_reads_the_same_bits_in_any_block(name, side):
+    eng = wkb.coefficient_engine(ALL[name], side)
+    rng = np.random.default_rng([30, side + 1])
+    X = _collar_batch(eng, BLOCK_BATCH, rng)
+    top = eng.table_order
+    reads = ([lambda P, j=j: eng.field(j, P) for j in range(1, top + 2)]
+             + [lambda P, j=j: eng.laplacian(j, P) for j in range(top + 1)]
+             + [lambda P, s=s: eng.field_pm(top + 1, s, P) for s in (1, -1)]
+             + [lambda P, s=s: eng.laplacian_pm(top, s, P) for s in (1, -1)])
+    batch = [read(X) for read in reads]
+    assert all(b.shape == (BLOCK_BATCH,) for b in batch)
+    last_block = np.arange(2 * wkb._READ_BLOCK, BLOCK_BATCH)
+    picks = np.concatenate([rng.choice(2 * wkb._READ_BLOCK, 24, replace=False),
+                            rng.choice(last_block, 5, replace=False),
+                            [BLOCK_BATCH - 1]])
+    for i in picks:
+        alone = [read(X[i]) for read in reads]
+        lo = max(i - 5, 0)          # at offset i - lo in a short slice
+        sliced = [read(X[lo:i + 3]) for read in reads]
+        for b, a, s in zip(batch, alone, sliced):
+            assert a.shape == (1,) and a[0] == b[i]
+            assert s[i - lo] == b[i]
+    for read in reads:
+        assert read(np.empty((0, 3))).shape == (0,)
+
+
+@pytest.mark.parametrize("name", ["helicoid", "catenoid", "sphere", "cylinder"])
+def test_reads_match_numpys_chebyshev_series(name):
+    # an independent evaluation of the stored series: a transposed or
+    # shifted block layout reads other points' values, the same in any batch
+    eng = wkb.coefficient_engine(ALL[name], -1)
+    X = _collar_batch(eng, BLOCK_BATCH, np.random.default_rng(31))
+    q, tau = eng.signed_coords(X)
+
+    def mapped(v, box):
+        return (2.0 * v - (box[0] + box[1])) / (box[1] - box[0])
+
+    top = eng.table_order
+    tables = ([(eng._fields[j], eng.field(j, X)) for j in range(1, top + 2)]
+              + [(eng._laps[j], eng.laplacian(j, X)) for j in range(top + 1)]
+              + [(eng._j_table, eng.j_integral(X))])
+    t = mapped(tau, eng._tau_box)
+    for coef, got in tables:
+        if eng._q_box is None:
+            want = chebval(t, coef[0])
+        else:
+            want = chebval2d(mapped(q, eng._q_box), t, coef)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.sum(np.abs(coef))
+
+
 def test_each_batch_is_projected_once(monkeypatch):
     eng = wkb.coefficient_engine(HELICOID, -1)
     counted = []
@@ -447,7 +526,7 @@ def _on_two_threads(read):
 
 
 def test_threads_read_through_their_own_projection():
-    # the reads project their points, then fetch the basis rows kept with
+    # the reads project their points, then fetch the bases kept with
     # the projection; another thread's batch in between must not be read
     eng = wkb.coefficient_engine(HELICOID, -1)
     taus = np.linspace(0.05, 0.3, 6) * eng.delta0
